@@ -58,7 +58,6 @@ from .adversary import (
     audit_energy,
     dyadic_x,
     perturbation,
-    respond,
     run_match,
     stage_of,
 )

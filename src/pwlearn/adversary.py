@@ -34,6 +34,7 @@ from .errors import DomainError, SequenceError
 from .learner import Learner, LossAccount, TrialRecord
 
 __all__ = [
+    "MAX_STAGES",
     "AdversaryConfig",
     "AdversaryState",
     "EnergyAudit",
@@ -43,7 +44,6 @@ __all__ = [
     "dyadic_x",
     "stage_of",
     "perturbation",
-    "respond",
     "audit_energy",
     "run_match",
 ]
@@ -52,25 +52,40 @@ __all__ = [
 X0 = 1.0
 Y0 = 0.0
 
+# 2^24 trials is around 16M committed knots; past that, memory and runtime
+# stop being desk-scale.
+MAX_STAGES = 24
+
 
 def _check_epsilon(epsilon: float) -> None:
     if not 0.0 < epsilon < 0.5:
         raise DomainError(
-            f"adversary epsilon must lie strictly in (0, 0.5), got {epsilon!r}"
+            f"epsilon {epsilon!r} is outside the adversary's range (0, 0.5); "
+            "use the bounds subcommand for that regime"
+        )
+
+
+def _check_stages(stages: int) -> None:
+    if not 1 <= stages <= MAX_STAGES:
+        raise DomainError(
+            f"stages must lie in 1..{MAX_STAGES} (2^{MAX_STAGES} trials is the "
+            f"desk-scale ceiling), got {stages!r}"
         )
 
 
 @dataclass(frozen=True)
 class AdversaryConfig:
-    """Loss exponent offset and stage budget; a run covers 2^stages - 1 trials."""
+    """Loss exponent offset and stage budget; a run covers 2^stages - 1 trials.
+
+    Both are checked here: 0 < epsilon < 0.5 and 1 <= stages <= MAX_STAGES.
+    """
 
     epsilon: float
     stages: int
 
     def __post_init__(self) -> None:
         _check_epsilon(self.epsilon)
-        if self.stages < 1:
-            raise DomainError(f"stage count must be at least 1, got {self.stages!r}")
+        _check_stages(self.stages)
 
 
 def stage_of(t: int) -> int:
@@ -101,15 +116,10 @@ def perturbation(i: int, epsilon: float) -> float:
 def _dict_energy(knots: dict[float, float]) -> float:
     """Energy of the interpolant of a coordinate->value mapping, from scratch."""
     m = len(knots)
-    if m <= 1:
-        return 0.0
     us = np.fromiter(knots.keys(), dtype=float, count=m)
     vs = np.fromiter(knots.values(), dtype=float, count=m)
     order = np.argsort(us)
-    us = us[order]
-    vs = vs[order]
-    dv = np.diff(vs)
-    return float(np.sum(dv * dv / np.diff(us)))
+    return pwl._energy_sum(us[order], vs[order])
 
 
 class EnergyAudit(NamedTuple):
@@ -130,7 +140,6 @@ class AdversaryState:
         self.within = 0
         self.next_t = 1
         self.accepted_per_stage: list[int] = []
-        self.trials_per_stage: list[int] = []
         # Incremental probe energy plus the scratch value it was rebased to at
         # the last stage boundary; both feed the recursion audit.
         self.energy_probe = 0.0
@@ -152,7 +161,6 @@ class AdversaryState:
         self.stage = i
         self.within = 0
         self.accepted_per_stage.append(0)
-        self.trials_per_stage.append(0)
 
     def respond(self, t: int, y_hat: float) -> tuple[float, bool]:
         """Reveal the label for trial t given the learner's prediction.
@@ -200,7 +208,6 @@ class AdversaryState:
         if biggest > self.max_abs_slope:
             self.max_abs_slope = biggest
         self.within += 1
-        self.trials_per_stage[-1] += 1
         if accepted:
             self.accepted_per_stage[-1] += 1
         self.next_t += 1
@@ -208,13 +215,6 @@ class AdversaryState:
 
     def committed_function(self) -> pwl.PiecewiseLinearFunction:
         return pwl.from_points(self.committed.items())
-
-    def probe_function(self) -> pwl.PiecewiseLinearFunction:
-        return pwl.from_points(self.probe.items())
-
-
-def respond(state: AdversaryState, t: int, y_hat: float) -> tuple[float, bool]:
-    return state.respond(t, y_hat)
 
 
 def audit_energy(state: AdversaryState) -> EnergyAudit:
@@ -342,7 +342,7 @@ def run_match(
                 per_stage.append(
                     StageSummary(
                         state.stage,
-                        state.trials_per_stage[-1],
+                        state.within,
                         state.accepted_per_stage[-1],
                         audit.j_probe,
                     )

@@ -21,22 +21,17 @@ from .bounds import BOUNDS_CSV_HEADER, bound_report, upper_bound_linint
 from .errors import AuditFailure, DomainError, Error, InequalityViolation
 from .harness import (
     ExperimentConfig,
-    MAX_STAGES,
     parse_epsilon_grid,
     run_invariant_audit,
     run_sweep,
     write_sweep_csv,
 )
-from .learner import LEARNER_KINDS, make_learner, write_trace_csv
+from .learner import LEARNER_KINDS, fmt_exact, make_learner, open_out, write_trace_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_AUDIT = 2
 EXIT_IO = 3
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -48,10 +43,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _add_config_flag(parser: argparse.ArgumentParser) -> None:
+    # Call after every other flag: the config loader looks keys up here.
     parser.add_argument(
         "--config",
         metavar="PATH",
         help="JSON file whose keys override the corresponding flags",
+    )
+    parser.set_defaults(
+        flags={a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     )
 
 
@@ -103,6 +102,19 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """The value, checked against its flag: int takes only ints, float takes ints
+    and floats, untyped flags take strings (bools pass none); then the choices."""
+    kind = action.type or str
+    if not (type(value) is kind or (kind is float and type(value) is int)):
+        raise DomainError(f"config key {key!r} must be a {kind.__name__}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise DomainError(
+            f"config key {key!r} must be one of {list(action.choices)}, got {value!r}"
+        )
+    return kind(value)
+
+
 def _apply_config_file(args: argparse.Namespace) -> None:
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
@@ -111,28 +123,14 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             raise DomainError(f"invalid config JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DomainError("config JSON must be an object")
-    reserved = {"config", "func", "command"}
     for key, value in doc.items():
         dest = key.replace("-", "_")
-        if dest in reserved or not hasattr(args, dest):
+        if dest not in args.flags:
             raise DomainError(f"unknown config key {key!r}")
-        setattr(args, dest, value)
-
-
-def _require_adversary_epsilon(eps: float) -> None:
-    if not 0.0 < eps < 0.5:
-        raise DomainError(
-            f"epsilon {eps!r} is outside the adversary's range (0, 0.5); "
-            "use the bounds subcommand for that regime"
-        )
+        setattr(args, dest, _config_value(args.flags[dest], key, value))
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        mode="match", learner=args.learner, epsilon=args.epsilon, stages=args.stages
-    )
-    config.validate()
-    _require_adversary_epsilon(args.epsilon)
     result = run_match(
         make_learner(args.learner), AdversaryConfig(args.epsilon, args.stages)
     )
@@ -143,14 +141,14 @@ def _cmd_match(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _grid_from_args(args: argparse.Namespace, allow_single: bool = False) -> list[float]:
+def _grid_from_args(args: argparse.Namespace) -> list[float]:
     sources = []
-    if getattr(args, "epsilon", None) is not None and allow_single:
-        sources.append([float(args.epsilon)])
+    if getattr(args, "epsilon", None) is not None:  # bounds only
+        sources.append([args.epsilon])
     if args.epsilons:
-        sources.append(parse_epsilon_grid(str(args.epsilons)))
+        sources.append(parse_epsilon_grid(args.epsilons))
     if args.epsilon_grid:
-        sources.append(parse_epsilon_grid(str(args.epsilon_grid)))
+        sources.append(parse_epsilon_grid(args.epsilon_grid))
     if len(sources) > 1:
         raise DomainError("give only one of --epsilon, --epsilons, --epsilon-grid")
     if not sources:
@@ -159,13 +157,9 @@ def _grid_from_args(args: argparse.Namespace, allow_single: bool = False) -> lis
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    epsilons = _grid_from_args(args)
-    for eps in epsilons:
-        _require_adversary_epsilon(eps)
     config = ExperimentConfig(
-        mode="sweep",
         learner=args.learner,
-        epsilons=epsilons,
+        epsilons=_grid_from_args(args),
         stages=args.stages,
         out=args.out,
     )
@@ -176,7 +170,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    epsilons = _grid_from_args(args, allow_single=True)
+    epsilons = _grid_from_args(args)
     stages = args.partial_stages
     if stages < 1:
         raise DomainError(f"--partial-stages must be at least 1, got {stages!r}")
@@ -186,12 +180,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         if 0.0 < eps < 0.5:
             rep = bound_report(eps, stages)
             fields = [
-                _fmt(rep.epsilon),
-                _fmt(rep.upper_linint),
-                _fmt(rep.lower_closed_form),
-                _fmt(rep.lower_partial),
-                _fmt(rep.ratio_upper),
-                _fmt(rep.ratio_lower),
+                fmt_exact(rep.epsilon),
+                fmt_exact(rep.upper_linint),
+                fmt_exact(rep.lower_closed_form),
+                fmt_exact(rep.lower_partial),
+                fmt_exact(rep.ratio_upper),
+                fmt_exact(rep.ratio_lower),
             ]
         else:
             print(
@@ -200,26 +194,21 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             fields = [
-                _fmt(eps),
-                _fmt(upper),
+                fmt_exact(eps),
+                fmt_exact(upper),
                 "nan",
                 "nan",
-                _fmt(upper * math.sqrt(eps)),
+                fmt_exact(upper * math.sqrt(eps)),
                 "nan",
             ]
         lines.append(",".join(fields))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open_out(args.out or sys.stdout) as fh:
+        fh.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
-        mode="invariants",
         runs=args.runs,
         seed=args.seed,
         stages=args.stages,
@@ -230,27 +219,25 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     except AuditFailure as exc:
         print(str(exc), file=sys.stderr)
         if args.out and exc.report is not None:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(exc.report.to_json_dict(), fh, indent=2)
-                fh.write("\n")
+            _write_report(exc.report, args.out)
         return EXIT_AUDIT
-    payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write_report(report, args.out or sys.stdout)
     return EXIT_OK
+
+
+def _write_report(report, out) -> None:
+    with open_out(out) as fh:
+        fh.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     f = pwl.load_function(args.function)
     value = pwl.evaluate(f, args.x)
-    print(_fmt(value))
-    print(f"energy = {_fmt(pwl.energy(f))}")
-    print(f"norm_1 = {_fmt(pwl.derivative_norm(f, 1.0))}")
-    print(f"norm_2 = {_fmt(pwl.derivative_norm(f, 2.0))}")
-    print(f"norm_inf = {_fmt(pwl.derivative_norm(f, math.inf))}")
+    print(fmt_exact(value))
+    print(f"energy = {fmt_exact(pwl.energy(f))}")
+    print(f"norm_1 = {fmt_exact(pwl.derivative_norm(f, 1.0))}")
+    print(f"norm_2 = {fmt_exact(pwl.derivative_norm(f, 2.0))}")
+    print(f"norm_inf = {fmt_exact(pwl.derivative_norm(f, math.inf))}")
     return EXIT_OK
 
 
@@ -258,7 +245,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
+        if args.config:
             _apply_config_file(args)
         return args.func(args)
     except (AuditFailure, InequalityViolation) as exc:

@@ -8,19 +8,20 @@ Identical config and seed therefore reproduce every output byte for byte.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from typing import IO, Iterable, Optional
 
 import numpy as np
 
 from . import pwl
-from .adversary import AdversaryConfig, MatchResult, run_match
+from .adversary import MAX_STAGES, AdversaryConfig, _check_epsilon, _check_stages, run_match
 from .bounds import kl_d_bound
 from .errors import AuditFailure, DomainError
-from .learner import LinintLearner, kl_invariants, make_learner, run_trials
+from .learner import (
+    LinintLearner, fmt_exact, kl_invariants, make_learner, open_out, run_trials
+)
 
 __all__ = [
     "MAX_STAGES",
@@ -34,55 +35,30 @@ __all__ = [
     "run_invariant_audit",
 ]
 
-# 2^24 trials is around 16M committed knots; past that, memory and runtime
-# stop being desk-scale.
-MAX_STAGES = 24
-
 DEFAULT_AUDIT_EPSILONS = (0.4, 0.25, 0.1, 0.05, 0.02)
-
-MODES = ("match", "sweep", "invariants", "bounds")
 
 
 @dataclass
 class ExperimentConfig:
-    mode: str = "match"
+    """What run_sweep and run_invariant_audit read; nothing else is configurable."""
+
     learner: str = "linint"
-    epsilon: Optional[float] = None
-    epsilons: Optional[list[float]] = None
+    epsilons: list[float] = field(default_factory=list)
     stages: int = 14
     seed: int = 0
     runs: int = 1000
     max_trials: int = 10_000
-    q: float = 2.0
-    knot_count: int = 12
-    target: str = "adversary"
-    target_file: Optional[str] = None
     out: Optional[str] = None
-    trace_out: Optional[str] = None
 
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise DomainError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if not 1 <= self.stages <= MAX_STAGES:
-            raise DomainError(
-                f"stages must lie in 1..{MAX_STAGES} (2^{MAX_STAGES} trials is the "
-                f"desk-scale ceiling), got {self.stages!r}"
-            )
+        # Checking every epsilon up front stops a sweep before its first match.
+        _check_stages(self.stages)
+        for eps in self.epsilons:
+            _check_epsilon(eps)
         if self.runs < 0:
             raise DomainError(f"runs must be nonnegative, got {self.runs!r}")
         if self.max_trials < 2:
             raise DomainError(f"max_trials must be at least 2, got {self.max_trials!r}")
-        if self.q != math.inf and self.q < 1.0:
-            raise DomainError(f"norm order must be >= 1 or inf, got {self.q!r}")
-        if self.knot_count < 2:
-            raise DomainError(f"knot_count must be at least 2, got {self.knot_count!r}")
-
-    def epsilon_list(self) -> list[float]:
-        if self.epsilons is not None:
-            return list(self.epsilons)
-        if self.epsilon is not None:
-            return [self.epsilon]
-        return []
 
 
 def parse_epsilon_grid(text: str) -> list[float]:
@@ -175,27 +151,30 @@ class SweepRow:
 
     def csv_fields(self) -> list[str]:
         return [
-            format(self.epsilon, ".17g"),
+            fmt_exact(self.epsilon),
             str(self.stages),
-            format(self.total_loss, ".17g"),
-            format(self.lower_partial, ".17g"),
-            format(self.upper_linint, ".17g"),
-            format(self.loss_times_sqrt_eps, ".17g"),
+            fmt_exact(self.total_loss),
+            fmt_exact(self.lower_partial),
+            fmt_exact(self.upper_linint),
+            fmt_exact(self.loss_times_sqrt_eps),
         ]
 
 
-def write_sweep_csv(rows, out: str | os.PathLike | IO[str]) -> None:
-    own = isinstance(out, (str, os.PathLike))
-    fh = open(out, "w", newline="", encoding="utf-8") if own else out
-    try:
+def write_sweep_csv(
+    rows: Iterable[SweepRow], out: str | os.PathLike | IO[str]
+) -> list[SweepRow]:
+    """Write the sweep CSV, flushing after every line, and return the rows as a
+    list; ``rows`` may be a generator that computes each row on demand."""
+    written: list[SweepRow] = []
+    with open_out(out) as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_CSV_HEADER)
+        fh.flush()
         for row in rows:
             writer.writerow(row.csv_fields())
             fh.flush()
-    finally:
-        if own:
-            fh.close()
+            written.append(row)
+    return written
 
 
 def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
@@ -206,38 +185,24 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     the completed rows on disk.
     """
     config.validate()
-    epsilons = sorted(config.epsilon_list())
-    rows: list[SweepRow] = []
-    fh = open(config.out, "w", newline="", encoding="utf-8") if config.out else None
-    try:
-        writer = None
-        if fh is not None:
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_CSV_HEADER)
-            fh.flush()
-        for eps in epsilons:
-            learner = make_learner(config.learner)
-            result = run_match(
-                learner,
-                AdversaryConfig(eps, config.stages),
-                collect_records=False,
-            )
-            row = SweepRow(
-                epsilon=eps,
-                stages=config.stages,
-                total_loss=result.total_loss,
-                lower_partial=result.lower_partial,
-                upper_linint=result.upper_linint,
-                loss_times_sqrt_eps=result.total_loss * math.sqrt(eps),
-            )
-            rows.append(row)
-            if writer is not None:
-                writer.writerow(row.csv_fields())
-                fh.flush()
-    finally:
-        if fh is not None:
-            fh.close()
-    return rows
+    rows = (_sweep_row(config, eps) for eps in sorted(config.epsilons))
+    return write_sweep_csv(rows, config.out) if config.out else list(rows)
+
+
+def _sweep_row(config: ExperimentConfig, eps: float) -> SweepRow:
+    result = run_match(
+        make_learner(config.learner),
+        AdversaryConfig(eps, config.stages),
+        collect_records=False,
+    )
+    return SweepRow(
+        epsilon=eps,
+        stages=config.stages,
+        total_loss=result.total_loss,
+        lower_partial=result.lower_partial,
+        upper_linint=result.upper_linint,
+        loss_times_sqrt_eps=result.total_loss * math.sqrt(eps),
+    )
 
 
 @dataclass
@@ -386,18 +351,3 @@ def run_invariant_audit(config: ExperimentConfig) -> AuditReport:
         )
     return report
 
-
-def config_from_json(text: str) -> ExperimentConfig:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid config JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DomainError("config JSON must be an object")
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(doc) - known
-    if unknown:
-        raise DomainError(f"unknown config keys: {sorted(unknown)}")
-    config = ExperimentConfig(**doc)
-    config.validate()
-    return config

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from sortedcontainers import SortedList
 
@@ -269,36 +270,42 @@ def kl_invariants(
 TRACE_HEADER = ("t", "x", "y_hat", "y", "e", "d", "loss_term", "cum_loss")
 
 
-def _fmt(value: float) -> str:
-    # 17 significant digits round-trips any double exactly
+def fmt_exact(value: float) -> str:
+    """17 significant digits: the text round-trips any double exactly."""
     return format(value, ".17g")
+
+
+@contextmanager
+def open_out(out: str | os.PathLike | IO[str]) -> Iterator[IO[str]]:
+    """Open a path for writing (newline="": line ends are written as given), or
+    pass an open stream through."""
+    if isinstance(out, (str, os.PathLike)):
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield out
 
 
 def write_trace_csv(records: Iterable[TrialRecord], out: str | os.PathLike | IO[str]) -> None:
     """Write the trial trace as CSV; trial 0 leaves uncharged fields empty."""
-    own = isinstance(out, (str, os.PathLike))
-    fh = open(out, "w", newline="", encoding="utf-8") if own else out
-    try:
+    with open_out(out) as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
         cum = 0.0
         for rec in records:
             if rec.t == 0:
-                writer.writerow([rec.t, _fmt(rec.x), "", _fmt(rec.y), "", "", "", ""])
+                writer.writerow([rec.t, fmt_exact(rec.x), "", fmt_exact(rec.y), "", "", "", ""])
             else:
                 cum += rec.loss_term
                 writer.writerow(
                     [
                         rec.t,
-                        _fmt(rec.x),
-                        _fmt(rec.y_hat),
-                        _fmt(rec.y),
-                        _fmt(rec.e),
-                        _fmt(rec.d),
-                        _fmt(rec.loss_term),
-                        _fmt(cum),
+                        fmt_exact(rec.x),
+                        fmt_exact(rec.y_hat),
+                        fmt_exact(rec.y),
+                        fmt_exact(rec.e),
+                        fmt_exact(rec.d),
+                        fmt_exact(rec.loss_term),
+                        fmt_exact(cum),
                     ]
                 )
-    finally:
-        if own:
-            fh.close()

@@ -98,20 +98,16 @@ def evaluate(f: PiecewiseLinearFunction, x: float) -> float:
     return v0 + (x - u0) * (v1 - v0) / (u1 - u0)
 
 
+def _energy_sum(us: np.ndarray, vs: np.ndarray) -> float:
+    # The one energy summation: numpy's pairwise sum of rise^2/run over
+    # sorted knot arrays (0.0 for fewer than two knots).
+    dv = np.diff(vs)
+    return float(np.sum(dv * dv / np.diff(us)))
+
+
 def energy(f: PiecewiseLinearFunction) -> float:
     """Integral of the squared derivative: sum of rise^2/run over segments."""
-    m = len(f.us)
-    if m <= 1:
-        return 0.0
-    if m > 1024:
-        dv = np.diff(np.asarray(f.vs))
-        du = np.diff(np.asarray(f.us))
-        return float(np.sum(dv * dv / du))
-    total = 0.0
-    for k in range(m - 1):
-        dv = f.vs[k + 1] - f.vs[k]
-        total += dv * dv / (f.us[k + 1] - f.us[k])
-    return total
+    return _energy_sum(np.asarray(f.us, dtype=float), np.asarray(f.vs, dtype=float))
 
 
 def integrate_energy_oracle(f: PiecewiseLinearFunction, n: int) -> float:

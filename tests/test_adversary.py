@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pwlearn import (
+    MAX_STAGES,
     AdversaryConfig,
     AdversaryState,
     DomainError,
@@ -16,7 +17,6 @@ from pwlearn import (
     lower_bound_partial,
     make_learner,
     perturbation,
-    respond,
     run_match,
     stage_of,
     upper_bound_linint,
@@ -104,11 +104,16 @@ class TestConfig:
         with pytest.raises(DomainError):
             AdversaryConfig(0.25, 0)
 
+    def test_stage_ceiling(self):
+        AdversaryConfig(0.25, MAX_STAGES)
+        with pytest.raises(DomainError, match=str(MAX_STAGES)):
+            AdversaryConfig(0.25, MAX_STAGES + 1)
+
 
 class TestRespond:
     def test_first_trial_accepts_positive_perturbation(self):
         state = AdversaryState(0.25)
-        y, accepted = respond(state, 1, 0.0)  # tie: prediction equals base 0
+        y, accepted = state.respond(1, 0.0)  # tie: prediction equals base 0
         assert accepted
         assert y == perturbation(1, 0.25)
 

@@ -77,6 +77,75 @@ class TestMatch:
         assert code == 3
 
 
+def config_run(tmp_path, capsys, text, argv):
+    """Run argv with a --config file holding text; return (code, stdout, stderr)."""
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    code = run_cli(argv + ["--config", str(config)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "argv, text, key",
+        [
+            (["match", "--epsilon", "0.25"], '{"stages": "14"}', "stages"),
+            (["audit", "--stages", "4"], '{"runs": 1.5}', "runs"),
+            (["sweep", "--epsilons", "0.25"], '{"learner": true}', "learner"),
+            (["audit", "--stages", "4"], '{"runs": true}', "runs"),
+            (["eval", "--function", "f.json", "--x", "0.5"], '{"x": false}', "x"),
+            (["sweep", "--epsilons", "0.25"], '{"learner": "ridge"}', "learner"),
+            (["sweep", "--learner", "zero"], '{"epsilons": [0.1, 0.2]}', "epsilons"),
+        ],
+        ids=[
+            "int-given-str",
+            "int-given-float",
+            "choice-given-bool",
+            "int-given-bool",
+            "float-given-bool",
+            "choice-not-listed",
+            "str-given-list",
+        ],
+    )
+    def test_mistyped_value_exits_one_naming_the_key(
+        self, tmp_path, capsys, argv, text, key
+    ):
+        code, out, err = config_run(tmp_path, capsys, text, argv)
+        assert code == 1
+        assert f"config key {key!r}" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_keys_are_flag_names_and_match_the_flags_byte_for_byte(self, tmp_path, capsys):
+        flags = ["audit", "--runs", "2", "--seed", "3", "--stages", "5", "--max-trials", "50"]
+        assert run_cli(flags) == 0
+        expected = capsys.readouterr().out
+        text = '{"runs": 2, "seed": 3, "stages": 5, "max-trials": 50}'
+        code, out, _ = config_run(tmp_path, capsys, text, ["audit"])
+        assert code == 0
+        assert out == expected
+
+    def test_float_flag_takes_an_int(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(function_to_json(from_points([(0.0, 0.0), (1.0, 2.0)])))
+        argv = ["eval", "--function", str(path), "--x", "0.5"]
+        code, out, _ = config_run(tmp_path, capsys, '{"x": 1}', argv)
+        assert code == 0
+        assert out.splitlines()[0] == "2"
+
+    def test_rejects_unknown_keys(self, tmp_path, capsys):
+        code, _, err = config_run(tmp_path, capsys, '{"plot_style": "fancy"}', ["audit"])
+        assert code == 1
+        assert "plot_style" in err
+
+    def test_rejects_bad_document(self, tmp_path, capsys):
+        for text in ("[1, 2]", "{nope}"):
+            code, _, err = config_run(tmp_path, capsys, text, ["audit"])
+            assert code == 1
+            assert "config JSON" in err
+
+
 class TestSweep:
     def test_stdout_table(self, capsys):
         code = run_cli(["sweep", "--epsilons", "0.3,0.2", "--stages", "4"])

@@ -16,7 +16,7 @@ from pwlearn import (
     sample_target,
     upper_bound_linint,
 )
-from pwlearn.harness import config_from_json, write_sweep_csv, SWEEP_CSV_HEADER
+from pwlearn.harness import write_sweep_csv, SWEEP_CSV_HEADER
 
 
 class TestSampleTarget:
@@ -78,32 +78,22 @@ class TestExperimentConfig:
         with pytest.raises(DomainError, match="24"):
             config.validate()
 
-    def test_unknown_mode(self):
-        with pytest.raises(DomainError):
-            ExperimentConfig(mode="plot").validate()
+    def test_sweep_epsilons_use_the_adversary_check(self):
+        config = ExperimentConfig(epsilons=[0.2, 0.5], stages=4)
+        with pytest.raises(DomainError, match="bounds subcommand"):
+            config.validate()
 
-    def test_json_round_trip(self):
-        config = config_from_json('{"mode": "sweep", "stages": 9, "seed": 3}')
-        assert config.mode == "sweep"
-        assert config.stages == 9
-        assert config.seed == 3
-
-    def test_json_rejects_unknown_keys(self):
-        with pytest.raises(DomainError, match="plot_style"):
-            config_from_json('{"plot_style": "fancy"}')
-
-    def test_json_rejects_bad_document(self):
+    def test_bad_epsilon_stops_the_sweep_before_any_output(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        config = ExperimentConfig(epsilons=[0.2, 0.7], stages=4, out=str(out))
         with pytest.raises(DomainError):
-            config_from_json("[1, 2]")
-        with pytest.raises(DomainError):
-            config_from_json("{nope}")
+            run_sweep(config)
+        assert not out.exists()
 
 
 class TestRunSweep:
     def test_rows_sorted_and_sandwiched(self):
-        config = ExperimentConfig(
-            mode="sweep", epsilons=[0.25, 0.4, 0.1], stages=8, learner="linint"
-        )
+        config = ExperimentConfig(epsilons=[0.25, 0.4, 0.1], stages=8, learner="linint")
         rows = run_sweep(config)
         assert [row.epsilon for row in rows] == [0.1, 0.25, 0.4]
         for row in rows:
@@ -113,14 +103,12 @@ class TestRunSweep:
             assert row.loss_times_sqrt_eps == row.total_loss * math.sqrt(row.epsilon)
 
     def test_empty_grid(self):
-        config = ExperimentConfig(mode="sweep", epsilons=[], stages=8)
+        config = ExperimentConfig(epsilons=[], stages=8)
         assert run_sweep(config) == []
 
     def test_writes_csv_file_row_by_row(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        config = ExperimentConfig(
-            mode="sweep", epsilons=[0.3, 0.2], stages=6, out=str(out)
-        )
+        config = ExperimentConfig(epsilons=[0.3, 0.2], stages=6, out=str(out))
         rows = run_sweep(config)
         lines = out.read_text().splitlines()
         assert lines[0] == ",".join(SWEEP_CSV_HEADER)
@@ -131,7 +119,7 @@ class TestRunSweep:
             assert line == ",".join(row.csv_fields())
 
     def test_deterministic(self):
-        config = ExperimentConfig(mode="sweep", epsilons=[0.2], stages=7)
+        config = ExperimentConfig(epsilons=[0.2], stages=7)
         a = run_sweep(config)
         b = run_sweep(config)
         assert a == b
@@ -143,16 +131,14 @@ class TestRunSweep:
 
 class TestInvariantAudit:
     def test_zero_runs_is_a_trivially_empty_report(self):
-        report = run_invariant_audit(ExperimentConfig(mode="invariants", runs=0))
+        report = run_invariant_audit(ExperimentConfig(runs=0))
         assert report.runs == 0
         assert report.trials_total == 0
         assert report.violations == []
         assert report.worst_e2_over_d == 0.0
 
     def test_small_audit_passes(self):
-        config = ExperimentConfig(
-            mode="invariants", runs=25, seed=11, stages=8, max_trials=300
-        )
+        config = ExperimentConfig(runs=25, seed=11, stages=8, max_trials=300)
         report = run_invariant_audit(config)
         assert report.violations == []
         assert report.runs == 25
@@ -167,7 +153,7 @@ class TestInvariantAudit:
         assert report.adversary_stages == 8
 
     def test_report_serializes(self):
-        report = run_invariant_audit(ExperimentConfig(mode="invariants", runs=0))
+        report = run_invariant_audit(ExperimentConfig(runs=0))
         doc = report.to_json_dict()
         assert doc["runs"] == 0
         assert doc["violations"] == []
