@@ -43,7 +43,6 @@ from .learner import (
     TrialRecord,
     ZeroLearner,
     kl_invariants,
-    linint_predict,
     make_learner,
     run_trials,
     write_trace_csv,

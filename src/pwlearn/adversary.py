@@ -31,7 +31,7 @@ import numpy as np
 
 from . import pwl
 from .errors import DomainError, SequenceError
-from .learner import Learner, LossAccount, TrialRecord
+from .learner import Learner, TrialRecord
 
 __all__ = [
     "MAX_STAGES",
@@ -136,10 +136,15 @@ class AdversaryState:
         self.epsilon = epsilon
         self.committed: dict[float, float] = {0.0: 0.0, 1.0: 0.0}
         self.probe: dict[float, float] = dict(self.committed)
-        self.stage = 0
-        self.within = 0
         self.next_t = 1
-        self.accepted_per_stage: list[int] = []
+        # Geometry of the current stage i, set once by _begin_stage: knot
+        # spacing 2^-i, proposal offset, last trial 2^i - 1, acceptances so far.
+        self.stage = 0
+        self.h = 1.0
+        self.magnitude = 0.0
+        self.stage_end = 0
+        self.within = 0
+        self.accepted = 0
         # Incremental probe energy plus the scratch value it was rebased to at
         # the last stage boundary; both feed the recursion audit.
         self.energy_probe = 0.0
@@ -147,20 +152,17 @@ class AdversaryState:
         self.max_energy_probe = 0.0
         self.max_abs_slope = 0.0
 
-    def _begin_stage(self, i: int) -> None:
-        if i != self.stage + 1:
-            raise SequenceError(
-                f"stage jumped from {self.stage} to {i}; trials were skipped"
-            )
+    def _begin_stage(self) -> None:
         # Probe resets to the committed function; its energy is recomputed
         # from scratch so floating-point drift cannot cross stage boundaries.
         self.probe = dict(self.committed)
-        e = _dict_energy(self.probe)
-        self.energy_probe = e
-        self.stage_start_energy = e
-        self.stage = i
+        self.energy_probe = self.stage_start_energy = _dict_energy(self.probe)
+        i = self.stage = self.stage + 1
+        self.h = 0.5**i
+        self.magnitude = perturbation(i, self.epsilon)
+        self.stage_end = (1 << i) - 1
         self.within = 0
-        self.accepted_per_stage.append(0)
+        self.accepted = 0
 
     def respond(self, t: int, y_hat: float) -> tuple[float, bool]:
         """Reveal the label for trial t given the learner's prediction.
@@ -172,23 +174,17 @@ class AdversaryState:
         """
         if t != self.next_t:
             raise SequenceError(f"expected trial {self.next_t}, got {t}")
-        i = stage_of(t)
-        if i > self.stage:
-            self._begin_stage(i)
-        x = dyadic_x(t)
-        h = 0.5**i
-        left = x - h
-        right = x + h
+        if t > self.stage_end:
+            self._begin_stage()
+        h = self.h
+        # dyadic_x(t): the odd numerator 2t + 1 - 2^i over 2^i, exact.
+        x = (2 * t - self.stage_end) * h
+        # Both neighbors are knots of earlier stages: next_t enforces the schedule.
         committed = self.committed
-        if left not in committed or right not in committed:
-            raise SequenceError(
-                f"trial {t}: committed neighbors of {x!r} at distance {h!r} are "
-                "missing; the dyadic schedule was not followed"
-            )
-        vl = committed[left]
-        vr = committed[right]
+        vl = committed[x - h]
+        vr = committed[x + h]
         base = 0.5 * (vl + vr)
-        mag = perturbation(i, self.epsilon)
+        mag = self.magnitude
         # Furthest of base +/- mag from the prediction; ties take +.
         v = base - mag if y_hat > base else base + mag
         accepted = abs(v - vl) <= h and abs(v - vr) <= h
@@ -208,8 +204,7 @@ class AdversaryState:
         if biggest > self.max_abs_slope:
             self.max_abs_slope = biggest
         self.within += 1
-        if accepted:
-            self.accepted_per_stage[-1] += 1
+        self.accepted += accepted
         self.next_t += 1
         return y, accepted
 
@@ -227,12 +222,10 @@ def audit_energy(state: AdversaryState) -> EnergyAudit:
     """
     j_probe = _dict_energy(state.probe)
     j_committed = _dict_energy(state.committed)
-    if state.stage == 0:
-        expected = 0.0
-    else:
-        eps = state.epsilon
-        step = eps * (1.0 - eps) ** state.stage / 2.0 ** (state.stage + 1)
-        expected = state.stage_start_energy + state.within * step
+    # Before stage 1 nothing has been proposed: within = 0, so expected = 0.
+    eps = state.epsilon
+    step = eps * (1.0 - eps) ** state.stage / 2.0 ** (state.stage + 1)
+    expected = state.stage_start_energy + state.within * step
     return EnergyAudit(j_probe, j_committed, abs(j_probe - expected))
 
 
@@ -260,13 +253,11 @@ class MatchResult:
     stages: int
     learner_kind: str
     total_loss: float
-    loss: LossAccount
     records: Optional[list[TrialRecord]]
     per_stage: list[StageSummary]
     audit: MatchAudit
     lower_partial: float
     upper_linint: float
-    final_function: pwl.PiecewiseLinearFunction
 
     def to_json_dict(self) -> dict:
         return {
@@ -303,7 +294,8 @@ def run_match(
     audited from scratch at every stage boundary (and every trial when
     ``audit_per_trial`` is set, which costs O(n) per trial). With
     ``collect_records=False`` only totals and audits are kept, which is the
-    cheap mode for sweeps.
+    cheap mode for sweeps. A non-finite total loss (a NaN or infinite
+    prediction) raises DomainError.
     """
     eps = config.epsilon
     p = 1.0 + eps
@@ -326,10 +318,10 @@ def run_match(
         e = abs(y_hat - y)
         term = e**p
         total += term
-        stage_end = t == (1 << state.stage) - 1
+        stage_end = t == state.stage_end
         if collect_records:
             # Neighbor distance is exactly 2^-stage; respond() asserts it.
-            records.append(TrialRecord(t, x, y_hat, y, e, 0.5**state.stage, term))
+            records.append(TrialRecord(t, x, y_hat, y, e, state.h, term))
         if audit_per_trial or stage_end:
             audit = audit_energy(state)
             if audit.recursion_residual > max_resid:
@@ -343,10 +335,13 @@ def run_match(
                     StageSummary(
                         state.stage,
                         state.within,
-                        state.accepted_per_stage[-1],
+                        state.accepted,
                         audit.j_probe,
                     )
                 )
+    # One check per match: NaN and inf both survive the running sum.
+    if not math.isfinite(total):
+        raise DomainError(f"total loss {total!r} is not finite; predictions must be")
     from .bounds import lower_bound_partial, upper_bound_linint
 
     return MatchResult(
@@ -354,7 +349,6 @@ def run_match(
         stages=config.stages,
         learner_kind=getattr(learner, "kind", type(learner).__name__),
         total_loss=total,
-        loss=LossAccount(p=p, total=total, trials=(1 << config.stages) - 1),
         records=records,
         per_stage=per_stage,
         audit=MatchAudit(
@@ -365,5 +359,4 @@ def run_match(
         ),
         lower_partial=lower_bound_partial(eps, config.stages),
         upper_linint=upper_bound_linint(eps),
-        final_function=state.committed_function(),
     )

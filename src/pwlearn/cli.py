@@ -132,7 +132,9 @@ def _apply_config_file(args: argparse.Namespace) -> None:
 
 def _cmd_match(args: argparse.Namespace) -> int:
     result = run_match(
-        make_learner(args.learner), AdversaryConfig(args.epsilon, args.stages)
+        make_learner(args.learner),
+        AdversaryConfig(args.epsilon, args.stages),
+        collect_records=bool(args.out),
     )
     if args.out:
         write_trace_csv(result.records, args.out)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import IO, Iterable, Optional
 
 import numpy as np
@@ -20,7 +20,8 @@ from .adversary import MAX_STAGES, AdversaryConfig, _check_epsilon, _check_stage
 from .bounds import kl_d_bound
 from .errors import AuditFailure, DomainError
 from .learner import (
-    LinintLearner, fmt_exact, kl_invariants, make_learner, open_out, run_trials
+    LinintLearner, LossAccount, fmt_exact, kl_invariants, make_learner, open_out,
+    run_trials,
 )
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "parse_epsilon_grid",
     "sample_target",
     "run_sweep",
+    "audit_trace_run",
     "run_invariant_audit",
 ]
 
@@ -75,10 +77,6 @@ def parse_epsilon_grid(text: str) -> list[float]:
             raise DomainError("log grid endpoints must be positive")
         if n < 0:
             raise DomainError("log grid size must be nonnegative")
-        if n == 0:
-            return []
-        if n == 1:
-            return [a]
         return [float(e) for e in np.geomspace(a, b, n)]
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -227,20 +225,7 @@ class AuditReport:
     violations: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "trials_total": self.trials_total,
-            "worst_e2_over_d": self.worst_e2_over_d,
-            "worst_p2_loss": self.worst_p2_loss,
-            "d_sums": {str(r): v for r, v in self.d_sums.items()},
-            "d_bounds": {str(r): v for r, v in self.d_bounds.items()},
-            "adversary_epsilons": list(self.adversary_epsilons),
-            "adversary_stages": self.adversary_stages,
-            "max_energy_residual": self.max_energy_residual,
-            "max_abs_slope": self.max_abs_slope,
-            "max_j_probe": self.max_j_probe,
-            "violations": list(self.violations),
-        }
+        return asdict(self)
 
 
 D_EXPONENTS = (1.5, 2.0, 3.0)
@@ -252,6 +237,22 @@ E2D_TOL = 1e-9
 D_SUM_TOL = 1e-9
 RESIDUAL_TOL = 1e-10
 SLOPE_TOL = 1e-12
+
+
+def audit_trace_run(
+    rng: np.random.Generator, max_trials: int
+) -> tuple[LossAccount, float, dict[float, float], float]:
+    """One Kimber & Long trace run drawn from rng: LININT at squared loss on a
+    sampled target and 2..max_trials distinct inputs. Returns the loss account,
+    sum e^2/d, {r: sum d^r} over D_EXPONENTS and the first input."""
+    target = _sample_target_rng(2.0, int(rng.integers(2, 33)), rng)
+    xs = _distinct_uniform(rng, int(rng.integers(2, max_trials + 1)))
+    seq = [(float(x), pwl.evaluate(target, float(x))) for x in xs]
+    records, account = run_trials(LinintLearner(), seq, p=2.0)
+    d_sums = {}
+    for r in D_EXPONENTS:
+        e2d, d_sums[r] = kl_invariants(records, r)
+    return account, e2d, d_sums, seq[0][0]
 
 
 def run_invariant_audit(config: ExperimentConfig) -> AuditReport:
@@ -274,23 +275,18 @@ def run_invariant_audit(config: ExperimentConfig) -> AuditReport:
     violations: list[str] = []
     children = np.random.SeedSequence(config.seed).spawn(config.runs)
     for k in range(config.runs):
-        rng = np.random.default_rng(children[k])
-        knot_count = int(rng.integers(2, 33))
-        target = _sample_target_rng(2.0, knot_count, rng)
-        m = int(rng.integers(2, config.max_trials + 1))
-        xs = _distinct_uniform(rng, m)
-        seq = [(float(x), pwl.evaluate(target, float(x))) for x in xs]
-        records, account = run_trials(LinintLearner(), seq, p=2.0)
+        account, e2d, d_sums, first_x = audit_trace_run(
+            np.random.default_rng(children[k]), config.max_trials
+        )
         report.trials_total += account.trials
         if account.total > report.worst_p2_loss:
             report.worst_p2_loss = account.total
         if account.total > 1.0 + E2D_TOL:
             violations.append(
                 f"run {k}: squared loss {account.total!r} exceeds 1 "
-                f"(first x={seq[0][0]!r})"
+                f"(first x={first_x!r})"
             )
-        for r in D_EXPONENTS:
-            e2d, d_sum = kl_invariants(records, r)
+        for r, d_sum in d_sums.items():
             if d_sum > report.d_sums[r]:
                 report.d_sums[r] = d_sum
             if d_sum > report.d_bounds[r] + D_SUM_TOL:

@@ -8,6 +8,7 @@ sum of |prediction - label|^p over trials t >= 1.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ __all__ = [
     "LinintLearner",
     "TrialRecord",
     "LossAccount",
-    "linint_predict",
     "make_learner",
     "run_trials",
     "kl_invariants",
@@ -178,20 +178,6 @@ class LinintLearner(Learner):
         return pwl.from_points(self._vals.items())
 
 
-def linint_predict(history: Iterable[tuple[float, float]], x: float) -> float:
-    """One-shot interpolation prediction from a bag of observed (x, y) pairs.
-
-    Equivalent to what a fresh LinintLearner would predict after observing
-    ``history`` in any order: 0 on empty history, otherwise the interpolant's
-    value at x.
-    """
-    _check_coord(x)
-    pairs = list(history)
-    if not pairs:
-        return 0.0
-    return pwl.evaluate(pwl.from_points(pairs), x)
-
-
 def make_learner(kind: str) -> Learner:
     if kind == "linint":
         return LinintLearner()
@@ -211,7 +197,7 @@ def run_trials(
 
     Repeated input coordinates are allowed (the learner should answer the
     known value); they show up as d = 0 in the records, which kl_invariants
-    will reject.
+    will reject. A non-finite total loss raises DomainError.
     """
     if not p > 1.0:
         raise DomainError(f"loss exponent must exceed 1, got {p!r}")
@@ -239,6 +225,8 @@ def run_trials(
             records.append(TrialRecord(t, x, y_hat, y, e, d, term))
         learner.observe(x, y)
         seen.add(x)
+    if not math.isfinite(total):
+        raise DomainError(f"total loss {total!r} is not finite; labels and predictions must be")
     return records, LossAccount(p=p, total=total, trials=max(len(records) - 1, 0))
 
 

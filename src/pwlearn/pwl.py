@@ -147,8 +147,6 @@ def derivative_norm(f: PiecewiseLinearFunction, q: float) -> float:
     if q != math.inf and q < 1.0:
         raise DomainError(f"norm order must be >= 1 or inf, got {q!r}")
     m = len(f.us)
-    if m <= 1:
-        return 0.0
     if q == math.inf:
         worst = 0.0
         for k in range(m - 1):

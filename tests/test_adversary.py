@@ -10,10 +10,13 @@ from pwlearn import (
     AdversaryConfig,
     AdversaryState,
     DomainError,
+    Learner,
     SequenceError,
     audit_energy,
+    derivative_norm,
     dyadic_x,
     evaluate,
+    from_points,
     lower_bound_partial,
     make_learner,
     perturbation,
@@ -251,12 +254,13 @@ class TestRunMatch:
 
     def test_revealed_labels_realized_by_final_function(self):
         result = run_match(make_learner("linint"), AdversaryConfig(0.1, 8))
-        f = result.final_function
+        # The records hold every committed knot but the anchor (0, 0).
+        f = from_points([(0.0, 0.0)] + [(rec.x, rec.y) for rec in result.records])
+        assert len(f.us) == 2**8 + 1
         for rec in result.records:
             assert evaluate(f, rec.x) == rec.y
-        # anchors are part of the committed function
-        assert evaluate(f, 0.0) == 0.0
         assert evaluate(f, 1.0) == 0.0
+        assert derivative_norm(f, math.inf) <= 1.0 + 1e-12
 
     def test_distances_match_brute_force(self):
         result = run_match(make_learner("zero"), AdversaryConfig(0.3, 6))
@@ -281,10 +285,23 @@ class TestRunMatch:
     def test_loss_account_consistency(self):
         result = run_match(make_learner("zero"), AdversaryConfig(0.2, 8))
         p = 1.2
-        assert result.loss.p == pytest.approx(p)
+        assert len(result.records) - 1 == 2**8 - 1
         total = sum(rec.e**p for rec in result.records[1:])
         assert result.total_loss == pytest.approx(total, rel=1e-12)
-        assert result.loss.trials == 2**8 - 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_prediction_is_rejected(self, bad):
+        class BadLearner(Learner):
+            kind = "bad"
+
+            def predict(self, x):
+                return bad
+
+            def observe(self, x, y):
+                pass
+
+        with pytest.raises(DomainError, match="not finite"):
+            run_match(BadLearner(), AdversaryConfig(0.25, 4), collect_records=False)
 
     def test_json_schema(self):
         result = run_match(make_learner("zero"), AdversaryConfig(0.25, 3))

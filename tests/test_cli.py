@@ -32,6 +32,22 @@ class TestMatch:
         assert lines[0] == "t,x,y_hat,y,e,d,loss_term,cum_loss"
         assert len(lines) == 1 + 2**3  # header, trial 0, 7 charged trials
 
+    def test_records_are_built_only_for_a_trace_file(self, tmp_path, monkeypatch, capsys):
+        real_run_match = cli.run_match
+        seen = []
+
+        def spy(*args, **kwargs):
+            result = real_run_match(*args, **kwargs)
+            seen.append((kwargs.get("collect_records", True), result.records is not None))
+            return result
+
+        monkeypatch.setattr(cli, "run_match", spy)
+        args = ["match", "--epsilon", "0.25", "--stages", "3"]
+        assert run_cli(args) == 0
+        assert run_cli(args + ["--out", str(tmp_path / "trace.csv")]) == 0
+        capsys.readouterr()
+        assert seen == [(False, False), (True, True)]
+
     def test_stage_ceiling_exits_one_with_message(self, capsys):
         code = run_cli(["match", "--epsilon", "0.25", "--stages", "25"])
         assert code == 1

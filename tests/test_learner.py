@@ -18,7 +18,6 @@ from pwlearn import (
     from_points,
     kl_d_bound,
     kl_invariants,
-    linint_predict,
     make_learner,
     run_trials,
     write_trace_csv,
@@ -36,18 +35,22 @@ def target_sequence(rng, target, m):
 
 
 class TestLinintPredict:
+    """The one-shot oracle for LININT: interpolate the bag of observations."""
+
     def test_empty_history_predicts_zero(self):
-        assert linint_predict([], 0.3) == 0.0
+        assert evaluate(from_points([]), 0.3) == 0.0
 
     def test_single_observation_extends_constantly(self):
-        assert linint_predict([(0.5, 0.3)], 0.25) == 0.3
+        assert evaluate(from_points([(0.5, 0.3)]), 0.25) == 0.3
 
     def test_chord_midpoint(self):
-        assert linint_predict([(0.0, 0.0), (1.0, 1.0)], 0.5) == 0.5
+        assert evaluate(from_points([(0.0, 0.0), (1.0, 1.0)]), 0.5) == 0.5
 
     def test_domain_check_applies_even_to_empty_history(self):
         with pytest.raises(DomainError):
-            linint_predict([], 1.5)
+            evaluate(from_points([]), 1.5)
+        with pytest.raises(DomainError):
+            LinintLearner().predict(1.5)
 
     def test_agrees_with_stateful_learner_bit_for_bit(self):
         rng = np.random.default_rng(2)
@@ -59,9 +62,10 @@ class TestLinintPredict:
             learner = LinintLearner()
             for x, y in history:
                 learner.observe(x, y)
+            oracle = from_points(history)
             for x in rng.random(30):
                 x = float(x)
-                assert learner.predict(x) == linint_predict(history, x)
+                assert learner.predict(x) == evaluate(oracle, x)
 
 
 class TestMakeLearner:
@@ -83,6 +87,15 @@ class TestMakeLearner:
         assert learner.predict(0.3) == 5.0
         assert learner.predict(0.0) == 5.0
         assert learner.predict(1.0) == 7.0
+
+    def test_nearest_repeated_input_keeps_latest_label(self):
+        learner = make_learner("nearest")
+        learner.observe(0.2, 5.0)
+        learner.observe(0.6, 1.0)
+        learner.observe(0.2, -3.0)
+        assert learner.predict(0.2) == -3.0
+        assert learner.predict(0.3) == -3.0
+        assert learner.predict(0.0) == -3.0
 
     def test_nearest_before_any_observation(self):
         assert make_learner("nearest").predict(0.5) == 0.0
@@ -170,6 +183,20 @@ class TestRunTrials:
     def test_conflict_propagates_from_learner(self):
         with pytest.raises(DuplicateConflict):
             run_trials(LinintLearner(), [(0.5, 1.0), (0.5, 2.0)], p=2.0)
+
+    def test_nan_label_is_rejected(self):
+        seq = [(0.5, 0.0), (0.25, math.nan), (0.75, 0.0)]
+        for kind in ("zero", "nearest", "linint"):
+            with pytest.raises(DomainError, match="not finite"):
+                run_trials(make_learner(kind), seq, p=2.0)
+
+    def test_nan_prediction_is_rejected(self):
+        class NanLearner(ZeroLearner):
+            def predict(self, x):
+                return math.nan
+
+        with pytest.raises(DomainError, match="not finite"):
+            run_trials(NanLearner(), [(0.5, 0.0), (0.25, 0.0)], p=2.0)
 
     def test_cumulative_loss_never_decreases(self):
         rng = np.random.default_rng(5)
