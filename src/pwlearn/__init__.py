@@ -26,6 +26,7 @@ from .pwl import (
     energy,
     energy_increment,
     evaluate,
+    evaluate_many,
     from_points,
     function_from_json,
     function_to_json,
@@ -40,7 +41,7 @@ from .learner import (
     LinintLearner,
     LossAccount,
     NearestLearner,
-    TrialRecord,
+    Trace,
     ZeroLearner,
     kl_invariants,
     make_learner,

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import pwl
 from .errors import DomainError, SequenceError
-from .learner import Learner, TrialRecord
+from .learner import Learner, Trace
 
 __all__ = [
     "MAX_STAGES",
@@ -253,7 +253,7 @@ class MatchResult:
     stages: int
     learner_kind: str
     total_loss: float
-    records: Optional[list[TrialRecord]]
+    records: Optional[Trace]
     per_stage: list[StageSummary]
     audit: MatchAudit
     lower_partial: float
@@ -294,17 +294,18 @@ def run_match(
     audited from scratch at every stage boundary (and every trial when
     ``audit_per_trial`` is set, which costs O(n) per trial). With
     ``collect_records=False`` only totals and audits are kept, which is the
-    cheap mode for sweeps. A non-finite total loss (a NaN or infinite
-    prediction) raises DomainError.
+    cheap mode for sweeps; otherwise ``records`` is the columnar Trace. A
+    loss term that overflows, or a non-finite total loss (a NaN or infinite
+    prediction), raises DomainError.
     """
     eps = config.epsilon
     p = 1.0 + eps
     state = AdversaryState(eps)
     learner.predict(X0)  # uncharged; the opening prediction is discarded
     learner.observe(X0, Y0)
-    records: Optional[list[TrialRecord]] = None
-    if collect_records:
-        records = [TrialRecord(0, X0, None, Y0, None, None, None)]
+    # Trace columns, trial 0 first; NaN marks its uncharged fields.
+    xs, ys = [X0], [Y0]
+    y_hats, es, ds, terms = [math.nan], [math.nan], [math.nan], [math.nan]
     total = 0.0
     per_stage: list[StageSummary] = []
     max_resid = 0.0
@@ -316,12 +317,22 @@ def run_match(
         y, _accepted = state.respond(t, y_hat)
         learner.observe(x, y)
         e = abs(y_hat - y)
-        term = e**p
+        try:
+            term = e**p
+        except OverflowError:
+            raise DomainError(
+                f"loss term at trial {t} overflows; predictions must be moderate"
+            ) from None
         total += term
         stage_end = t == state.stage_end
         if collect_records:
             # Neighbor distance is exactly 2^-stage; respond() asserts it.
-            records.append(TrialRecord(t, x, y_hat, y, e, state.h, term))
+            xs.append(x)
+            y_hats.append(y_hat)
+            ys.append(y)
+            es.append(e)
+            ds.append(state.h)
+            terms.append(term)
         if audit_per_trial or stage_end:
             audit = audit_energy(state)
             if audit.recursion_residual > max_resid:
@@ -342,6 +353,9 @@ def run_match(
     # One check per match: NaN and inf both survive the running sum.
     if not math.isfinite(total):
         raise DomainError(f"total loss {total!r} is not finite; predictions must be")
+    records = None
+    if collect_records:
+        records = Trace(*(np.array(c, dtype=float) for c in (xs, y_hats, ys, es, ds, terms)))
     from .bounds import lower_bound_partial, upper_bound_linint
 
     return MatchResult(

@@ -247,12 +247,12 @@ def audit_trace_run(
     sum e^2/d, {r: sum d^r} over D_EXPONENTS and the first input."""
     target = _sample_target_rng(2.0, int(rng.integers(2, 33)), rng)
     xs = _distinct_uniform(rng, int(rng.integers(2, max_trials + 1)))
-    seq = [(float(x), pwl.evaluate(target, float(x))) for x in xs]
-    records, account = run_trials(LinintLearner(), seq, p=2.0)
+    pairs = np.column_stack((xs, pwl.evaluate_many(target, xs)))
+    trace, account = run_trials(LinintLearner(), pairs, p=2.0)
     d_sums = {}
     for r in D_EXPONENTS:
-        e2d, d_sums[r] = kl_invariants(records, r)
-    return account, e2d, d_sums, seq[0][0]
+        e2d, d_sums[r] = kl_invariants(trace, r)
+    return account, e2d, d_sums, float(xs[0])
 
 
 def run_invariant_audit(config: ExperimentConfig) -> AuditReport:

@@ -3,6 +3,13 @@
 A learner answers predict(x) before each label is revealed, then sees the
 label via observe(x, y). The prediction on trial 0 is uncharged; loss is the
 sum of |prediction - label|^p over trials t >= 1.
+
+run_trials knows the whole (x, y) sequence in advance, so it finds every
+trial's nearest earlier inputs offline, and for a fresh LinintLearner on
+distinct inputs it computes every prediction from them without calling
+predict/observe. The online predict/observe loop (scalar_predictions) serves
+every other learner and is the reference the offline path must match bit for
+bit.
 """
 
 from __future__ import annotations
@@ -12,8 +19,9 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from typing import IO, Iterator, Sequence
 
+import numpy as np
 from sortedcontainers import SortedList
 
 from . import pwl
@@ -25,10 +33,11 @@ __all__ = [
     "ZeroLearner",
     "NearestLearner",
     "LinintLearner",
-    "TrialRecord",
+    "Trace",
     "LossAccount",
     "make_learner",
     "run_trials",
+    "scalar_predictions",
     "kl_invariants",
     "write_trace_csv",
     "TRACE_HEADER",
@@ -42,22 +51,25 @@ def _check_coord(x: float) -> None:
         raise DomainError(f"input coordinate {x!r} outside [0, 1]")
 
 
-@dataclass(frozen=True, slots=True)
-class TrialRecord:
-    """One trial: input, prediction, revealed label, error, distance, loss term.
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """Per-trial float64 columns, trial 0 first, one entry per trial.
 
-    Trial 0 is uncharged, so y_hat, e, d and loss_term are None there. For
+    Trial 0 is uncharged, so y_hat, e, d and loss_term hold NaN there. For
     t >= 1, e = |y_hat - y| and d is the distance from x to the nearest
-    earlier input (0.0 when the coordinate repeats).
+    earlier input (0.0 when the coordinate repeats). Traces compare by
+    identity; compare their columns to compare contents.
     """
 
-    t: int
-    x: float
-    y_hat: Optional[float]
-    y: float
-    e: Optional[float]
-    d: Optional[float]
-    loss_term: Optional[float]
+    x: np.ndarray
+    y_hat: np.ndarray
+    y: np.ndarray
+    e: np.ndarray
+    d: np.ndarray
+    loss_term: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.x)
 
 
 @dataclass(frozen=True)
@@ -188,52 +200,148 @@ def make_learner(kind: str) -> Learner:
     raise UnknownKind(f"unknown learner kind {kind!r}; expected one of {LEARNER_KINDS}")
 
 
+def _running_total(values) -> float:
+    # Left to right, the same bits as a += loop: cumsum adds in order, where
+    # np.sum (pairwise) and builtin sum (compensated on 3.12) would not.
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _check_pairs(xs: np.ndarray, ys: np.ndarray) -> None:
+    """Refuse a non-finite value or a coordinate outside [0, 1], naming the
+    first bad trial. Every comparison fails on NaN, so NaN cannot pass."""
+    finite = (np.abs(xs) < math.inf) & (np.abs(ys) < math.inf)
+    bad = np.flatnonzero(~(finite & (0.0 <= xs) & (xs <= 1.0)))
+    if bad.size:
+        t = int(bad[0])
+        what = "is not finite" if not finite[t] else "has x outside [0, 1]"
+        raise DomainError(f"trial {t}: input ({float(xs[t])!r}, {float(ys[t])!r}) {what}")
+
+
+def _earlier_neighbours(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every trial t, the trial holding the nearest earlier input on the left
+    of x_t in input order and the one on the right (-1 where there is none),
+    plus the stable sorting order of the inputs.
+
+    These are all nearest smaller values over time in input order: sort the
+    inputs once (stably, so an earlier equal input sits on the left), then
+    unlink the trials from a doubly linked list in that order, latest first.
+    When trial t is unlinked, only earlier trials remain, so its two list
+    neighbours are its nearest earlier inputs.
+    """
+    n = len(xs)
+    order = np.argsort(xs, kind="stable")
+    # Trial t sits at list position pos[t] in 1..n; 0 and n + 1 are sentinels.
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(1, n + 1)
+    prev = list(range(-1, n + 1))
+    nxt = list(range(1, n + 3))
+    lefts: list[int] = []
+    rights: list[int] = []
+    for i in reversed(pos.tolist()):
+        lo = prev[i]
+        hi = nxt[i]
+        nxt[lo] = hi
+        prev[hi] = lo
+        lefts.append(lo)
+        rights.append(hi)
+    trial_at = np.concatenate(([-1], order, [-1]))
+    return trial_at[lefts[::-1]], trial_at[rights[::-1]], order
+
+
+def _linint_predictions(
+    xs: np.ndarray, ys: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """LinintLearner.predict at every trial from its nearest earlier inputs:
+    the chord between them, or the label of the one on the near side beyond
+    either end. The chord uses predict's operations in predict's order, so
+    every value has the same bits. Trial 0's entry is meaningless."""
+    # Lanes with a missing neighbour index -1; np.where discards them.
+    with np.errstate(all="ignore"):
+        u0, v0 = xs[left], ys[left]
+        u1, v1 = xs[right], ys[right]
+        chord = v0 + (xs - u0) * (v1 - v0) / (u1 - u0)
+    return np.where(left < 0, v1, np.where(right < 0, v0, chord))
+
+
+def scalar_predictions(
+    learner: Learner, xs: Sequence[float], ys: Sequence[float]
+) -> list[float]:
+    """The online reference: predict x_t, then observe (x_t, y_t), trial by
+    trial. Returns every prediction, trial 0's included."""
+    predict = learner.predict
+    observe = learner.observe
+    y_hat = []
+    for x, y in zip(xs, ys):
+        y_hat.append(predict(x))
+        observe(x, y)
+    return y_hat
+
+
 def run_trials(
     learner: Learner,
-    sequence: Sequence[tuple[float, float]],
+    sequence: Sequence[tuple[float, float]] | np.ndarray,
     p: float,
-) -> tuple[list[TrialRecord], LossAccount]:
+) -> tuple[Trace, LossAccount]:
     """Drive predict/observe over (x, y) pairs, charging loss from trial 1 on.
 
-    Repeated input coordinates are allowed (the learner should answer the
-    known value); they show up as d = 0 in the records, which kl_invariants
-    will reject. A non-finite total loss raises DomainError.
+    ``sequence`` holds (x, y) pairs, or is an (n, 2) float array. Every pair
+    is checked before the first prediction: a non-finite value or an x
+    outside [0, 1] raises DomainError naming the trial. Repeated input
+    coordinates are allowed (the learner should answer the known value);
+    they show up as d = 0 in the trace, which kl_invariants will reject. A
+    loss term that overflows or a non-finite total loss raises DomainError.
+
+    A fresh LinintLearner on distinct inputs takes the offline path: its
+    predictions come from the neighbours found for d, and its state is then
+    filled in bulk, equal to what observing each pair would leave. Every
+    other case runs scalar_predictions.
     """
     if not p > 1.0:
         raise DomainError(f"loss exponent must exceed 1, got {p!r}")
-    records: list[TrialRecord] = []
-    seen = SortedList()
-    total = 0.0
-    for t, (x, y) in enumerate(sequence):
-        _check_coord(x)
-        y_hat = learner.predict(x)
-        if t == 0:
-            records.append(TrialRecord(0, x, None, y, None, None, None))
-        else:
-            e = abs(y_hat - y)
-            i = seen.bisect_left(x)
-            d_left = x - seen[i - 1] if i > 0 else None
-            d_right = seen[i] - x if i < len(seen) else None
-            if d_left is None:
-                d = d_right
-            elif d_right is None:
-                d = d_left
-            else:
-                d = d_left if d_left <= d_right else d_right
-            term = e**p
-            total += term
-            records.append(TrialRecord(t, x, y_hat, y, e, d, term))
-        learner.observe(x, y)
-        seen.add(x)
+    pairs = np.asarray(sequence, dtype=float)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise DomainError(f"expected (x, y) pairs, got an array of shape {pairs.shape}")
+    xs = pairs[:, 0].copy()
+    ys = pairs[:, 1].copy()
+    _check_pairs(xs, ys)
+    n = len(xs)
+    left, right, order = _earlier_neighbours(xs)
+    dl = np.where(left < 0, math.inf, xs - xs[left])
+    dr = np.where(right < 0, math.inf, xs[right] - xs)
+    d = np.where(dl <= dr, dl, dr)
+    x_sorted = xs[order]
+    distinct = not (x_sorted[1:] == x_sorted[:-1]).any()
+    if not distinct:
+        # A repeat's d is what a bisect_left over the earlier inputs gives: the
+        # first equal input minus x, which keeps the sign of a zero difference.
+        first = order[np.searchsorted(x_sorted, xs, side="left")]
+        repeat = first < np.arange(n)
+        d[repeat] = xs[first[repeat]] - xs[repeat]
+    if distinct and type(learner) is LinintLearner and not learner._vals:
+        y_hat = _linint_predictions(xs, ys, left, right)
+        learner._vals.update(zip(xs.tolist(), ys.tolist()))
+        learner._xs.update(x_sorted.tolist())
+    else:
+        y_hat = np.array(scalar_predictions(learner, xs.tolist(), ys.tolist()), dtype=float)
+    y_hat[:1] = d[:1] = math.nan
+    e = np.abs(y_hat - ys)
+    loss_term = np.full(n, math.nan)
+    try:
+        loss_term[1:] = [v**p for v in e[1:].tolist()]
+    except OverflowError:
+        raise DomainError(
+            f"a loss term |y_hat - y|**{p!r} overflows; labels and predictions must be moderate"
+        ) from None
+    total = _running_total(loss_term[1:])
     if not math.isfinite(total):
         raise DomainError(f"total loss {total!r} is not finite; labels and predictions must be")
-    return records, LossAccount(p=p, total=total, trials=max(len(records) - 1, 0))
+    trace = Trace(x=xs, y_hat=y_hat, y=ys, e=e, d=d, loss_term=loss_term)
+    return trace, LossAccount(p=p, total=total, trials=max(n - 1, 0))
 
 
-def kl_invariants(
-    records: Iterable[TrialRecord],
-    r: float,
-) -> tuple[float, float]:
+def kl_invariants(trace: Trace, r: float) -> tuple[float, float]:
     """Trace sums (sum of e^2/d, sum of d^r) over charged trials.
 
     Requires distinct input coordinates: a repeated input gives d = 0 and
@@ -241,21 +349,19 @@ def kl_invariants(
     """
     if not r > 1.0:
         raise DomainError(f"exponent r must exceed 1, got {r!r}")
-    sum_e2_over_d = 0.0
-    sum_d_pow = 0.0
-    for rec in records:
-        if rec.t == 0:
-            continue
-        if rec.d == 0.0:
-            raise DegenerateInput(
-                f"repeated input coordinate at trial {rec.t} (x={rec.x!r})"
-            )
-        sum_e2_over_d += rec.e * rec.e / rec.d
-        sum_d_pow += rec.d**r
-    return sum_e2_over_d, sum_d_pow
+    e, d = trace.e[1:], trace.d[1:]
+    repeats = np.flatnonzero(d == 0.0)
+    if repeats.size:
+        t = int(repeats[0]) + 1
+        raise DegenerateInput(
+            f"repeated input coordinate at trial {t} (x={float(trace.x[t])!r})"
+        )
+    # Python's float ** (libm pow), not np.power, which differs in the last ulp.
+    return _running_total(e * e / d), _running_total([v**r for v in d.tolist()])
 
 
 TRACE_HEADER = ("t", "x", "y_hat", "y", "e", "d", "loss_term", "cum_loss")
+_CSV_CHUNK = 4096
 
 
 def fmt_exact(value: float) -> str:
@@ -274,26 +380,34 @@ def open_out(out: str | os.PathLike | IO[str]) -> Iterator[IO[str]]:
         yield out
 
 
-def write_trace_csv(records: Iterable[TrialRecord], out: str | os.PathLike | IO[str]) -> None:
-    """Write the trial trace as CSV; trial 0 leaves uncharged fields empty."""
+def write_trace_csv(trace: Trace, out: str | os.PathLike | IO[str]) -> None:
+    """Write the trial trace as CSV, row by row; trial 0 leaves uncharged
+    fields empty."""
     with open_out(out) as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
+        n = len(trace)
+        if n:
+            x0, y0 = float(trace.x[0]), float(trace.y[0])
+            writer.writerow([0, fmt_exact(x0), "", fmt_exact(y0), "", "", "", ""])
+        columns = (trace.x, trace.y_hat, trace.y, trace.e, trace.d, trace.loss_term)
         cum = 0.0
-        for rec in records:
-            if rec.t == 0:
-                writer.writerow([rec.t, fmt_exact(rec.x), "", fmt_exact(rec.y), "", "", "", ""])
-            else:
-                cum += rec.loss_term
+        # Columns turn into Python floats one chunk at a time, so a long
+        # trace never exists as Python floats all at once.
+        for start in range(1, n, _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, n)
+            chunk = zip(range(start, stop), *(c[start:stop].tolist() for c in columns))
+            for t, x, y_hat, y, e, d, term in chunk:
+                cum += term
                 writer.writerow(
                     [
-                        rec.t,
-                        fmt_exact(rec.x),
-                        fmt_exact(rec.y_hat),
-                        fmt_exact(rec.y),
-                        fmt_exact(rec.e),
-                        fmt_exact(rec.d),
-                        fmt_exact(rec.loss_term),
+                        t,
+                        fmt_exact(x),
+                        fmt_exact(y_hat),
+                        fmt_exact(y),
+                        fmt_exact(e),
+                        fmt_exact(d),
+                        fmt_exact(term),
                         fmt_exact(cum),
                     ]
                 )

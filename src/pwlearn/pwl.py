@@ -23,6 +23,7 @@ __all__ = [
     "PiecewiseLinearFunction",
     "from_points",
     "evaluate",
+    "evaluate_many",
     "energy",
     "integrate_energy_oracle",
     "derivative_norm",
@@ -56,14 +57,18 @@ def from_points(points: Iterable[tuple[float, float]]) -> PiecewiseLinearFunctio
     Pairs are sorted by u; exact duplicate pairs collapse to one knot. Pairs
     that share u but disagree on v raise DuplicateConflict rather than
     silently keeping one of them, since a function cannot take two values at
-    one point. The empty input yields the zero function.
+    one point. The empty input yields the zero function. A coordinate outside
+    [0, 1] or a non-finite coordinate or value raises DomainError.
     """
     pairs = sorted((float(u), float(v)) for u, v in points)
     us: list[float] = []
     vs: list[float] = []
     for u, v in pairs:
+        # Both comparisons fail on NaN.
         if not 0.0 <= u <= 1.0:
             raise DomainError(f"knot coordinate {u!r} outside [0, 1]")
+        if not abs(v) < math.inf:
+            raise DomainError(f"knot value {v!r} at u={u!r} is not finite")
         if us and u == us[-1]:
             if v != vs[-1]:
                 raise DuplicateConflict(
@@ -96,6 +101,33 @@ def evaluate(f: PiecewiseLinearFunction, x: float) -> float:
     u0, u1 = us[k - 1], us[k]
     v0, v1 = f.vs[k - 1], f.vs[k]
     return v0 + (x - u0) * (v1 - v0) / (u1 - u0)
+
+
+def evaluate_many(f: PiecewiseLinearFunction, xs) -> np.ndarray:
+    """evaluate(f, x) for every x in xs, as a float64 array, with the same bits.
+
+    The same rules in one pass: constant beyond the end knots, the stored
+    value on a knot hit, otherwise the chord with evaluate's operations in
+    evaluate's order. Any x outside [0, 1] (NaN included) raises DomainError.
+    """
+    xs = np.asarray(xs, dtype=float)
+    bad = np.flatnonzero(~((0.0 <= xs) & (xs <= 1.0)))
+    if bad.size:
+        raise DomainError(f"evaluation point {float(xs[bad[0]])!r} outside [0, 1]")
+    us = np.asarray(f.us, dtype=float)
+    vs = np.asarray(f.vs, dtype=float)
+    if len(us) < 2:
+        return np.full(xs.shape, vs[0] if len(vs) else 0.0)
+    # us[k-1] < x <= us[k], clipped so both indices exist; the end rules
+    # below overwrite the lanes where the clip bites.
+    k = np.clip(np.searchsorted(us, xs, side="left"), 1, len(us) - 1)
+    u0, u1 = us[k - 1], us[k]
+    v0, v1 = vs[k - 1], vs[k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = v0 + (xs - u0) * (v1 - v0) / (u1 - u0)
+    out = np.where(xs == u1, v1, out)
+    out = np.where(xs >= us[-1], vs[-1], out)
+    return np.where(xs <= us[0], vs[0], out)
 
 
 def _energy_sum(us: np.ndarray, vs: np.ndarray) -> float:

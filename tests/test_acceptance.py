@@ -2,8 +2,9 @@
 
 Run `pytest tests/test_acceptance.py -v -s` to watch the lines as they
 happen. The heavy fixtures (a 1000-run trace batch and a 15-match adversary
-set) are shared across criteria; the whole module takes about 20 s on a
-2-vCPU machine, most of it in the trace batch.
+set) are shared across criteria; the whole module takes about 8 s on a
+2-vCPU machine: about 3 s for the trace batch, 2.5 s for the adversary set
+and 2 s for the energy oracles.
 """
 
 import math
@@ -58,7 +59,7 @@ def kl_batch():
 
     Every run uses a fresh target with derivative 2-norm at most 1 and a
     random distinct input sequence; one run in eight stretches to up to 10^4
-    trials, the rest stay at up to 1500; the batch takes about 15 s on a
+    trials, the rest stay at up to 1500; the batch takes about 3 s on a
     2-vCPU machine.
     """
     children = np.random.SeedSequence(BATCH_SEED).spawn(BATCH_RUNS)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pwlearn import (
     DomainError,
     Learner,
     SequenceError,
+    Trace,
     audit_energy,
     derivative_norm,
     dyadic_x,
@@ -205,8 +207,8 @@ class TestRunMatch:
     def test_single_stage_against_zero_learner(self):
         result = run_match(make_learner("zero"), AdversaryConfig(0.25, 1))
         assert len(result.records) == 2  # opening trial plus one charged trial
-        assert result.records[0].x == 1.0
-        assert result.records[0].y == 0.0
+        assert result.records.x[0] == 1.0
+        assert result.records.y[0] == 0.0
         assert result.per_stage[0].trials == 1
         assert result.per_stage[0].accepted == 1
         assert result.total_loss == perturbation(1, 0.25) ** 1.25
@@ -255,26 +257,29 @@ class TestRunMatch:
     def test_revealed_labels_realized_by_final_function(self):
         result = run_match(make_learner("linint"), AdversaryConfig(0.1, 8))
         # The records hold every committed knot but the anchor (0, 0).
-        f = from_points([(0.0, 0.0)] + [(rec.x, rec.y) for rec in result.records])
+        xs, ys = result.records.x.tolist(), result.records.y.tolist()
+        f = from_points([(0.0, 0.0)] + list(zip(xs, ys)))
         assert len(f.us) == 2**8 + 1
-        for rec in result.records:
-            assert evaluate(f, rec.x) == rec.y
+        for x, y in zip(xs, ys):
+            assert evaluate(f, x) == y
         assert evaluate(f, 1.0) == 0.0
         assert derivative_norm(f, math.inf) <= 1.0 + 1e-12
 
     def test_distances_match_brute_force(self):
         result = run_match(make_learner("zero"), AdversaryConfig(0.3, 6))
-        xs = [rec.x for rec in result.records]
-        for k, rec in enumerate(result.records):
-            if rec.t == 0:
-                continue
-            brute = min(abs(rec.x - x) for x in xs[:k])
-            assert rec.d == brute
+        xs = result.records.x.tolist()
+        for t in range(1, len(xs)):
+            brute = min(abs(xs[t] - x) for x in xs[:t])
+            assert result.records.d[t] == brute
 
     def test_deterministic_bit_for_bit(self):
         a = run_match(make_learner("linint"), AdversaryConfig(0.05, 9))
         b = run_match(make_learner("linint"), AdversaryConfig(0.05, 9))
-        assert a.records == b.records
+        for column in fields(Trace):
+            assert (
+                getattr(a.records, column.name).tobytes()
+                == getattr(b.records, column.name).tobytes()
+            )
         assert a.total_loss == b.total_loss
         assert a.per_stage == b.per_stage
         buf_a, buf_b = io.StringIO(), io.StringIO()
@@ -286,7 +291,7 @@ class TestRunMatch:
         result = run_match(make_learner("zero"), AdversaryConfig(0.2, 8))
         p = 1.2
         assert len(result.records) - 1 == 2**8 - 1
-        total = sum(rec.e**p for rec in result.records[1:])
+        total = sum(e**p for e in result.records.e[1:].tolist())
         assert result.total_loss == pytest.approx(total, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -302,6 +307,19 @@ class TestRunMatch:
 
         with pytest.raises(DomainError, match="not finite"):
             run_match(BadLearner(), AdversaryConfig(0.25, 4), collect_records=False)
+
+    def test_overflowing_loss_term_is_a_domain_error(self):
+        class HugeLearner(Learner):
+            kind = "huge"
+
+            def predict(self, x):
+                return 1e300
+
+            def observe(self, x, y):
+                pass
+
+        with pytest.raises(DomainError, match="overflows"):
+            run_match(HugeLearner(), AdversaryConfig(0.25, 4))
 
     def test_json_schema(self):
         result = run_match(make_learner("zero"), AdversaryConfig(0.25, 3))

@@ -268,6 +268,13 @@ class TestEval:
         path.write_text("{")
         assert run_cli(["eval", "--function", str(path), "--x", "0.5"]) == 1
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity"])
+    def test_non_finite_function_file_exits_one(self, tmp_path, capsys, text):
+        path = tmp_path / "f.json"
+        path.write_text(f'{{"knots": [[0.0, 0.0], [0.5, {text}], [1.0, 0.0]]}}')
+        assert run_cli(["eval", "--function", str(path), "--x", "0.25"]) == 1
+        assert "not finite" in capsys.readouterr().err
+
     def test_x_outside_domain(self, tmp_path, capsys):
         path = tmp_path / "f.json"
         path.write_text('{"knots": [[0.0, 0.0]]}')

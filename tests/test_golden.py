@@ -1,0 +1,29 @@
+"""Byte-for-byte output contract: SHA-256s of CLI outputs, frozen from the
+scalar trial loop before the offline trace kernel and the columnar trace
+replaced it. Any change here is a change to output bytes and must be
+justified as one."""
+
+import hashlib
+
+from pwlearn import cli
+
+AUDIT_STDOUT = "de2289b2ed4dc7ad9b64765b072bcec834b563ea3f099af2f95c7c4e4dda4cdc"
+MATCH_STDOUT = "1ee79e31280d509633a136a636d1d025d6580c08bb3ff629aae9565b1fc928d1"
+MATCH_TRACE_CSV = "717d1528ab1b49d000808d1600c19e29171056db00e8de89883f0a2a8eb3f719"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_audit_report_bytes(capsys):
+    assert cli.main(["audit", "--runs", "20", "--seed", "7", "--stages", "6"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == AUDIT_STDOUT
+
+
+def test_match_json_and_trace_csv_bytes(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    argv = ["match", "--learner", "linint", "--epsilon", "0.1", "--stages", "10"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == MATCH_STDOUT
+    assert _sha256(out.read_bytes()) == MATCH_TRACE_CSV

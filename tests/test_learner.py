@@ -1,8 +1,12 @@
 import io
 import math
+import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from sortedcontainers import SortedList
 
 from pwlearn import (
     DegenerateInput,
@@ -10,7 +14,7 @@ from pwlearn import (
     DuplicateConflict,
     LinintLearner,
     NearestLearner,
-    TrialRecord,
+    Trace,
     UnknownKind,
     ZeroLearner,
     derivative_norm,
@@ -22,7 +26,8 @@ from pwlearn import (
     run_trials,
     write_trace_csv,
 )
-from pwlearn.learner import TRACE_HEADER
+from pwlearn import learner as learner_module
+from pwlearn.learner import TRACE_HEADER, scalar_predictions
 
 from helpers import random_function
 
@@ -146,13 +151,16 @@ class TestLinintLearner:
 
 class TestRunTrials:
     def test_single_error_squared(self):
-        records, account = run_trials(ZeroLearner(), [(1.0, 0.0), (0.5, 0.25)], p=2.0)
+        trace, account = run_trials(ZeroLearner(), [(1.0, 0.0), (0.5, 0.25)], p=2.0)
         assert account.total == 0.0625
         assert account.trials == 1
-        assert records[0] == TrialRecord(0, 1.0, None, 0.0, None, None, None)
-        assert records[1].e == 0.25
-        assert records[1].d == 0.5
-        assert records[1].loss_term == 0.0625
+        assert len(trace) == 2
+        assert (trace.x[0], trace.y[0]) == (1.0, 0.0)
+        for column in (trace.y_hat, trace.e, trace.d, trace.loss_term):
+            assert math.isnan(column[0])
+        assert trace.e[1] == 0.25
+        assert trace.d[1] == 0.5
+        assert trace.loss_term[1] == 0.0625
 
     def test_linint_exact_on_zero_function(self):
         seq = [(0.2, 0.0), (0.8, 0.0), (0.5, 0.0), (0.1, 0.0)]
@@ -161,12 +169,12 @@ class TestRunTrials:
 
     def test_distance_is_minimum_over_all_earlier_inputs(self):
         seq = [(0.0, 0.0), (1.0, 0.0), (0.4, 0.0), (0.45, 0.0)]
-        records, _ = run_trials(ZeroLearner(), seq, p=2.0)
-        assert [r.d for r in records[1:]] == [1.0, 0.4, pytest.approx(0.05)]
+        trace, _ = run_trials(ZeroLearner(), seq, p=2.0)
+        assert trace.d[1:].tolist() == [1.0, 0.4, pytest.approx(0.05)]
 
     def test_repeated_coordinate_gets_zero_distance(self):
-        records, _ = run_trials(ZeroLearner(), [(0.5, 1.0), (0.5, 1.0)], p=2.0)
-        assert records[1].d == 0.0
+        trace, _ = run_trials(ZeroLearner(), [(0.5, 1.0), (0.5, 1.0)], p=2.0)
+        assert trace.d[1] == 0.0
 
     def test_rejects_bad_exponent_and_coordinates(self):
         with pytest.raises(DomainError):
@@ -175,8 +183,8 @@ class TestRunTrials:
             run_trials(ZeroLearner(), [(1.5, 0.0)], p=2.0)
 
     def test_empty_sequence(self):
-        records, account = run_trials(ZeroLearner(), [], p=2.0)
-        assert records == []
+        trace, account = run_trials(ZeroLearner(), [], p=2.0)
+        assert len(trace) == 0
         assert account.total == 0.0
         assert account.trials == 0
 
@@ -202,28 +210,215 @@ class TestRunTrials:
         rng = np.random.default_rng(5)
         target = random_function(rng)
         seq = target_sequence(rng, target, 200)
-        records, account = run_trials(make_learner("nearest"), seq, p=1.25)
+        trace, account = run_trials(make_learner("nearest"), seq, p=1.25)
         cum = 0.0
-        for rec in records[1:]:
-            assert rec.loss_term >= 0.0
-            cum += rec.loss_term
+        for term in trace.loss_term[1:].tolist():
+            assert term >= 0.0
+            cum += term
         assert cum == pytest.approx(account.total, rel=1e-15)
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["x", "y"])
+    def test_non_finite_input_is_rejected_before_any_prediction(self, bad, column):
+        learner = CountingLearner()
+        seq = [(0.5, 0.0), (0.25, 1.0), (0.75, 0.0)]
+        seq[2] = (bad, 0.0) if column == "x" else (0.75, bad)
+        with pytest.raises(DomainError, match="trial 2: .* not finite"):
+            run_trials(learner, seq, p=2.0)
+        assert learner.calls == 0
+
+    def test_coordinate_outside_unit_interval_names_the_trial(self):
+        learner = CountingLearner()
+        with pytest.raises(DomainError, match="trial 1: .* outside"):
+            run_trials(learner, [(0.5, 0.0), (1.5, 0.0)], p=2.0)
+        assert learner.calls == 0
+
+    @pytest.mark.parametrize("kind", ["zero", "linint"])
+    def test_overflowing_loss_term_is_a_domain_error(self, kind):
+        # zero runs the scalar loop, a fresh linint the offline path.
+        with pytest.raises(DomainError, match="overflows"):
+            run_trials(make_learner(kind), [(0.5, 0.0), (0.25, 1e300)], p=2.0)
+
+
+class CountingLearner(ZeroLearner):
+    def __init__(self):
+        self.calls = 0
+
+    def predict(self, x):
+        self.calls += 1
+        return 0.0
+
+
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+finite_pairs = st.tuples(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+
+
+@given(st.lists(finite_pairs, min_size=1, max_size=20), st.data())
+def test_any_non_finite_value_is_refused_at_its_trial(pairs, data):
+    k = data.draw(st.integers(0, len(pairs) - 1))
+    bad = data.draw(non_finite)
+    x, y = pairs[k]
+    pairs[k] = data.draw(st.sampled_from([(bad, y), (x, bad)]))
+    learner = CountingLearner()
+    with pytest.raises(DomainError, match=f"trial {k}: .* not finite"):
+        run_trials(learner, pairs, p=2.0)
+    assert learner.calls == 0
+
+
+class ScalarLinint(LinintLearner):
+    """Not exactly LinintLearner, so run_trials drives it through the scalar loop."""
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def _bisect_distances(xs):
+    """d as the per-trial SortedList scan computed it: the nearer of the
+    bisect_left neighbours among the earlier inputs, the left one on ties."""
+    seen = SortedList()
+    out = []
+    for t, x in enumerate(xs):
+        if t:
+            i = seen.bisect_left(x)
+            d_left = x - seen[i - 1] if i > 0 else None
+            d_right = seen[i] - x if i < len(seen) else None
+            if d_left is None:
+                out.append(d_right)
+            elif d_right is None:
+                out.append(d_left)
+            else:
+                out.append(d_left if d_left <= d_right else d_right)
+        seen.add(x)
+    return out
+
+
+def _arrange(seq, order):
+    if order == "sorted":
+        return sorted(seq)
+    if order == "reversed":
+        return sorted(seq, reverse=True)
+    if order == "centre-out":
+        return sorted(seq, key=lambda pair: abs(pair[0] - 0.5))
+    return seq
+
+
+def _dyadic_fill(levels):
+    xs = [0.0, 1.0]
+    for level in range(1, levels + 1):
+        n = 1 << level
+        xs.extend(k / n for k in range(1, n, 2))
+    return xs
+
+
+@pytest.fixture
+def offline_calls(monkeypatch):
+    """Counts run_trials' trips through the offline LININT path."""
+    calls = []
+    real = learner_module._linint_predictions
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(learner_module, "_linint_predictions", spy)
+    return calls
+
+
+class TestOfflineLinint:
+    """The offline path against the scalar predict/observe loop, bit for bit."""
+
+    def _check_against_scalar_loop(self, seq, p, offline_calls):
+        fast, slow = LinintLearner(), ScalarLinint()
+        fast_trace, fast_account = run_trials(fast, seq, p=p)
+        slow_trace, slow_account = run_trials(slow, seq, p=p)
+        assert offline_calls == [len(seq)]
+        for column in fields(Trace):
+            name = column.name
+            assert _same_bits(getattr(fast_trace, name), getattr(slow_trace, name)), name
+        assert fast_account == slow_account
+        xs, ys = [x for x, _ in seq], [y for _, y in seq]
+        oracle = scalar_predictions(LinintLearner(), xs, ys)
+        assert _same_bits(fast_trace.y_hat[1:], oracle[1:])
+        # The bulk-filled state is what observing every pair leaves.
+        assert list(fast._xs) == list(slow._xs)
+        assert list(fast._vals.items()) == list(slow._vals.items())
+        for x, y in seq:
+            assert fast.predict(x) == y
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 500, 2000])
+    @pytest.mark.parametrize("order", ["sorted", "reversed", "centre-out", "random"])
+    def test_equals_scalar_loop(self, n, order, offline_calls):
+        rng = np.random.default_rng(n)
+        target = random_function(rng)
+        seq = _arrange(target_sequence(rng, target, n), order)
+        self._check_against_scalar_loop(seq, 2.0, offline_calls)
+
+    def test_equals_scalar_loop_on_dyadic_fill(self, offline_calls):
+        rng = np.random.default_rng(3)
+        target = random_function(rng)
+        seq = [(x, evaluate(target, x)) for x in _dyadic_fill(10)]
+        self._check_against_scalar_loop(seq, 1.25, offline_calls)
+
+    def test_repeats_take_the_scalar_loop(self, offline_calls):
+        seq = [(0.5, 1.0), (0.25, 0.0), (0.5, 1.0), (0.75, 2.0)]
+        trace, _ = run_trials(LinintLearner(), seq, p=2.0)
+        assert offline_calls == []
+        assert trace.d[2] == 0.0
+        assert trace.y_hat[2] == 1.0
+        assert trace.y_hat[3] == 1.0
+
+    def test_conflicting_repeat_still_raises(self, offline_calls):
+        with pytest.raises(DuplicateConflict):
+            run_trials(LinintLearner(), [(0.5, 1.0), (0.25, 0.0), (0.5, 2.0)], p=2.0)
+        assert offline_calls == []
+
+    def test_learner_with_history_takes_the_scalar_loop(self, offline_calls):
+        learner = LinintLearner()
+        learner.observe(0.5, 1.0)
+        trace, _ = run_trials(learner, [(0.25, 0.0), (0.75, 2.0)], p=2.0)
+        assert offline_calls == []
+        assert trace.y_hat[1] == 1.0
+
+    @pytest.mark.parametrize("kind", ["zero", "nearest"])
+    def test_other_kinds_take_the_scalar_loop(self, kind, offline_calls):
+        run_trials(make_learner(kind), [(0.25, 0.0), (0.75, 2.0)], p=2.0)
+        assert offline_calls == []
+
+    def test_distances_match_the_bisect_scan_with_repeats_and_signed_zeros(self):
+        rng = np.random.default_rng(8)
+        grid = [-0.0, 0.0, 0.125, 0.25, 0.5, 0.75, 1.0]
+        for _ in range(200):
+            xs = [grid[k] for k in rng.integers(0, len(grid), int(rng.integers(1, 12)))]
+            trace, _ = run_trials(ZeroLearner(), [(x, 0.0) for x in xs], p=2.0)
+            want = _bisect_distances(xs)
+            got = trace.d[1:].tolist()
+            assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
 
 
 class TestKlInvariants:
     def test_direct_arithmetic(self):
-        records = [
-            TrialRecord(0, 1.0, None, 0.0, None, None, None),
-            TrialRecord(1, 0.5, 0.1, 0.0, 0.1, 0.5, 0.01),
-        ]
-        e2d, dsum = kl_invariants(records, 2.0)
+        nan = math.nan
+        trace = Trace(
+            x=np.array([1.0, 0.5]),
+            y_hat=np.array([nan, 0.1]),
+            y=np.array([0.0, 0.0]),
+            e=np.array([nan, 0.1]),
+            d=np.array([nan, 0.5]),
+            loss_term=np.array([nan, 0.01]),
+        )
+        e2d, dsum = kl_invariants(trace, 2.0)
         assert e2d == pytest.approx(0.02)
         assert dsum == pytest.approx(0.25)
 
     def test_rejects_repeated_coordinate(self):
-        records, _ = run_trials(ZeroLearner(), [(0.5, 1.0), (0.5, 1.0)], p=2.0)
+        trace, _ = run_trials(ZeroLearner(), [(0.5, 1.0), (0.5, 1.0)], p=2.0)
         with pytest.raises(DegenerateInput):
-            kl_invariants(records, 2.0)
+            kl_invariants(trace, 2.0)
 
     def test_rejects_small_exponent(self):
         with pytest.raises(DomainError):
@@ -249,8 +444,8 @@ class TestKlInvariants:
                 seq.sort(reverse=True)
             elif style == 3:
                 seq.sort(key=lambda pair: abs(pair[0] - 0.5))
-            records, _ = run_trials(LinintLearner(), seq, p=2.0)
-            e2d, _ = kl_invariants(records, 2.0)
+            trace, _ = run_trials(LinintLearner(), seq, p=2.0)
+            e2d, _ = kl_invariants(trace, 2.0)
             assert e2d <= 1.0 + 1e-9
 
     def test_distance_sum_bounded_for_any_sequence(self):
@@ -260,8 +455,8 @@ class TestKlInvariants:
             for _ in range(40):
                 m = int(rng.integers(2, 500))
                 seq = [(float(x), 0.0) for x in rng.random(m)]
-                records, _ = run_trials(ZeroLearner(), seq, p=2.0)
-                _, dsum = kl_invariants(records, r)
+                trace, _ = run_trials(ZeroLearner(), seq, p=2.0)
+                _, dsum = kl_invariants(trace, r)
                 assert dsum <= bound + 1e-9
 
     def test_distance_sum_near_tight_on_dyadic_fill(self):
@@ -271,10 +466,10 @@ class TestKlInvariants:
         for level in range(1, 11):
             n = 1 << level
             seq.extend((k / n, 0.0) for k in range(1, n, 2))
-        records, _ = run_trials(ZeroLearner(), seq, p=2.0)
+        trace, _ = run_trials(ZeroLearner(), seq, p=2.0)
         # Residual tail after 10 levels shrinks like 2^((1-r)*levels).
         for r, slack in ((1.5, 0.05), (2.0, 1e-3), (3.0, 1e-6)):
-            _, dsum = kl_invariants(records, r)
+            _, dsum = kl_invariants(trace, r)
             bound = kl_d_bound(r)
             assert dsum <= bound + 1e-9
             assert dsum >= bound - slack
@@ -309,30 +504,32 @@ def test_linint_consistency_with_revealed_targets():
 
 class TestTraceCsv:
     def test_format_and_round_trip(self):
-        records, account = run_trials(
+        trace, account = run_trials(
             ZeroLearner(), [(1.0, 0.0), (0.5, 0.25), (0.1, 0.7)], p=1.25
         )
         buf = io.StringIO()
-        write_trace_csv(records, buf)
+        write_trace_csv(trace, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == ",".join(TRACE_HEADER)
         first = lines[1].split(",")
         assert first == ["0", "1", "", "0", "", "", "", ""]
+        assert len(lines) == 1 + len(trace)
         cum = 0.0
-        for rec, line in zip(records[1:], lines[2:]):
+        for t, line in enumerate(lines[2:], start=1):
             cells = line.split(",")
-            assert float(cells[1]) == rec.x
-            assert float(cells[2]) == rec.y_hat
-            assert float(cells[3]) == rec.y
-            assert float(cells[4]) == rec.e
-            assert float(cells[5]) == rec.d
-            assert float(cells[6]) == rec.loss_term
-            cum += rec.loss_term
+            assert int(cells[0]) == t
+            assert float(cells[1]) == trace.x[t]
+            assert float(cells[2]) == trace.y_hat[t]
+            assert float(cells[3]) == trace.y[t]
+            assert float(cells[4]) == trace.e[t]
+            assert float(cells[5]) == trace.d[t]
+            assert float(cells[6]) == trace.loss_term[t]
+            cum += trace.loss_term[t]
             assert float(cells[7]) == cum
         assert cum == account.total
 
     def test_writes_to_path(self, tmp_path):
-        records, _ = run_trials(ZeroLearner(), [(1.0, 0.0), (0.5, 0.25)], p=2.0)
+        trace, _ = run_trials(ZeroLearner(), [(1.0, 0.0), (0.5, 0.25)], p=2.0)
         out = tmp_path / "trace.csv"
-        write_trace_csv(records, out)
+        write_trace_csv(trace, out)
         assert out.read_text().startswith("t,x,y_hat,y,e,d,loss_term,cum_loss")

@@ -13,6 +13,7 @@ from pwlearn import (
     energy,
     energy_increment,
     evaluate,
+    evaluate_many,
     from_points,
     function_from_json,
     function_to_json,
@@ -53,6 +54,49 @@ class TestFromPoints:
             from_points([(-0.1, 0.0)])
         with pytest.raises(DomainError):
             from_points([(math.nan, 0.0)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_refused(self, bad):
+        with pytest.raises(DomainError, match="not finite"):
+            from_points([(0.0, 0.0), (0.5, bad), (1.0, 0.0)])
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_is_refused(self, text):
+        with pytest.raises(DomainError):
+            function_from_json(f'{{"knots": [[0.0, {text}], [1.0, 0.0]]}}')
+        with pytest.raises(DomainError):
+            function_from_json(f'{{"knots": [[{text}, 0.0]]}}')
+
+
+class TestEvaluateMany:
+    """Batch evaluation against the scalar evaluate, bit for bit."""
+
+    def _check(self, f, xs):
+        want = np.array([evaluate(f, float(x)) for x in xs], dtype=float)
+        assert evaluate_many(f, xs).tobytes() == want.tobytes()
+
+    def test_equals_evaluate_on_random_functions(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            f = random_function(rng)
+            us = np.asarray(f.us)
+            mids = (us[1:] + us[:-1]) / 2.0
+            xs = np.concatenate((rng.random(200), us, mids, [0.0, 1.0]))
+            rng.shuffle(xs)
+            self._check(f, xs)
+
+    def test_knot_hits_ends_and_tiny_functions(self):
+        for f in (ZERO, from_points([(0.5, 0.3)]), TENT, RAMP):
+            self._check(f, [0.0, 0.25, 0.5, 0.75, 1.0])
+        f = from_points([(0.25, 1.0), (0.5, -2.0), (0.75, 3.0)])
+        self._check(f, [0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9, 1.0])
+        assert evaluate_many(f, [0.5]).tolist() == [-2.0]
+
+    @pytest.mark.parametrize("bad", [1.5, -0.01, math.nan, math.inf])
+    def test_point_outside_domain(self, bad):
+        for f in (ZERO, TENT):
+            with pytest.raises(DomainError):
+                evaluate_many(f, [0.5, bad])
 
 
 class TestEvaluate:
@@ -278,3 +322,23 @@ def test_energy_nonnegative_and_norm_consistent(points):
     assert j >= 0.0
     two_norm = derivative_norm(f, 2.0)
     assert j == pytest.approx(two_norm * two_norm, rel=1e-9, abs=1e-12)
+
+
+@given(st.dictionaries(coords, values, max_size=16), st.lists(coords, max_size=20))
+def test_evaluate_many_matches_evaluate_bit_for_bit(points, xs):
+    f = from_points(points.items())
+    xs = xs + list(points)
+    want = np.array([evaluate(f, x) for x in xs], dtype=float)
+    assert evaluate_many(f, xs).tobytes() == want.tobytes()
+
+
+@given(
+    st.dictionaries(coords, values, max_size=8),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    coords,
+    st.booleans(),
+)
+def test_from_points_refuses_any_non_finite_number(points, bad, u, bad_coordinate):
+    pairs = list(points.items()) + [(bad, 0.0) if bad_coordinate else (u, bad)]
+    with pytest.raises(DomainError):
+        from_points(pairs)
