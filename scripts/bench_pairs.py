@@ -1,0 +1,196 @@
+#!/usr/bin/env python3
+"""Before/after benchmark pairs: the parent revision against the working tree.
+
+Run from the repository root, with the change uncommitted on top of its
+parent:
+
+    python3 scripts/bench_pairs.py --out BENCH_6.json
+
+HEAD is checked out in a git worktree under ``.perfbench_tmp/`` and removed
+afterwards. For every workload, ``perfbench/run.py --trace 0`` runs PAIRS
+times on each side, on seeds SEED, SEED + 1, ..., the two sides taking turns
+to go first. Each run's final JSON line, digest line and ``env`` line are
+kept. One ``--trace 1`` run per side of LAYERS_WORKLOAD gives the layer rows.
+
+Then each CLI command in CLI_COMMANDS runs once per side in a fresh
+interpreter: its wall time, peak RSS (from wait4) and the SHA-256 of its
+stdout and of any file it writes, so the bytes of the two sides can be
+compared.
+
+The output JSON holds, per workload and end-to-end metric, the median and
+quartiles of each side and the number of pairs the change won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TMP = ROOT / ".perfbench_tmp"
+WORKLOADS = ("match-trace", "sweep-learners", "audit")
+LAYERS_WORKLOAD = "sweep-learners"
+PAIRS = 10
+SEED = 11  # the first pair's; pair k runs on SEED + k
+SECONDS = 1.0  # perfbench --seconds
+
+# (name, argv after "python -m pwlearn.cli"); "{tmp}" is a scratch directory.
+CLI_COMMANDS = (
+    ("audit --runs 1000 --seed 7", ["audit", "--runs", "1000", "--seed", "7"]),
+    ("match --epsilon 0.1 --stages 20", ["match", "--epsilon", "0.1", "--stages", "20"]),
+    ("match --epsilon 0.1 --stages 20 --out",
+     ["match", "--epsilon", "0.1", "--stages", "20", "--out", "{tmp}/trace.csv"]),
+)
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def _bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """One perfbench run in a checkout: its env, digest and result lines."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"bench_pairs: {' '.join(cmd)} in {checkout} exited "
+                 f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    lines = proc.stdout.splitlines()
+    env = next(line[4:] for line in lines if line.startswith("env "))
+    digest = next(line for line in lines if line.startswith("digest "))
+    return {
+        "seed": seed,
+        "env": json.loads(env),
+        "digest": digest.rsplit("sha256=", 1)[1],
+        "result": json.loads(lines[-1]),
+    }
+
+
+def _summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare_workload(parent: Path, workload: str, metrics: list[dict]) -> dict:
+    runs = {"parent": [], "change": []}
+    for k in range(PAIRS):
+        order = (("parent", parent), ("change", ROOT))
+        for side, checkout in order if k % 2 == 0 else order[::-1]:
+            runs[side].append(_bench(checkout, workload, SEED + k, 0))
+            r = runs[side][-1]
+            print(f"{workload} seed={SEED + k} {side}: "
+                  f"wall_s={r['result']['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
+    out = {
+        "digests_equal": all(a["digest"] == b["digest"]
+                             for a, b in zip(runs["parent"], runs["change"])),
+        "failed": {side: sum(r["result"]["failed"] for r in rs) for side, rs in runs.items()},
+        "metrics": {},
+        "runs": runs,
+    }
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        values = {side: [r["result"]["metrics"][name]["value"] for r in rs]
+                  for side, rs in runs.items()}
+        wins = sum((c < p) if lower else (c > p)
+                   for p, c in zip(values["parent"], values["change"]))
+        out["metrics"][name] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            "parent": _summary(values["parent"]),
+            "change": _summary(values["change"]),
+            "wins": wins,
+            "n": PAIRS,
+        }
+    return out
+
+
+def _sha256(path: Path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def time_cli(checkout: Path, argv: list[str], tmp: Path) -> dict:
+    """Run one CLI command in a fresh interpreter: wall time, peak RSS and the
+    SHA-256 of stdout and of every file it wrote into tmp."""
+    tmp.mkdir(parents=True)
+    try:
+        argv = [a.replace("{tmp}", str(tmp)) for a in argv]
+        stdout = tmp / "stdout"
+        env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+        with open(stdout, "wb") as fh:
+            t0 = time.perf_counter()
+            proc = subprocess.Popen([sys.executable, "-m", "pwlearn.cli", *argv],
+                                    cwd=checkout, env=env, stdout=fh)
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - t0
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            sys.exit(f"bench_pairs: pwlearn {' '.join(argv)} in {checkout} exited "
+                     f"{proc.returncode}")
+        return {
+            "wall_s": wall,
+            # ru_maxrss is in KiB on Linux.
+            "peak_rss_mb": usage.ru_maxrss / 1024,
+            "sha256": {p.name: _sha256(p) for p in sorted(tmp.iterdir())},
+        }
+    finally:
+        shutil.rmtree(tmp)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--out", required=True, help="where to write the JSON summary")
+    args = p.parse_args(argv)
+
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    commit = _git("rev-parse", "HEAD")
+    parent = TMP / f"parent-{commit[:12]}"
+    _git("worktree", "add", "--detach", str(parent), commit)
+    try:
+        report = {
+            "parent": {"commit": commit},
+            "change": {"dirty": bool(_git("status", "--porcelain"))},
+            "pairs": PAIRS,
+            "seeds": [SEED + k for k in range(PAIRS)],
+            "seconds": SECONDS,
+            "workloads": {w: compare_workload(parent, w, metrics) for w in WORKLOADS},
+        }
+        report["layers"] = {
+            "workload": LAYERS_WORKLOAD,
+            "seed": SEED,
+            **{side: _bench(checkout, LAYERS_WORKLOAD, SEED, 1)
+               for side, checkout in (("parent", parent), ("change", ROOT))},
+        }
+        cli = report["cli"] = {}
+        for name, cli_argv in CLI_COMMANDS:
+            sides = {side: time_cli(checkout, cli_argv, TMP / f"cli-{os.getpid()}")
+                     for side, checkout in (("parent", parent), ("change", ROOT))}
+            sides["same_bytes"] = sides["parent"]["sha256"] == sides["change"]["sha256"]
+            cli[name] = sides
+            print(f"{name}: parent {sides['parent']['wall_s']:.2f} s, change "
+                  f"{sides['change']['wall_s']:.2f} s, same bytes "
+                  f"{sides['same_bytes']}", file=sys.stderr)
+    finally:
+        _git("worktree", "remove", "--force", str(parent))
+        with contextlib.suppress(OSError):
+            TMP.rmdir()
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,10 +5,10 @@ slope never exceeds 1 in absolute value, while forcing any learner to absorb
 a guaranteed amount of loss per stage. Stage i covers trials
 t = 2^(i-1) .. 2^i - 1; the stage-i inputs are the odd multiples of 2^-i, so
 every input is the exact midpoint of two already-committed knots at distance
-exactly 2^-i. All those coordinates are exact dyadic doubles, which makes
-exact-equality dictionary lookups safe.
+exactly 2^-i.
 
-Two functions are maintained:
+Two functions are maintained, each as a float64 array on the dense level-i
+grid k·2^-i, k = 0 .. 2^i:
 
 * the committed function interpolates every revealed (x_t, y_t) plus the
   anchors (0, 0) and (1, 0);
@@ -16,14 +16,26 @@ Two functions are maintained:
   stage (regardless of acceptance) on top of the committed knots from earlier
   stages. Its energy budget is what forces acceptances.
 
+A new stage spreads the committed grid onto the next level (the old knots at
+the even indices); the stage's trials then fill the odd indices left to
+right, so trial t's neighbours are the grid entries on either side of it.
+
 A trial is accepted when the proposed label keeps both adjacent slopes at
 most 1; otherwise the midpoint value is revealed, which leaves the committed
 function unchanged as a function.
+
+No input inside a stage lies nearer to another stage input than the two
+stage-start knots around it, so the built-in learners' predictions for a whole
+stage follow from the stage-start grid. run_match plays a fresh learner of
+exact built-in type a stage at a time on the arrays; any other learner goes
+through predict/respond/observe trial by trial, the reference the stage-at-
+a-time path matches bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -31,7 +43,9 @@ import numpy as np
 
 from . import pwl
 from .errors import DomainError, SequenceError
-from .learner import Learner, Trace
+from .learner import (
+    Learner, Trace, ZeroLearner, _fill, _fresh, _midpoint_predictions, _running_total,
+)
 
 __all__ = [
     "MAX_STAGES",
@@ -65,19 +79,32 @@ def _check_epsilon(epsilon: float) -> None:
         )
 
 
-def _check_stages(stages: int) -> None:
+def _check_int(name: str, value) -> int:
+    """value as an int; a bool, a float or a string raises DomainError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_stages(stages: int) -> int:
+    stages = _check_int("stages", stages)
     if not 1 <= stages <= MAX_STAGES:
         raise DomainError(
             f"stages must lie in 1..{MAX_STAGES} (2^{MAX_STAGES} trials is the "
             f"desk-scale ceiling), got {stages!r}"
         )
+    return stages
 
 
 @dataclass(frozen=True)
 class AdversaryConfig:
     """Loss exponent offset and stage budget; a run covers 2^stages - 1 trials.
 
-    Both are checked here: 0 < epsilon < 0.5 and 1 <= stages <= MAX_STAGES.
+    Both are checked here: 0 < epsilon < 0.5 and stages an integer in
+    1..MAX_STAGES (a numpy integer is stored as an int).
     """
 
     epsilon: float
@@ -85,7 +112,7 @@ class AdversaryConfig:
 
     def __post_init__(self) -> None:
         _check_epsilon(self.epsilon)
-        _check_stages(self.stages)
+        object.__setattr__(self, "stages", _check_stages(self.stages))
 
 
 def stage_of(t: int) -> int:
@@ -113,15 +140,6 @@ def perturbation(i: int, epsilon: float) -> float:
     return math.sqrt(epsilon) * (1.0 - epsilon) ** (i / 2.0) / 2.0 ** (i + 1)
 
 
-def _dict_energy(knots: dict[float, float]) -> float:
-    """Energy of the interpolant of a coordinate->value mapping, from scratch."""
-    m = len(knots)
-    us = np.fromiter(knots.keys(), dtype=float, count=m)
-    vs = np.fromiter(knots.values(), dtype=float, count=m)
-    order = np.argsort(us)
-    return pwl._energy_sum(us[order], vs[order])
-
-
 class EnergyAudit(NamedTuple):
     j_probe: float
     j_committed: float
@@ -129,16 +147,19 @@ class EnergyAudit(NamedTuple):
 
 
 class AdversaryState:
-    """Mutable per-match state; strictly sequential, one trial at a time."""
+    """Mutable per-match state: the committed and probe grids of the current
+    stage. respond plays one trial; run_match's _respond_stage a whole stage."""
 
     def __init__(self, epsilon: float) -> None:
         _check_epsilon(epsilon)
         self.epsilon = epsilon
-        self.committed: dict[float, float] = {0.0: 0.0, 1.0: 0.0}
-        self.probe: dict[float, float] = dict(self.committed)
+        # Before stage 1 the grid is the two anchors, x = 0 and x = 1.
+        self.committed = np.zeros(2)
+        self.probe = self.committed.copy()
         self.next_t = 1
         # Geometry of the current stage i, set once by _begin_stage: knot
-        # spacing 2^-i, proposal offset, last trial 2^i - 1, acceptances so far.
+        # spacing 2^-i, proposal offset, last trial 2^i - 1, trials and
+        # acceptances so far.
         self.stage = 0
         self.h = 1.0
         self.magnitude = 0.0
@@ -153,16 +174,31 @@ class AdversaryState:
         self.max_abs_slope = 0.0
 
     def _begin_stage(self) -> None:
-        # Probe resets to the committed function; its energy is recomputed
-        # from scratch so floating-point drift cannot cross stage boundaries.
-        self.probe = dict(self.committed)
-        self.energy_probe = self.stage_start_energy = _dict_energy(self.probe)
+        # Spread the committed knots onto the next level's even indices; the
+        # odd ones are this stage's inputs, NaN until revealed. The probe
+        # starts as a copy, and its energy is recomputed from scratch so
+        # floating-point drift cannot cross stage boundaries.
+        old = self.committed
+        grid = np.full(2 * len(old) - 1, math.nan)
+        grid[::2] = old
+        self.committed = grid
+        self.probe = grid.copy()
         i = self.stage = self.stage + 1
         self.h = 0.5**i
         self.magnitude = perturbation(i, self.epsilon)
         self.stage_end = (1 << i) - 1
         self.within = 0
         self.accepted = 0
+        k = self._filled(0)
+        self.energy_probe = self.stage_start_energy = pwl._energy_sum(k * self.h, grid[k])
+
+    def _filled(self, within: int) -> np.ndarray:
+        """Grid indices set after the stage's first `within` trials, in
+        coordinate order: the trials fill the odd indices left to right, so
+        they are every index up to 2·within, then the even indices (the
+        earlier stages' knots) after it."""
+        done = 2 * within if self.stage else 1
+        return np.concatenate((np.arange(done + 1), np.arange(done + 2, len(self.committed), 2)))
 
     def respond(self, t: int, y_hat: float) -> tuple[float, bool]:
         """Reveal the label for trial t given the learner's prediction.
@@ -177,23 +213,22 @@ class AdversaryState:
         if t > self.stage_end:
             self._begin_stage()
         h = self.h
-        # dyadic_x(t): the odd numerator 2t + 1 - 2^i over 2^i, exact.
-        x = (2 * t - self.stage_end) * h
-        # Both neighbors are knots of earlier stages: next_t enforces the schedule.
+        # x_t = k·h; both neighbours are knots of earlier stages.
+        k = 2 * self.within + 1
         committed = self.committed
-        vl = committed[x - h]
-        vr = committed[x + h]
+        vl = committed.item(k - 1)
+        vr = committed.item(k + 1)
         base = 0.5 * (vl + vr)
         mag = self.magnitude
         # Furthest of base +/- mag from the prediction; ties take +.
         v = base - mag if y_hat > base else base + mag
         accepted = abs(v - vl) <= h and abs(v - vr) <= h
         y = v if accepted else base
-        committed[x] = y
+        committed[k] = y
         # The probe agrees with the committed function at left and right
         # (both are pre-stage knots), so its value at x is also base and the
         # midpoint insertion grows its energy by 2*(v-base)^2/h.
-        self.probe[x] = v
+        self.probe[k] = v
         diff = v - base
         self.energy_probe += 2.0 * diff * diff / h
         if self.energy_probe > self.max_energy_probe:
@@ -208,8 +243,56 @@ class AdversaryState:
         self.next_t += 1
         return y, accepted
 
+    def _respond_stage(self, y_hat: np.ndarray) -> np.ndarray:
+        """Reveal every label of the next stage at once, given all of its
+        predictions in trial order; returns the labels. The state ends as
+        respond on each trial in turn leaves it, with the same bits: each
+        step is respond's operation, elementwise, and the probe energy is a
+        running sum in trial order."""
+        if self.next_t != self.stage_end + 1:
+            raise SequenceError(
+                f"a whole stage starts at a stage boundary; trial {self.next_t} is "
+                f"inside stage {self.stage}"
+            )
+        vl, vr = self.committed[:-1], self.committed[1:]
+        self._begin_stage()
+        h = self.h
+        mag = self.magnitude
+        base = 0.5 * (vl + vr)
+        v = np.where(y_hat > base, base - mag, base + mag)
+        accepted = (np.abs(v - vl) <= h) & (np.abs(v - vr) <= h)
+        y = np.where(accepted, v, base)
+        self.committed[1::2] = y
+        self.probe[1::2] = v
+        diff = v - base
+        increments = 2.0 * diff * diff / h
+        self.energy_probe = _running_total(np.concatenate(([self.energy_probe], increments)))
+        # The increments are nonnegative, so the stage's last energy is its largest.
+        self.max_energy_probe = max(self.max_energy_probe, self.energy_probe)
+        slope = np.maximum(np.abs(y - vl) / h, np.abs(vr - y) / h)
+        self.max_abs_slope = max(self.max_abs_slope, float(slope.max()))
+        self.within = len(y)
+        self.accepted = int(np.count_nonzero(accepted))
+        self.next_t = self.stage_end + 1
+        return y
+
     def committed_function(self) -> pwl.PiecewiseLinearFunction:
-        return pwl.from_points(self.committed.items())
+        """The interpolant of the committed knots set so far."""
+        k = self._filled(self.within)
+        return pwl.from_points(zip((k * self.h).tolist(), self.committed[k].tolist()))
+
+
+def _audit(state: AdversaryState, within: int) -> EnergyAudit:
+    # audit_energy as it reads after the stage's first `within` trials; the
+    # grids' later entries are never read, so it may run after the stage.
+    k = state._filled(within)
+    us = k * state.h
+    j_probe = pwl._energy_sum(us, state.probe[k])
+    j_committed = pwl._energy_sum(us, state.committed[k])
+    eps = state.epsilon
+    step = eps * (1.0 - eps) ** state.stage / 2.0 ** (state.stage + 1)
+    expected = state.stage_start_energy + within * step
+    return EnergyAudit(j_probe, j_committed, abs(j_probe - expected))
 
 
 def audit_energy(state: AdversaryState) -> EnergyAudit:
@@ -220,13 +303,8 @@ def audit_energy(state: AdversaryState) -> EnergyAudit:
     energy plus j * eps*(1-eps)^i / 2^(i+1); the residual is the absolute
     difference between that and the scratch recomputation.
     """
-    j_probe = _dict_energy(state.probe)
-    j_committed = _dict_energy(state.committed)
     # Before stage 1 nothing has been proposed: within = 0, so expected = 0.
-    eps = state.epsilon
-    step = eps * (1.0 - eps) ** state.stage / 2.0 ** (state.stage + 1)
-    expected = state.stage_start_energy + state.within * step
-    return EnergyAudit(j_probe, j_committed, abs(j_probe - expected))
+    return _audit(state, state.within)
 
 
 @dataclass(frozen=True)
@@ -280,6 +358,38 @@ class MatchResult:
         }
 
 
+def _play_stage(
+    learner: Learner, state: AdversaryState, xs: np.ndarray, audit_per_trial: bool
+) -> tuple[np.ndarray, list[EnergyAudit]]:
+    """One stage trial by trial through predict, respond and observe, with
+    audit_energy after every trial or after the last: the reference the
+    stage-at-a-time path matches. Returns the predictions and the audits."""
+    y_hats: list[float] = []
+    audits: list[EnergyAudit] = []
+    first = state.next_t
+    last = first + len(xs) - 1
+    for t, x in enumerate(xs.tolist(), start=first):
+        y_hat = learner.predict(x)
+        y, _accepted = state.respond(t, y_hat)
+        learner.observe(x, y)
+        y_hats.append(y_hat)
+        if audit_per_trial or t == last:
+            audits.append(audit_energy(state))
+    return np.array(y_hats, dtype=float), audits
+
+
+def _time_order(stages: int) -> np.ndarray:
+    """Grid index, at spacing 2^-stages, of every trial's input: trial 0 at
+    x = 1, then stage i's inputs (2w+1)·2^-i left to right."""
+    n = 1 << stages
+    k = np.empty(n, dtype=np.intp)
+    k[0] = n
+    for i in range(1, stages + 1):
+        first = 1 << (i - 1)
+        k[first : 2 * first] = (2 * np.arange(first) + 1) << (stages - i)
+    return k
+
+
 def run_match(
     learner: Learner,
     config: AdversaryConfig,
@@ -297,65 +407,77 @@ def run_match(
     cheap mode for sweeps; otherwise ``records`` is the columnar Trace. A
     loss term that overflows, or a non-finite total loss (a NaN or infinite
     prediction), raises DomainError.
+
+    A fresh learner of exact built-in type (zero, nearest, or linint with
+    nothing observed) is played a stage at a time: its predictions come from
+    the stage-start grid, _respond_stage reveals the stage, the per-trial
+    audits are read off the finished grids, and the learner's state is then
+    filled in bulk, equal to what observing each trial would leave. Every
+    other learner is played trial by trial through predict, respond and
+    observe. Both give the same bits.
     """
     eps = config.epsilon
     p = 1.0 + eps
     state = AdversaryState(eps)
-    learner.predict(X0)  # uncharged; the opening prediction is discarded
-    learner.observe(X0, Y0)
-    # Trace columns, trial 0 first; NaN marks its uncharged fields.
-    xs, ys = [X0], [Y0]
-    y_hats, es, ds, terms = [math.nan], [math.nan], [math.nan], [math.nan]
+    by_stage = _fresh(learner)
+    if not by_stage:
+        learner.predict(X0)  # uncharged; the opening prediction is discarded
+        learner.observe(X0, Y0)
+    n = 1 << config.stages
+    if collect_records:
+        # Trace columns, trial 0 first; NaN marks its uncharged fields.
+        y_hats, es, ds, terms_col = (np.full(n, math.nan) for _ in range(4))
     total = 0.0
     per_stage: list[StageSummary] = []
     max_resid = 0.0
     max_jp = 0.0
     max_jc = 0.0
-    for t in range(1, 1 << config.stages):
-        x = dyadic_x(t)
-        y_hat = learner.predict(x)
-        y, _accepted = state.respond(t, y_hat)
-        learner.observe(x, y)
-        e = abs(y_hat - y)
+    for i in range(1, config.stages + 1):
+        first = 1 << (i - 1)
+        h = 0.5**i
+        if by_stage:
+            y_hat = _midpoint_predictions(learner.kind, state.committed, h)
+            y = state._respond_stage(y_hat)
+            audited = range(1, first + 1) if audit_per_trial else (first,)
+            audits = [_audit(state, w) for w in audited]
+        else:
+            x = (2.0 * np.arange(first) + 1.0) * h
+            y_hat, audits = _play_stage(learner, state, x, audit_per_trial)
+            y = state.committed[1::2]
+        e = np.abs(y_hat - y)
         try:
-            term = e**p
+            terms = [v**p for v in e.tolist()]
         except OverflowError:
             raise DomainError(
-                f"loss term at trial {t} overflows; predictions must be moderate"
+                f"a loss term in stage {i} overflows; predictions must be moderate"
             ) from None
-        total += term
-        stage_end = t == state.stage_end
+        total = _running_total([total, *terms])
         if collect_records:
-            # Neighbor distance is exactly 2^-stage; respond() asserts it.
-            xs.append(x)
-            y_hats.append(y_hat)
-            ys.append(y)
-            es.append(e)
-            ds.append(state.h)
-            terms.append(term)
-        if audit_per_trial or stage_end:
-            audit = audit_energy(state)
-            if audit.recursion_residual > max_resid:
-                max_resid = audit.recursion_residual
-            if audit.j_probe > max_jp:
-                max_jp = audit.j_probe
-            if audit.j_committed > max_jc:
-                max_jc = audit.j_committed
-            if stage_end:
-                per_stage.append(
-                    StageSummary(
-                        state.stage,
-                        state.within,
-                        state.accepted,
-                        audit.j_probe,
-                    )
-                )
+            trials = slice(first, 2 * first)
+            y_hats[trials] = y_hat
+            es[trials] = e
+            ds[trials] = h  # every neighbour is exactly 2^-i away
+            terms_col[trials] = terms
+        for a in audits:
+            max_resid = max(max_resid, a.recursion_residual)
+            max_jp = max(max_jp, a.j_probe)
+            max_jc = max(max_jc, a.j_committed)
+        per_stage.append(StageSummary(i, state.within, state.accepted, audits[-1].j_probe))
     # One check per match: NaN and inf both survive the running sum.
     if not math.isfinite(total):
         raise DomainError(f"total loss {total!r} is not finite; predictions must be")
+    fill = by_stage and type(learner) is not ZeroLearner
     records = None
-    if collect_records:
-        records = Trace(*(np.array(c, dtype=float) for c in (xs, y_hats, ys, es, ds, terms)))
+    if fill or collect_records:
+        # Trial t's input is k[t]·2^-stages on the final grid and its label the
+        # grid value there; the learner and the trace each get their own arrays.
+        k = _time_order(config.stages)
+        spacing = 0.5**config.stages
+        if fill:
+            # The learner holds every knot but (0, 0), in time order.
+            _fill(learner, k * spacing, state.committed[k], np.arange(1, n + 1) * spacing)
+        if collect_records:
+            records = Trace(k * spacing, y_hats, state.committed[k], es, ds, terms_col)
     from .bounds import lower_bound_partial, upper_bound_linint
 
     return MatchResult(

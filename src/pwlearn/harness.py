@@ -16,7 +16,9 @@ from typing import IO, Iterable, Optional
 import numpy as np
 
 from . import pwl
-from .adversary import MAX_STAGES, AdversaryConfig, _check_epsilon, _check_stages, run_match
+from .adversary import (
+    MAX_STAGES, AdversaryConfig, _check_epsilon, _check_int, _check_stages, run_match,
+)
 from .bounds import kl_d_bound
 from .errors import AuditFailure, DomainError
 from .learner import (
@@ -53,12 +55,19 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def validate(self) -> None:
+        """Check every field; the seed and budgets must be integers (a numpy
+        integer is stored as an int, a bool is refused)."""
         # Checking every epsilon up front stops a sweep before its first match.
-        _check_stages(self.stages)
+        self.stages = _check_stages(self.stages)
         for eps in self.epsilons:
             _check_epsilon(eps)
+        self.seed = _check_int("seed", self.seed)
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed!r}")
+        self.runs = _check_int("runs", self.runs)
         if self.runs < 0:
             raise DomainError(f"runs must be nonnegative, got {self.runs!r}")
+        self.max_trials = _check_int("max_trials", self.max_trials)
         if self.max_trials < 2:
             raise DomainError(f"max_trials must be at least 2, got {self.max_trials!r}")
 

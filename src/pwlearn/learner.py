@@ -9,7 +9,9 @@ trial's nearest earlier inputs offline, and for a fresh LinintLearner on
 distinct inputs it computes every prediction from them without calling
 predict/observe. The online predict/observe loop (scalar_predictions) serves
 every other learner and is the reference the offline path must match bit for
-bit.
+bit. The adversary's stage-at-a-time play takes its predictions from
+_midpoint_predictions; _fresh is the one rule for which learners either
+offline path may stand in for.
 """
 
 from __future__ import annotations
@@ -106,7 +108,28 @@ class ZeroLearner(Learner):
         _check_coord(x)
 
 
-class NearestLearner(Learner):
+class _Observed:
+    """What NearestLearner and LinintLearner have observed: _vals maps each
+    input to its label in observation order, and _xs holds the inputs sorted.
+    _fill may leave both unbuilt until their first use."""
+
+    def __init__(self) -> None:
+        self._xs = SortedList()
+        self._vals: dict[float, float] = {}
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails, so never once both exist.
+        pending = self.__dict__.get("_pending")
+        if pending is None or name not in ("_vals", "_xs"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        del self._pending
+        xs, ys, x_sorted = pending
+        self._vals = dict(zip(xs.tolist(), ys.tolist()))
+        self._xs = SortedList(x_sorted.tolist())
+        return self.__dict__[name]
+
+
+class NearestLearner(_Observed, Learner):
     """Predicts the label of the closest observed input.
 
     Ties between the left and right neighbor go to the smaller coordinate.
@@ -114,10 +137,6 @@ class NearestLearner(Learner):
     """
 
     kind = "nearest"
-
-    def __init__(self) -> None:
-        self._xs = SortedList()
-        self._vals: dict[float, float] = {}
 
     def predict(self, x: float) -> float:
         _check_coord(x)
@@ -142,7 +161,7 @@ class NearestLearner(Learner):
         self._vals[x] = y
 
 
-class LinintLearner(Learner):
+class LinintLearner(_Observed, Learner):
     """Predicts by linear interpolation of everything observed so far.
 
     Beyond the extreme observations the prediction is constant; before any
@@ -152,10 +171,6 @@ class LinintLearner(Learner):
     """
 
     kind = "linint"
-
-    def __init__(self) -> None:
-        self._xs = SortedList()
-        self._vals: dict[float, float] = {}
 
     def predict(self, x: float) -> float:
         _check_coord(x)
@@ -263,6 +278,51 @@ def _linint_predictions(
     return np.where(left < 0, v1, np.where(right < 0, v0, chord))
 
 
+def _fresh(learner: Learner) -> bool:
+    """Whether the offline paths may stand in for predict/observe: the learner
+    is of exact built-in type (a subclass may override either) and has
+    observed nothing."""
+    if type(learner) is ZeroLearner:
+        return True
+    return type(learner) in (NearestLearner, LinintLearner) and not learner._vals
+
+
+def _midpoint_predictions(kind: str, grid: np.ndarray, h: float) -> np.ndarray:
+    """A fresh built-in learner's predictions at the midpoints (2w+1)·h,
+    w = 0, 1, ..., of a grid of labels at spacing 2h, when it has observed
+    every grid knot but the one at x = 0 and nothing nearer to any midpoint.
+
+    Midpoint w lies between grid knots w and w + 1. nearest's neighbours tie,
+    and ties go left; linint uses predict's chord in predict's order, not
+    0.5·(vl + vr). With no knot observed at x = 0, both extend grid[1] as a
+    constant at x = h."""
+    vl, vr = grid[:-1], grid[1:]
+    if kind == "zero":
+        return np.zeros(len(vl))
+    if kind == "nearest":
+        y_hat = vl.copy()
+    else:
+        # x - u0 = h and u1 - u0 = 2h exactly.
+        y_hat = vl + h * (vr - vl) / (2.0 * h)
+    y_hat[0] = grid[1]
+    return y_hat
+
+
+def _fill(
+    learner: NearestLearner | LinintLearner,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    x_sorted: np.ndarray,
+) -> None:
+    """Leave a fresh learner as observing each (x, y) in time order would, for
+    distinct inputs: _vals in time order, trial 0 first, and _xs from
+    x_sorted, the same inputs in increasing order. Both are built on first
+    use from the arrays as given, so the caller hands over arrays that nothing
+    else holds; a learner that is never used again never builds them."""
+    del learner._vals, learner._xs
+    learner._pending = (xs, ys, x_sorted)
+
+
 def scalar_predictions(
     learner: Learner, xs: Sequence[float], ys: Sequence[float]
 ) -> list[float]:
@@ -319,10 +379,9 @@ def run_trials(
         first = order[np.searchsorted(x_sorted, xs, side="left")]
         repeat = first < np.arange(n)
         d[repeat] = xs[first[repeat]] - xs[repeat]
-    if distinct and type(learner) is LinintLearner and not learner._vals:
+    if distinct and type(learner) is LinintLearner and _fresh(learner):
         y_hat = _linint_predictions(xs, ys, left, right)
-        learner._vals.update(zip(xs.tolist(), ys.tolist()))
-        learner._xs.update(x_sorted.tolist())
+        _fill(learner, xs.copy(), ys.copy(), x_sorted)  # the trace holds xs and ys
     else:
         y_hat = np.array(scalar_predictions(learner, xs.tolist(), ys.tolist()), dtype=float)
     y_hat[:1] = d[:1] = math.nan

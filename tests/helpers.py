@@ -1,10 +1,11 @@
-"""Shared generators for randomized tests."""
+"""Shared generators for randomized tests, and the adversary's dict oracle."""
 
 import math
 
 import numpy as np
 
-from pwlearn import evaluate, from_points
+from pwlearn import dyadic_x, evaluate, from_points, perturbation, stage_of
+from pwlearn.pwl import _energy_sum
 
 
 def random_function(rng, max_knots=20, min_gap=0.0):
@@ -46,3 +47,41 @@ def random_midpoint_insertion(rng):
         magnitude = 0.25 + abs(float(rng.normal(0.0, 1.0)))
         sign = 1.0 if rng.random() < 0.5 else -1.0
         return S, x, base + math.copysign(magnitude, sign)
+
+
+def dict_energy(knots):
+    """Energy of the interpolant of a coordinate->value mapping, from scratch:
+    the dict-and-argsort summation the adversary's grids must match bit for
+    bit."""
+    m = len(knots)
+    us = np.fromiter(knots.keys(), dtype=float, count=m)
+    vs = np.fromiter(knots.values(), dtype=float, count=m)
+    order = np.argsort(us)
+    return _energy_sum(us[order], vs[order])
+
+
+class DictAdversary:
+    """The adversary's respond on coordinate->value dicts, one trial at a
+    time: the oracle for the grid-based AdversaryState."""
+
+    def __init__(self, epsilon):
+        self.epsilon = epsilon
+        self.committed = {0.0: 0.0, 1.0: 0.0}
+        self.probe = dict(self.committed)
+        self.stage = 0
+
+    def respond(self, t, y_hat):
+        i = stage_of(t)
+        if i > self.stage:
+            self.stage = i
+            self.probe = dict(self.committed)
+        x, h = dyadic_x(t), 0.5**i
+        vl, vr = self.committed[x - h], self.committed[x + h]
+        base = 0.5 * (vl + vr)
+        mag = perturbation(i, self.epsilon)
+        v = base - mag if y_hat > base else base + mag
+        accepted = abs(v - vl) <= h and abs(v - vr) <= h
+        y = v if accepted else base
+        self.committed[x] = y
+        self.probe[x] = v
+        return y, accepted

@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from helpers import DictAdversary, dict_energy
 
 from pwlearn import (
     MAX_STAGES,
@@ -12,8 +13,11 @@ from pwlearn import (
     AdversaryState,
     DomainError,
     Learner,
+    LinintLearner,
+    NearestLearner,
     SequenceError,
     Trace,
+    ZeroLearner,
     audit_energy,
     derivative_norm,
     dyadic_x,
@@ -27,6 +31,8 @@ from pwlearn import (
     upper_bound_linint,
     write_trace_csv,
 )
+from pwlearn.adversary import _audit
+from pwlearn.learner import _fresh
 
 EPS_GRID = (0.4, 0.25, 0.1, 0.05, 0.02)
 
@@ -155,11 +161,12 @@ class TestRespond:
         for t in range(1, 2**8):
             x = dyadic_x(t)
             _, accepted = state.respond(t, 0.0)
+            k = int(x / state.h)  # x_t's index on the stage's grid
             if not accepted:
                 split.append(x)
-                assert state.probe[x] != state.committed[x]
+                assert state.probe[k] != state.committed[k]
             elif stage_of(t) == state.stage:
-                assert state.probe[x] == state.committed[x]
+                assert state.probe[k] == state.committed[k]
         assert split, "expected at least one rejected trial at eps=0.25, S=8"
 
     def test_rejection_keeps_committed_function_unchanged(self):
@@ -170,7 +177,127 @@ class TestRespond:
             value_before = evaluate(before, x)
             _, accepted = state.respond(t, 0.0)
             if not accepted:
-                assert state.committed[x] == value_before
+                assert state.committed[int(x / state.h)] == value_before
+                assert evaluate(state.committed_function(), x) == value_before
+
+    def test_stage_must_start_at_a_boundary(self):
+        state = AdversaryState(0.25)
+        state.respond(1, 0.0)
+        state.respond(2, 0.0)
+        with pytest.raises(SequenceError):
+            state._respond_stage(np.zeros(2))
+
+
+class TestDictOracle:
+    """The grid state against the dict-based adversary it replaced."""
+
+    @pytest.mark.parametrize("eps", [0.45, 0.25, 0.1, 0.02])
+    def test_every_trial_matches_bit_for_bit(self, eps):
+        rng = np.random.default_rng(11)
+        state, oracle = AdversaryState(eps), DictAdversary(eps)
+        for t in range(1, 2**8):
+            # Mostly near the base, some exact ties at 0 early on.
+            y_hat = 0.0 if t % 7 == 0 else float(rng.normal(0.0, 0.05))
+            assert state.respond(t, y_hat) == oracle.respond(t, y_hat)
+            audit = audit_energy(state)
+            assert audit.j_probe == dict_energy(oracle.probe)
+            assert audit.j_committed == dict_energy(oracle.committed)
+            # Mid-stage the committed function holds exactly the knots so far.
+            f = state.committed_function()
+            assert list(zip(f.us, f.vs)) == sorted(oracle.committed.items())
+
+    def test_before_any_trial(self):
+        state = AdversaryState(0.25)
+        f = state.committed_function()
+        assert list(zip(f.us, f.vs)) == [(0.0, 0.0), (1.0, 0.0)]
+
+    def test_whole_stage_matches_trial_by_trial(self):
+        rng = np.random.default_rng(5)
+        batch, single = AdversaryState(0.1), AdversaryState(0.1)
+        t = 1
+        for i in range(1, 9):
+            y_hat = rng.normal(0.0, 0.05, size=2 ** (i - 1))
+            y = batch._respond_stage(y_hat)
+            for w, (yh, y_t) in enumerate(zip(y_hat.tolist(), y.tolist()), start=1):
+                assert single.respond(t, yh)[0] == y_t
+                # Read off the finished grids, the audit after w trials is the
+                # one taken right after trial w.
+                assert _audit(batch, w) == audit_energy(single)
+                t += 1
+            assert batch.committed.tobytes() == single.committed.tobytes()
+            assert batch.probe.tobytes() == single.probe.tobytes()
+            assert vars(batch).keys() == vars(single).keys()
+            for name, value in vars(single).items():
+                if not isinstance(value, np.ndarray):
+                    assert getattr(batch, name) == value, name
+
+
+class LoopZero(ZeroLearner):
+    pass
+
+
+class LoopNearest(NearestLearner):
+    pass
+
+
+class LoopLinint(LinintLearner):
+    pass
+
+
+LOOP_TWINS = {"zero": LoopZero, "nearest": LoopNearest, "linint": LoopLinint}
+
+
+class TestStageAtATime:
+    """run_match's stage-at-a-time path against the trial-by-trial loop, which
+    a subclass of the same learner is forced through."""
+
+    def _both(self, kind, eps, stages, **kwargs):
+        config = AdversaryConfig(eps, stages)
+        fast, slow = make_learner(kind), LOOP_TWINS[kind]()
+        assert _fresh(fast) and not _fresh(slow)
+        return fast, run_match(fast, config, **kwargs), slow, run_match(slow, config, **kwargs)
+
+    @pytest.mark.parametrize("kind", ["zero", "nearest", "linint"])
+    @pytest.mark.parametrize(
+        "eps, stages",
+        [(0.45, 1), (0.49, 2), (0.02, 3), (0.3, 5), (0.1, 7), (0.45, 10), (0.05, 12), (0.49, 14)],
+    )
+    def test_same_bits_as_the_loop(self, kind, eps, stages):
+        fast, a, slow, b = self._both(kind, eps, stages)
+        for column in fields(Trace):
+            assert (
+                getattr(a.records, column.name).tobytes()
+                == getattr(b.records, column.name).tobytes()
+            ), column.name
+        assert a.total_loss == b.total_loss
+        assert a.per_stage == b.per_stage
+        assert a.audit == b.audit
+        # The learner's state is its own: writing over the trace leaves it be.
+        a.records.x[:] = a.records.y[:] = math.nan
+        if kind != "zero":
+            assert list(fast._vals.items()) == list(slow._vals.items())
+            assert list(fast._xs) == list(slow._xs)
+            # The filled learner goes on predicting as the loop's does.
+            for x in (0.0, 0.3, 1.0 / 3.0, 0.999):
+                assert fast.predict(x) == slow.predict(x)
+
+    @pytest.mark.parametrize("kind", ["zero", "nearest", "linint"])
+    @pytest.mark.parametrize("eps, stages", [(0.45, 4), (0.02, 7), (0.49, 10)])
+    def test_per_trial_audit_same_bits_as_the_loop(self, kind, eps, stages):
+        fast, a, slow, b = self._both(
+            kind, eps, stages, collect_records=False, audit_per_trial=True
+        )
+        assert a.total_loss == b.total_loss
+        assert a.per_stage == b.per_stage
+        assert a.audit == b.audit
+        if kind != "zero":
+            assert list(fast._vals.items()) == list(slow._vals.items())
+            assert list(fast._xs) == list(slow._xs)
+
+    def test_learner_with_history_plays_trial_by_trial(self):
+        learner = make_learner("linint")
+        learner.observe(0.5, 0.0)
+        assert not _fresh(learner)
 
 
 class TestAuditEnergy:

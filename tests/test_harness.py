@@ -1,17 +1,22 @@
 import io
+import json
 import math
 
+import numpy as np
 import pytest
 
 from pwlearn import (
+    AdversaryConfig,
     AuditFailure,
     DomainError,
     ExperimentConfig,
     derivative_norm,
     is_member,
+    make_learner,
     lower_bound_partial,
     parse_epsilon_grid,
     run_invariant_audit,
+    run_match,
     run_sweep,
     sample_target,
     upper_bound_linint,
@@ -82,6 +87,38 @@ class TestExperimentConfig:
         config = ExperimentConfig(epsilons=[0.2, 0.5], stages=4)
         with pytest.raises(DomainError, match="bounds subcommand"):
             config.validate()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: AdversaryConfig(0.1, 3.5),
+            lambda: AdversaryConfig(0.1, "3"),
+            lambda: AdversaryConfig(0.1, True),
+            lambda: ExperimentConfig(stages=True).validate(),
+            lambda: ExperimentConfig(stages=np.float64(3.0)).validate(),
+            lambda: ExperimentConfig(runs=1.5).validate(),
+            lambda: ExperimentConfig(runs=False).validate(),
+            lambda: ExperimentConfig(max_trials=2.5).validate(),
+            lambda: ExperimentConfig(seed=1.5).validate(),
+            lambda: ExperimentConfig(seed=-1).validate(),
+        ],
+        ids=[
+            "adversary-float", "adversary-str", "adversary-bool", "stages-bool",
+            "stages-np-float", "runs-float", "runs-bool", "max-trials-float",
+            "seed-float", "seed-negative",
+        ],
+    )
+    def test_non_integer_budget_is_refused_where_it_enters(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    def test_numpy_integer_budget_is_stored_as_int(self):
+        config = ExperimentConfig(stages=np.int64(3), runs=np.int32(2), max_trials=np.int64(9))
+        config.validate()
+        assert [type(v) for v in (config.stages, config.runs, config.max_trials)] == [int] * 3
+        result = run_match(make_learner("zero"), AdversaryConfig(0.1, np.int64(3)))
+        assert type(result.stages) is int
+        assert json.loads(json.dumps(result.to_json_dict()))["stages"] == 3
 
     def test_bad_epsilon_stops_the_sweep_before_any_output(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -344,7 +344,9 @@ class TestOfflineLinint:
         xs, ys = [x for x, _ in seq], [y for _, y in seq]
         oracle = scalar_predictions(LinintLearner(), xs, ys)
         assert _same_bits(fast_trace.y_hat[1:], oracle[1:])
-        # The bulk-filled state is what observing every pair leaves.
+        # The bulk-filled state is what observing every pair leaves, and it is
+        # the learner's own: writing over the trace leaves it be.
+        fast_trace.x[:] = fast_trace.y[:] = math.nan
         assert list(fast._xs) == list(slow._xs)
         assert list(fast._vals.items()) == list(slow._vals.items())
         for x, y in seq:
