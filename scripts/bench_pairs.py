@@ -4,18 +4,20 @@
 Run from the repository root, with the change uncommitted on top of its
 parent:
 
-    python3 scripts/bench_pairs.py --out BENCH_6.json
+    python3 scripts/bench_pairs.py --out BENCH_7.json
 
-HEAD is checked out in a git worktree under ``.perfbench_tmp/`` and removed
-afterwards. For every workload, ``perfbench/run.py --trace 0`` runs PAIRS
-times on each side, on seeds SEED, SEED + 1, ..., the two sides taking turns
-to go first. Each run's final JSON line, digest line and ``env`` line are
-kept. One ``--trace 1`` run per side of LAYERS_WORKLOAD gives the layer rows.
+HEAD's files are unpacked with ``git archive`` under ``.perfbench_tmp/`` and
+removed afterwards. For every workload, ``perfbench/run.py --trace 0`` runs
+PAIRS times on each side, on seeds SEED, SEED + 1, ..., the two sides taking
+turns to go first. Each run's final JSON line, digest line and ``env`` line
+are kept. One ``--trace 1`` run per side and workload gives its layer rows.
 
 Then each CLI command in CLI_COMMANDS runs once per side in a fresh
 interpreter: its wall time, peak RSS (from wait4) and the SHA-256 of its
 stdout and of any file it writes, so the bytes of the two sides can be
-compared.
+compared. Last, the tier-1 suite runs once per side: its wall time and its
+pass and fail counts. A failing test does not stop the script; the counts
+say what failed.
 
 The output JSON holds, per workload and end-to-end metric, the median and
 quartiles of each side and the number of pairs the change won.
@@ -28,6 +30,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -38,7 +41,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TMP = ROOT / ".perfbench_tmp"
 WORKLOADS = ("match-trace", "sweep-learners", "audit")
-LAYERS_WORKLOAD = "sweep-learners"
 PAIRS = 10
 SEED = 11  # the first pair's; pair k runs on SEED + k
 SECONDS = 1.0  # perfbench --seconds
@@ -151,6 +153,22 @@ def time_cli(checkout: Path, argv: list[str], tmp: Path) -> dict:
         shutil.rmtree(tmp)
 
 
+def time_tier1(checkout: Path) -> dict:
+    """Run the tier-1 suite in a checkout: wall time and the counts from
+    pytest's summary line. Failures are counted, not fatal."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+           "--continue-on-collection-errors"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|errors?)", summary)}
+    failed = re.findall(r"^FAILED (\S+)", proc.stdout, re.MULTILINE)
+    return {"wall_s": wall, "exit_code": proc.returncode, "summary": summary,
+            **counts, "failed_tests": failed}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, help="where to write the JSON summary")
@@ -159,7 +177,10 @@ def main(argv=None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     commit = _git("rev-parse", "HEAD")
     parent = TMP / f"parent-{commit[:12]}"
-    _git("worktree", "add", "--detach", str(parent), commit)
+    parent.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
     try:
         report = {
             "parent": {"commit": commit},
@@ -170,10 +191,10 @@ def main(argv=None) -> int:
             "workloads": {w: compare_workload(parent, w, metrics) for w in WORKLOADS},
         }
         report["layers"] = {
-            "workload": LAYERS_WORKLOAD,
-            "seed": SEED,
-            **{side: _bench(checkout, LAYERS_WORKLOAD, SEED, 1)
-               for side, checkout in (("parent", parent), ("change", ROOT))},
+            w: {"seed": SEED,
+                **{side: _bench(checkout, w, SEED, 1)
+                   for side, checkout in (("parent", parent), ("change", ROOT))}}
+            for w in WORKLOADS
         }
         cli = report["cli"] = {}
         for name, cli_argv in CLI_COMMANDS:
@@ -184,8 +205,12 @@ def main(argv=None) -> int:
             print(f"{name}: parent {sides['parent']['wall_s']:.2f} s, change "
                   f"{sides['change']['wall_s']:.2f} s, same bytes "
                   f"{sides['same_bytes']}", file=sys.stderr)
+        tier1 = report["tier1"] = {}
+        for side, checkout in (("parent", parent), ("change", ROOT)):
+            tier1[side] = time_tier1(checkout)
+            print(f"tier-1 {side}: {tier1[side]['summary']}", file=sys.stderr)
     finally:
-        _git("worktree", "remove", "--force", str(parent))
+        shutil.rmtree(parent, ignore_errors=True)
         with contextlib.suppress(OSError):
             TMP.rmdir()
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")

@@ -34,6 +34,7 @@ a-time path matches bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -446,12 +447,13 @@ def run_match(
             y = state.committed[1::2]
         e = np.abs(y_hat - y)
         try:
-            terms = [v**p for v in e.tolist()]
+            # libm pow, the bits of float **, into an array: no list of terms.
+            terms = np.fromiter(map(math.pow, e.tolist(), itertools.repeat(p)), float, len(e))
         except OverflowError:
             raise DomainError(
                 f"a loss term in stage {i} overflows; predictions must be moderate"
             ) from None
-        total = _running_total([total, *terms])
+        total = _running_total(np.append(total, terms))
         if collect_records:
             trials = slice(first, 2 * first)
             y_hats[trials] = y_hat

@@ -131,11 +131,12 @@ def _apply_config_file(args: argparse.Namespace) -> None:
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
-    result = run_match(
-        make_learner(args.learner),
-        AdversaryConfig(args.epsilon, args.stages),
-        collect_records=bool(args.out),
-    )
+    config = AdversaryConfig(args.epsilon, args.stages)
+    if args.out:
+        # Like sweep: bad flags leave no file, an unwritable path plays no
+        # trial. Append mode leaves an old trace whole until the write.
+        open(args.out, "a").close()
+    result = run_match(make_learner(args.learner), config, collect_records=bool(args.out))
     if args.out:
         write_trace_csv(result.records, args.out)
     json.dump(result.to_json_dict(), sys.stdout)

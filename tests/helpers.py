@@ -1,10 +1,13 @@
-"""Shared generators for randomized tests, and the adversary's dict oracle."""
+"""Shared generators for randomized tests, the adversary's dict oracle and the
+trace CSV oracle."""
 
+import csv
 import math
 
 import numpy as np
 
 from pwlearn import dyadic_x, evaluate, from_points, perturbation, stage_of
+from pwlearn.learner import TRACE_HEADER, open_out
 from pwlearn.pwl import _energy_sum
 
 
@@ -85,3 +88,27 @@ class DictAdversary:
         self.committed[x] = y
         self.probe[x] = v
         return y, accepted
+
+
+def csv_writer_trace(trace, out):
+    """The trace CSV written by csv.writer, one format(v, ".17g") call per
+    field and a running cum += term: the oracle write_trace_csv must match
+    byte for byte."""
+
+    def fmt_exact(value):
+        return format(value, ".17g")
+
+    with open_out(out) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_HEADER)
+        n = len(trace)
+        if n:
+            x0, y0 = float(trace.x[0]), float(trace.y[0])
+            writer.writerow([0, fmt_exact(x0), "", fmt_exact(y0), "", "", "", ""])
+        columns = (trace.x, trace.y_hat, trace.y, trace.e, trace.d, trace.loss_term)
+        cum = 0.0
+        for t, x, y_hat, y, e, d, term in zip(range(1, n), *(c[1:].tolist() for c in columns)):
+            cum += term
+            writer.writerow(
+                [t, *(fmt_exact(v) for v in (x, y_hat, y, e, d, term, cum))]
+            )

@@ -3,7 +3,14 @@ import math
 
 import pytest
 
-from pwlearn import cli, function_to_json, from_points, lower_bound_partial, upper_bound_linint
+from pwlearn import (
+    DomainError,
+    cli,
+    function_to_json,
+    from_points,
+    lower_bound_partial,
+    upper_bound_linint,
+)
 
 
 def run_cli(args):
@@ -47,6 +54,37 @@ class TestMatch:
         assert run_cli(args + ["--out", str(tmp_path / "trace.csv")]) == 0
         capsys.readouterr()
         assert seen == [(False, False), (True, True)]
+
+    def test_unwritable_trace_path_exits_three_before_any_trial(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_match(*args, **kwargs):
+            raise AssertionError("run_match was called")
+
+        monkeypatch.setattr(cli, "run_match", no_match)
+        out = tmp_path / "no" / "such" / "dir" / "t.csv"
+        code = run_cli(["match", "--epsilon", "0.25", "--stages", "24", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:")
+        assert "Traceback" not in err
+
+    def test_failed_match_leaves_an_old_trace_whole(self, tmp_path, monkeypatch, capsys):
+        def failing_match(*args, **kwargs):
+            raise DomainError("no match")
+
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"old trace\r\n")
+        monkeypatch.setattr(cli, "run_match", failing_match)
+        assert run_cli(["match", "--epsilon", "0.25", "--out", str(out)]) == 1
+        capsys.readouterr()
+        assert out.read_bytes() == b"old trace\r\n"
+
+    def test_bad_flags_leave_no_trace_file(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run_cli(["match", "--epsilon", "0.7", "--out", str(out)]) == 1
+        capsys.readouterr()
+        assert not out.exists()
 
     def test_stage_ceiling_exits_one_with_message(self, capsys):
         code = run_cli(["match", "--epsilon", "0.25", "--stages", "25"])

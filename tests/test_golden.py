@@ -10,6 +10,9 @@ from pwlearn import cli
 AUDIT_STDOUT = "de2289b2ed4dc7ad9b64765b072bcec834b563ea3f099af2f95c7c4e4dda4cdc"
 MATCH_STDOUT = "1ee79e31280d509633a136a636d1d025d6580c08bb3ff629aae9565b1fc928d1"
 MATCH_TRACE_CSV = "717d1528ab1b49d000808d1600c19e29171056db00e8de89883f0a2a8eb3f719"
+# S=13: 8,192 rows, so the trace spans two of the writer's 4,096-row chunks.
+# Frozen from the csv.writer trace writer, before the one-template writer.
+MATCH_TRACE_CSV_S13 = "2e290483a8436a1d60a5a39397c2e2b2d5e4642639cbb1859ffb55d6b23b71c8"
 
 
 def _sha256(data: bytes) -> str:
@@ -27,3 +30,11 @@ def test_match_json_and_trace_csv_bytes(tmp_path, capsys):
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == MATCH_STDOUT
     assert _sha256(out.read_bytes()) == MATCH_TRACE_CSV
+
+
+def test_trace_csv_bytes_across_chunks(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    argv = ["match", "--learner", "linint", "--epsilon", "0.1", "--stages", "13"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha256(out.read_bytes()) == MATCH_TRACE_CSV_S13

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from sortedcontainers import SortedList
 
 from pwlearn import (
@@ -29,7 +29,7 @@ from pwlearn import (
 from pwlearn import learner as learner_module
 from pwlearn.learner import TRACE_HEADER, scalar_predictions
 
-from helpers import random_function
+from helpers import csv_writer_trace, random_function
 
 
 def target_sequence(rng, target, m):
@@ -535,3 +535,75 @@ class TestTraceCsv:
         out = tmp_path / "trace.csv"
         write_trace_csv(trace, out)
         assert out.read_text().startswith("t,x,y_hat,y,e,d,loss_term,cum_loss")
+
+    def test_chunked_rows_match_the_csv_writer_oracle(self, tmp_path):
+        # Row counts on both sides of each 4096-row chunk boundary.
+        rng = np.random.default_rng(61)
+        for n in (0, 1, 2, 4095, 4096, 4097, 4098, 8193):
+            columns = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-30, 30, (6, n))
+            columns[:, :1] = math.nan  # trial 0's uncharged fields
+            columns[5] = np.abs(columns[5])
+            _assert_same_csv(Trace(*columns), tmp_path)
+
+    @pytest.mark.parametrize(
+        "value",
+        [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-300, 1e17, math.nan, math.inf, -math.inf],
+    )
+    def test_special_values_match_the_csv_writer_oracle(self, tmp_path, value):
+        rng = np.random.default_rng(67)
+        columns = rng.random((6, 9))
+        columns[:, 3:6] = value  # a run of three in every column, trial 0's too
+        columns[:, 0] = value
+        _assert_same_csv(Trace(*columns), tmp_path)
+
+    def test_leading_negative_zero_terms_sum_to_positive_zero(self, tmp_path):
+        columns = np.zeros((6, 5))
+        columns[5] = [math.nan, -0.0, -0.0, 0.5, -0.0]
+        _assert_same_csv(Trace(*columns), tmp_path)
+
+
+def _assert_same_csv(trace, tmp_path):
+    """write_trace_csv gives the oracle's bytes, to a path and to a stream."""
+    got, want = io.StringIO(), io.StringIO()
+    write_trace_csv(trace, got)
+    csv_writer_trace(trace, want)
+    assert got.getvalue() == want.getvalue()
+    write_trace_csv(trace, tmp_path / "got.csv")
+    csv_writer_trace(trace, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@given(st.floats())
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(-0.0)
+@example(5e-324)
+def test_percent_format_is_format_for_every_float(v):
+    # The trace CSV's row template rests on this identity.
+    assert "%.17g" % v == format(v, ".17g")
+
+
+def _pow_or_overflow(pow_, v, p):
+    try:
+        return struct.pack("<d", pow_(v, p))
+    except OverflowError:
+        return "overflow"
+
+
+@given(
+    st.floats(min_value=0.0),
+    st.one_of(
+        st.sampled_from([1.02, 1.1, 1.37, 1.5, 2.0, 3.0]),
+        st.floats(min_value=1.0, max_value=4.0, exclude_min=True),
+    ),
+)
+@example(math.inf, 1.5)
+@example(math.nan, 1.1)
+@example(0.0, 1.1)
+@example(1e300, 2.0)
+@example(5e-324, 1.02)
+def test_math_pow_has_the_bits_of_float_pow(v, p):
+    # run_match's loss terms use math.pow; it must agree with float ** bit
+    # for bit, overflow included.
+    assert _pow_or_overflow(math.pow, v, p) == _pow_or_overflow(float.__pow__, v, p)
