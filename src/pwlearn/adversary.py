@@ -34,7 +34,6 @@ a-time path matches bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -45,7 +44,8 @@ import numpy as np
 from . import pwl
 from .errors import DomainError, SequenceError
 from .learner import (
-    Learner, Trace, ZeroLearner, _fill, _fresh, _midpoint_predictions, _running_total,
+    Learner, Trace, ZeroLearner, _fill, _fresh, _midpoint_predictions, _pow_terms,
+    _running_total,
 )
 
 __all__ = [
@@ -283,17 +283,12 @@ class AdversaryState:
         return pwl.from_points(zip((k * self.h).tolist(), self.committed[k].tolist()))
 
 
-def _audit(state: AdversaryState, within: int) -> EnergyAudit:
-    # audit_energy as it reads after the stage's first `within` trials; the
-    # grids' later entries are never read, so it may run after the stage.
-    k = state._filled(within)
-    us = k * state.h
-    j_probe = pwl._energy_sum(us, state.probe[k])
-    j_committed = pwl._energy_sum(us, state.committed[k])
+def _recursion_residual(state: AdversaryState, within, j_probe):
+    # |J_probe - expected| after the stage's first `within` trials; on arrays
+    # too, elementwise with the same operations.
     eps = state.epsilon
     step = eps * (1.0 - eps) ** state.stage / 2.0 ** (state.stage + 1)
-    expected = state.stage_start_energy + within * step
-    return EnergyAudit(j_probe, j_committed, abs(j_probe - expected))
+    return abs(j_probe - (state.stage_start_energy + within * step))
 
 
 def audit_energy(state: AdversaryState) -> EnergyAudit:
@@ -305,7 +300,39 @@ def audit_energy(state: AdversaryState) -> EnergyAudit:
     difference between that and the scratch recomputation.
     """
     # Before stage 1 nothing has been proposed: within = 0, so expected = 0.
-    return _audit(state, state.within)
+    k = state._filled(state.within)
+    us = k * state.h
+    j_probe = pwl._energy_sum(us, state.probe[k])
+    j_committed = pwl._energy_sum(us, state.committed[k])
+    return EnergyAudit(j_probe, j_committed, _recursion_residual(state, state.within, j_probe))
+
+
+def _stage_audits(state: AdversaryState, per_trial: bool) -> np.ndarray:
+    """audit_energy as it read right after each trial of the stage just
+    played, or after its last trial only, with the same bits: rows j_probe,
+    j_committed and residual, one column per audit.
+
+    After w trials the knots in coordinate order are the grid indices 0..2w,
+    then the even indices after 2w (see _filled). Their segments are the
+    first 2w segments of the full grid followed by the even knots' segments
+    from the w-th on (the w-th joins 2w and 2w + 2). So every audit sums a
+    row of the same terms, in the same order, as _energy_sum does.
+    """
+    last = state.within
+    us = np.arange(len(state.committed)) * state.h
+    if per_trial:
+        within = np.arange(1, last + 1)
+        grids = np.stack((state.probe, state.committed))
+        full = pwl._energy_terms(us, grids)
+        even = pwl._energy_terms(us[::2], grids[:, ::2])
+        sums = np.empty((2, last))
+        for w in within.tolist():
+            sums[:, w - 1] = np.concatenate((full[:, : 2 * w], even[:, w:]), axis=1).sum(axis=1)
+    else:
+        # After the last trial every grid index is filled.
+        within = last
+        sums = np.array([[pwl._energy_sum(us, grid)] for grid in (state.probe, state.committed)])
+    return np.vstack((sums, _recursion_residual(state, within, sums[0])))
 
 
 @dataclass(frozen=True)
@@ -361,10 +388,11 @@ class MatchResult:
 
 def _play_stage(
     learner: Learner, state: AdversaryState, xs: np.ndarray, audit_per_trial: bool
-) -> tuple[np.ndarray, list[EnergyAudit]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One stage trial by trial through predict, respond and observe, with
     audit_energy after every trial or after the last: the reference the
-    stage-at-a-time path matches. Returns the predictions and the audits."""
+    stage-at-a-time path matches. Returns the predictions and the audits as
+    _stage_audits does: rows j_probe, j_committed and residual."""
     y_hats: list[float] = []
     audits: list[EnergyAudit] = []
     first = state.next_t
@@ -376,7 +404,7 @@ def _play_stage(
         y_hats.append(y_hat)
         if audit_per_trial or t == last:
             audits.append(audit_energy(state))
-    return np.array(y_hats, dtype=float), audits
+    return np.array(y_hats, dtype=float), np.array(audits).T
 
 
 def _time_order(stages: int) -> np.ndarray:
@@ -439,16 +467,16 @@ def run_match(
         if by_stage:
             y_hat = _midpoint_predictions(learner.kind, state.committed, h)
             y = state._respond_stage(y_hat)
-            audited = range(1, first + 1) if audit_per_trial else (first,)
-            audits = [_audit(state, w) for w in audited]
+            j_probe, j_committed, residual = _stage_audits(state, audit_per_trial)
         else:
             x = (2.0 * np.arange(first) + 1.0) * h
-            y_hat, audits = _play_stage(learner, state, x, audit_per_trial)
+            y_hat, (j_probe, j_committed, residual) = _play_stage(
+                learner, state, x, audit_per_trial
+            )
             y = state.committed[1::2]
         e = np.abs(y_hat - y)
         try:
-            # libm pow, the bits of float **, into an array: no list of terms.
-            terms = np.fromiter(map(math.pow, e.tolist(), itertools.repeat(p)), float, len(e))
+            terms = _pow_terms(e.tolist(), p)
         except OverflowError:
             raise DomainError(
                 f"a loss term in stage {i} overflows; predictions must be moderate"
@@ -460,11 +488,10 @@ def run_match(
             es[trials] = e
             ds[trials] = h  # every neighbour is exactly 2^-i away
             terms_col[trials] = terms
-        for a in audits:
-            max_resid = max(max_resid, a.recursion_residual)
-            max_jp = max(max_jp, a.j_probe)
-            max_jc = max(max_jc, a.j_committed)
-        per_stage.append(StageSummary(i, state.within, state.accepted, audits[-1].j_probe))
+        max_resid = max(max_resid, float(residual.max()))
+        max_jp = max(max_jp, float(j_probe.max()))
+        max_jc = max(max_jc, float(j_committed.max()))
+        per_stage.append(StageSummary(i, state.within, state.accepted, float(j_probe[-1])))
     # One check per match: NaN and inf both survive the running sum.
     if not math.isfinite(total):
         raise DomainError(f"total loss {total!r} is not finite; predictions must be")

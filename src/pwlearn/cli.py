@@ -217,6 +217,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         stages=args.stages,
         max_trials=args.max_trials,
     )
+    if args.out:
+        # As match does: bad flags leave no file, an unwritable path runs no
+        # audit, and an old report stays whole until it is rewritten.
+        config.validate()
+        open(args.out, "a").close()
     try:
         report = run_invariant_audit(config)
     except AuditFailure as exc:

@@ -82,8 +82,8 @@ def parse_epsilon_grid(text: str) -> list[float]:
             a, b, n = float(parts[1]), float(parts[2]), int(parts[3])
         except ValueError as exc:
             raise DomainError(f"bad grid spec {text!r}: {exc}") from exc
-        if a <= 0.0 or b <= 0.0:
-            raise DomainError("log grid endpoints must be positive")
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise DomainError(f"log grid endpoints must be positive and finite, got {a!r}, {b!r}")
         if n < 0:
             raise DomainError("log grid size must be nonnegative")
         return [float(e) for e in np.geomspace(a, b, n)]
@@ -258,10 +258,8 @@ def audit_trace_run(
     xs = _distinct_uniform(rng, int(rng.integers(2, max_trials + 1)))
     pairs = np.column_stack((xs, pwl.evaluate_many(target, xs)))
     trace, account = run_trials(LinintLearner(), pairs, p=2.0)
-    d_sums = {}
-    for r in D_EXPONENTS:
-        e2d, d_sums[r] = kl_invariants(trace, r)
-    return account, e2d, d_sums, float(xs[0])
+    e2d, *d_sums = kl_invariants(trace, *D_EXPONENTS)
+    return account, e2d, dict(zip(D_EXPONENTS, d_sums)), float(xs[0])
 
 
 def run_invariant_audit(config: ExperimentConfig) -> AuditReport:

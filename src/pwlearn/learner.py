@@ -16,6 +16,7 @@ offline path may stand in for.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from contextlib import contextmanager
@@ -220,6 +221,13 @@ def _running_total(values) -> float:
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
+def _pow_terms(values: list[float], p: float) -> np.ndarray:
+    """Every value ** p as a float64 array, with the bits of Python's float **
+    (libm pow; np.power differs in the last ulp) and no list of terms built.
+    An overflowing term raises OverflowError, as ** does."""
+    return np.fromiter(map(math.pow, values, itertools.repeat(p)), float, len(values))
+
+
 def _check_pairs(xs: np.ndarray, ys: np.ndarray) -> None:
     """Refuse a non-finite value or a coordinate outside [0, 1], naming the
     first bad trial. Every comparison fails on NaN, so NaN cannot pass."""
@@ -399,14 +407,19 @@ def run_trials(
     return trace, LossAccount(p=p, total=total, trials=max(n - 1, 0))
 
 
-def kl_invariants(trace: Trace, r: float) -> tuple[float, float]:
-    """Trace sums (sum of e^2/d, sum of d^r) over charged trials.
+def kl_invariants(trace: Trace, r: float, *more_r: float) -> tuple[float, ...]:
+    """Trace sums over charged trials: (sum of e^2/d, sum of d^r, then sum of
+    d^r' for each further exponent r' in more_r). One call for several
+    exponents computes e^2/d and the list of d once.
 
-    Requires distinct input coordinates: a repeated input gives d = 0 and
-    raises DegenerateInput instead of dividing by it.
+    Every exponent must exceed 1. Requires distinct input coordinates: a
+    repeated input gives d = 0 and raises DegenerateInput instead of
+    dividing by it.
     """
-    if not r > 1.0:
-        raise DomainError(f"exponent r must exceed 1, got {r!r}")
+    exponents = (r, *more_r)
+    for q in exponents:
+        if not q > 1.0:
+            raise DomainError(f"exponent r must exceed 1, got {q!r}")
     e, d = trace.e[1:], trace.d[1:]
     repeats = np.flatnonzero(d == 0.0)
     if repeats.size:
@@ -414,8 +427,8 @@ def kl_invariants(trace: Trace, r: float) -> tuple[float, float]:
         raise DegenerateInput(
             f"repeated input coordinate at trial {t} (x={float(trace.x[t])!r})"
         )
-    # Python's float ** (libm pow), not np.power, which differs in the last ulp.
-    return _running_total(e * e / d), _running_total([v**r for v in d.tolist()])
+    dl = d.tolist()
+    return (_running_total(e * e / d), *(_running_total(_pow_terms(dl, q)) for q in exponents))
 
 
 TRACE_HEADER = ("t", "x", "y_hat", "y", "e", "d", "loss_term", "cum_loss")

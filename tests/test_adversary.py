@@ -31,7 +31,7 @@ from pwlearn import (
     upper_bound_linint,
     write_trace_csv,
 )
-from pwlearn.adversary import _audit
+from pwlearn.adversary import _stage_audits
 from pwlearn.learner import _fresh
 
 EPS_GRID = (0.4, 0.25, 0.1, 0.05, 0.02)
@@ -218,18 +218,57 @@ class TestDictOracle:
         for i in range(1, 9):
             y_hat = rng.normal(0.0, 0.05, size=2 ** (i - 1))
             y = batch._respond_stage(y_hat)
-            for w, (yh, y_t) in enumerate(zip(y_hat.tolist(), y.tolist()), start=1):
+            # Read off the finished grids, the audit after w trials is the one
+            # taken right after trial w.
+            audits = _stage_audits(batch, per_trial=True)
+            assert audits.shape == (3, len(y))
+            for yh, y_t, audit in zip(y_hat.tolist(), y.tolist(), audits.T.tolist()):
                 assert single.respond(t, yh)[0] == y_t
-                # Read off the finished grids, the audit after w trials is the
-                # one taken right after trial w.
-                assert _audit(batch, w) == audit_energy(single)
+                assert tuple(audit) == audit_energy(single)
                 t += 1
+            stage_end = _stage_audits(batch, per_trial=False)
+            assert stage_end.tolist() == [[v] for v in audit_energy(single)]
             assert batch.committed.tobytes() == single.committed.tobytes()
             assert batch.probe.tobytes() == single.probe.tobytes()
             assert vars(batch).keys() == vars(single).keys()
             for name, value in vars(single).items():
                 if not isinstance(value, np.ndarray):
                     assert getattr(batch, name) == value, name
+
+    @pytest.mark.parametrize(
+        "eps, stages", [(0.45, 12), (0.25, 10), (0.1, 11), (0.02, 12), (0.001, 10)]
+    )
+    def test_every_stage_audit_matches_the_scalar_audit_and_the_dicts(self, eps, stages):
+        rng = np.random.default_rng(23)
+        batch, single, oracle = AdversaryState(eps), AdversaryState(eps), DictAdversary(eps)
+        t = 1
+        rejected = 0
+        for i in range(1, stages + 1):
+            if i % 3 == 0:
+                # Predictions near the base, some exact ties at 0.
+                y_hat = rng.normal(0.0, perturbation(i, eps), size=2 ** (i - 1))
+                y_hat[::7] = 0.0
+            else:
+                # Far below: every proposal goes up, which steepens the
+                # committed function; at eps 0.25 and 0.1 some trials are
+                # then rejected, so probe and committed grids differ.
+                y_hat = np.full(2 ** (i - 1), -1.0)
+            batch._respond_stage(y_hat)
+            audits = _stage_audits(batch, per_trial=True).T.tolist()
+            for audit, yh in zip(audits, y_hat.tolist(), strict=True):
+                y, accepted = single.respond(t, yh)
+                assert oracle.respond(t, yh) == (y, accepted)
+                rejected += not accepted
+                want = audit_energy(single)
+                assert [v.hex() for v in audit] == [v.hex() for v in want]
+                # The dict oracle's from-scratch sums are slow past S = 9, so
+                # it checks every trial of the first 9 stages, then a sample.
+                if i <= 9 or t % 29 == 0 or t == 2**i - 1:
+                    assert audit[0] == dict_energy(oracle.probe)
+                    assert audit[1] == dict_energy(oracle.committed)
+                t += 1
+        if eps in (0.25, 0.1):
+            assert rejected
 
 
 class LoopZero(ZeroLearner):

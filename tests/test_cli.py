@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -224,6 +225,18 @@ class TestSweep:
         assert run_cli(["sweep", "--epsilons", "0.6", "--stages", "4"]) == 1
 
 
+@pytest.mark.parametrize("command", ["sweep", "bounds"])
+@pytest.mark.parametrize("spec", ["log:0.01:inf:3", "log:nan:0.3:3", "log:inf:0.3:2"])
+def test_non_finite_log_grid_endpoint_exits_one_without_warnings(command, spec, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli([command, "--epsilon-grid", spec])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: log grid endpoints must be positive and finite")
+    assert "Warning" not in err
+
+
 class TestBounds:
     def test_single_epsilon_row(self, capsys):
         code = run_cli(["bounds", "--epsilon", "0.25"])
@@ -276,6 +289,36 @@ class TestAudit:
         )
         assert code == 0
         assert json.loads(out.read_text())["runs"] == 2
+
+    def test_unwritable_report_path_exits_three_before_any_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_audit(*args, **kwargs):
+            raise AssertionError("run_invariant_audit was called")
+
+        monkeypatch.setattr(cli, "run_invariant_audit", no_audit)
+        out = tmp_path / "no" / "such" / "dir" / "report.json"
+        assert run_cli(["audit", "--runs", "1000", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:")
+        assert "Traceback" not in err
+
+    def test_failed_audit_leaves_an_old_report_whole(self, tmp_path, monkeypatch, capsys):
+        def failing_audit(*args, **kwargs):
+            raise DomainError("no audit")
+
+        out = tmp_path / "report.json"
+        out.write_bytes(b"old report\n")
+        monkeypatch.setattr(cli, "run_invariant_audit", failing_audit)
+        assert run_cli(["audit", "--runs", "2", "--out", str(out)]) == 1
+        capsys.readouterr()
+        assert out.read_bytes() == b"old report\n"
+
+    def test_bad_flags_leave_no_report_file(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run_cli(["audit", "--runs", "-1", "--out", str(out)]) == 1
+        capsys.readouterr()
+        assert not out.exists()
 
 
 class TestEval:

@@ -70,7 +70,9 @@ class TestParseEpsilonGrid:
         assert parse_epsilon_grid("") == []
 
     @pytest.mark.parametrize(
-        "text", ["log:0:1:5", "log:0.1:0.4", "log:a:b:5", "0.1,zebra"]
+        "text",
+        ["log:0:1:5", "log:0.1:0.4", "log:a:b:5", "0.1,zebra",
+         "log:0.01:inf:3", "log:nan:0.3:3", "log:inf:inf:2"],
     )
     def test_bad_specs(self, text):
         with pytest.raises(DomainError):

@@ -426,6 +426,28 @@ class TestKlInvariants:
         with pytest.raises(DomainError):
             kl_invariants([], 1.0)
 
+    def test_several_exponents_in_one_call_equal_separate_calls(self):
+        rng = np.random.default_rng(19)
+        exponents = (1.5, 2.0, 3.0, 1.1, 7.0)
+        for m in (2, 3, 17, 500):
+            seq = [(float(x), float(y)) for x, y in rng.random((m, 2))]
+            trace, _ = run_trials(LinintLearner(), seq, p=2.0)
+            got = kl_invariants(trace, *exponents)
+            want = [kl_invariants(trace, r) for r in exponents]
+            assert [v.hex() for v in got] == [
+                want[0][0].hex(), *(d_sum.hex() for _, d_sum in want)
+            ]
+            assert kl_invariants(trace, r=2.0) == want[1]
+        repeated, _ = run_trials(ZeroLearner(), [(0.5, 1.0), (0.25, 0.0), (0.5, 1.0)], p=2.0)
+        for args in ((2.0,), (2.0, 3.0), (1.5, 2.0, 3.0)):
+            with pytest.raises(DegenerateInput, match="trial 2"):
+                kl_invariants(repeated, *args)
+        for args in ((1.0,), (2.0, 1.0), (2.0, 3.0, math.nan)):
+            with pytest.raises(DomainError, match="exponent"):
+                kl_invariants(trace, args[-1])
+            with pytest.raises(DomainError, match="exponent"):
+                kl_invariants(trace, *args)
+
     def test_error_sum_bounded_by_one_for_linint(self):
         # Holds for any target with derivative 2-norm <= 1 and any distinct
         # input sequence; exercised over random targets and orderings.

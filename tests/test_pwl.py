@@ -167,6 +167,18 @@ class TestEnergy:
             approx = integrate_energy_oracle(f, 10**6)
             assert approx == pytest.approx(exact, rel=1e-4)
 
+    def test_row_sums_have_the_bits_of_one_dimensional_sums(self):
+        # The adversary's stage audits sum two rows of segment terms at once;
+        # numpy's pairwise summation must run per row, across its 8-element
+        # unrolling and 128-element blocks, for them to equal _energy_sum.
+        rng = np.random.default_rng(13)
+        terms = rng.random((2, 8200)) * np.exp(rng.normal(0.0, 8.0, size=(2, 8200)))
+        for n in range(1, 4101):
+            w = n // 3
+            pair = np.concatenate((terms[:, :w], terms[:, 8200 - (n - w) :]), axis=1)
+            got = pair.sum(axis=1).tolist()
+            assert got == [float(np.sum(pair[0])), float(np.sum(pair[1]))], n
+
 
 class TestEnergyOracle:
     def test_zero_function(self):
