@@ -48,6 +48,9 @@ SECONDS = 1.0  # perfbench --seconds
 # (name, argv after "python -m pwlearn.cli"); "{tmp}" is a scratch directory.
 CLI_COMMANDS = (
     ("audit --runs 1000 --seed 7", ["audit", "--runs", "1000", "--seed", "7"]),
+    # Runs of up to 10^5 trials, which perfbench's workloads do not reach.
+    ("audit --runs 20 --seed 7 --max-trials 100000",
+     ["audit", "--runs", "20", "--seed", "7", "--max-trials", "100000"]),
     ("match --epsilon 0.1 --stages 20", ["match", "--epsilon", "0.1", "--stages", "20"]),
     ("match --epsilon 0.1 --stages 20 --out",
      ["match", "--epsilon", "0.1", "--stages", "20", "--out", "{tmp}/trace.csv"]),

@@ -56,7 +56,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Check every field; the seed and budgets must be integers (a numpy
-        integer is stored as an int, a bool is refused)."""
+        integer is stored as an int, a bool is refused). max_trials is capped
+        at 2^MAX_STAGES, the adversary's desk-scale ceiling."""
         # Checking every epsilon up front stops a sweep before its first match.
         self.stages = _check_stages(self.stages)
         for eps in self.epsilons:
@@ -68,8 +69,11 @@ class ExperimentConfig:
         if self.runs < 0:
             raise DomainError(f"runs must be nonnegative, got {self.runs!r}")
         self.max_trials = _check_int("max_trials", self.max_trials)
-        if self.max_trials < 2:
-            raise DomainError(f"max_trials must be at least 2, got {self.max_trials!r}")
+        if not 2 <= self.max_trials <= 1 << MAX_STAGES:
+            raise DomainError(
+                f"max_trials must lie in 2..{1 << MAX_STAGES} (2^{MAX_STAGES} trials is the "
+                f"desk-scale ceiling), got {self.max_trials!r}"
+            )
 
 
 def parse_epsilon_grid(text: str) -> list[float]:
@@ -128,10 +132,10 @@ def sample_target(q: float, knot_count: int, seed) -> pwl.PiecewiseLinearFunctio
 
     Coordinates are knot_count sorted uniforms including 0 and 1; values are
     standard normal, rescaled by 1/norm whenever the norm exceeds 1. The seed
-    fully determines the result (numpy PCG64).
+    fully determines the result (numpy PCG64). A q below 1 or NaN raises
+    DomainError.
     """
-    if q != math.inf and q < 1.0:
-        raise DomainError(f"norm order must be >= 1 or inf, got {q!r}")
+    pwl._check_norm_order(q)
     if knot_count < 2:
         raise DomainError(f"knot_count must be at least 2, got {knot_count!r}")
     return _sample_target_rng(q, knot_count, np.random.default_rng(seed))
@@ -280,10 +284,12 @@ def run_invariant_audit(config: ExperimentConfig) -> AuditReport:
     if config.runs == 0:
         return report
     violations: list[str] = []
-    children = np.random.SeedSequence(config.seed).spawn(config.runs)
+    # Spawning one child a run gives the children spawn(config.runs) would,
+    # without holding them all.
+    seeds = np.random.SeedSequence(config.seed)
     for k in range(config.runs):
         account, e2d, d_sums, first_x = audit_trace_run(
-            np.random.default_rng(children[k]), config.max_trials
+            np.random.default_rng(seeds.spawn(1)[0]), config.max_trials
         )
         report.trials_total += account.trials
         if account.total > report.worst_p2_loss:

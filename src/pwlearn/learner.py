@@ -5,13 +5,15 @@ label via observe(x, y). The prediction on trial 0 is uncharged; loss is the
 sum of |prediction - label|^p over trials t >= 1.
 
 run_trials knows the whole (x, y) sequence in advance, so it finds every
-trial's nearest earlier inputs offline, and for a fresh LinintLearner on
-distinct inputs it computes every prediction from them without calling
-predict/observe. The online predict/observe loop (scalar_predictions) serves
-every other learner and is the reference the offline path must match bit for
-bit. The adversary's stage-at-a-time play takes its predictions from
-_midpoint_predictions; _fresh is the one rule for which learners either
-offline path may stand in for.
+trial's nearest earlier inputs offline, in a few vector rounds of pointer
+jumping over the trial indices in input order (_earlier_neighbours, whose
+oracle is the linked-list pass in tests/helpers.py). For a fresh
+LinintLearner on distinct inputs it computes every prediction from them
+without calling predict/observe. The online predict/observe loop
+(scalar_predictions) serves every other learner and is the reference the
+offline path must match bit for bit. The adversary's stage-at-a-time play
+takes its predictions from _midpoint_predictions; _fresh is the one rule for
+which learners either offline path may stand in for.
 """
 
 from __future__ import annotations
@@ -239,35 +241,60 @@ def _check_pairs(xs: np.ndarray, ys: np.ndarray) -> None:
         raise DomainError(f"trial {t}: input ({float(xs[t])!r}, {float(ys[t])!r}) {what}")
 
 
-def _earlier_neighbours(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _earlier_neighbours(order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For every trial t, the trial holding the nearest earlier input on the left
     of x_t in input order and the one on the right (-1 where there is none),
-    plus the stable sorting order of the inputs.
+    given the stable sorting order of the inputs.
 
-    These are all nearest smaller values over time in input order: sort the
-    inputs once (stably, so an earlier equal input sits on the left), then
-    unlink the trials from a doubly linked list in that order, latest first.
-    When trial t is unlinked, only earlier trials remain, so its two list
-    neighbours are its nearest earlier inputs.
+    These are all nearest smaller values over time in input order, found by
+    pointer jumping. The trial indices in sorted-input order (an earlier equal
+    input on the left) go into one array twice, as they are for the left side
+    and reversed for the right, each copy between two sentinels that hold -1.
+    Lane j's candidate cand[j] starts at the lane before it. Every lane
+    strictly between cand[j] and j holds a later trial than j, and while
+    cand[j] holds a later trial too, cand[j] <- cand[cand[j]] keeps that so.
+    When no lane moves, cand[j] holds j's nearest earlier trial on its side.
+    A long chain moves one step a round, so after 2·log2(n) + 4 rounds the
+    lanes still moving walk their chains one at a time, in scan order, where
+    every earlier lane is already final.
     """
-    n = len(xs)
-    order = np.argsort(xs, kind="stable")
-    # Trial t sits at list position pos[t] in 1..n; 0 and n + 1 are sentinels.
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(1, n + 1)
-    prev = list(range(-1, n + 1))
-    nxt = list(range(1, n + 3))
-    lefts: list[int] = []
-    rights: list[int] = []
-    for i in reversed(pos.tolist()):
-        lo = prev[i]
-        hi = nxt[i]
-        nxt[lo] = hi
-        prev[hi] = lo
-        lefts.append(lo)
-        rights.append(hi)
+    n = len(order)
+    m = n + 2
     trial_at = np.concatenate(([-1], order, [-1]))
-    return trial_at[lefts[::-1]], trial_at[rights[::-1]], order
+    when = np.concatenate((trial_at, trial_at[::-1]))
+    cand = np.arange(-1, 2 * m - 1)
+    ends = [0, m - 1, m, 2 * m - 1]
+    cand[ends] = ends
+    moving = np.flatnonzero(when[cand] > when)
+    for _ in range(2 * n.bit_length() + 4):
+        if not moving.size:
+            break
+        jumped = cand[cand[moving]]
+        cand[moving] = jumped
+        moving = moving[when[jumped] > when[moving]]
+    if moving.size:
+        _walk_chains(cand, when, moving)
+    nearest = when[cand]
+    left = np.empty(n, dtype=np.intp)
+    right = np.empty(n, dtype=np.intp)
+    left[order] = nearest[1 : m - 1]
+    right[order] = nearest[-2:m:-1]
+    return left, right
+
+
+def _walk_chains(cand: np.ndarray, when: np.ndarray, moving: np.ndarray) -> None:
+    """Finish _earlier_neighbours' lanes that are still moving, one at a time in
+    increasing lane order, by following candidates until one holds an earlier
+    trial. Every lane before a moving one on its side is final by then, so
+    each step skips a whole run of later trials."""
+    c = cand.tolist()
+    when_of = when.tolist()
+    for j in moving.tolist():
+        k, tj = c[j], when_of[j]
+        while when_of[k] > tj:
+            k = c[k]
+        c[j] = k
+    cand[moving] = [c[j] for j in moving.tolist()]
 
 
 def _linint_predictions(
@@ -374,12 +401,13 @@ def run_trials(
     ys = pairs[:, 1].copy()
     _check_pairs(xs, ys)
     n = len(xs)
-    left, right, order = _earlier_neighbours(xs)
+    order = np.argsort(xs, kind="stable")  # an earlier equal input first
+    x_sorted = xs[order]
+    distinct = not (x_sorted[1:] == x_sorted[:-1]).any()
+    left, right = _earlier_neighbours(order)
     dl = np.where(left < 0, math.inf, xs - xs[left])
     dr = np.where(right < 0, math.inf, xs[right] - xs)
     d = np.where(dl <= dr, dl, dr)
-    x_sorted = xs[order]
-    distinct = not (x_sorted[1:] == x_sorted[:-1]).any()
     if not distinct:
         # A repeat's d is what a bisect_left over the earlier inputs gives: the
         # first equal input minus x, which keeps the sign of a zero difference.

@@ -177,15 +177,20 @@ def _pow(base: float, exp: float) -> float:
         return math.inf
 
 
+def _check_norm_order(q: float) -> None:
+    # Written so that NaN, for which every comparison fails, is refused.
+    if not (q == math.inf or q >= 1.0):
+        raise DomainError(f"norm order must be >= 1 or inf, got {q!r}")
+
+
 def derivative_norm(f: PiecewiseLinearFunction, q: float) -> float:
     """q-norm of the derivative; q may be math.inf for the sup norm.
 
     Flat extensions outside the knot span contribute slope 0, so only the
     segments between knots matter. Functions with at most one knot have
-    derivative 0 everywhere.
+    derivative 0 everywhere. A q below 1 or NaN raises DomainError.
     """
-    if q != math.inf and q < 1.0:
-        raise DomainError(f"norm order must be >= 1 or inf, got {q!r}")
+    _check_norm_order(q)
     m = len(f.us)
     if q == math.inf:
         worst = 0.0
@@ -223,7 +228,14 @@ def energy_increment(
     the tolerance only matters for user-supplied data.
 
     ``S`` may be a PiecewiseLinearFunction or any iterable of (u, v) pairs.
+    A non-finite x or y, or a tolerance that is negative or not finite,
+    raises DomainError before any arithmetic.
     """
+    for name, value in (("x", x), ("y", y)):
+        if not abs(value) < math.inf:
+            raise DomainError(f"{name}={value!r} is not finite")
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tolerance must be finite and nonnegative, got {tol!r}")
     f = S if isinstance(S, PiecewiseLinearFunction) else from_points(S)
     us = f.us
     if not us:

@@ -1,5 +1,5 @@
-"""Shared generators for randomized tests, the adversary's dict oracle and the
-trace CSV oracle."""
+"""Shared generators for randomized tests, the adversary's dict oracle, the
+trace CSV oracle and the nearest-earlier-neighbour oracle."""
 
 import csv
 import math
@@ -112,3 +112,34 @@ def csv_writer_trace(trace, out):
             writer.writerow(
                 [t, *(fmt_exact(v) for v in (x, y_hat, y, e, d, term, cum))]
             )
+
+
+def linked_list_neighbours(xs):
+    """For every trial t, the trial holding the nearest earlier input on the left
+    of x_t in input order and the one on the right (-1 where there is none),
+    plus the stable sorting order of the inputs: the oracle for
+    learner._earlier_neighbours.
+
+    Sort the inputs once (stably, so an earlier equal input sits on the left),
+    then unlink the trials from a doubly linked list in that order, latest
+    first. When trial t is unlinked, only earlier trials remain, so its two
+    list neighbours are its nearest earlier inputs.
+    """
+    n = len(xs)
+    order = np.argsort(xs, kind="stable")
+    # Trial t sits at list position pos[t] in 1..n; 0 and n + 1 are sentinels.
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(1, n + 1)
+    prev = list(range(-1, n + 1))
+    nxt = list(range(1, n + 3))
+    lefts: list[int] = []
+    rights: list[int] = []
+    for i in reversed(pos.tolist()):
+        lo = prev[i]
+        hi = nxt[i]
+        nxt[lo] = hi
+        prev[hi] = lo
+        lefts.append(lo)
+        rights.append(hi)
+    trial_at = np.concatenate(([-1], order, [-1]))
+    return trial_at[lefts[::-1]], trial_at[rights[::-1]], order

@@ -9,6 +9,7 @@ from pwlearn import (
     cli,
     function_to_json,
     from_points,
+    harness,
     lower_bound_partial,
     upper_bound_linint,
 )
@@ -319,6 +320,20 @@ class TestAudit:
         assert run_cli(["audit", "--runs", "-1", "--out", str(out)]) == 1
         capsys.readouterr()
         assert not out.exists()
+
+    @pytest.mark.parametrize("max_trials", ["9223372036854775807", "10000000000000"])
+    def test_max_trials_above_the_ceiling_exits_one_before_any_run(
+        self, max_trials, monkeypatch, capsys
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("audit_trace_run was called")
+
+        monkeypatch.setattr(harness, "audit_trace_run", no_run)
+        assert run_cli(["audit", "--runs", "1", "--max-trials", max_trials]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: max_trials must lie in 2..16777216")
+        assert max_trials in err
 
 
 class TestEval:

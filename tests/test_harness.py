@@ -51,6 +51,10 @@ class TestSampleTarget:
         with pytest.raises(DomainError):
             sample_target(2.0, 1, 0)
 
+    def test_nan_norm_order_is_refused(self):
+        with pytest.raises(DomainError, match="norm order"):
+            sample_target(math.nan, 4, 0)
+
 
 class TestParseEpsilonGrid:
     def test_comma_list(self):
@@ -84,6 +88,12 @@ class TestExperimentConfig:
         config = ExperimentConfig(stages=25)
         with pytest.raises(DomainError, match="24"):
             config.validate()
+
+    def test_max_trials_ceiling_is_the_adversary_trial_ceiling(self):
+        ExperimentConfig(max_trials=1 << 24).validate()
+        for bad in (1, (1 << 24) + 1):
+            with pytest.raises(DomainError, match="16777216"):
+                ExperimentConfig(max_trials=bad).validate()
 
     def test_sweep_epsilons_use_the_adversary_check(self):
         config = ExperimentConfig(epsilons=[0.2, 0.5], stages=4)
@@ -169,6 +179,14 @@ class TestRunSweep:
 
 
 class TestInvariantAudit:
+    def test_children_spawned_one_at_a_time_equal_spawning_all_at_once(self):
+        one_at_a_time = np.random.SeedSequence(7)
+        at_once = np.random.SeedSequence(7).spawn(50)
+        for child in at_once:
+            assert np.array_equal(
+                one_at_a_time.spawn(1)[0].generate_state(4), child.generate_state(4)
+            )
+
     def test_zero_runs_is_a_trivially_empty_report(self):
         report = run_invariant_audit(ExperimentConfig(runs=0))
         assert report.runs == 0

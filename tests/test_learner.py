@@ -29,7 +29,7 @@ from pwlearn import (
 from pwlearn import learner as learner_module
 from pwlearn.learner import TRACE_HEADER, scalar_predictions
 
-from helpers import csv_writer_trace, random_function
+from helpers import csv_writer_trace, linked_list_neighbours, random_function
 
 
 def target_sequence(rng, target, m):
@@ -400,6 +400,67 @@ class TestOfflineLinint:
             want = _bisect_distances(xs)
             got = trace.d[1:].tolist()
             assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
+
+
+def _neighbour_inputs(kind, n, rng):
+    if kind == "random":
+        return rng.random(n)
+    if kind == "sorted":
+        return np.sort(rng.random(n))
+    if kind == "reversed":
+        return np.sort(rng.random(n))[::-1].copy()
+    if kind == "coarse-grid":
+        return rng.integers(0, 9, n) / 8.0
+    # Signed zeros compare equal, so only a stable sort keeps the earlier one
+    # on the left; inputs of 0.5 mixed in give the zeros a right neighbour.
+    zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    return np.where(rng.random(n) < 0.2, 0.5, zeros)
+
+
+def _chain(n):
+    # Trial 0 holds the largest input and every later trial a larger one than
+    # the trial before, so trial 0's left chain is n - 1 lanes long.
+    return np.concatenate(([1.0], np.arange(n - 1) / n))
+
+
+@pytest.fixture
+def chain_walks(monkeypatch):
+    """Counts _earlier_neighbours' trips through the scalar chain walk."""
+    calls = []
+    real = learner_module._walk_chains
+
+    def spy(cand, when, moving):
+        calls.append(len(moving))
+        return real(cand, when, moving)
+
+    monkeypatch.setattr(learner_module, "_walk_chains", spy)
+    return calls
+
+
+class TestEarlierNeighbours:
+    """Pointer jumping against the linked-list oracle, array for array."""
+
+    def _check(self, xs):
+        left, right, order = linked_list_neighbours(xs)
+        got = learner_module._earlier_neighbours(order)
+        for name, g, w in zip(("left", "right"), got, (left, right)):
+            assert np.array_equal(g, w), name
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 100, 2000, 5000])
+    @pytest.mark.parametrize(
+        "kind", ["random", "sorted", "reversed", "coarse-grid", "signed-zeros"]
+    )
+    def test_equals_linked_list_oracle(self, n, kind):
+        self._check(_neighbour_inputs(kind, n, np.random.default_rng(n)))
+
+    @pytest.mark.parametrize("n", [2000, 5000])
+    def test_long_chain_is_finished_by_the_scalar_walk(self, n, chain_walks):
+        self._check(_chain(n))
+        assert chain_walks == [1]
+
+    def test_random_order_needs_no_scalar_walk(self, chain_walks):
+        self._check(np.random.default_rng(5).random(5000))
+        assert chain_walks == []
 
 
 class TestKlInvariants:

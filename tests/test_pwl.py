@@ -216,6 +216,11 @@ class TestDerivativeNorm:
         with pytest.raises(DomainError):
             derivative_norm(TENT, 0.5)
 
+    @pytest.mark.parametrize("q", [math.nan, -math.inf])
+    def test_rejects_nan_and_minus_infinity(self, q):
+        with pytest.raises(DomainError, match="norm order"):
+            derivative_norm(TENT, q)
+
     def test_few_knots_have_zero_norm(self):
         assert derivative_norm(ZERO, 2.0) == 0.0
         assert derivative_norm(from_points([(0.5, 3.0)]), math.inf) == 0.0
@@ -270,6 +275,18 @@ class TestEnergyIncrement:
             energy_increment(S, 0.25, 1.0)
         with pytest.raises(PreconditionError):
             energy_increment([], 0.5, 1.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(DomainError, match="tolerance"):
+            energy_increment([(0.0, 0.0), (1.0, 0.0)], 0.3, 1.0, tol=tol)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["x", "y"])
+    def test_rejects_non_finite_point(self, bad, which):
+        x, y = (bad, 1.0) if which == "x" else (0.5, bad)
+        with pytest.raises(DomainError, match=f"{which}="):
+            energy_increment([(0.0, 0.0), (1.0, 0.0)], x, y)
 
     def test_matches_direct_energy_difference(self):
         rng = np.random.default_rng(23)
