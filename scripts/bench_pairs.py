@@ -12,12 +12,14 @@ PAIRS times on each side, on seeds SEED, SEED + 1, ..., the two sides taking
 turns to go first. Each run's final JSON line, digest line and ``env`` line
 are kept. One ``--trace 1`` run per side and workload gives its layer rows.
 
-Then each CLI command in CLI_COMMANDS runs once per side in a fresh
-interpreter: its wall time, peak RSS (from wait4) and the SHA-256 of its
-stdout and of any file it writes, so the bytes of the two sides can be
-compared. Last, the tier-1 suite runs once per side: its wall time and its
-pass and fail counts. A failing test does not stop the script; the counts
-say what failed.
+Then each CLI command in CLI_COMMANDS runs CLI_RUNS times per side in a
+fresh interpreter, the sides again taking turns to go first: every run's wall
+time, peak RSS (from wait4) and the SHA-256 of its stdout and of any file it
+writes are kept, with each side's median wall time and peak RSS. The row's
+bytes are the same only if every run of both sides has the same digests.
+Last, the tier-1 suite runs once per side: its wall time and its pass and
+fail counts. A failing test does not stop the script; the counts say what
+failed.
 
 The output JSON holds, per workload and end-to-end metric, the median and
 quartiles of each side and the number of pairs the change won.
@@ -44,6 +46,7 @@ WORKLOADS = ("match-trace", "sweep-learners", "audit")
 PAIRS = 10
 SEED = 11  # the first pair's; pair k runs on SEED + k
 SECONDS = 1.0  # perfbench --seconds
+CLI_RUNS = 3  # per side and CLI command; one run alone lets an outlier read as a change
 
 # (name, argv after "python -m pwlearn.cli"); "{tmp}" is a scratch directory.
 CLI_COMMANDS = (
@@ -61,6 +64,13 @@ def _git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def _sides(parent: Path, k: int) -> tuple:
+    """(side, checkout) for both sides in the order of round k: the parent
+    goes first in even rounds, the change in odd ones."""
+    order = (("parent", parent), ("change", ROOT))
+    return order if k % 2 == 0 else order[::-1]
 
 
 def _bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -90,8 +100,7 @@ def _summary(values: list[float]) -> dict:
 def compare_workload(parent: Path, workload: str, metrics: list[dict]) -> dict:
     runs = {"parent": [], "change": []}
     for k in range(PAIRS):
-        order = (("parent", parent), ("change", ROOT))
-        for side, checkout in order if k % 2 == 0 else order[::-1]:
+        for side, checkout in _sides(parent, k):
             runs[side].append(_bench(checkout, workload, SEED + k, 0))
             r = runs[side][-1]
             print(f"{workload} seed={SEED + k} {side}: "
@@ -201,11 +210,18 @@ def main(argv=None) -> int:
         }
         cli = report["cli"] = {}
         for name, cli_argv in CLI_COMMANDS:
-            sides = {side: time_cli(checkout, cli_argv, TMP / f"cli-{os.getpid()}")
-                     for side, checkout in (("parent", parent), ("change", ROOT))}
-            sides["same_bytes"] = sides["parent"]["sha256"] == sides["change"]["sha256"]
-            cli[name] = sides
-            print(f"{name}: parent {sides['parent']['wall_s']:.2f} s, change "
+            runs = {"parent": [], "change": []}
+            for k in range(CLI_RUNS):
+                for side, checkout in _sides(parent, k):
+                    runs[side].append(time_cli(checkout, cli_argv, TMP / f"cli-{os.getpid()}"))
+            sides = cli[name] = {
+                side: {key: statistics.median(r[key] for r in rs)
+                       for key in ("wall_s", "peak_rss_mb")} | {"runs": rs}
+                for side, rs in runs.items()
+            }
+            digests = [r["sha256"] for rs in runs.values() for r in rs]
+            sides["same_bytes"] = all(d == digests[0] for d in digests)
+            print(f"{name}: median parent {sides['parent']['wall_s']:.2f} s, change "
                   f"{sides['change']['wall_s']:.2f} s, same bytes "
                   f"{sides['same_bytes']}", file=sys.stderr)
         tier1 = report["tier1"] = {}

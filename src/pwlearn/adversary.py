@@ -28,8 +28,10 @@ No input inside a stage lies nearer to another stage input than the two
 stage-start knots around it, so the built-in learners' predictions for a whole
 stage follow from the stage-start grid. run_match plays a fresh learner of
 exact built-in type a stage at a time on the arrays; any other learner goes
-through predict/respond/observe trial by trial, the reference the stage-at-
-a-time path matches bit for bit.
+through predict/respond/observe trial by trial. Either way the stage is then
+audited from its finished grids (_stage_audits): the audit after trial w
+reads only grid indices up to 2w, which are final once trial w is revealed.
+audit_energy, the same audit from the live state, is the scalar oracle.
 """
 
 from __future__ import annotations
@@ -244,12 +246,12 @@ class AdversaryState:
         self.next_t += 1
         return y, accepted
 
-    def _respond_stage(self, y_hat: np.ndarray) -> np.ndarray:
+    def _respond_stage(self, y_hat: np.ndarray) -> None:
         """Reveal every label of the next stage at once, given all of its
-        predictions in trial order; returns the labels. The state ends as
-        respond on each trial in turn leaves it, with the same bits: each
-        step is respond's operation, elementwise, and the probe energy is a
-        running sum in trial order."""
+        predictions in trial order. The state ends as respond on each trial
+        in turn leaves it, with the same bits: each step is respond's
+        operation, elementwise, and the probe energy is a running sum in
+        trial order."""
         if self.next_t != self.stage_end + 1:
             raise SequenceError(
                 f"a whole stage starts at a stage boundary; trial {self.next_t} is "
@@ -275,7 +277,6 @@ class AdversaryState:
         self.within = len(y)
         self.accepted = int(np.count_nonzero(accepted))
         self.next_t = self.stage_end + 1
-        return y
 
     def committed_function(self) -> pwl.PiecewiseLinearFunction:
         """The interpolant of the committed knots set so far."""
@@ -297,7 +298,9 @@ def audit_energy(state: AdversaryState) -> EnergyAudit:
 
     The expected probe energy after j in-stage trials is the stage-start
     energy plus j * eps*(1-eps)^i / 2^(i+1); the residual is the absolute
-    difference between that and the scratch recomputation.
+    difference between that and the scratch recomputation. run_match reads
+    the same values, with the same bits, off a finished stage's grids
+    (_stage_audits); this is the oracle those are tested against.
     """
     # Before stage 1 nothing has been proposed: within = 0, so expected = 0.
     k = state._filled(state.within)
@@ -386,25 +389,15 @@ class MatchResult:
         }
 
 
-def _play_stage(
-    learner: Learner, state: AdversaryState, xs: np.ndarray, audit_per_trial: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """One stage trial by trial through predict, respond and observe, with
-    audit_energy after every trial or after the last: the reference the
-    stage-at-a-time path matches. Returns the predictions and the audits as
-    _stage_audits does: rows j_probe, j_committed and residual."""
+def _play_stage(learner: Learner, state: AdversaryState, xs: np.ndarray) -> np.ndarray:
+    """One stage trial by trial through predict, respond and observe, as any
+    learner but a fresh built-in one is played; returns the predictions."""
     y_hats: list[float] = []
-    audits: list[EnergyAudit] = []
-    first = state.next_t
-    last = first + len(xs) - 1
-    for t, x in enumerate(xs.tolist(), start=first):
+    for t, x in enumerate(xs.tolist(), start=state.next_t):
         y_hat = learner.predict(x)
-        y, _accepted = state.respond(t, y_hat)
-        learner.observe(x, y)
+        learner.observe(x, state.respond(t, y_hat)[0])
         y_hats.append(y_hat)
-        if audit_per_trial or t == last:
-            audits.append(audit_energy(state))
-    return np.array(y_hats, dtype=float), np.array(audits).T
+    return np.array(y_hats, dtype=float)
 
 
 def _time_order(stages: int) -> np.ndarray:
@@ -430,7 +423,7 @@ def run_match(
 
     Trial 0 presents (1, 0) with no loss charged; trials 1 .. 2^stages - 1
     alternate predict/respond at loss exponent p = 1 + epsilon. Energy is
-    audited from scratch at every stage boundary (and every trial when
+    audited from scratch at every stage boundary (and after every trial when
     ``audit_per_trial`` is set, which costs O(n) per trial). With
     ``collect_records=False`` only totals and audits are kept, which is the
     cheap mode for sweeps; otherwise ``records`` is the columnar Trace. A
@@ -439,11 +432,12 @@ def run_match(
 
     A fresh learner of exact built-in type (zero, nearest, or linint with
     nothing observed) is played a stage at a time: its predictions come from
-    the stage-start grid, _respond_stage reveals the stage, the per-trial
-    audits are read off the finished grids, and the learner's state is then
-    filled in bulk, equal to what observing each trial would leave. Every
-    other learner is played trial by trial through predict, respond and
-    observe. Both give the same bits.
+    the stage-start grid, _respond_stage reveals the stage, and the learner's
+    state is filled in bulk at the end, equal to what observing each trial
+    would leave. Every other learner is played trial by trial through
+    predict, respond and observe. Both give the same bits. Whichever path
+    played a stage, its labels are read off the committed grid and its
+    audits off the finished grids (_stage_audits).
     """
     eps = config.epsilon
     p = 1.0 + eps
@@ -466,14 +460,11 @@ def run_match(
         h = 0.5**i
         if by_stage:
             y_hat = _midpoint_predictions(learner.kind, state.committed, h)
-            y = state._respond_stage(y_hat)
-            j_probe, j_committed, residual = _stage_audits(state, audit_per_trial)
+            state._respond_stage(y_hat)
         else:
-            x = (2.0 * np.arange(first) + 1.0) * h
-            y_hat, (j_probe, j_committed, residual) = _play_stage(
-                learner, state, x, audit_per_trial
-            )
-            y = state.committed[1::2]
+            y_hat = _play_stage(learner, state, (2.0 * np.arange(first) + 1.0) * h)
+        y = state.committed[1::2]
+        j_probe, j_committed, residual = _stage_audits(state, audit_per_trial)
         e = np.abs(y_hat - y)
         try:
             terms = _pow_terms(e.tolist(), p)

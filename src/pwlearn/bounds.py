@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .adversary import perturbation
+from .adversary import _check_int, perturbation
 from .errors import DivergenceError, DomainError, InequalityViolation
 
 __all__ = [
@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
+
+# The partial sum is a Python loop of one term per stage; 2^20 terms take
+# about half a second.
+MAX_PARTIAL_STAGES = 1 << 20
 
 
 def upper_bound_linint(epsilon: float) -> float:
@@ -59,8 +63,11 @@ def lower_bound_partial(epsilon: float, stages: int) -> float:
     """
     if not 0.0 < epsilon < 0.5:
         raise DomainError(f"epsilon must lie in (0, 0.5), got {epsilon!r}")
-    if stages < 1:
-        raise DomainError(f"stage count must be at least 1, got {stages!r}")
+    stages = _check_int("stage count", stages)
+    if not 1 <= stages <= MAX_PARTIAL_STAGES:
+        raise DomainError(
+            f"stage count must lie in 1..{MAX_PARTIAL_STAGES}, got {stages!r}"
+        )
     p = 1.0 + epsilon
     log_sqrt_eps = 0.5 * math.log(epsilon)
     log_1m = math.log1p(-epsilon)

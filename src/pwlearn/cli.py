@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import pwl
 from .adversary import AdversaryConfig, run_match
-from .bounds import BOUNDS_CSV_HEADER, bound_report, upper_bound_linint
+from .bounds import BOUNDS_CSV_HEADER, MAX_PARTIAL_STAGES, bound_report, upper_bound_linint
 from .errors import AuditFailure, DomainError, Error, InequalityViolation
 from .harness import (
     ExperimentConfig,
@@ -175,36 +175,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     epsilons = _grid_from_args(args)
     stages = args.partial_stages
-    if stages < 1:
-        raise DomainError(f"--partial-stages must be at least 1, got {stages!r}")
+    if not 1 <= stages <= MAX_PARTIAL_STAGES:
+        raise DomainError(
+            f"--partial-stages must lie in 1..{MAX_PARTIAL_STAGES}, got {stages!r}"
+        )
     lines = [",".join(BOUNDS_CSV_HEADER)]
     for eps in epsilons:
         upper = upper_bound_linint(eps)  # raises outside (0, 1)
         if 0.0 < eps < 0.5:
             rep = bound_report(eps, stages)
-            fields = [
-                fmt_exact(rep.epsilon),
-                fmt_exact(rep.upper_linint),
-                fmt_exact(rep.lower_closed_form),
-                fmt_exact(rep.lower_partial),
-                fmt_exact(rep.ratio_upper),
-                fmt_exact(rep.ratio_lower),
-            ]
+            row = (eps, upper, rep.lower_closed_form, rep.lower_partial,
+                   rep.ratio_upper, rep.ratio_lower)
         else:
             print(
                 f"warning: epsilon {eps!r} is outside (0, 0.5); the adversary "
                 "lower bound is undefined there and its columns are nan",
                 file=sys.stderr,
             )
-            fields = [
-                fmt_exact(eps),
-                fmt_exact(upper),
-                "nan",
-                "nan",
-                fmt_exact(upper * math.sqrt(eps)),
-                "nan",
-            ]
-        lines.append(",".join(fields))
+            row = (eps, upper, math.nan, math.nan, upper * math.sqrt(eps), math.nan)
+        lines.append(",".join(map(fmt_exact, row)))
     with open_out(args.out or sys.stdout) as fh:
         fh.write("\n".join(lines) + "\n")
     return EXIT_OK

@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 DEFAULT_AUDIT_EPSILONS = (0.4, 0.25, 0.1, 0.05, 0.02)
+# Largest log:a:b:n grid; each point is a whole match or bound row.
+MAX_GRID_SIZE = 1 << 20
 
 
 @dataclass
@@ -88,8 +90,8 @@ def parse_epsilon_grid(text: str) -> list[float]:
             raise DomainError(f"bad grid spec {text!r}: {exc}") from exc
         if not (0.0 < a < math.inf and 0.0 < b < math.inf):
             raise DomainError(f"log grid endpoints must be positive and finite, got {a!r}, {b!r}")
-        if n < 0:
-            raise DomainError("log grid size must be nonnegative")
+        if not 0 <= n <= MAX_GRID_SIZE:
+            raise DomainError(f"log grid size must lie in 0..{MAX_GRID_SIZE}, got {n!r}")
         return [float(e) for e in np.geomspace(a, b, n)]
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]

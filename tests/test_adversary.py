@@ -1,7 +1,7 @@
 import io
 import json
 import math
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -217,7 +217,8 @@ class TestDictOracle:
         t = 1
         for i in range(1, 9):
             y_hat = rng.normal(0.0, 0.05, size=2 ** (i - 1))
-            y = batch._respond_stage(y_hat)
+            batch._respond_stage(y_hat)
+            y = batch.committed[1::2]
             # Read off the finished grids, the audit after w trials is the one
             # taken right after trial w.
             audits = _stage_audits(batch, per_trial=True)
@@ -332,6 +333,46 @@ class TestStageAtATime:
         if kind != "zero":
             assert list(fast._vals.items()) == list(slow._vals.items())
             assert list(fast._xs) == list(slow._xs)
+
+    @pytest.mark.parametrize(
+        "kind, eps, stages",
+        [("linint", 0.45, 5), ("zero", 0.45, 12), ("nearest", 0.25, 12), ("linint", 0.1, 12),
+         ("zero", 0.25, 9)],
+    )
+    def test_loop_audits_equal_audit_energy_after_every_trial(self, kind, eps, stages):
+        # The oracle: the loop learner played by hand, with the scalar audit
+        # of the live state after every trial.
+        learner = LOOP_TWINS[kind]()
+        learner.predict(1.0)
+        learner.observe(1.0, 0.0)
+        state = AdversaryState(eps)
+        max_jp = max_jc = max_resid = 0.0
+        j_probe_end = []
+        rejected = 0
+        for t in range(1, 2**stages):
+            x = dyadic_x(t)
+            y, accepted = state.respond(t, learner.predict(x))
+            learner.observe(x, y)
+            rejected += not accepted
+            audit = audit_energy(state)
+            max_jp = max(max_jp, audit.j_probe)
+            max_jc = max(max_jc, audit.j_committed)
+            max_resid = max(max_resid, audit.recursion_residual)
+            if t == state.stage_end:
+                j_probe_end.append(audit.j_probe)
+        result = run_match(
+            LOOP_TWINS[kind](),
+            AdversaryConfig(eps, stages),
+            collect_records=False,
+            audit_per_trial=True,
+        )
+        want = (state.max_abs_slope, max(state.max_energy_probe, max_jp), max_jc, max_resid)
+        assert [v.hex() for v in astuple(result.audit)] == [v.hex() for v in want]
+        assert [s.j_probe_end.hex() for s in result.per_stage] == [
+            v.hex() for v in j_probe_end
+        ]
+        if eps in (0.25, 0.1):
+            assert rejected
 
     def test_learner_with_history_plays_trial_by_trial(self):
         learner = make_learner("linint")

@@ -92,6 +92,14 @@ class TestLowerBoundPartial:
         with pytest.raises(DomainError):
             lower_bound_partial(0.25, 0)
 
+    def test_stage_ceiling(self):
+        for stages in ((1 << 20) + 1, 9223372036854775807):
+            with pytest.raises(DomainError, match="1048576"):
+                lower_bound_partial(0.25, stages)
+        for stages in (2.5, 10.0, True):
+            with pytest.raises(DomainError, match="integer"):
+                lower_bound_partial(0.25, stages)
+
 
 class TestLowerBoundClosedForm:
     def test_matches_direct_formula_at_moderate_epsilon(self):

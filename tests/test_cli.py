@@ -238,7 +238,36 @@ def test_non_finite_log_grid_endpoint_exits_one_without_warnings(command, spec, 
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "bounds"])
+def test_huge_log_grid_exits_one_before_any_allocation(command, monkeypatch, capsys):
+    def no_grid(*args):
+        raise AssertionError("np.geomspace was called")
+
+    monkeypatch.setattr(harness.np, "geomspace", no_grid)
+    assert run_cli([command, "--epsilon-grid", "log:0.01:0.4:100000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: log grid size must lie in 0..1048576, got 100000000000"
+    ]
+
+
 class TestBounds:
+    @pytest.mark.parametrize("stages", ["0", "1048577", "9223372036854775807"])
+    def test_partial_stages_out_of_range_exits_one_before_any_row(
+        self, stages, monkeypatch, capsys
+    ):
+        def no_row(*args):
+            raise AssertionError("bound_report was called")
+
+        monkeypatch.setattr(cli, "bound_report", no_row)
+        assert run_cli(["bounds", "--epsilons", "0.25,0.7", "--partial-stages", stages]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --partial-stages must lie in 1..1048576, got {stages}"
+        ]
+
     def test_single_epsilon_row(self, capsys):
         code = run_cli(["bounds", "--epsilon", "0.25"])
         assert code == 0

@@ -13,6 +13,9 @@ MATCH_TRACE_CSV = "717d1528ab1b49d000808d1600c19e29171056db00e8de89883f0a2a8eb3f
 # S=13: 8,192 rows, so the trace spans two of the writer's 4,096-row chunks.
 # Frozen from the csv.writer trace writer, before the one-template writer.
 MATCH_TRACE_CSV_S13 = "2e290483a8436a1d60a5a39397c2e2b2d5e4642639cbb1859ffb55d6b23b71c8"
+# Rows inside (0, 0.5) and outside it, whose undefined columns print "nan".
+# Frozen from the writer that formatted the two kinds of row separately.
+BOUNDS_STDOUT = "f11a4594444be2f7a53b9d7544fffa310056ec3aa6f222ff9b59917d682a1cf6"
 
 
 def _sha256(data: bytes) -> str:
@@ -38,3 +41,8 @@ def test_trace_csv_bytes_across_chunks(tmp_path, capsys):
     assert cli.main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert _sha256(out.read_bytes()) == MATCH_TRACE_CSV_S13
+
+
+def test_bounds_table_bytes(capsys):
+    assert cli.main(["bounds", "--epsilons", "0.01,0.3,0.5,0.7,0.999"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == BOUNDS_STDOUT

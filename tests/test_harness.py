@@ -82,6 +82,15 @@ class TestParseEpsilonGrid:
         with pytest.raises(DomainError):
             parse_epsilon_grid(text)
 
+    def test_grid_size_ceiling_is_checked_before_any_allocation(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(np, "geomspace", lambda a, b, n: sizes.append(n) or [])
+        assert parse_epsilon_grid(f"log:0.01:0.4:{1 << 20}") == []
+        for n in ((1 << 20) + 1, 100_000_000_000, 9223372036854775807):
+            with pytest.raises(DomainError, match="1048576"):
+                parse_epsilon_grid(f"log:0.01:0.4:{n}")
+        assert sizes == [1 << 20]
+
 
 class TestExperimentConfig:
     def test_stage_ceiling(self):
