@@ -57,6 +57,10 @@ CLI_COMMANDS = (
     ("match --epsilon 0.1 --stages 20", ["match", "--epsilon", "0.1", "--stages", "20"]),
     ("match --epsilon 0.1 --stages 20 --out",
      ["match", "--epsilon", "0.1", "--stages", "20", "--out", "{tmp}/trace.csv"]),
+    # zero's y_hat column is one run: the writer's run path at scale.
+    ("match --learner zero --epsilon 0.1 --stages 20 --out",
+     ["match", "--learner", "zero", "--epsilon", "0.1", "--stages", "20",
+      "--out", "{tmp}/trace.csv"]),
 )
 
 

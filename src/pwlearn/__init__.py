@@ -33,7 +33,6 @@ from .pwl import (
     integrate_energy_oracle,
     is_member,
     load_function,
-    save_function,
 )
 from .learner import (
     LEARNER_KINDS,

@@ -278,11 +278,6 @@ class AdversaryState:
         self.accepted = int(np.count_nonzero(accepted))
         self.next_t = self.stage_end + 1
 
-    def committed_function(self) -> pwl.PiecewiseLinearFunction:
-        """The interpolant of the committed knots set so far."""
-        k = self._filled(self.within)
-        return pwl.from_points(zip((k * self.h).tolist(), self.committed[k].tolist()))
-
 
 def _recursion_residual(state: AdversaryState, within, j_probe):
     # |J_probe - expected| after the stage's first `within` trials; on arrays

@@ -28,7 +28,6 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 from sortedcontainers import SortedList
 
-from . import pwl
 from .errors import DegenerateInput, DomainError, DuplicateConflict, UnknownKind
 
 __all__ = [
@@ -201,10 +200,6 @@ class LinintLearner(_Observed, Learner):
             raise DuplicateConflict(
                 f"coordinate {x!r} was observed with value {old!r}, now {y!r}"
             )
-
-    def history(self) -> pwl.PiecewiseLinearFunction:
-        """The interpolant of everything observed so far."""
-        return pwl.from_points(self._vals.items())
 
 
 def make_learner(kind: str) -> Learner:
@@ -462,8 +457,6 @@ def kl_invariants(trace: Trace, r: float, *more_r: float) -> tuple[float, ...]:
 TRACE_HEADER = ("t", "x", "y_hat", "y", "e", "d", "loss_term", "cum_loss")
 _CSV_CHUNK = 4096
 _EXACT = "%.17g"  # fmt_exact's spec, shared with the trace rows
-# csv.writer's bytes: "\r\n" line ends and no quoting, which no number needs.
-_TRACE_ROW = ",".join(["%d"] + [_EXACT] * 7) + "\r\n"
 
 
 def fmt_exact(value: float) -> str:
@@ -483,8 +476,9 @@ def open_out(out: str | os.PathLike | IO[str]) -> Iterator[IO[str]]:
 
 
 def write_trace_csv(trace: Trace, out: str | os.PathLike | IO[str]) -> None:
-    """Write the trial trace as CSV, one write per chunk of rows; trial 0
-    leaves uncharged fields empty."""
+    """Write the trial trace as CSV, one write per chunk of rows, formatting
+    each run of equal values in a chunk's column once; trial 0 leaves
+    uncharged fields empty."""
     with open_out(out) as fh:
         fh.write(",".join(TRACE_HEADER) + "\r\n")
         n = len(trace)
@@ -499,7 +493,24 @@ def write_trace_csv(trace: Trace, out: str | os.PathLike | IO[str]) -> None:
             # The bits of cum += term: cumsum adds left to right, from cum.
             cums = np.cumsum(np.append(cum, trace.loss_term[start:stop]))
             cum = cums[-1]
-            rows = zip(
-                range(start, stop), *(c[start:stop].tolist() for c in columns), cums[1:].tolist()
-            )
-            fh.write("".join(map(_TRACE_ROW.__mod__, rows)))
+            slots, cells = zip(*map(_exact_cells, (*(c[start:stop] for c in columns), cums[1:])))
+            # csv.writer's bytes: "\r\n" line ends and no quoting, which no
+            # number needs.
+            row = ",".join(("%d", *slots)) + "\r\n"
+            fh.write("".join(map(row.__mod__, zip(range(start, stop), *cells))))
+
+
+def _exact_cells(values: np.ndarray) -> tuple[str, list]:
+    """One float64 column of a trace chunk as a row-template slot and its cells.
+    A column with fewer runs of equal values than half its rows formats each
+    run's value once and repeats the text in a %s slot; any other column goes
+    to %.17g as Python floats. A run ends where the bits change: comparing
+    floats would merge 0.0 with -0.0, whose texts differ, and split a run of
+    NaN."""
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if 2 * (len(starts) + 1) >= len(values):
+        return _EXACT, values.tolist()
+    starts = np.append(0, starts)
+    texts = np.array([_EXACT % v for v in values[starts].tolist()], dtype=object)
+    return "%s", np.repeat(texts, np.diff(starts, append=len(values))).tolist()

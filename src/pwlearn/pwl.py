@@ -32,7 +32,6 @@ __all__ = [
     "function_from_json",
     "function_to_json",
     "load_function",
-    "save_function",
 ]
 
 
@@ -293,9 +292,3 @@ def function_from_json(text: str) -> PiecewiseLinearFunction:
 def load_function(path: str | os.PathLike) -> PiecewiseLinearFunction:
     with open(path, "r", encoding="utf-8") as fh:
         return function_from_json(fh.read())
-
-
-def save_function(f: PiecewiseLinearFunction, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(function_to_json(f))
-        fh.write("\n")

@@ -1,5 +1,6 @@
 """Shared generators for randomized tests, the adversary's dict oracle, the
-trace CSV oracle and the nearest-earlier-neighbour oracle."""
+trace CSV oracle, the nearest-earlier-neighbour oracle, and the functions a
+learner or the adversary has built so far."""
 
 import csv
 import math
@@ -50,6 +51,17 @@ def random_midpoint_insertion(rng):
         magnitude = 0.25 + abs(float(rng.normal(0.0, 1.0)))
         sign = 1.0 if rng.random() < 0.5 else -1.0
         return S, x, base + math.copysign(magnitude, sign)
+
+
+def linint_history(learner):
+    """The interpolant of everything a LinintLearner has observed so far."""
+    return from_points(learner._vals.items())
+
+
+def committed_function(state):
+    """The interpolant of the adversary's committed knots set so far."""
+    k = state._filled(state.within)
+    return from_points(zip((k * state.h).tolist(), state.committed[k].tolist()))
 
 
 def dict_energy(knots):

@@ -5,7 +5,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
-from helpers import DictAdversary, dict_energy
+from helpers import DictAdversary, committed_function, dict_energy
 
 from pwlearn import (
     MAX_STAGES,
@@ -173,12 +173,12 @@ class TestRespond:
         state = AdversaryState(0.25)
         for t in range(1, 2**8):
             x = dyadic_x(t)
-            before = state.committed_function()
+            before = committed_function(state)
             value_before = evaluate(before, x)
             _, accepted = state.respond(t, 0.0)
             if not accepted:
                 assert state.committed[int(x / state.h)] == value_before
-                assert evaluate(state.committed_function(), x) == value_before
+                assert evaluate(committed_function(state), x) == value_before
 
     def test_stage_must_start_at_a_boundary(self):
         state = AdversaryState(0.25)
@@ -203,12 +203,12 @@ class TestDictOracle:
             assert audit.j_probe == dict_energy(oracle.probe)
             assert audit.j_committed == dict_energy(oracle.committed)
             # Mid-stage the committed function holds exactly the knots so far.
-            f = state.committed_function()
+            f = committed_function(state)
             assert list(zip(f.us, f.vs)) == sorted(oracle.committed.items())
 
     def test_before_any_trial(self):
         state = AdversaryState(0.25)
-        f = state.committed_function()
+        f = committed_function(state)
         assert list(zip(f.us, f.vs)) == [(0.0, 0.0), (1.0, 0.0)]
 
     def test_whole_stage_matches_trial_by_trial(self):

@@ -5,6 +5,8 @@ justified as one."""
 
 import hashlib
 
+import pytest
+
 from pwlearn import cli
 
 AUDIT_STDOUT = "de2289b2ed4dc7ad9b64765b072bcec834b563ea3f099af2f95c7c4e4dda4cdc"
@@ -16,6 +18,13 @@ MATCH_TRACE_CSV_S13 = "2e290483a8436a1d60a5a39397c2e2b2d5e4642639cbb1859ffb55d6b
 # Rows inside (0, 0.5) and outside it, whose undefined columns print "nan".
 # Frozen from the writer that formatted the two kinds of row separately.
 BOUNDS_STDOUT = "f11a4594444be2f7a53b9d7544fffa310056ec3aa6f222ff9b59917d682a1cf6"
+# zero's y_hat is one run and every learner's d one run per stage. Frozen
+# from the writer that formatted every field of every row.
+MATCH_TRACE_CSV_ZERO_S13 = "cdcae030e32f83ab7adb8c7ad6bc7c0f82a0ee6929440e44869af4befb7a9fce"
+MATCH_TRACE_CSV_NEAREST_S13 = "c3fd3109266824fc3c9a8957d683c1c2166752233c0c058becd61d1754b707aa"
+# The stdouts of sweep --epsilons 0.4,0.1 --stages 8 for zero, nearest and
+# linint, hashed in that order.
+SWEEP_CSV = "ce8174326dc706e4251f7032455964ecc16dc97b81cdfb3008934cf4483fde57"
 
 
 def _sha256(data: bytes) -> str:
@@ -41,6 +50,27 @@ def test_trace_csv_bytes_across_chunks(tmp_path, capsys):
     assert cli.main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert _sha256(out.read_bytes()) == MATCH_TRACE_CSV_S13
+
+
+@pytest.mark.parametrize(
+    "learner, digest",
+    [("zero", MATCH_TRACE_CSV_ZERO_S13), ("nearest", MATCH_TRACE_CSV_NEAREST_S13)],
+)
+def test_trace_csv_bytes_of_the_baselines(tmp_path, capsys, learner, digest):
+    out = tmp_path / "trace.csv"
+    argv = ["match", "--learner", learner, "--epsilon", "0.1", "--stages", "13"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha256(out.read_bytes()) == digest
+
+
+def test_sweep_csv_bytes(capsys):
+    sha = hashlib.sha256()
+    for learner in ("zero", "nearest", "linint"):
+        argv = ["sweep", "--learner", learner, "--epsilons", "0.4,0.1", "--stages", "8"]
+        assert cli.main(argv) == 0
+        sha.update(capsys.readouterr().out.encode())
+    assert sha.hexdigest() == SWEEP_CSV
 
 
 def test_bounds_table_bytes(capsys):

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sortedcontainers import SortedList
 
 from pwlearn import (
@@ -29,7 +29,7 @@ from pwlearn import (
 from pwlearn import learner as learner_module
 from pwlearn.learner import TRACE_HEADER, scalar_predictions
 
-from helpers import csv_writer_trace, linked_list_neighbours, random_function
+from helpers import csv_writer_trace, linint_history, linked_list_neighbours, random_function
 
 
 def target_sequence(rng, target, m):
@@ -146,7 +146,7 @@ class TestLinintLearner:
         learner = LinintLearner()
         learner.observe(0.75, 3.0)
         learner.observe(0.25, 1.0)
-        assert learner.history() == from_points([(0.25, 1.0), (0.75, 3.0)])
+        assert linint_history(learner) == from_points([(0.25, 1.0), (0.75, 3.0)])
 
 
 class TestRunTrials:
@@ -644,16 +644,94 @@ class TestTraceCsv:
         columns[5] = [math.nan, -0.0, -0.0, 0.5, -0.0]
         _assert_same_csv(Trace(*columns), tmp_path)
 
+    def test_signed_zeros_stay_apart_in_runs(self, tmp_path):
+        # Long runs put every column on the run path, where a float comparison
+        # would merge the adjacent and alternating 0.0 and -0.0 into one run.
+        column = np.zeros(1 + 4096)
+        column[1000:2000] = -0.0
+        column[2000:2020:2] = -0.0
+        column[3000:] = -0.0
+        _assert_run_path(column[1:])
+        columns = np.tile(column, (6, 1))
+        columns[:, 0] = math.nan
+        columns[1, 1:] = -column[1:]
+        _assert_same_csv(Trace(*columns), tmp_path)
+
+    def test_runs_of_nan_and_inf(self, tmp_path):
+        # A NaN of another payload starts a run of its own, with the same text.
+        # Split into runs of one, the NaNs alone would be over half the rows.
+        other_nan = np.array(0x7FF8000000000001, dtype=np.int64).view(float)
+        column = np.full(1 + 4096, 0.25)
+        column[10:2500] = math.nan
+        column[2500:2600] = other_nan
+        column[2600:3500] = math.inf
+        column[3500:3600] = -math.inf
+        _assert_run_path(column[1:])
+        _assert_same_csv(Trace(*np.tile(column, (6, 1))), tmp_path)
+
+    def test_run_across_the_chunk_boundary(self, tmp_path):
+        rng = np.random.default_rng(71)
+        columns = rng.random((6, 1 + 4096 + 300))
+        columns[:, 4000:4300] = 0.125  # rows 3,999 to 4,298 of 4,096-row chunks
+        columns[:, 0] = math.nan
+        _assert_same_csv(Trace(*columns), tmp_path)
+
+    @pytest.mark.parametrize("runs, path", [(2047, "%s"), (2048, "%.17g"), (2049, "%.17g")])
+    def test_half_as_many_runs_as_rows_is_formatted_row_by_row(self, tmp_path, runs, path):
+        # One long run, then runs of one row: 4,096 rows in one chunk.
+        values = np.random.default_rng(runs).random(runs)
+        lengths = np.ones(runs, dtype=int)
+        lengths[0] = 4096 - (runs - 1)
+        column = np.concatenate(([math.nan], np.repeat(values, lengths)))
+        assert learner_module._exact_cells(column[1:])[0] == path
+        _assert_same_csv(Trace(*np.tile(column, (6, 1))), tmp_path)
+
+    def test_final_chunk_of_one_row(self, tmp_path):
+        columns = np.full((6, 1 + 4096 + 1), -0.0)
+        columns[:, 0] = math.nan
+        columns[:, -1] = 0.0
+        _assert_same_csv(Trace(*columns), tmp_path)
+
 
 def _assert_same_csv(trace, tmp_path):
-    """write_trace_csv gives the oracle's bytes, to a path and to a stream."""
+    """write_trace_csv gives the oracle's bytes, to a path and to a stream.
+    Both compare lines with their ends, so a failure names the first row that
+    differs without a text diff of the whole CSV."""
+    _assert_same_stream(trace)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_trace_csv(trace, got)
+    csv_writer_trace(trace, want)
+    assert got.read_bytes().splitlines(True) == want.read_bytes().splitlines(True)
+
+
+def _assert_same_stream(trace):
     got, want = io.StringIO(), io.StringIO()
     write_trace_csv(trace, got)
     csv_writer_trace(trace, want)
-    assert got.getvalue() == want.getvalue()
-    write_trace_csv(trace, tmp_path / "got.csv")
-    csv_writer_trace(trace, tmp_path / "want.csv")
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert got.getvalue().splitlines(True) == want.getvalue().splitlines(True)
+
+
+def _assert_run_path(values):
+    assert learner_module._exact_cells(values)[0] == "%s"
+
+
+@settings(max_examples=20)
+@given(
+    n=st.integers(4090, 4100),
+    switch=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_columns_from_three_values_match_the_csv_writer_oracle(n, switch, seed):
+    # Each row keeps the value above it, or with probability switch[k] draws
+    # again from 0.0, -0.0 and NaN, so the run counts fall on both sides of
+    # half the rows and runs cross the chunk boundary.
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, -0.0, math.nan])
+    draws = rng.integers(0, 3, (6, n))
+    redraw = rng.random((6, n)) < np.array(switch)[:, None]
+    redraw[:, 0] = True
+    index = np.maximum.accumulate(np.where(redraw, np.arange(n), 0), axis=1)
+    _assert_same_stream(Trace(*pool[np.take_along_axis(draws, index, axis=1)]))
 
 
 @given(st.floats())
