@@ -61,6 +61,12 @@ CLI_COMMANDS = (
     ("match --learner zero --epsilon 0.1 --stages 20 --out",
      ["match", "--learner", "zero", "--epsilon", "0.1", "--stages", "20",
       "--out", "{tmp}/trace.csv"]),
+    # The sweep and bounds tables, through the same writer as the trace.
+    ("sweep --epsilon-grid log:0.01:0.4:8 --stages 16 --out",
+     ["sweep", "--epsilon-grid", "log:0.01:0.4:8", "--stages", "16",
+      "--out", "{tmp}/sweep.csv"]),
+    ("bounds --epsilon-grid log:1e-4:0.49:2000 --out",
+     ["bounds", "--epsilon-grid", "log:1e-4:0.49:2000", "--out", "{tmp}/bounds.csv"]),
 )
 
 

@@ -355,7 +355,6 @@ class MatchAudit:
 class MatchResult:
     epsilon: float
     stages: int
-    learner_kind: str
     total_loss: float
     records: Optional[Trace]
     per_stage: list[StageSummary]
@@ -498,7 +497,6 @@ def run_match(
     return MatchResult(
         epsilon=eps,
         stages=config.stages,
-        learner_kind=getattr(learner, "kind", type(learner).__name__),
         total_loss=total,
         records=records,
         per_stage=per_stage,

@@ -186,33 +186,30 @@ BOUNDS_CSV_HEADER = (
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All bound values for one epsilon, plus the sqrt(eps)-scaled ratios.
+    """All bound values for one epsilon, plus the sqrt(eps)-scaled ratios: the
+    bounds table's row, its fields in BOUNDS_CSV_HEADER order.
 
     ratio_upper and ratio_lower are upper*sqrt(eps) and
     lower_closed_form*sqrt(eps); both stay inside fixed positive bands as
-    eps -> 0, which is the testable face of the 1/sqrt(eps) growth rate.
+    eps -> 0, which is the testable face of the 1/sqrt(eps) growth rate. For
+    eps in [0.5, 1) the adversary's lower bound is undefined, and its three
+    columns are NaN.
     """
 
     epsilon: float
     upper_linint: float
     lower_closed_form: float
     lower_partial: float
-    partial_stages: int
     ratio_upper: float
     ratio_lower: float
 
 
 def bound_report(epsilon: float, partial_stages: int = 60) -> BoundReport:
-    upper = upper_bound_linint(epsilon)
-    lower = lower_bound_closed_form(epsilon)
-    partial = lower_bound_partial(epsilon, partial_stages)
+    upper = upper_bound_linint(epsilon)  # raises outside (0, 1)
+    if epsilon < 0.5:
+        lower = lower_bound_closed_form(epsilon)
+        partial = lower_bound_partial(epsilon, partial_stages)
+    else:
+        lower = partial = math.nan
     root = math.sqrt(epsilon)
-    return BoundReport(
-        epsilon=epsilon,
-        upper_linint=upper,
-        lower_closed_form=lower,
-        lower_partial=partial,
-        partial_stages=partial_stages,
-        ratio_upper=upper * root,
-        ratio_lower=lower * root,
-    )
+    return BoundReport(epsilon, upper, lower, partial, upper * root, lower * root)

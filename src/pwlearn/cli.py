@@ -13,11 +13,12 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple
 from typing import Optional
 
 from . import pwl
 from .adversary import AdversaryConfig, run_match
-from .bounds import BOUNDS_CSV_HEADER, MAX_PARTIAL_STAGES, bound_report, upper_bound_linint
+from .bounds import BOUNDS_CSV_HEADER, MAX_PARTIAL_STAGES, bound_report
 from .errors import AuditFailure, DomainError, Error, InequalityViolation
 from .harness import (
     ExperimentConfig,
@@ -26,7 +27,7 @@ from .harness import (
     run_sweep,
     write_sweep_csv,
 )
-from .learner import LEARNER_KINDS, fmt_exact, make_learner, open_out, write_trace_csv
+from .learner import LEARNER_KINDS, fmt_exact, make_learner, open_out, write_csv, write_trace_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -164,11 +165,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         learner=args.learner,
         epsilons=_grid_from_args(args),
         stages=args.stages,
-        out=args.out,
     )
-    rows = run_sweep(config)
-    if not args.out:
-        write_sweep_csv(rows, sys.stdout)
+    write_sweep_csv(run_sweep(config), args.out or sys.stdout)
     return EXIT_OK
 
 
@@ -179,23 +177,16 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         raise DomainError(
             f"--partial-stages must lie in 1..{MAX_PARTIAL_STAGES}, got {stages!r}"
         )
-    lines = [",".join(BOUNDS_CSV_HEADER)]
+    rows = []
     for eps in epsilons:
-        upper = upper_bound_linint(eps)  # raises outside (0, 1)
-        if 0.0 < eps < 0.5:
-            rep = bound_report(eps, stages)
-            row = (eps, upper, rep.lower_closed_form, rep.lower_partial,
-                   rep.ratio_upper, rep.ratio_lower)
-        else:
+        rows.append(astuple(bound_report(eps, stages)))
+        if not eps < 0.5:
             print(
                 f"warning: epsilon {eps!r} is outside (0, 0.5); the adversary "
                 "lower bound is undefined there and its columns are nan",
                 file=sys.stderr,
             )
-            row = (eps, upper, math.nan, math.nan, upper * math.sqrt(eps), math.nan)
-        lines.append(",".join(map(fmt_exact, row)))
-    with open_out(args.out or sys.stdout) as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(args.out or sys.stdout, BOUNDS_CSV_HEADER, [zip(*rows)] if rows else [], "\n")
     return EXIT_OK
 
 

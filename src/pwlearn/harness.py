@@ -7,11 +7,10 @@ Identical config and seed therefore reproduce every output byte for byte.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
-from dataclasses import asdict, dataclass, field
-from typing import IO, Iterable, Optional
+from dataclasses import asdict, astuple, dataclass, field
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -22,8 +21,7 @@ from .adversary import (
 from .bounds import kl_d_bound
 from .errors import AuditFailure, DomainError
 from .learner import (
-    LinintLearner, LossAccount, fmt_exact, kl_invariants, make_learner, open_out,
-    run_trials,
+    LinintLearner, LossAccount, kl_invariants, make_learner, run_trials, write_csv,
 )
 
 __all__ = [
@@ -54,7 +52,6 @@ class ExperimentConfig:
     seed: int = 0
     runs: int = 1000
     max_trials: int = 10_000
-    out: Optional[str] = None
 
     def validate(self) -> None:
         """Check every field; the seed and budgets must be integers (a numpy
@@ -162,44 +159,21 @@ class SweepRow:
     upper_linint: float
     loss_times_sqrt_eps: float
 
-    def csv_fields(self) -> list[str]:
-        return [
-            fmt_exact(self.epsilon),
-            str(self.stages),
-            fmt_exact(self.total_loss),
-            fmt_exact(self.lower_partial),
-            fmt_exact(self.upper_linint),
-            fmt_exact(self.loss_times_sqrt_eps),
-        ]
+
+def write_sweep_csv(rows: Iterable[SweepRow], out: str | os.PathLike | IO[str]) -> None:
+    """Write the sweep CSV, one flushed line per row; ``rows`` may be a
+    generator that computes each row on demand."""
+    write_csv(out, SWEEP_CSV_HEADER, ([(v,) for v in astuple(row)] for row in rows))
 
 
-def write_sweep_csv(
-    rows: Iterable[SweepRow], out: str | os.PathLike | IO[str]
-) -> list[SweepRow]:
-    """Write the sweep CSV, flushing after every line, and return the rows as a
-    list; ``rows`` may be a generator that computes each row on demand."""
-    written: list[SweepRow] = []
-    with open_out(out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_HEADER)
-        fh.flush()
-        for row in rows:
-            writer.writerow(row.csv_fields())
-            fh.flush()
-            written.append(row)
-    return written
-
-
-def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
+def run_sweep(config: ExperimentConfig) -> Iterator[SweepRow]:
     """One adversary match per epsilon, with bound values attached.
 
-    Rows come out sorted by epsilon. When config.out is set, each row is
-    written and flushed as soon as it exists, so an interrupted sweep leaves
-    the completed rows on disk.
+    The config is validated at once; the rows then come out sorted by epsilon,
+    each computed when it is asked for, so a writer can stream them.
     """
     config.validate()
-    rows = (_sweep_row(config, eps) for eps in sorted(config.epsilons))
-    return write_sweep_csv(rows, config.out) if config.out else list(rows)
+    return (_sweep_row(config, eps) for eps in sorted(config.epsilons))
 
 
 def _sweep_row(config: ExperimentConfig, eps: float) -> SweepRow:

@@ -42,6 +42,7 @@ __all__ = [
     "run_trials",
     "scalar_predictions",
     "kl_invariants",
+    "write_csv",
     "write_trace_csv",
     "TRACE_HEADER",
 ]
@@ -79,7 +80,6 @@ class Trace:
 class LossAccount:
     """Accumulated sum of e^p over charged trials; p = 1 + epsilon."""
 
-    p: float
     total: float
     trials: int
 
@@ -418,7 +418,7 @@ def run_trials(
     e = np.abs(y_hat - ys)
     loss_term = np.full(n, math.nan)
     try:
-        loss_term[1:] = [v**p for v in e[1:].tolist()]
+        loss_term[1:] = _pow_terms(e[1:].tolist(), p)
     except OverflowError:
         raise DomainError(
             f"a loss term |y_hat - y|**{p!r} overflows; labels and predictions must be moderate"
@@ -427,7 +427,7 @@ def run_trials(
     if not math.isfinite(total):
         raise DomainError(f"total loss {total!r} is not finite; labels and predictions must be")
     trace = Trace(x=xs, y_hat=y_hat, y=ys, e=e, d=d, loss_term=loss_term)
-    return trace, LossAccount(p=p, total=total, trials=max(n - 1, 0))
+    return trace, LossAccount(total=total, trials=max(n - 1, 0))
 
 
 def kl_invariants(trace: Trace, r: float, *more_r: float) -> tuple[float, ...]:
@@ -456,7 +456,7 @@ def kl_invariants(trace: Trace, r: float, *more_r: float) -> tuple[float, ...]:
 
 TRACE_HEADER = ("t", "x", "y_hat", "y", "e", "d", "loss_term", "cum_loss")
 _CSV_CHUNK = 4096
-_EXACT = "%.17g"  # fmt_exact's spec, shared with the trace rows
+_EXACT = "%.17g"  # fmt_exact's spec, shared with write_csv
 
 
 def fmt_exact(value: float) -> str:
@@ -475,38 +475,55 @@ def open_out(out: str | os.PathLike | IO[str]) -> Iterator[IO[str]]:
         yield out
 
 
-def write_trace_csv(trace: Trace, out: str | os.PathLike | IO[str]) -> None:
-    """Write the trial trace as CSV, one write per chunk of rows, formatting
-    each run of equal values in a chunk's column once; trial 0 leaves
-    uncharged fields empty."""
+def write_csv(out: str | os.PathLike | IO[str], header, blocks, end: str = "\r\n") -> None:
+    """Write a CSV table: the header, then each block of equal-length columns
+    through one row template, flushing after the header and after each block.
+    Floats are written %.17g, ints and text as str gives them, and no field is
+    quoted, which no number needs."""
     with open_out(out) as fh:
-        fh.write(",".join(TRACE_HEADER) + "\r\n")
-        n = len(trace)
-        if n:
-            fh.write(f"0,{fmt_exact(trace.x[0])},,{fmt_exact(trace.y[0])},,,,\r\n")
-        columns = (trace.x, trace.y_hat, trace.y, trace.e, trace.d, trace.loss_term)
-        cum = 0.0
-        # Columns turn into Python floats one chunk at a time, so a long
-        # trace never exists as Python floats or text all at once.
-        for start in range(1, n, _CSV_CHUNK):
-            stop = min(start + _CSV_CHUNK, n)
-            # The bits of cum += term: cumsum adds left to right, from cum.
-            cums = np.cumsum(np.append(cum, trace.loss_term[start:stop]))
-            cum = cums[-1]
-            slots, cells = zip(*map(_exact_cells, (*(c[start:stop] for c in columns), cums[1:])))
-            # csv.writer's bytes: "\r\n" line ends and no quoting, which no
-            # number needs.
-            row = ",".join(("%d", *slots)) + "\r\n"
-            fh.write("".join(map(row.__mod__, zip(range(start, stop), *cells))))
+        fh.write(",".join(header) + end)
+        fh.flush()
+        for columns in blocks:
+            slots, cells = zip(*map(_exact_cells, columns))
+            row = ",".join(slots) + end
+            fh.write("".join(map(row.__mod__, zip(*cells))))
+            fh.flush()
 
 
-def _exact_cells(values: np.ndarray) -> tuple[str, list]:
-    """One float64 column of a trace chunk as a row-template slot and its cells.
-    A column with fewer runs of equal values than half its rows formats each
-    run's value once and repeats the text in a %s slot; any other column goes
-    to %.17g as Python floats. A run ends where the bits change: comparing
-    floats would merge 0.0 with -0.0, whose texts differ, and split a run of
-    NaN."""
+def write_trace_csv(trace: Trace, out: str | os.PathLike | IO[str]) -> None:
+    """Write the trial trace as CSV, one block per chunk of rows; trial 0 leaves
+    uncharged fields empty."""
+    write_csv(out, TRACE_HEADER, _trace_blocks(trace))
+
+
+def _trace_blocks(trace: Trace) -> Iterator[tuple]:
+    n = len(trace)
+    if n:
+        yield ((0,), trace.x[:1], ("",), trace.y[:1], *[("",)] * 4)
+    columns = (trace.x, trace.y_hat, trace.y, trace.e, trace.d, trace.loss_term)
+    cum = 0.0
+    # Columns turn into Python floats one chunk at a time, so a long trace
+    # never exists as Python floats or text all at once.
+    for start in range(1, n, _CSV_CHUNK):
+        stop = min(start + _CSV_CHUNK, n)
+        # The bits of cum += term: cumsum adds left to right, from cum.
+        cums = np.cumsum(np.append(cum, trace.loss_term[start:stop]))
+        cum = cums[-1]
+        yield (range(start, stop), *(c[start:stop] for c in columns), cums[1:])
+
+
+def _exact_cells(values) -> tuple[str, Sequence]:
+    """One column of a block as a row-template slot and its cells. A range
+    takes a %d slot. Any other column that is not a numpy array takes a %s
+    slot, its floats as %.17g text and its ints and text as they are. A
+    float64 array with fewer runs of equal values than half its rows formats
+    each run's value once and repeats the text in a %s slot; any other goes to
+    %.17g as Python floats. A run ends where the bits change: comparing floats
+    would merge 0.0 with -0.0, whose texts differ, and split a run of NaN."""
+    if isinstance(values, range):
+        return "%d", values
+    if not isinstance(values, np.ndarray):
+        return "%s", [_EXACT % v if isinstance(v, float) else v for v in values]
     bits = values.view(np.int64)
     starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
     if 2 * (len(starts) + 1) >= len(values):

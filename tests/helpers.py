@@ -1,6 +1,6 @@
 """Shared generators for randomized tests, the adversary's dict oracle, the
-trace CSV oracle, the nearest-earlier-neighbour oracle, and the functions a
-learner or the adversary has built so far."""
+table and trace CSV oracles, the nearest-earlier-neighbour oracle, and the
+functions a learner or the adversary has built so far."""
 
 import csv
 import math
@@ -124,6 +124,22 @@ def csv_writer_trace(trace, out):
             writer.writerow(
                 [t, *(fmt_exact(v) for v in (x, y_hat, y, e, d, term, cum))]
             )
+
+
+def csv_writer_table(out, header, blocks, end="\r\n"):
+    """A table written by csv.writer, one format(v, ".17g") call per float field
+    and str for every other, returning the text written by the header and by
+    each block: the oracle write_csv must match byte for byte, and the points
+    where it must flush."""
+    flushed = []
+    writer = csv.writer(out, lineterminator=end)
+    writer.writerow(header)
+    flushed.append(out.getvalue())
+    for columns in blocks:
+        for row in zip(*columns):
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+        flushed.append(out.getvalue())
+    return flushed
 
 
 def linked_list_neighbours(xs):

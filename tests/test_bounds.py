@@ -192,9 +192,20 @@ class TestBoundReport:
         assert rep.upper_linint == upper_bound_linint(0.25)
         assert rep.lower_closed_form == lower_bound_closed_form(0.25)
         assert rep.lower_partial == lower_bound_partial(0.25, 14)
-        assert rep.partial_stages == 14
         assert rep.ratio_upper == rep.upper_linint * math.sqrt(0.25)
         assert rep.ratio_lower == rep.lower_closed_form * math.sqrt(0.25)
+
+    def test_lower_columns_are_nan_from_one_half(self):
+        rep = bound_report(0.7)
+        assert math.isnan(rep.lower_closed_form)
+        assert math.isnan(rep.lower_partial)
+        assert math.isnan(rep.ratio_lower)
+        assert rep.ratio_upper == upper_bound_linint(0.7) * math.sqrt(0.7)
+
+    @pytest.mark.parametrize("eps", [1.0, 0.0, math.nan])
+    def test_outside_the_upper_bounds_range_raises(self, eps):
+        with pytest.raises(DomainError):
+            bound_report(eps)
 
     def test_partial_defaults_to_sixty_stages(self):
         assert bound_report(0.3).lower_partial == lower_bound_partial(0.3, 60)

@@ -11,8 +11,10 @@ from pwlearn import (
     from_points,
     harness,
     lower_bound_partial,
+    run_match,
     upper_bound_linint,
 )
+from pwlearn.harness import SWEEP_CSV_HEADER
 
 
 def run_cli(args):
@@ -222,8 +224,48 @@ class TestSweep:
     def test_requires_a_grid(self, capsys):
         assert run_cli(["sweep", "--stages", "4"]) == 1
 
+    def test_bad_epsilon_exits_one_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--epsilons", "0.2,0.7", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    def test_rows_stream_to_stdout_as_their_matches_finish(self, monkeypatch, capsys):
+        calls = []
+
+        def second_match_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise DomainError("second match")
+            return run_match(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_match", second_match_fails)
+        assert run_cli(["sweep", "--epsilons", "0.3,0.2", "--stages", "4"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == ",".join(SWEEP_CSV_HEADER)
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [0.2]
+        assert captured.err == "error: second match\n"
+
     def test_rejects_out_of_range_epsilon(self, capsys):
         assert run_cli(["sweep", "--epsilons", "0.6", "--stages", "4"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--learner", "nearest", "--epsilons", "0.4,0.02", "--stages", "6"],
+        ["bounds", "--epsilons", "0.3,0.7,0.001", "--partial-stages", "20"],
+    ],
+    ids=["sweep", "bounds"],
+)
+def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
+    assert run_cli(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "table.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
 
 
 @pytest.mark.parametrize("command", ["sweep", "bounds"])

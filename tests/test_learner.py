@@ -27,9 +27,11 @@ from pwlearn import (
     write_trace_csv,
 )
 from pwlearn import learner as learner_module
-from pwlearn.learner import TRACE_HEADER, scalar_predictions
+from pwlearn.learner import TRACE_HEADER, scalar_predictions, write_csv
 
-from helpers import csv_writer_trace, linint_history, linked_list_neighbours, random_function
+from helpers import (
+    csv_writer_table, csv_writer_trace, linint_history, linked_list_neighbours, random_function,
+)
 
 
 def target_sequence(rng, target, m):
@@ -734,6 +736,67 @@ def test_columns_from_three_values_match_the_csv_writer_oracle(n, switch, seed):
     _assert_same_stream(Trace(*pool[np.take_along_axis(draws, index, axis=1)]))
 
 
+class _FlushLog(io.StringIO):
+    """A stream that keeps the text written by each flush."""
+
+    def __init__(self):
+        super().__init__()
+        self.flushed = []
+
+    def flush(self):
+        self.flushed.append(self.getvalue())
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.225073858507201e-308]
+
+
+@st.composite
+def _tables(draw):
+    """A header and blocks of float, int and text columns. A float column is a
+    list or a float64 array, an int column a list or a range, and values come
+    in runs, so every path of _exact_cells is taken. A one-column table has no
+    empty text, which csv.writer alone would quote."""
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "text"]), min_size=1, max_size=5))
+    header = [f"c{k}" for k in range(len(kinds))]
+    cell = {
+        "float": st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()),
+        "int": st.integers(-(2**70), 2**70),
+        "text": st.text(
+            st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)),
+            min_size=len(kinds) == 1,
+            max_size=6,
+        ),
+    }
+    blocks = []
+    for n in draw(st.lists(st.integers(1, 300), max_size=4)):
+        block = []
+        for kind in kinds:
+            runs = draw(st.lists(st.tuples(cell[kind], st.integers(1, 80)), min_size=1, max_size=8))
+            column = [v for v, length in runs for _ in range(length)]
+            column = [column[k % len(column)] for k in range(n)]
+            if kind == "float" and draw(st.booleans()):
+                column = np.array(column)
+            elif kind == "int" and draw(st.booleans()):
+                column = range(column[0], column[0] + n)
+            block.append(column)
+        blocks.append(block)
+    return header, blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=_tables(), end=st.sampled_from(["\r\n", "\n"]))
+# A NUL in text and ints past 2^63, which a numpy array of the column would lose.
+@example(table=(["c0", "c1"], [[[0.0], ["\x00"]]]), end="\r\n")
+@example(table=(["c0"], [[[-1, 2**63]]]), end="\n")
+def test_write_csv_matches_the_csv_writer_oracle_and_flushes_per_block(table, end):
+    header, blocks = table
+    got = _FlushLog()
+    write_csv(got, header, blocks, end)
+    want = csv_writer_table(io.StringIO(), header, blocks, end)
+    assert got.getvalue() == want[-1]
+    assert got.flushed == want
+
+
 @given(st.floats())
 @example(math.nan)
 @example(math.inf)
@@ -741,7 +804,7 @@ def test_columns_from_three_values_match_the_csv_writer_oracle(n, switch, seed):
 @example(-0.0)
 @example(5e-324)
 def test_percent_format_is_format_for_every_float(v):
-    # The trace CSV's row template rests on this identity.
+    # The CSV writer's row templates rest on this identity.
     assert "%.17g" % v == format(v, ".17g")
 
 
