@@ -14,9 +14,11 @@ are kept. One ``--trace 1`` run per side and workload gives its layer rows.
 
 Then each CLI command in CLI_COMMANDS runs CLI_RUNS times per side in a
 fresh interpreter, the sides again taking turns to go first: every run's wall
-time, peak RSS (from wait4) and the SHA-256 of its stdout and of any file it
-writes are kept, with each side's median wall time and peak RSS. The row's
-bytes are the same only if every run of both sides has the same digests.
+time, peak RSS (from wait4), exit code and the SHA-256 of its stdout, of its
+stderr and of any file it writes are kept, with each side's median wall time
+and peak RSS. A row names the exit code it expects (refusal rows expect 1);
+any other code stops the script. The row's bytes are the same only if every
+run of both sides has the same digests.
 Last, the tier-1 suite runs once per side: its wall time and its pass and
 fail counts. A failing test does not stop the script; the counts say what
 failed.
@@ -48,25 +50,31 @@ SEED = 11  # the first pair's; pair k runs on SEED + k
 SECONDS = 1.0  # perfbench --seconds
 CLI_RUNS = 3  # per side and CLI command; one run alone lets an outlier read as a change
 
-# (name, argv after "python -m pwlearn.cli"); "{tmp}" is a scratch directory.
+# (name, argv after "python -m pwlearn.cli", expected exit code); "{tmp}" is a
+# scratch directory.
 CLI_COMMANDS = (
-    ("audit --runs 1000 --seed 7", ["audit", "--runs", "1000", "--seed", "7"]),
+    ("audit --runs 1000 --seed 7", ["audit", "--runs", "1000", "--seed", "7"], 0),
     # Runs of up to 10^5 trials, which perfbench's workloads do not reach.
     ("audit --runs 20 --seed 7 --max-trials 100000",
-     ["audit", "--runs", "20", "--seed", "7", "--max-trials", "100000"]),
-    ("match --epsilon 0.1 --stages 20", ["match", "--epsilon", "0.1", "--stages", "20"]),
+     ["audit", "--runs", "20", "--seed", "7", "--max-trials", "100000"], 0),
+    ("match --epsilon 0.1 --stages 20", ["match", "--epsilon", "0.1", "--stages", "20"], 0),
     ("match --epsilon 0.1 --stages 20 --out",
-     ["match", "--epsilon", "0.1", "--stages", "20", "--out", "{tmp}/trace.csv"]),
+     ["match", "--epsilon", "0.1", "--stages", "20", "--out", "{tmp}/trace.csv"], 0),
     # zero's y_hat column is one run: the writer's run path at scale.
     ("match --learner zero --epsilon 0.1 --stages 20 --out",
      ["match", "--learner", "zero", "--epsilon", "0.1", "--stages", "20",
-      "--out", "{tmp}/trace.csv"]),
+      "--out", "{tmp}/trace.csv"], 0),
     # The sweep and bounds tables, through the same writer as the trace.
     ("sweep --epsilon-grid log:0.01:0.4:8 --stages 16 --out",
      ["sweep", "--epsilon-grid", "log:0.01:0.4:8", "--stages", "16",
-      "--out", "{tmp}/sweep.csv"]),
+      "--out", "{tmp}/sweep.csv"], 0),
     ("bounds --epsilon-grid log:1e-4:0.49:2000 --out",
-     ["bounds", "--epsilon-grid", "log:1e-4:0.49:2000", "--out", "{tmp}/bounds.csv"]),
+     ["bounds", "--epsilon-grid", "log:1e-4:0.49:2000", "--out", "{tmp}/bounds.csv"], 0),
+    # Refusals: out-of-range counts exit 1 with the same message on both sides.
+    ("match --epsilon 0.1 --stages 25", ["match", "--epsilon", "0.1", "--stages", "25"], 1),
+    ("audit --runs 1 --max-trials 1", ["audit", "--runs", "1", "--max-trials", "1"], 1),
+    ("bounds --epsilons 0.7 --partial-stages 0",
+     ["bounds", "--epsilons", "0.7", "--partial-stages", "0"], 1),
 )
 
 
@@ -147,28 +155,30 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def time_cli(checkout: Path, argv: list[str], tmp: Path) -> dict:
-    """Run one CLI command in a fresh interpreter: wall time, peak RSS and the
-    SHA-256 of stdout and of every file it wrote into tmp."""
+def time_cli(checkout: Path, argv: list[str], tmp: Path, expected: int) -> dict:
+    """Run one CLI command in a fresh interpreter: wall time, peak RSS, exit
+    code and the SHA-256 of stdout, of stderr and of every file it wrote into
+    tmp. An exit code other than expected stops the script."""
     tmp.mkdir(parents=True)
     try:
         argv = [a.replace("{tmp}", str(tmp)) for a in argv]
-        stdout = tmp / "stdout"
         env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-        with open(stdout, "wb") as fh:
+        with open(tmp / "stdout", "wb") as out, open(tmp / "stderr", "wb") as err:
             t0 = time.perf_counter()
             proc = subprocess.Popen([sys.executable, "-m", "pwlearn.cli", *argv],
-                                    cwd=checkout, env=env, stdout=fh)
+                                    cwd=checkout, env=env, stdout=out, stderr=err)
             _, status, usage = os.wait4(proc.pid, 0)
             wall = time.perf_counter() - t0
             proc.returncode = os.waitstatus_to_exitcode(status)
-        if proc.returncode != 0:
+        if proc.returncode != expected:
             sys.exit(f"bench_pairs: pwlearn {' '.join(argv)} in {checkout} exited "
-                     f"{proc.returncode}")
+                     f"{proc.returncode}, expected {expected}:\n"
+                     f"{(tmp / 'stderr').read_text()[-2000:]}")
         return {
             "wall_s": wall,
             # ru_maxrss is in KiB on Linux.
             "peak_rss_mb": usage.ru_maxrss / 1024,
+            "exit_code": proc.returncode,
             "sha256": {p.name: _sha256(p) for p in sorted(tmp.iterdir())},
         }
     finally:
@@ -219,11 +229,12 @@ def main(argv=None) -> int:
             for w in WORKLOADS
         }
         cli = report["cli"] = {}
-        for name, cli_argv in CLI_COMMANDS:
+        for name, cli_argv, expected in CLI_COMMANDS:
             runs = {"parent": [], "change": []}
             for k in range(CLI_RUNS):
                 for side, checkout in _sides(parent, k):
-                    runs[side].append(time_cli(checkout, cli_argv, TMP / f"cli-{os.getpid()}"))
+                    runs[side].append(
+                        time_cli(checkout, cli_argv, TMP / f"cli-{os.getpid()}", expected))
             sides = cli[name] = {
                 side: {key: statistics.median(r[key] for r in rs)
                        for key in ("wall_s", "peak_rss_mb")} | {"runs": rs}

@@ -37,14 +37,13 @@ audit_energy, the same audit from the live state, is the scalar oracle.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import pwl
-from .errors import DomainError, SequenceError
+from .errors import DomainError, SequenceError, _check_int
 from .learner import (
     Learner, Trace, ZeroLearner, _fill, _fresh, _midpoint_predictions, _pow_terms,
     _running_total,
@@ -72,6 +71,7 @@ Y0 = 0.0
 # 2^24 trials is around 16M committed knots; past that, memory and runtime
 # stop being desk-scale.
 MAX_STAGES = 24
+_DESK_SCALE = f" (2^{MAX_STAGES} trials is the desk-scale ceiling)"
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -80,26 +80,6 @@ def _check_epsilon(epsilon: float) -> None:
             f"epsilon {epsilon!r} is outside the adversary's range (0, 0.5); "
             "use the bounds subcommand for that regime"
         )
-
-
-def _check_int(name: str, value) -> int:
-    """value as an int; a bool, a float or a string raises DomainError."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_stages(stages: int) -> int:
-    stages = _check_int("stages", stages)
-    if not 1 <= stages <= MAX_STAGES:
-        raise DomainError(
-            f"stages must lie in 1..{MAX_STAGES} (2^{MAX_STAGES} trials is the "
-            f"desk-scale ceiling), got {stages!r}"
-        )
-    return stages
 
 
 @dataclass(frozen=True)
@@ -115,14 +95,13 @@ class AdversaryConfig:
 
     def __post_init__(self) -> None:
         _check_epsilon(self.epsilon)
-        object.__setattr__(self, "stages", _check_stages(self.stages))
+        stages = _check_int("stages", self.stages, 1, MAX_STAGES, _DESK_SCALE)
+        object.__setattr__(self, "stages", stages)
 
 
 def stage_of(t: int) -> int:
     """Stage index of trial t >= 1: the unique i with 2^(i-1) <= t <= 2^i - 1."""
-    if t < 1:
-        raise DomainError(f"trial index must be >= 1, got {t!r}")
-    return t.bit_length()
+    return _check_int("trial index", t, 1).bit_length()
 
 
 def dyadic_x(t: int) -> float:
@@ -137,8 +116,7 @@ def dyadic_x(t: int) -> float:
 
 def perturbation(i: int, epsilon: float) -> float:
     """Proposed-label offset magnitude in stage i: sqrt(eps)*(1-eps)^(i/2)/2^(i+1)."""
-    if i < 1:
-        raise DomainError(f"stage index must be >= 1, got {i!r}")
+    i = _check_int("stage index", i, 1)
     _check_epsilon(epsilon)
     return math.sqrt(epsilon) * (1.0 - epsilon) ** (i / 2.0) / 2.0 ** (i + 1)
 

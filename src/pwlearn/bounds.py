@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .adversary import _check_int, perturbation
-from .errors import DivergenceError, DomainError, InequalityViolation
+from .adversary import perturbation
+from .errors import DivergenceError, DomainError, InequalityViolation, _check_int
 
 __all__ = [
     "upper_bound_linint",
@@ -63,11 +63,7 @@ def lower_bound_partial(epsilon: float, stages: int) -> float:
     """
     if not 0.0 < epsilon < 0.5:
         raise DomainError(f"epsilon must lie in (0, 0.5), got {epsilon!r}")
-    stages = _check_int("stage count", stages)
-    if not 1 <= stages <= MAX_PARTIAL_STAGES:
-        raise DomainError(
-            f"stage count must lie in 1..{MAX_PARTIAL_STAGES}, got {stages!r}"
-        )
+    stages = _check_int("stage count", stages, 1, MAX_PARTIAL_STAGES)
     p = 1.0 + epsilon
     log_sqrt_eps = 0.5 * math.log(epsilon)
     log_1m = math.log1p(-epsilon)
@@ -206,6 +202,8 @@ class BoundReport:
 
 def bound_report(epsilon: float, partial_stages: int = 60) -> BoundReport:
     upper = upper_bound_linint(epsilon)  # raises outside (0, 1)
+    # Checked for every epsilon, not only where the partial sum is computed.
+    partial_stages = _check_int("stage count", partial_stages, 1, MAX_PARTIAL_STAGES)
     if epsilon < 0.5:
         lower = lower_bound_closed_form(epsilon)
         partial = lower_bound_partial(epsilon, partial_stages)

@@ -19,7 +19,7 @@ from typing import Optional
 from . import pwl
 from .adversary import AdversaryConfig, run_match
 from .bounds import BOUNDS_CSV_HEADER, MAX_PARTIAL_STAGES, bound_report
-from .errors import AuditFailure, DomainError, Error, InequalityViolation
+from .errors import AuditFailure, DomainError, Error, InequalityViolation, _check_int
 from .harness import (
     ExperimentConfig,
     parse_epsilon_grid,
@@ -172,11 +172,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     epsilons = _grid_from_args(args)
-    stages = args.partial_stages
-    if not 1 <= stages <= MAX_PARTIAL_STAGES:
-        raise DomainError(
-            f"--partial-stages must lie in 1..{MAX_PARTIAL_STAGES}, got {stages!r}"
-        )
+    stages = _check_int("--partial-stages", args.partial_stages, 1, MAX_PARTIAL_STAGES)
     rows = []
     for eps in epsilons:
         rows.append(astuple(bound_report(eps, stages)))

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer-count check."""
+
+import math
+import operator
 
 
 class Error(Exception):
@@ -7,6 +10,20 @@ class Error(Exception):
 
 class DomainError(Error, ValueError):
     """An argument lies outside its mathematical domain."""
+
+
+def _check_int(name: str, value, lo: int = 0, hi: float = math.inf, why: str = "") -> int:
+    """value as an int (a numpy integer becomes one) if it lies in lo..hi;
+    otherwise DomainError. A bool, a float or a string is not an integer."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not hasattr(value, "__index__"):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        value = operator.index(value)
+    if not lo <= value <= hi:
+        bound = (f"lie in {lo}..{hi}" if hi < math.inf
+                 else "be nonnegative" if lo == 0 else f"be at least {lo}")
+        raise DomainError(f"{name} must {bound}{why}, got {value!r}")
+    return value
 
 
 class DuplicateConflict(Error, ValueError):

@@ -15,11 +15,9 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from . import pwl
-from .adversary import (
-    MAX_STAGES, AdversaryConfig, _check_epsilon, _check_int, _check_stages, run_match,
-)
+from .adversary import _DESK_SCALE, MAX_STAGES, AdversaryConfig, _check_epsilon, run_match
 from .bounds import kl_d_bound
-from .errors import AuditFailure, DomainError
+from .errors import AuditFailure, DomainError, _check_int
 from .learner import (
     LinintLearner, LossAccount, kl_invariants, make_learner, run_trials, write_csv,
 )
@@ -54,25 +52,22 @@ class ExperimentConfig:
     max_trials: int = 10_000
 
     def validate(self) -> None:
-        """Check every field; the seed and budgets must be integers (a numpy
-        integer is stored as an int, a bool is refused). max_trials is capped
-        at 2^MAX_STAGES, the adversary's desk-scale ceiling."""
+        """Check every field: an unknown learner raises UnknownKind; the seed
+        and budgets must be integers (a numpy integer is stored as an int, a
+        bool is refused). max_trials is capped at 2^MAX_STAGES, the
+        adversary's desk-scale ceiling."""
+        make_learner(self.learner)
         # Checking every epsilon up front stops a sweep before its first match.
-        self.stages = _check_stages(self.stages)
+        self.stages = _check_int("stages", self.stages, 1, MAX_STAGES, _DESK_SCALE)
         for eps in self.epsilons:
             _check_epsilon(eps)
         self.seed = _check_int("seed", self.seed)
-        if self.seed < 0:
-            raise DomainError(f"seed must be nonnegative, got {self.seed!r}")
         self.runs = _check_int("runs", self.runs)
-        if self.runs < 0:
-            raise DomainError(f"runs must be nonnegative, got {self.runs!r}")
-        self.max_trials = _check_int("max_trials", self.max_trials)
-        if not 2 <= self.max_trials <= 1 << MAX_STAGES:
-            raise DomainError(
-                f"max_trials must lie in 2..{1 << MAX_STAGES} (2^{MAX_STAGES} trials is the "
-                f"desk-scale ceiling), got {self.max_trials!r}"
-            )
+        self.max_trials = _check_max_trials(self.max_trials)
+
+
+def _check_max_trials(max_trials: int) -> int:
+    return _check_int("max_trials", max_trials, 2, 1 << MAX_STAGES, _DESK_SCALE)
 
 
 def parse_epsilon_grid(text: str) -> list[float]:
@@ -87,8 +82,7 @@ def parse_epsilon_grid(text: str) -> list[float]:
             raise DomainError(f"bad grid spec {text!r}: {exc}") from exc
         if not (0.0 < a < math.inf and 0.0 < b < math.inf):
             raise DomainError(f"log grid endpoints must be positive and finite, got {a!r}, {b!r}")
-        if not 0 <= n <= MAX_GRID_SIZE:
-            raise DomainError(f"log grid size must lie in 0..{MAX_GRID_SIZE}, got {n!r}")
+        _check_int("log grid size", n, 0, MAX_GRID_SIZE)
         return [float(e) for e in np.geomspace(a, b, n)]
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -135,8 +129,7 @@ def sample_target(q: float, knot_count: int, seed) -> pwl.PiecewiseLinearFunctio
     DomainError.
     """
     pwl._check_norm_order(q)
-    if knot_count < 2:
-        raise DomainError(f"knot_count must be at least 2, got {knot_count!r}")
+    knot_count = _check_int("knot_count", knot_count, 2)
     return _sample_target_rng(q, knot_count, np.random.default_rng(seed))
 
 
@@ -234,6 +227,7 @@ def audit_trace_run(
     """One Kimber & Long trace run drawn from rng: LININT at squared loss on a
     sampled target and 2..max_trials distinct inputs. Returns the loss account,
     sum e^2/d, {r: sum d^r} over D_EXPONENTS and the first input."""
+    max_trials = _check_max_trials(max_trials)
     target = _sample_target_rng(2.0, int(rng.integers(2, 33)), rng)
     xs = _distinct_uniform(rng, int(rng.integers(2, max_trials + 1)))
     pairs = np.column_stack((xs, pwl.evaluate_many(target, xs)))

@@ -47,9 +47,6 @@ __all__ = [
     "TRACE_HEADER",
 ]
 
-LEARNER_KINDS = ("linint", "zero", "nearest")
-
-
 def _check_coord(x: float) -> None:
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"input coordinate {x!r} outside [0, 1]")
@@ -202,14 +199,14 @@ class LinintLearner(_Observed, Learner):
             )
 
 
+_LEARNERS = {cls.kind: cls for cls in (LinintLearner, ZeroLearner, NearestLearner)}
+LEARNER_KINDS = tuple(_LEARNERS)
+
+
 def make_learner(kind: str) -> Learner:
-    if kind == "linint":
-        return LinintLearner()
-    if kind == "zero":
-        return ZeroLearner()
-    if kind == "nearest":
-        return NearestLearner()
-    raise UnknownKind(f"unknown learner kind {kind!r}; expected one of {LEARNER_KINDS}")
+    if kind not in LEARNER_KINDS:
+        raise UnknownKind(f"unknown learner kind {kind!r}; expected one of {LEARNER_KINDS}")
+    return _LEARNERS[kind]()
 
 
 def _running_total(values) -> float:

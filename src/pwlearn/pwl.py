@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, DuplicateConflict, PreconditionError
+from .errors import DomainError, DuplicateConflict, PreconditionError, _check_int
 
 __all__ = [
     "PiecewiseLinearFunction",
@@ -157,8 +157,7 @@ def integrate_energy_oracle(f: PiecewiseLinearFunction, n: int) -> float:
     goes through numpy's interpolation rather than evaluate(), so this stays
     an independent check on energy().
     """
-    if n < 1:
-        raise DomainError(f"subdivision count must be at least 1, got {n!r}")
+    n = _check_int("subdivision count", n, 1)
     if len(f.us) <= 1:
         return 0.0
     xs = np.linspace(0.0, 1.0, n + 1)
@@ -207,7 +206,10 @@ def derivative_norm(f: PiecewiseLinearFunction, q: float) -> float:
 
 
 def is_member(f: PiecewiseLinearFunction, q: float, tol: float = 0.0) -> bool:
-    """Whether the derivative's q-norm is at most 1, up to a relative slack."""
+    """Whether the derivative's q-norm is at most 1, up to a relative slack.
+    A tolerance that is negative or not finite raises DomainError."""
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tolerance must be finite and nonnegative, got {tol!r}")
     return derivative_norm(f, q) <= 1.0 + tol
 
 

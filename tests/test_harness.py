@@ -11,6 +11,7 @@ from pwlearn import (
     AuditFailure,
     DomainError,
     ExperimentConfig,
+    UnknownKind,
     derivative_norm,
     is_member,
     make_learner,
@@ -157,6 +158,13 @@ class TestRunSweep:
     def test_empty_grid(self):
         config = ExperimentConfig(epsilons=[], stages=8)
         assert list(run_sweep(config)) == []
+
+    def test_unknown_learner_is_refused_before_anything_is_written(self):
+        buf = io.StringIO()
+        config = ExperimentConfig(learner="bogus", epsilons=[0.1])
+        with pytest.raises(UnknownKind, match="unknown learner kind 'bogus'"):
+            write_sweep_csv(run_sweep(config), buf)
+        assert buf.getvalue() == ""
 
     def test_writes_csv_file_row_by_row(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -12,6 +12,7 @@ from pwlearn import (
     DegenerateInput,
     DomainError,
     DuplicateConflict,
+    LEARNER_KINDS,
     LinintLearner,
     NearestLearner,
     Trace,
@@ -118,6 +119,8 @@ class TestMakeLearner:
             make_learner("oracle")
 
     def test_kind_labels(self):
+        assert LEARNER_KINDS == ("linint", "zero", "nearest")
+        assert [make_learner(kind).kind for kind in LEARNER_KINDS] == list(LEARNER_KINDS)
         assert isinstance(make_learner("zero"), ZeroLearner)
         assert isinstance(make_learner("nearest"), NearestLearner)
         assert isinstance(make_learner("linint"), LinintLearner)

@@ -247,6 +247,11 @@ class TestIsMember:
         assert not is_member(f, math.inf, 0.0)
         assert is_member(f, math.inf, 0.25)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(DomainError, match="tolerance must be finite and nonnegative"):
+            is_member(TENT, 2.0, tol)
+
 
 class TestEnergyIncrement:
     def test_midpoint_of_flat_segment(self):
