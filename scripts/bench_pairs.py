@@ -68,6 +68,9 @@ CLI_COMMANDS = (
     ("sweep --epsilon-grid log:0.01:0.4:8 --stages 16 --out",
      ["sweep", "--epsilon-grid", "log:0.01:0.4:8", "--stages", "16",
       "--out", "{tmp}/sweep.csv"], 0),
+    # About 3·10^6 loss terms through run_match's pow, with no CSV.
+    ("sweep --learner zero --epsilons 0.02,0.1,0.45 --stages 20",
+     ["sweep", "--learner", "zero", "--epsilons", "0.02,0.1,0.45", "--stages", "20"], 0),
     ("bounds --epsilon-grid log:1e-4:0.49:2000 --out",
      ["bounds", "--epsilon-grid", "log:1e-4:0.49:2000", "--out", "{tmp}/bounds.csv"], 0),
     # Refusals: out-of-range counts exit 1 with the same message on both sides.

@@ -116,7 +116,7 @@ def dyadic_x(t: int) -> float:
 
 def perturbation(i: int, epsilon: float) -> float:
     """Proposed-label offset magnitude in stage i: sqrt(eps)*(1-eps)^(i/2)/2^(i+1)."""
-    i = _check_int("stage index", i, 1)
+    i = _check_int("stage index", i, 1, 1022, " (2^1023 is the largest power of 2 a double holds)")
     _check_epsilon(epsilon)
     return math.sqrt(epsilon) * (1.0 - epsilon) ** (i / 2.0) / 2.0 ** (i + 1)
 
@@ -439,7 +439,7 @@ def run_match(
         j_probe, j_committed, residual = _stage_audits(state, audit_per_trial)
         e = np.abs(y_hat - y)
         try:
-            terms = _pow_terms(e.tolist(), p)
+            terms = _pow_terms(e, p)
         except OverflowError:
             raise DomainError(
                 f"a loss term in stage {i} overflows; predictions must be moderate"

@@ -18,7 +18,6 @@ which learners either offline path may stand in for.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from contextlib import contextmanager
@@ -215,11 +214,17 @@ def _running_total(values) -> float:
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
-def _pow_terms(values: list[float], p: float) -> np.ndarray:
-    """Every value ** p as a float64 array, with the bits of Python's float **
-    (libm pow; np.power differs in the last ulp) and no list of terms built.
-    An overflowing term raises OverflowError, as ** does."""
-    return np.fromiter(map(math.pow, values, itertools.repeat(p)), float, len(values))
+def _pow_terms(values: np.ndarray, p: float) -> np.ndarray:
+    """Every value ** p as a float64 array, with the bits of math.pow:
+    np.float_power's float64 loop calls libm pow once per element, where
+    np.power's SIMD loop differs in the last ulp. A finite value whose term
+    overflows raises OverflowError, as math.pow does, and a negative one whose
+    term is not real FloatingPointError; inf and NaN pass through."""
+    with np.errstate(over="ignore", invalid="raise"):
+        terms = np.float_power(values, p)
+    if (np.isinf(terms) & np.isfinite(values)).any():
+        raise OverflowError("math range error")
+    return terms
 
 
 def _check_pairs(xs: np.ndarray, ys: np.ndarray) -> None:
@@ -415,7 +420,7 @@ def run_trials(
     e = np.abs(y_hat - ys)
     loss_term = np.full(n, math.nan)
     try:
-        loss_term[1:] = _pow_terms(e[1:].tolist(), p)
+        loss_term[1:] = _pow_terms(e[1:], p)
     except OverflowError:
         raise DomainError(
             f"a loss term |y_hat - y|**{p!r} overflows; labels and predictions must be moderate"
@@ -430,7 +435,7 @@ def run_trials(
 def kl_invariants(trace: Trace, r: float, *more_r: float) -> tuple[float, ...]:
     """Trace sums over charged trials: (sum of e^2/d, sum of d^r, then sum of
     d^r' for each further exponent r' in more_r). One call for several
-    exponents computes e^2/d and the list of d once.
+    exponents checks d and computes e^2/d once.
 
     Every exponent must exceed 1. Requires distinct input coordinates: a
     repeated input gives d = 0 and raises DegenerateInput instead of
@@ -447,8 +452,7 @@ def kl_invariants(trace: Trace, r: float, *more_r: float) -> tuple[float, ...]:
         raise DegenerateInput(
             f"repeated input coordinate at trial {t} (x={float(trace.x[t])!r})"
         )
-    dl = d.tolist()
-    return (_running_total(e * e / d), *(_running_total(_pow_terms(dl, q)) for q in exponents))
+    return (_running_total(e * e / d), *(_running_total(_pow_terms(d, q)) for q in exponents))
 
 
 TRACE_HEADER = ("t", "x", "y_hat", "y", "e", "d", "loss_term", "cum_loss")

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -527,6 +528,24 @@ class TestRunMatch:
 
         with pytest.raises(DomainError, match="overflows"):
             run_match(HugeLearner(), AdversaryConfig(0.25, 4))
+
+    @pytest.mark.parametrize(
+        "y_hat, message", [(1e300, "overflows"), (math.inf, "total loss inf is not finite")]
+    )
+    def test_huge_prediction_is_a_domain_error_without_warnings(self, y_hat, message):
+        class FixedLearner(Learner):
+            kind = "fixed"
+
+            def predict(self, x):
+                return y_hat
+
+            def observe(self, x, y):
+                pass
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                run_match(FixedLearner(), AdversaryConfig(0.25, 4))
 
     def test_json_schema(self):
         result = run_match(make_learner("zero"), AdversaryConfig(0.25, 3))

@@ -28,6 +28,7 @@ from pwlearn import (
 from pwlearn.harness import audit_trace_run
 
 DESK = " (2^24 trials is the desk-scale ceiling)"
+POW2 = " (2^1023 is the largest power of 2 a double holds)"
 TENT = from_points([(0.0, 0.0), (0.5, 0.5), (1.0, 0.0)])
 
 
@@ -87,8 +88,9 @@ ENTRY_POINTS = {
         lambda n: integrate_energy_oracle(TENT, n), "subdivision count", "be at least 1",
         1, None, 8, 2.5,
     ),
+    # 2.0 ** (i + 1) overflows past i = 1022.
     "perturbation": (
-        lambda n: perturbation(n, 0.1), "stage index", "be at least 1", 1, None, 3, 1.5,
+        lambda n: perturbation(n, 0.1), "stage index", f"lie in 1..1022{POW2}", 1, 1022, 1022, 1.5,
     ),
     "stage_of": (stage_of, "trial index", "be at least 1", 1, None, 5, 1.0),
     "dyadic_x": (dyadic_x, "trial index", "be at least 1", 1, None, 5, 2.0),
@@ -137,3 +139,8 @@ def test_numpy_integer_is_accepted_as_an_int(entry):
 def test_log_grid_size_range(n, message):
     # The size is parsed from text, so only its range can be wrong.
     _refused(parse_epsilon_grid, f"log:0.1:0.2:{n}", message)
+
+
+def test_perturbation_refuses_an_index_far_past_its_ceiling():
+    _refused(lambda n: perturbation(n, 0.1), 1100,
+             f"stage index must lie in 1..1022{POW2}, got 1100")

@@ -1,6 +1,7 @@
 import io
 import math
 import struct
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -244,6 +245,19 @@ class TestRunTrials:
         # zero runs the scalar loop, a fresh linint the offline path.
         with pytest.raises(DomainError, match="overflows"):
             run_trials(make_learner(kind), [(0.5, 0.0), (0.25, 1e300)], p=2.0)
+
+    @pytest.mark.parametrize(
+        "y_hat, message", [(1e300, "overflows"), (math.inf, "total loss inf is not finite")]
+    )
+    def test_huge_prediction_is_a_domain_error_without_warnings(self, y_hat, message):
+        class FixedLearner(ZeroLearner):
+            def predict(self, x):
+                return y_hat
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                run_trials(FixedLearner(), [(0.5, 0.0), (0.25, 1.0)], p=2.0)
 
 
 class CountingLearner(ZeroLearner):
@@ -818,19 +832,71 @@ def _pow_or_overflow(pow_, v, p):
         return "overflow"
 
 
-@given(
-    st.floats(min_value=0.0),
-    st.one_of(
-        st.sampled_from([1.02, 1.1, 1.37, 1.5, 2.0, 3.0]),
-        st.floats(min_value=1.0, max_value=4.0, exclude_min=True),
-    ),
+POW_EXPONENTS = st.one_of(
+    st.sampled_from([1.02, 1.1, 1.37, 1.5, 2.0, 3.0]),
+    st.floats(min_value=1.0, max_value=4.0, exclude_min=True),
 )
+
+
+@given(st.floats(min_value=0.0), POW_EXPONENTS)
 @example(math.inf, 1.5)
 @example(math.nan, 1.1)
 @example(0.0, 1.1)
 @example(1e300, 2.0)
 @example(5e-324, 1.02)
 def test_math_pow_has_the_bits_of_float_pow(v, p):
-    # run_match's loss terms use math.pow; it must agree with float ** bit
-    # for bit, overflow included.
+    # math.pow is the oracle for _pow_terms' loss terms and d^r; it must agree
+    # with float ** bit for bit, overflow included.
     assert _pow_or_overflow(math.pow, v, p) == _pow_or_overflow(float.__pow__, v, p)
+
+
+@given(
+    st.lists(st.one_of(st.floats(min_value=0.0), st.just(math.nan)), max_size=30),
+    POW_EXPONENTS,
+)
+@example([0.0, 5e-324, 2.2e-308, 1e300, math.inf, math.nan], 2.0)
+@example([5e-324, 0.5, math.inf, math.nan], 1.02)
+@example([1e200, 1e-200], 1.5)
+def test_pow_terms_has_the_bits_of_math_pow(vs, p):
+    want = [_pow_or_overflow(math.pow, v, p) for v in vs]
+    if "overflow" in want:
+        with pytest.raises(OverflowError):
+            learner_module._pow_terms(np.array(vs, dtype=float), p)
+    else:
+        got = learner_module._pow_terms(np.array(vs, dtype=float), p)
+        assert [struct.pack("<d", t) for t in got.tolist()] == want
+
+
+def test_pow_terms_refuses_a_power_that_is_not_real():
+    # math.pow raises ValueError here; a NaN term must not pass silently.
+    with pytest.raises(FloatingPointError):
+        learner_module._pow_terms(np.array([0.25, -0.5]), 1.5)
+    assert learner_module._pow_terms(np.array([-0.5]), 2.0).tolist() == [math.pow(-0.5, 2.0)]
+
+
+def test_pow_terms_has_the_bits_of_math_pow_on_every_range():
+    # 8 exponents over 4 ranges of 50,000 values: the unit interval, small
+    # errors, log-uniform magnitudes far into overflow and odd dyadics.
+    rng = np.random.default_rng(20240611)
+    n = 50_000
+    ranges = [
+        rng.random(n),
+        rng.random(n) * 1e-4,
+        np.exp(rng.uniform(-700.0, 700.0, n)),
+        (2.0 * rng.integers(0, 1 << 20, n) + 1.0) / 2.0**21,
+    ]
+    for values in ranges:
+        for p in (1.001, 1.02, 1.1, 1.37, 1.45, 1.5, 2.0, 3.0):
+            want = []
+            for v in values.tolist():
+                try:
+                    want.append(math.pow(v, p))
+                except OverflowError:
+                    want.append(math.inf)
+            want = np.array(want)
+            fits = want < math.inf
+            if not fits.all():
+                with pytest.raises(OverflowError):
+                    learner_module._pow_terms(values, p)
+            got = learner_module._pow_terms(values[fits], p)
+            assert np.array_equal(got.view(np.int64), want[fits].view(np.int64))
