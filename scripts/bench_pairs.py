@@ -10,7 +10,10 @@ HEAD's files are unpacked with ``git archive`` under ``.perfbench_tmp/`` and
 removed afterwards. For every workload, ``perfbench/run.py --trace 0`` runs
 PAIRS times on each side, on seeds SEED, SEED + 1, ..., the two sides taking
 turns to go first. Each run's final JSON line, digest line and ``env`` line
-are kept. One ``--trace 1`` run per side and workload gives its layer rows.
+are kept. Then ``--trace 1`` runs LAYER_RUNS times per side and workload, on
+seeds SEED, SEED + 1, ..., the sides again taking turns: each layer row keeps
+every run's value and their median, since one traced run alone moves a layer
+self time by more than a change could.
 
 Then each CLI command in CLI_COMMANDS runs CLI_RUNS times per side in a
 fresh interpreter, the sides again taking turns to go first: every run's wall
@@ -49,6 +52,7 @@ PAIRS = 10
 SEED = 11  # the first pair's; pair k runs on SEED + k
 SECONDS = 1.0  # perfbench --seconds
 CLI_RUNS = 3  # per side and CLI command; one run alone lets an outlier read as a change
+LAYER_RUNS = 3  # traced perfbench runs per side and workload
 
 # (name, argv after "python -m pwlearn.cli", expected exit code); "{tmp}" is a
 # scratch directory.
@@ -150,6 +154,26 @@ def compare_workload(parent: Path, workload: str, metrics: list[dict]) -> dict:
     return out
 
 
+def compare_layers(parent: Path, workload: str) -> dict:
+    """LAYER_RUNS traced runs per side, alternating: per side, each layer's
+    median and its value in every run, plus every run's digest and env."""
+    runs = {"parent": [], "change": []}
+    for k in range(LAYER_RUNS):
+        for side, checkout in _sides(parent, k):
+            runs[side].append(_bench(checkout, workload, SEED + k, 1))
+    out: dict = {"seeds": [SEED + k for k in range(LAYER_RUNS)]}
+    for side, rs in runs.items():
+        names = rs[0]["result"]["metrics"]
+        values = {name: [r["result"]["metrics"][name]["value"] for r in rs] for name in names}
+        out[side] = {
+            "layers": {name: {"median": statistics.median(vs), "runs": vs}
+                       for name, vs in values.items()},
+            "digests": [r["digest"] for r in rs],
+            "env": [r["env"] for r in rs],
+        }
+    return out
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -225,12 +249,7 @@ def main(argv=None) -> int:
             "seconds": SECONDS,
             "workloads": {w: compare_workload(parent, w, metrics) for w in WORKLOADS},
         }
-        report["layers"] = {
-            w: {"seed": SEED,
-                **{side: _bench(checkout, w, SEED, 1)
-                   for side, checkout in (("parent", parent), ("change", ROOT))}}
-            for w in WORKLOADS
-        }
+        report["layers"] = {w: compare_layers(parent, w) for w in WORKLOADS}
         cli = report["cli"] = {}
         for name, cli_argv, expected in CLI_COMMANDS:
             runs = {"parent": [], "change": []}

@@ -28,9 +28,10 @@ No input inside a stage lies nearer to another stage input than the two
 stage-start knots around it, so the built-in learners' predictions for a whole
 stage follow from the stage-start grid. run_match plays a fresh learner of
 exact built-in type a stage at a time on the arrays; any other learner goes
-through predict/respond/observe trial by trial. Either way the stage is then
-audited from its finished grids (_stage_audits): the audit after trial w
-reads only grid indices up to 2w, which are final once trial w is revealed.
+through predict/respond/observe trial by trial. Either way play only writes
+the grids: _end_stage reads a finished stage's acceptances, probe energy and
+steepest slope off them, and _stage_audits its audits (the audit after trial
+w reads only grid indices up to 2w, final once trial w is revealed).
 audit_energy, the same audit from the live state, is the scalar oracle.
 """
 
@@ -129,7 +130,9 @@ class EnergyAudit(NamedTuple):
 
 class AdversaryState:
     """Mutable per-match state: the committed and probe grids of the current
-    stage. respond plays one trial; run_match's _respond_stage a whole stage."""
+    stage. respond plays one trial and _respond_stage a whole stage; both only
+    write the grids, and _end_stage reads each finished stage off them, so
+    accepted (that stage's), max_abs_slope and max_energy_probe change once a stage."""
 
     def __init__(self, epsilon: float) -> None:
         _check_epsilon(epsilon)
@@ -139,27 +142,25 @@ class AdversaryState:
         self.probe = self.committed.copy()
         self.next_t = 1
         # Geometry of the current stage i, set once by _begin_stage: knot
-        # spacing 2^-i, proposal offset, last trial 2^i - 1, trials and
-        # acceptances so far.
+        # spacing 2^-i, proposal offset, last trial 2^i - 1, trials so far.
         self.stage = 0
         self.h = 1.0
         self.magnitude = 0.0
         self.stage_end = 0
         self.within = 0
         self.accepted = 0
-        # Incremental probe energy plus the scratch value it was rebased to at
-        # the last stage boundary; both feed the recursion audit.
-        self.energy_probe = 0.0
+        # The probe energy at the stage start, from scratch; the incremental
+        # probe energy runs from it, and both feed the recursion audit.
         self.stage_start_energy = 0.0
-        self.max_energy_probe = 0.0
-        self.max_abs_slope = 0.0
+        self.max_energy_probe = self.max_abs_slope = 0.0
 
     def _begin_stage(self) -> None:
         # Spread the committed knots onto the next level's even indices; the
         # odd ones are this stage's inputs, NaN until revealed. The probe
-        # starts as a copy, and its energy is recomputed from scratch so
+        # starts as a copy, its energy summed afresh on the old grid so that
         # floating-point drift cannot cross stage boundaries.
         old = self.committed
+        self.stage_start_energy = pwl._energy_sum(self.h, old)
         grid = np.full(2 * len(old) - 1, math.nan)
         grid[::2] = old
         self.committed = grid
@@ -169,9 +170,6 @@ class AdversaryState:
         self.magnitude = perturbation(i, self.epsilon)
         self.stage_end = (1 << i) - 1
         self.within = 0
-        self.accepted = 0
-        k = self._filled(0)
-        self.energy_probe = self.stage_start_energy = pwl._energy_sum(k * self.h, grid[k])
 
     def _filled(self, within: int) -> np.ndarray:
         """Grid indices set after the stage's first `within` trials, in
@@ -206,55 +204,55 @@ class AdversaryState:
         accepted = abs(v - vl) <= h and abs(v - vr) <= h
         y = v if accepted else base
         committed[k] = y
-        # The probe agrees with the committed function at left and right
-        # (both are pre-stage knots), so its value at x is also base and the
-        # midpoint insertion grows its energy by 2*(v-base)^2/h.
         self.probe[k] = v
-        diff = v - base
-        self.energy_probe += 2.0 * diff * diff / h
-        if self.energy_probe > self.max_energy_probe:
-            self.max_energy_probe = self.energy_probe
-        slope_l = abs(y - vl) / h
-        slope_r = abs(vr - y) / h
-        biggest = slope_l if slope_l >= slope_r else slope_r
-        if biggest > self.max_abs_slope:
-            self.max_abs_slope = biggest
         self.within += 1
-        self.accepted += accepted
         self.next_t += 1
+        if t == self.stage_end:
+            self._end_stage()
         return y, accepted
 
     def _respond_stage(self, y_hat: np.ndarray) -> None:
         """Reveal every label of the next stage at once, given all of its
-        predictions in trial order. The state ends as respond on each trial
-        in turn leaves it, with the same bits: each step is respond's
-        operation, elementwise, and the probe energy is a running sum in
-        trial order."""
+        predictions in trial order. The grids end as respond on each trial in
+        turn leaves them, with the same bits: each step is respond's
+        operation, elementwise."""
         if self.next_t != self.stage_end + 1:
             raise SequenceError(
                 f"a whole stage starts at a stage boundary; trial {self.next_t} is "
                 f"inside stage {self.stage}"
             )
-        vl, vr = self.committed[:-1], self.committed[1:]
         self._begin_stage()
-        h = self.h
-        mag = self.magnitude
+        committed, h, mag = self.committed, self.h, self.magnitude
+        vl, vr = committed[:-1:2], committed[2::2]
         base = 0.5 * (vl + vr)
         v = np.where(y_hat > base, base - mag, base + mag)
         accepted = (np.abs(v - vl) <= h) & (np.abs(v - vr) <= h)
-        y = np.where(accepted, v, base)
-        self.committed[1::2] = y
+        committed[1::2] = np.where(accepted, v, base)
         self.probe[1::2] = v
-        diff = v - base
-        increments = 2.0 * diff * diff / h
-        self.energy_probe = _running_total(np.concatenate(([self.energy_probe], increments)))
-        # The increments are nonnegative, so the stage's last energy is its largest.
-        self.max_energy_probe = max(self.max_energy_probe, self.energy_probe)
-        slope = np.maximum(np.abs(y - vl) / h, np.abs(vr - y) / h)
-        self.max_abs_slope = max(self.max_abs_slope, float(slope.max()))
-        self.within = len(y)
-        self.accepted = int(np.count_nonzero(accepted))
+        self.within = len(v)
         self.next_t = self.stage_end + 1
+        del base, v, accepted  # before _end_stage's temporaries
+        self._end_stage()
+
+    def _end_stage(self) -> None:
+        """Read the stage just played off its grids. Trial w's input is grid
+        index 2w + 1, between the stage-start knots 2w and 2w + 2. The probe
+        holds its proposal v, a magnitude away from base, and the committed
+        grid its label: v if the trial was accepted, base if not."""
+        committed, h = self.committed, self.h
+        v = self.probe[1::2]
+        self.accepted = int(np.count_nonzero(committed[1::2] == v))
+        # The probe agrees with the committed function at both neighbours, so
+        # its value there is base and the insertion of v grows its energy by
+        # 2·(v − base)²/h: a running sum in trial order from the stage start.
+        diff = v - 0.5 * (committed[:-1:2] + committed[2::2])
+        increments = 2.0 * diff * diff / h
+        energy = _running_total(np.concatenate(([self.stage_start_energy], increments)))
+        # The increments are nonnegative, so the stage's last energy is its largest.
+        self.max_energy_probe = max(self.max_energy_probe, energy)
+        # Every segment of the grid has one of the stage's inputs at an end.
+        slope = float(np.abs(committed[1:] - committed[:-1]).max()) / h
+        self.max_abs_slope = max(self.max_abs_slope, slope)
 
 
 def _recursion_residual(state: AdversaryState, within, j_probe):
@@ -277,9 +275,9 @@ def audit_energy(state: AdversaryState) -> EnergyAudit:
     """
     # Before stage 1 nothing has been proposed: within = 0, so expected = 0.
     k = state._filled(state.within)
-    us = k * state.h
-    j_probe = pwl._energy_sum(us, state.probe[k])
-    j_committed = pwl._energy_sum(us, state.committed[k])
+    du = np.diff(k * state.h)
+    j_probe = pwl._energy_sum(du, state.probe[k])
+    j_committed = pwl._energy_sum(du, state.committed[k])
     return EnergyAudit(j_probe, j_committed, _recursion_residual(state, state.within, j_probe))
 
 
@@ -292,22 +290,22 @@ def _stage_audits(state: AdversaryState, per_trial: bool) -> np.ndarray:
     then the even indices after 2w (see _filled). Their segments are the
     first 2w segments of the full grid followed by the even knots' segments
     from the w-th on (the w-th joins 2w and 2w + 2). So every audit sums a
-    row of the same terms, in the same order, as _energy_sum does.
+    row of the same terms, in the same order, as _energy_sum does: the knot
+    coordinates are multiples of h, so every run is h or 2h exactly.
     """
-    last = state.within
-    us = np.arange(len(state.committed)) * state.h
+    last, h = state.within, state.h
     if per_trial:
         within = np.arange(1, last + 1)
         grids = np.stack((state.probe, state.committed))
-        full = pwl._energy_terms(us, grids)
-        even = pwl._energy_terms(us[::2], grids[:, ::2])
+        full = pwl._energy_terms(h, grids)
+        even = pwl._energy_terms(2.0 * h, grids[:, ::2])
         sums = np.empty((2, last))
         for w in within.tolist():
             sums[:, w - 1] = np.concatenate((full[:, : 2 * w], even[:, w:]), axis=1).sum(axis=1)
     else:
         # After the last trial every grid index is filled.
         within = last
-        sums = np.array([[pwl._energy_sum(us, grid)] for grid in (state.probe, state.committed)])
+        sums = np.array([[pwl._energy_sum(h, grid)] for grid in (state.probe, state.committed)])
     return np.vstack((sums, _recursion_residual(state, within, sums[0])))
 
 
@@ -424,9 +422,7 @@ def run_match(
         y_hats, es, ds, terms_col = (np.full(n, math.nan) for _ in range(4))
     total = 0.0
     per_stage: list[StageSummary] = []
-    max_resid = 0.0
-    max_jp = 0.0
-    max_jc = 0.0
+    max_resid = max_jp = max_jc = 0.0
     for i in range(1, config.stages + 1):
         first = 1 << (i - 1)
         h = 0.5**i

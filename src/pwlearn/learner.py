@@ -439,19 +439,23 @@ def kl_invariants(trace: Trace, r: float, *more_r: float) -> tuple[float, ...]:
 
     Every exponent must exceed 1. Requires distinct input coordinates: a
     repeated input gives d = 0 and raises DegenerateInput instead of
-    dividing by it.
+    dividing by it; any other d outside (0, 1], NaN included, is no distance
+    and raises DomainError naming its trial.
     """
     exponents = (r, *more_r)
     for q in exponents:
         if not q > 1.0:
             raise DomainError(f"exponent r must exceed 1, got {q!r}")
     e, d = trace.e[1:], trace.d[1:]
-    repeats = np.flatnonzero(d == 0.0)
-    if repeats.size:
-        t = int(repeats[0]) + 1
-        raise DegenerateInput(
-            f"repeated input coordinate at trial {t} (x={float(trace.x[t])!r})"
-        )
+    bad = np.flatnonzero(~((0.0 < d) & (d <= 1.0)))  # both comparisons fail on NaN
+    if bad.size:
+        repeats = bad[d[bad] == 0.0]
+        t = int(repeats[0] if repeats.size else bad[0]) + 1
+        if repeats.size:
+            raise DegenerateInput(
+                f"repeated input coordinate at trial {t} (x={float(trace.x[t])!r})"
+            )
+        raise DomainError(f"trial {t}: d={float(trace.d[t])!r} is not a distance in (0, 1]")
     return (_running_total(e * e / d), *(_running_total(_pow_terms(d, q)) for q in exponents))
 
 

@@ -129,24 +129,24 @@ def evaluate_many(f: PiecewiseLinearFunction, xs) -> np.ndarray:
     return np.where(xs <= us[0], vs[0], out)
 
 
-def _energy_terms(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    # rise^2/run of every segment of sorted knots; vs may stack several rows
-    # of values over the same coordinates. The differences are np.diff's,
-    # without its per-call overhead.
+def _energy_terms(du: np.ndarray | float, vs: np.ndarray) -> np.ndarray:
+    # rise^2/run of every segment of sorted knots, given the runs du (an array,
+    # or one spacing for a uniform grid); vs may stack several rows of values.
+    # The differences are np.diff's, without its per-call overhead.
     dv = vs[..., 1:] - vs[..., :-1]
-    return dv * dv / (us[1:] - us[:-1])
+    return dv * dv / du
 
 
-def _energy_sum(us: np.ndarray, vs: np.ndarray) -> float:
+def _energy_sum(du: np.ndarray | float, vs: np.ndarray) -> float:
     # The one energy summation: numpy's pairwise sum of the segment terms
     # (0.0 for fewer than two knots). The adversary's stage audits sum rows
     # of the same terms, which numpy sums pairwise row by row with these bits.
-    return float(np.sum(_energy_terms(us, vs)))
+    return float(np.sum(_energy_terms(du, vs)))
 
 
 def energy(f: PiecewiseLinearFunction) -> float:
     """Integral of the squared derivative: sum of rise^2/run over segments."""
-    return _energy_sum(np.asarray(f.us, dtype=float), np.asarray(f.vs, dtype=float))
+    return _energy_sum(np.diff(np.asarray(f.us, dtype=float)), np.asarray(f.vs, dtype=float))
 
 
 def integrate_energy_oracle(f: PiecewiseLinearFunction, n: int) -> float:

@@ -72,24 +72,32 @@ def dict_energy(knots):
     us = np.fromiter(knots.keys(), dtype=float, count=m)
     vs = np.fromiter(knots.values(), dtype=float, count=m)
     order = np.argsort(us)
-    return _energy_sum(us[order], vs[order])
+    us = us[order]
+    return _energy_sum(us[1:] - us[:-1], vs[order])
 
 
 class DictAdversary:
     """The adversary's respond on coordinate->value dicts, one trial at a
-    time: the oracle for the grid-based AdversaryState."""
+    time, with its bookkeeping trial by trial: the incremental probe energy
+    from the stage start, its maximum, the steepest committed slope and the
+    stage's acceptances. The oracle for the grid-based AdversaryState, which
+    reads the bookkeeping off its grids once a stage is finished."""
 
     def __init__(self, epsilon):
         self.epsilon = epsilon
         self.committed = {0.0: 0.0, 1.0: 0.0}
         self.probe = dict(self.committed)
         self.stage = 0
+        self.energy = self.max_energy_probe = self.max_abs_slope = 0.0
+        self.accepted = 0
 
     def respond(self, t, y_hat):
         i = stage_of(t)
         if i > self.stage:
             self.stage = i
             self.probe = dict(self.committed)
+            self.energy = dict_energy(self.committed)
+            self.accepted = 0
         x, h = dyadic_x(t), 0.5**i
         vl, vr = self.committed[x - h], self.committed[x + h]
         base = 0.5 * (vl + vr)
@@ -99,6 +107,12 @@ class DictAdversary:
         y = v if accepted else base
         self.committed[x] = y
         self.probe[x] = v
+        # The probe is base at x before the insertion of v.
+        diff = v - base
+        self.energy += 2.0 * diff * diff / h
+        self.max_energy_probe = max(self.max_energy_probe, self.energy)
+        self.max_abs_slope = max(self.max_abs_slope, abs(y - vl) / h, abs(vr - y) / h)
+        self.accepted += accepted
         return y, accepted
 
 

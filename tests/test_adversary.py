@@ -237,6 +237,33 @@ class TestDictOracle:
                 if not isinstance(value, np.ndarray):
                     assert getattr(batch, name) == value, name
 
+    @pytest.mark.parametrize("eps", [0.45, 0.25, 0.1, 0.001])
+    def test_stage_bookkeeping_matches_the_dict_oracle(self, eps):
+        # Acceptances, the incremental probe energy's maximum and the steepest
+        # slope, read off the grids at the stage end, against the oracle's
+        # per-trial sums; through respond and through _respond_stage alike.
+        rng = np.random.default_rng(31)
+        batch, single, oracle = AdversaryState(eps), AdversaryState(eps), DictAdversary(eps)
+        t = 1
+        rejected = 0
+        for i in range(1, 11):
+            # Near the base, some exact ties at 0, some far below.
+            y_hat = rng.normal(0.0, perturbation(i, eps), size=2 ** (i - 1))
+            y_hat[::5] = 0.0
+            y_hat[2::7] = -1.0
+            batch._respond_stage(y_hat)
+            for yh in y_hat.tolist():
+                y, accepted = single.respond(t, yh)
+                assert oracle.respond(t, yh) == (y, accepted)
+                rejected += not accepted
+                t += 1
+            for state in (batch, single):
+                assert state.accepted == oracle.accepted
+                assert state.max_energy_probe.hex() == oracle.max_energy_probe.hex()
+                assert state.max_abs_slope.hex() == oracle.max_abs_slope.hex()
+        if eps in (0.25, 0.1):
+            assert rejected
+
     @pytest.mark.parametrize(
         "eps, stages", [(0.45, 12), (0.25, 10), (0.1, 11), (0.02, 12), (0.001, 10)]
     )

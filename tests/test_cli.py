@@ -280,6 +280,21 @@ def test_non_finite_log_grid_endpoint_exits_one_without_warnings(command, spec, 
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--epsilon", "0.1", "--epsilons", "0.2"],
+        ["bounds", "--epsilon", "0.1", "--epsilon-grid", "log:0.1:0.2:2"],
+        ["sweep", "--epsilons", "0.1", "--epsilon-grid", "log:0.1:0.2:2"],
+    ],
+)
+def test_two_epsilon_sources_exit_one(argv, capsys):
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: give only one of --epsilon, --epsilons, --epsilon-grid\n"
+
+
 @pytest.mark.parametrize("command", ["sweep", "bounds"])
 def test_huge_log_grid_exits_one_before_any_allocation(command, monkeypatch, capsys):
     def no_grid(*args):
@@ -385,6 +400,24 @@ class TestAudit:
         assert run_cli(["audit", "--runs", "2", "--out", str(out)]) == 1
         capsys.readouterr()
         assert out.read_bytes() == b"old report\n"
+
+    def test_violations_exit_two_with_the_report_written(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "SLOPE_TOL", -1.0)
+        out = tmp_path / "report.json"
+        out.write_bytes(b"old report\n")
+        argv = ["audit", "--runs", "2", "--stages", "2", "--max-trials", "20"]
+        assert run_cli([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        report = json.loads(out.read_text())
+        violations = report["violations"]
+        assert len(violations) == 15
+        assert all(": committed slope " in v for v in violations)
+        assert captured.err == "\n".join(["invariant audit failed:", *violations]) + "\n"
+        assert report["runs"] == 2 and report["adversary_stages"] == 2
+        # Without --out the report goes nowhere: stdout stays empty.
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == (captured.out, captured.err)
 
     def test_bad_flags_leave_no_report_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -1,7 +1,7 @@
 import io
 import json
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from pwlearn import (
     UnknownKind,
     derivative_norm,
     is_member,
+    kl_d_bound,
     make_learner,
     lower_bound_partial,
     parse_epsilon_grid,
@@ -23,6 +24,7 @@ from pwlearn import (
     sample_target,
     upper_bound_linint,
 )
+from pwlearn import harness
 from pwlearn.harness import write_sweep_csv, SWEEP_CSV_HEADER
 
 
@@ -231,3 +233,114 @@ class TestInvariantAudit:
         failure = AuditFailure("boom", violations=["a", "b"], report=None)
         assert failure.violations == ["a", "b"]
         assert failure.report is None
+
+
+AUDIT = {"runs": 2, "seed": 3, "stages": 3, "max_trials": 20}
+MATCHES = [(eps, kind) for eps in harness.DEFAULT_AUDIT_EPSILONS
+           for kind in ("zero", "nearest", "linint")]
+
+
+def _trace_runs():
+    # The audit's trace runs, replayed from the children of its seed.
+    children = np.random.SeedSequence(AUDIT["seed"]).spawn(AUDIT["runs"])
+    return [harness.audit_trace_run(np.random.default_rng(c), AUDIT["max_trials"])
+            for c in children]
+
+
+def _matches():
+    return [(f"match eps={eps} learner={kind}", run_match(
+        make_learner(kind), AdversaryConfig(eps, AUDIT["stages"]),
+        collect_records=False, audit_per_trial=True,
+    )) for eps, kind in MATCHES]
+
+
+def _need(i):
+    return 1 if i == 1 else 2 ** (i - 2)
+
+
+def _failed_audit():
+    with pytest.raises(AuditFailure) as info:
+        run_invariant_audit(ExperimentConfig(**AUDIT))
+    failure = info.value
+    assert failure.report is not None
+    assert failure.report.violations == failure.violations
+    assert failure.report.runs == AUDIT["runs"]
+    assert str(failure) == "invariant audit failed:\n" + "\n".join(failure.violations)
+    return failure.violations
+
+
+class TestAuditFailures:
+    """Each violation the audit can report, forced by a tolerance set below
+    any observed value or by a run_match whose result breaks the invariant."""
+
+    def test_trace_sums_over_one(self, monkeypatch):
+        monkeypatch.setattr(harness, "E2D_TOL", -1.0)
+        want = []
+        for k, (account, e2d, _, first_x) in enumerate(_trace_runs()):
+            assert account.total > 0.0 and e2d > 0.0
+            want += [f"run {k}: squared loss {account.total!r} exceeds 1 (first x={first_x!r})",
+                     f"run {k}: sum e^2/d = {e2d!r} exceeds 1"]
+        assert _failed_audit() == want
+
+    def test_distance_sums_over_their_bounds(self, monkeypatch):
+        monkeypatch.setattr(harness, "D_SUM_TOL", -10.0)
+        want = [f"run {k}: sum d^{r} = {d_sum!r} exceeds {kl_d_bound(r)!r}"
+                for k, (_, _, d_sums, _) in enumerate(_trace_runs())
+                for r, d_sum in d_sums.items()]
+        assert len(want) == AUDIT["runs"] * len(harness.D_EXPONENTS)
+        assert _failed_audit() == want
+
+    def test_energy_residual_and_slope(self, monkeypatch):
+        monkeypatch.setattr(harness, "RESIDUAL_TOL", -1.0)
+        monkeypatch.setattr(harness, "SLOPE_TOL", -1.0)
+        want = []
+        for label, result in _matches():
+            a = result.audit
+            want += [f"{label}: energy recursion residual {a.max_recursion_residual!r}",
+                     f"{label}: committed slope {a.max_abs_slope!r}"]
+        assert _failed_audit() == want
+
+    def test_probe_energy_quota_and_forced_loss(self, monkeypatch):
+        real = harness.run_match
+
+        def broken(learner, config, **kwargs):
+            result = real(learner, config, **kwargs)
+            return replace(
+                result,
+                audit=replace(result.audit, max_j_probe=0.25),
+                per_stage=[replace(s, accepted=_need(s.i) - 1) for s in result.per_stage],
+                total_loss=result.lower_partial / 2.0,
+            )
+
+        monkeypatch.setattr(harness, "run_match", broken)
+        want = []
+        for label, result in _matches():
+            want.append(f"{label}: probe energy 0.25 >= 1/4")
+            want += [f"{label}: stage {s.i} accepted {_need(s.i) - 1} < {_need(s.i)}"
+                     for s in result.per_stage]
+            want.append(f"{label}: loss {result.lower_partial / 2.0!r} below forced "
+                        f"minimum {result.lower_partial!r}")
+        assert _failed_audit() == want
+
+    def test_every_violation_in_order(self, monkeypatch):
+        for name in ("E2D_TOL", "D_SUM_TOL", "RESIDUAL_TOL", "SLOPE_TOL"):
+            monkeypatch.setattr(harness, name, -10.0)
+
+        def broken(learner, config, **kwargs):
+            result = run_match(learner, config, **kwargs)
+            return replace(
+                result,
+                audit=replace(result.audit, max_j_probe=math.nan),
+                per_stage=[replace(s, accepted=0) for s in result.per_stage],
+                total_loss=-1.0,
+            )
+
+        monkeypatch.setattr(harness, "run_match", broken)
+        violations = _failed_audit()
+        kinds = [v.split(": ", 1)[1].split(" ")[:2] for v in violations]
+        per_run = [["squared", "loss"], *[["sum", f"d^{r}"] for r in harness.D_EXPONENTS],
+                   ["sum", "e^2/d"]]
+        per_match = [["energy", "recursion"], ["committed", "slope"], ["probe", "energy"],
+                     *[["stage", str(i)] for i in range(1, AUDIT["stages"] + 1)],
+                     ["loss", "-1.0"]]
+        assert kinds == per_run * AUDIT["runs"] + per_match * len(MATCHES)

@@ -188,6 +188,11 @@ class TestRunTrials:
         with pytest.raises(DomainError):
             run_trials(ZeroLearner(), [(1.5, 0.0)], p=2.0)
 
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (2,), (2, 2, 2)])
+    def test_rejects_an_array_of_anything_but_pairs(self, shape):
+        with pytest.raises(DomainError, match=rf"expected \(x, y\) pairs, got an array of shape"):
+            run_trials(ZeroLearner(), np.zeros(shape), p=2.0)
+
     def test_empty_sequence(self):
         trace, account = run_trials(ZeroLearner(), [], p=2.0)
         assert len(trace) == 0
@@ -505,6 +510,32 @@ class TestKlInvariants:
     def test_rejects_small_exponent(self):
         with pytest.raises(DomainError):
             kl_invariants([], 1.0)
+
+    @staticmethod
+    def _with_d(*d):
+        # A hand-built trace with the given charged distances; run_trials
+        # never makes one outside (0, 1].
+        n = len(d) + 1
+        column = np.full(n, 0.25)
+        return Trace(column, column, column, column, np.array([math.nan, *d]), column)
+
+    @pytest.mark.parametrize(
+        "d, trial",
+        [((-0.4, 0.4), 1), ((0.4, -0.4), 2), ((0.5, math.nan), 2), ((1e200,), 1),
+         ((0.25, 1.0 + 2.0**-52), 2), ((math.inf, 0.5), 1), ((-math.inf,), 1)],
+    )
+    @pytest.mark.parametrize("r", [(2.0,), (1.5,), (1.5, 2.0, 3.0)])
+    def test_refuses_a_d_that_is_not_a_distance(self, d, trial, r):
+        with pytest.raises(DomainError, match=f"trial {trial}: d=.* is not a distance"):
+            kl_invariants(self._with_d(*d), *r)
+
+    def test_a_zero_d_is_refused_first_as_a_repeat(self):
+        for d in ((math.nan, 0.0), (-0.4, -0.0), (0.5, 0.0, 1e200)):
+            with pytest.raises(DegenerateInput, match="repeated input coordinate at trial"):
+                kl_invariants(self._with_d(*d), 1.5)
+
+    def test_a_d_of_one_is_a_distance(self):
+        assert kl_invariants(self._with_d(1.0, 0.5), 2.0) == (0.0625 / 1.0 + 0.0625 / 0.5, 1.25)
 
     def test_several_exponents_in_one_call_equal_separate_calls(self):
         rng = np.random.default_rng(19)

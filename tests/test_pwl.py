@@ -280,6 +280,9 @@ class TestEnergyIncrement:
             energy_increment(S, 0.25, 1.0)
         with pytest.raises(PreconditionError):
             energy_increment([], 0.5, 1.0)
+        # An interior knot is bracketed, but it is no midpoint to insert.
+        with pytest.raises(PreconditionError, match="x=0.5 coincides with an existing knot"):
+            energy_increment([(0.0, 0.0), (0.5, 0.25), (1.0, 0.0)], 0.5, 1.0)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
     def test_rejects_bad_tolerance(self, tol):
