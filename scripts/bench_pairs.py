@@ -15,6 +15,11 @@ seeds SEED, SEED + 1, ..., the sides again taking turns: each layer row keeps
 every run's value and their median, since one traced run alone moves a layer
 self time by more than a change could.
 
+Then KERNEL_RUNS cProfile'd passes per side and workload, in a fresh
+interpreter each and again taking turns, give the calls and self time of
+each function in KERNELS: each kernel row keeps every run's values and their
+medians, which locate where a change moved a workload's time.
+
 Then each CLI command in CLI_COMMANDS runs CLI_RUNS times per side in a
 fresh interpreter, the sides again taking turns to go first: every run's wall
 time, peak RSS (from wait4), exit code and the SHA-256 of its stdout, of its
@@ -34,9 +39,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import cProfile
 import hashlib
 import json
 import os
+import pstats
+import random
 import re
 import shutil
 import statistics
@@ -53,6 +61,20 @@ SEED = 11  # the first pair's; pair k runs on SEED + k
 SECONDS = 1.0  # perfbench --seconds
 CLI_RUNS = 3  # per side and CLI command; one run alone lets an outlier read as a change
 LAYER_RUNS = 3  # traced perfbench runs per side and workload
+KERNEL_RUNS = 3  # cProfile'd passes per side and workload
+# Kernel row name: the function's name in cProfile's statistics.
+KERNELS = {
+    "_stage_audits": "_stage_audits",
+    "_earlier_neighbours": "_earlier_neighbours",
+    "_pow_terms": "_pow_terms",
+    "evaluate_many": "evaluate_many",
+    "run_trials": "run_trials",
+    "ndarray.argsort": "<method 'argsort' of 'numpy.ndarray' objects>",
+    "_sample_target_rng": "_sample_target_rng",
+    "_respond_stage": "_respond_stage",
+    "_end_stage": "_end_stage",
+    "write_csv": "write_csv",
+}
 
 # (name, argv after "python -m pwlearn.cli", expected exit code); "{tmp}" is a
 # scratch directory.
@@ -174,6 +196,61 @@ def compare_layers(parent: Path, workload: str) -> dict:
     return out
 
 
+def profile_kernels(workload: str, seed: int) -> dict:
+    """One cProfile'd pass of a perfbench workload, in-process, in the checkout
+    that is the working directory: {kernel: {"calls", "self_s"}}, summed over
+    every function of that name. The workload's own checks must pass."""
+    sys.path.insert(0, "perfbench")
+    import run as perfbench
+
+    cli = perfbench.import_pwlearn()["cli"]
+    tmp = perfbench.TMP / f"kernels-{os.getpid()}"
+    tmp.mkdir(parents=True)
+    profile = cProfile.Profile()
+    try:
+        for op in perfbench.WORKLOADS[workload](random.Random(seed), False, tmp):
+            profile.enable()
+            _, rc, out, err = perfbench._call(cli, op.argv)
+            profile.disable()
+            op.check(rc, out, err)
+    finally:
+        shutil.rmtree(tmp)
+        with contextlib.suppress(OSError):
+            perfbench.TMP.rmdir()
+    rows = {name: {"calls": 0, "self_s": 0.0} for name in KERNELS}
+    by_label = {label: name for name, label in KERNELS.items()}
+    for (_, _, label), (_, calls, self_s, _, _) in pstats.Stats(profile).stats.items():
+        if label in by_label:
+            rows[by_label[label]]["calls"] += calls
+            rows[by_label[label]]["self_s"] += self_s
+    return rows
+
+
+def compare_kernels(parent: Path, workload: str) -> dict:
+    """KERNEL_RUNS profiled passes per side, alternating, each in a fresh
+    interpreter: per side and kernel, the median calls and self time and
+    every run's values."""
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench_pairs; "
+            "print(json.dumps(bench_pairs.profile_kernels(sys.argv[2], int(sys.argv[3]))))")
+    runs = {"parent": [], "change": []}
+    for k in range(KERNEL_RUNS):
+        for side, checkout in _sides(parent, k):
+            cmd = [sys.executable, "-c", code, str(ROOT / "scripts"), workload, str(SEED + k)]
+            proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+            if proc.returncode != 0:
+                sys.exit(f"bench_pairs: kernel profile of {workload} in {checkout} exited "
+                         f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+            runs[side].append(json.loads(proc.stdout.splitlines()[-1]))
+    out: dict = {"seeds": [SEED + k for k in range(KERNEL_RUNS)]}
+    for side, rs in runs.items():
+        out[side] = {
+            name: {key: statistics.median(r[name][key] for r in rs) for key in ("calls", "self_s")}
+            | {"runs": [r[name] for r in rs]}
+            for name in KERNELS
+        }
+    return out
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -250,6 +327,7 @@ def main(argv=None) -> int:
             "workloads": {w: compare_workload(parent, w, metrics) for w in WORKLOADS},
         }
         report["layers"] = {w: compare_layers(parent, w) for w in WORKLOADS}
+        report["kernels"] = {w: compare_kernels(parent, w) for w in WORKLOADS}
         cli = report["cli"] = {}
         for name, cli_argv, expected in CLI_COMMANDS:
             runs = {"parent": [], "change": []}

@@ -298,10 +298,14 @@ def _stage_audits(state: AdversaryState, per_trial: bool) -> np.ndarray:
         within = np.arange(1, last + 1)
         grids = np.stack((state.probe, state.committed))
         full = pwl._energy_terms(h, grids)
-        even = pwl._energy_terms(2.0 * h, grids[:, ::2])
         sums = np.empty((2, last))
+        # Audit w's row is row[:, last - w:]: full's first 2w terms, written
+        # over the even knots' terms before their w-th, which stay in place.
+        row = np.empty((2, 2 * last))
+        row[:, last:] = pwl._energy_terms(2.0 * h, grids[:, ::2])
         for w in within.tolist():
-            sums[:, w - 1] = np.concatenate((full[:, : 2 * w], even[:, w:]), axis=1).sum(axis=1)
+            row[:, last - w : last + w] = full[:, : 2 * w]
+            np.add.reduce(row[:, last - w :], axis=1, out=sums[:, w - 1])
     else:
         # After the last trial every grid index is filled.
         within = last

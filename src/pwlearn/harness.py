@@ -19,7 +19,7 @@ from .adversary import _DESK_SCALE, MAX_STAGES, AdversaryConfig, _check_epsilon,
 from .bounds import kl_d_bound
 from .errors import AuditFailure, DomainError, _check_int
 from .learner import (
-    LinintLearner, LossAccount, kl_invariants, make_learner, run_trials, write_csv,
+    LinintLearner, LossAccount, _repeats, kl_invariants, make_learner, run_trials, write_csv,
 )
 
 __all__ = [
@@ -95,7 +95,7 @@ def _distinct_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
     # happens anyway so downstream distance sums never divide by zero.
     while True:
         xs = rng.random(size)
-        if np.unique(xs).size == size:
+        if not _repeats(np.sort(xs)):
             return xs
 
 
@@ -105,11 +105,11 @@ def _sample_target_rng(
     interior = knot_count - 2
     while True:
         us = np.concatenate(([0.0, 1.0], _distinct_uniform(rng, interior)))
-        if np.unique(us).size == knot_count:
+        us.sort()
+        if not _repeats(us):
             break
-    us.sort()
     vs = rng.normal(0.0, 1.0, size=knot_count)
-    f = pwl.from_points(zip(us, vs))
+    f = pwl.PiecewiseLinearFunction(tuple(us.tolist()), tuple(vs.tolist()))
     # One rescale makes the norm 1 up to rounding; repeat in case an ulp
     # spills over the membership line.
     for _ in range(4):

@@ -227,6 +227,11 @@ def _pow_terms(values: np.ndarray, p: float) -> np.ndarray:
     return terms
 
 
+def _repeats(sorted_values: np.ndarray) -> bool:
+    """Whether sorted values hold two equal ones (0.0 == -0.0 counts)."""
+    return bool((sorted_values[1:] == sorted_values[:-1]).any())
+
+
 def _check_pairs(xs: np.ndarray, ys: np.ndarray) -> None:
     """Refuse a non-finite value or a coordinate outside [0, 1], naming the
     first bad trial. Every comparison fails on NaN, so NaN cannot pass."""
@@ -241,7 +246,7 @@ def _check_pairs(xs: np.ndarray, ys: np.ndarray) -> None:
 def _earlier_neighbours(order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For every trial t, the trial holding the nearest earlier input on the left
     of x_t in input order and the one on the right (-1 where there is none),
-    given the stable sorting order of the inputs.
+    given a sorting order of the inputs, stable whenever an input repeats.
 
     These are all nearest smaller values over time in input order, found by
     pointer jumping. The trial indices in sorted-input order (an earlier equal
@@ -382,9 +387,10 @@ def run_trials(
     they show up as d = 0 in the trace, which kl_invariants will reject. A
     loss term that overflows or a non-finite total loss raises DomainError.
 
-    A fresh LinintLearner on distinct inputs takes the offline path: its
-    predictions come from the neighbours found for d, and its state is then
-    filled in bulk, equal to what observing each pair would leave. Every
+    d comes from a sorting order of the inputs, stable whenever an input
+    repeats. A fresh LinintLearner on distinct inputs takes the offline path:
+    its predictions come from the neighbours found for d, and its state is
+    then filled in bulk, equal to what observing each pair would leave. Every
     other case runs scalar_predictions.
     """
     if not p > 1.0:
@@ -398,9 +404,11 @@ def run_trials(
     ys = pairs[:, 1].copy()
     _check_pairs(xs, ys)
     n = len(xs)
-    order = np.argsort(xs, kind="stable")  # an earlier equal input first
+    order = np.argsort(xs)
+    distinct = not _repeats(xs[order])
+    if not distinct:
+        order = np.argsort(xs, kind="stable")  # an earlier equal input first
     x_sorted = xs[order]
-    distinct = not (x_sorted[1:] == x_sorted[:-1]).any()
     left, right = _earlier_neighbours(order)
     dl = np.where(left < 0, math.inf, xs - xs[left])
     dr = np.where(right < 0, math.inf, xs[right] - xs)

@@ -37,10 +37,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PiecewiseLinearFunction:
-    """Knot coordinates and values, sorted by coordinate."""
+    """Knot coordinates and values, sorted by coordinate. Construction refuses
+    unequal lengths, coordinates not strictly increasing in [0, 1] and values or
+    rises that are not finite: DomainError, or DuplicateConflict for a
+    coordinate repeated with another value."""
 
     us: tuple[float, ...]
     vs: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        us, vs = self.us, self.vs
+        if len(us) != len(vs):
+            raise DomainError(f"{len(us)} knot coordinates but {len(vs)} values")
+        u0, v0 = -math.inf, 0.0
+        for u, v in zip(us, vs):
+            # From v0 = 0, finite rises make every value finite; NaN fails every test.
+            if not abs(v - v0) < math.inf:
+                what = f"rise from {v0!r} to {v!r}" if abs(v) < math.inf else f"value {v!r}"
+                raise DomainError(f"knot {what} at u={u!r} is not finite")
+            if not u0 < u <= 1.0:
+                if u == u0 and v != v0:
+                    raise DuplicateConflict(f"conflicting values {v0!r} and {v!r} at u={u!r}")
+                why = "outside [0, 1]" if not 0.0 <= u <= 1.0 else f"after {u0!r}: must increase"
+                raise DomainError(f"knot coordinate {u!r} {why}")
+            u0, v0 = u, v
+        if us and not 0.0 <= us[0]:
+            raise DomainError(f"knot coordinate {us[0]!r} outside [0, 1]")
 
     @property
     def knots(self) -> list[tuple[float, float]]:
@@ -53,30 +75,17 @@ class PiecewiseLinearFunction:
 def from_points(points: Iterable[tuple[float, float]]) -> PiecewiseLinearFunction:
     """Build a function from unordered (u, v) pairs.
 
-    Pairs are sorted by u; exact duplicate pairs collapse to one knot. Pairs
-    that share u but disagree on v raise DuplicateConflict rather than
-    silently keeping one of them, since a function cannot take two values at
-    one point. The empty input yields the zero function. A coordinate outside
-    [0, 1] or a non-finite coordinate or value raises DomainError.
+    Pairs are sorted by u; exact duplicate pairs collapse to one knot, and the
+    constructor checks the rest: pairs that share u but disagree on v raise
+    DuplicateConflict rather than silently keeping one of them, since a
+    function cannot take two values at one point, and a coordinate outside
+    [0, 1] or a value or rise that is not finite raises DomainError. The empty
+    input yields the zero function.
     """
     pairs = sorted((float(u), float(v)) for u, v in points)
-    us: list[float] = []
-    vs: list[float] = []
-    for u, v in pairs:
-        # Both comparisons fail on NaN.
-        if not 0.0 <= u <= 1.0:
-            raise DomainError(f"knot coordinate {u!r} outside [0, 1]")
-        if not abs(v) < math.inf:
-            raise DomainError(f"knot value {v!r} at u={u!r} is not finite")
-        if us and u == us[-1]:
-            if v != vs[-1]:
-                raise DuplicateConflict(
-                    f"conflicting values {vs[-1]!r} and {v!r} at u={u!r}"
-                )
-            continue
-        us.append(u)
-        vs.append(v)
-    return PiecewiseLinearFunction(tuple(us), tuple(vs))
+    kept = [pair for k, pair in enumerate(pairs) if not k or pair != pairs[k - 1]]
+    us, vs = zip(*kept) if kept else ((), ())
+    return PiecewiseLinearFunction(us, vs)
 
 
 def evaluate(f: PiecewiseLinearFunction, x: float) -> float:
@@ -117,9 +126,9 @@ def evaluate_many(f: PiecewiseLinearFunction, xs) -> np.ndarray:
     vs = np.asarray(f.vs, dtype=float)
     if len(us) < 2:
         return np.full(xs.shape, vs[0] if len(vs) else 0.0)
-    # us[k-1] < x <= us[k], clipped so both indices exist; the end rules
-    # below overwrite the lanes where the clip bites.
-    k = np.clip(np.searchsorted(us, xs, side="left"), 1, len(us) - 1)
+    # us[k-1] < x <= us[k] for us[0] < x <= us[-1]; beyond either end k stays
+    # at 1 or len(us) - 1, and the end rules below overwrite those lanes.
+    k = np.searchsorted(us[1:-1], xs, side="left") + 1
     u0, u1 = us[k - 1], us[k]
     v0, v1 = vs[k - 1], vs[k]
     with np.errstate(over="ignore", invalid="ignore"):

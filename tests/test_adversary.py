@@ -237,6 +237,28 @@ class TestDictOracle:
                 if not isinstance(value, np.ndarray):
                     assert getattr(batch, name) == value, name
 
+    @pytest.mark.parametrize("stages", [1, 12])
+    def test_in_place_audits_at_the_first_stage_and_the_audit_cap(self, stages):
+        # The per-trial audits are summed from one reused buffer; check every
+        # one of the last stage's at last = 1 and at the audit's 12-stage cap,
+        # with some trials rejected so that probe and committed grids differ.
+        batch, single = AdversaryState(0.1), AdversaryState(0.1)
+        t = 1
+        for i in range(1, stages + 1):
+            y_hat = np.full(2 ** (i - 1), -1.0)
+            y_hat[::3] = 0.0
+            batch._respond_stage(y_hat)
+            audits = _stage_audits(batch, per_trial=True).T.tolist() if i == stages else None
+            for k, yh in enumerate(y_hat.tolist()):
+                single.respond(t, yh)
+                t += 1
+                if audits is not None:
+                    want = audit_energy(single)
+                    assert [v.hex() for v in audits[k]] == [v.hex() for v in want]
+        assert len(audits) == 2 ** (stages - 1)
+        if stages > 1:
+            assert (batch.probe != batch.committed).any()
+
     @pytest.mark.parametrize("eps", [0.45, 0.25, 0.1, 0.001])
     def test_stage_bookkeeping_matches_the_dict_oracle(self, eps):
         # Acceptances, the incremental probe energy's maximum and the steepest

@@ -475,6 +475,16 @@ class TestEval:
         assert run_cli(["eval", "--function", str(path), "--x", "0.25"]) == 1
         assert "not finite" in capsys.readouterr().err
 
+    def test_overflowing_rise_exits_one_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text('{"knots": [[0.0, 1e308], [1.0, -1e308]]}')
+        assert run_cli(["eval", "--function", str(path), "--x", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: knot rise from 1e+308 to -1e+308 at u=1.0 is not finite\n"
+        )
+
     def test_x_outside_domain(self, tmp_path, capsys):
         path = tmp_path / "f.json"
         path.write_text('{"knots": [[0.0, 0.0]]}')

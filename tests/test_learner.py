@@ -425,6 +425,49 @@ class TestOfflineLinint:
             got = trace.d[1:].tolist()
             assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
 
+    @pytest.mark.parametrize("n", [5, 64, 1000, 4096])
+    def test_a_repeat_among_distinct_inputs_takes_the_stable_sort(self, n, offline_calls):
+        # The default argsort breaks ties differently from the stable one, so
+        # one repeated pair, or runs of signed zeros, must send run_trials to
+        # the stable sort, and linint to the scalar loop.
+        rng = np.random.default_rng(n)
+        xs = rng.random(n)
+        i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+        xs[j] = xs[i]
+        zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        signed = np.where(rng.random(n) < 0.2, 0.5, zeros)
+        for inputs in (xs, signed):
+            pairs = [(x, x) for x in inputs.tolist()]
+            trace, _ = run_trials(LinintLearner(), pairs, p=2.0)
+            want = _bisect_distances(inputs.tolist())
+            assert [v.hex() for v in trace.d[1:].tolist()] == [v.hex() for v in want]
+        assert offline_calls == []
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 64, 1000, 4096])
+    @pytest.mark.parametrize("kind", ["random", "sorted", "reversed", "dyadic"])
+    def test_distinct_inputs_give_the_stable_sort_trace(self, n, kind, offline_calls):
+        # Distinct inputs have one sorting order, whichever sort finds it:
+        # d from the stable-sort linked-list oracle, the predictions from the
+        # scalar loop, every column by its bits.
+        rng = np.random.default_rng(n)
+        if kind == "dyadic":
+            xs = rng.permutation(n) / 4096.0
+        else:
+            xs = _neighbour_inputs(kind, n, rng)
+        ys = np.sin(7.0 * xs)
+        trace, _ = run_trials(LinintLearner(), np.column_stack((xs, ys)), p=2.0)
+        assert offline_calls == [n]
+        left, right, _ = linked_list_neighbours(xs)
+        dl = np.where(left < 0, math.inf, xs - xs[left])
+        dr = np.where(right < 0, math.inf, xs[right] - xs)
+        d = np.where(dl <= dr, dl, dr)
+        y_hat = np.array(scalar_predictions(LinintLearner(), xs.tolist(), ys.tolist()))
+        e = np.abs(y_hat - ys)
+        want = {"d": d, "y_hat": y_hat, "e": e, "loss_term": [math.pow(v, 2.0) for v in e]}
+        for name, column in want.items():
+            got = [v.hex() for v in getattr(trace, name)[1:].tolist()]
+            assert got == [float(v).hex() for v in column[1:]], name
+
 
 def _neighbour_inputs(kind, n, rng):
     if kind == "random":

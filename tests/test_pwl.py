@@ -8,6 +8,7 @@ from hypothesis import assume, given, strategies as st
 from pwlearn import (
     DomainError,
     DuplicateConflict,
+    PiecewiseLinearFunction,
     PreconditionError,
     derivative_norm,
     energy,
@@ -66,6 +67,41 @@ class TestFromPoints:
             function_from_json(f'{{"knots": [[0.0, {text}], [1.0, 0.0]]}}')
         with pytest.raises(DomainError):
             function_from_json(f'{{"knots": [[{text}, 0.0]]}}')
+
+
+class TestConstructorChecks:
+    """PiecewiseLinearFunction built directly refuses what from_points does."""
+
+    @pytest.mark.parametrize(
+        "us, vs, message",
+        [
+            ((0.0, 1.0), (0.0,), "2 knot coordinates but 1 values"),
+            ((1.0, 0.0), (0.0, 1.0), "coordinate 0.0 after 1.0: must increase"),
+            ((0.5, 0.5), (1.0, 1.0), "coordinate 0.5 after 0.5: must increase"),
+            ((-0.1, 0.5), (0.0, 0.0), r"coordinate -0.1 outside \[0, 1\]"),
+            ((0.0, 1.5), (0.0, 0.0), r"coordinate 1.5 outside \[0, 1\]"),
+            ((math.nan,), (0.0,), r"coordinate nan outside \[0, 1\]"),
+            ((0.0, 0.5), (0.0, math.nan), "knot value nan at u=0.5 is not finite"),
+            ((0.0,), (math.inf,), "knot value inf at u=0.0 is not finite"),
+            ((0.0, 1.0), (1e308, -1e308), "knot rise from 1e+308 to -1e+308 at u=1.0 is not"),
+        ],
+    )
+    def test_refuses(self, us, vs, message):
+        with pytest.raises(DomainError, match=message.replace("+", r"\+")):
+            PiecewiseLinearFunction(us, vs)
+
+    def test_repeated_coordinate_with_another_value_conflicts(self):
+        with pytest.raises(DuplicateConflict, match="conflicting values 1.0 and 2.0 at u=0.5"):
+            PiecewiseLinearFunction((0.5, 0.5), (1.0, 2.0))
+
+    def test_from_points_refuses_an_overflowing_rise(self):
+        with pytest.raises(DomainError, match="rise"):
+            from_points([(0.0, 1e308), (1.0, -1e308)])
+
+    def test_accepts_valid_knots(self):
+        f = PiecewiseLinearFunction((-0.0, 0.5, 1.0), (1e308, 0.0, -1e308))
+        assert f.knots == [(-0.0, 1e308), (0.5, 0.0), (1.0, -1e308)]
+        assert PiecewiseLinearFunction((), ()).knots == []
 
 
 class TestEvaluateMany:
@@ -173,11 +209,18 @@ class TestEnergy:
         # unrolling and 128-element blocks, for them to equal _energy_sum.
         rng = np.random.default_rng(13)
         terms = rng.random((2, 8200)) * np.exp(rng.normal(0.0, 8.0, size=(2, 8200)))
+        # They sum right-aligned views of one wider buffer in place, whose rows
+        # lie W apart rather than n.
+        buf = np.ascontiguousarray(terms[:, ::-1])
+        out = np.empty((2, 3))
         for n in range(1, 4101):
             w = n // 3
             pair = np.concatenate((terms[:, :w], terms[:, 8200 - (n - w) :]), axis=1)
-            got = pair.sum(axis=1).tolist()
-            assert got == [float(np.sum(pair[0])), float(np.sum(pair[1]))], n
+            want = [float(np.sum(pair[0])), float(np.sum(pair[1]))]
+            assert pair.sum(axis=1).tolist() == want, n
+            view = buf[:, 8200 - n :]
+            np.add.reduce(view, axis=1, out=out[:, 0])
+            assert out[:, 0].tolist() == [float(np.sum(view[0])), float(np.sum(view[1]))], n
 
 
 class TestEnergyOracle:
