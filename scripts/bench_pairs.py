@@ -24,7 +24,10 @@ Then each CLI command in CLI_COMMANDS runs CLI_RUNS times per side in a
 fresh interpreter, the sides again taking turns to go first: every run's wall
 time, peak RSS (from wait4), exit code and the SHA-256 of its stdout, of its
 stderr and of any file it writes are kept, with each side's median wall time
-and peak RSS. A row names the exit code it expects (refusal rows expect 1);
+and peak RSS. One more untimed run per side, under tracemalloc, gives the
+command's traced peak (Python and numpy allocations from the CLI's start,
+imports excluded), which repeats to a few KB where RSS also reads heap
+placement. A row names the exit code it expects (refusal rows expect 1);
 any other code stops the script. The row's bytes are the same only if every
 run of both sides has the same digests.
 Last, the tier-1 suite runs once per side: its wall time and its pass and
@@ -73,6 +76,7 @@ KERNELS = {
     "_sample_target_rng": "_sample_target_rng",
     "_respond_stage": "_respond_stage",
     "_end_stage": "_end_stage",
+    "_midpoint_predictions": "_midpoint_predictions",
     "write_csv": "write_csv",
 }
 
@@ -84,6 +88,11 @@ CLI_COMMANDS = (
     ("audit --runs 20 --seed 7 --max-trials 100000",
      ["audit", "--runs", "20", "--seed", "7", "--max-trials", "100000"], 0),
     ("match --epsilon 0.1 --stages 20", ["match", "--epsilon", "0.1", "--stages", "20"], 0),
+    # The stage budget's ceiling, where the adversary's grid is 128 MB.
+    ("match --learner linint --epsilon 0.1 --stages 24",
+     ["match", "--learner", "linint", "--epsilon", "0.1", "--stages", "24"], 0),
+    ("match --learner zero --epsilon 0.1 --stages 24",
+     ["match", "--learner", "zero", "--epsilon", "0.1", "--stages", "24"], 0),
     ("match --epsilon 0.1 --stages 20 --out",
      ["match", "--epsilon", "0.1", "--stages", "20", "--out", "{tmp}/trace.csv"], 0),
     # zero's y_hat column is one run: the writer's run path at scale.
@@ -289,6 +298,41 @@ def time_cli(checkout: Path, argv: list[str], tmp: Path, expected: int) -> dict:
         shutil.rmtree(tmp)
 
 
+# Runs a CLI command, argv[2:], with tracemalloc on from the CLI's start and
+# writes the traced peak in bytes to the file argv[1].
+_TRACED_CLI = """import sys, tracemalloc
+from pwlearn.cli import main
+tracemalloc.start()
+try:
+    code = main(sys.argv[2:])
+except SystemExit as exc:
+    code = exc.code
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(tracemalloc.get_traced_memory()[1]))
+sys.exit(code)
+"""
+
+
+def traced_peak(checkout: Path, argv: list[str], tmp: Path, expected: int) -> int:
+    """One untimed run of a CLI command in a fresh interpreter under
+    tracemalloc: its traced peak in bytes. An exit code other than expected
+    stops the script."""
+    tmp.mkdir(parents=True)
+    try:
+        argv = [a.replace("{tmp}", str(tmp)) for a in argv]
+        env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+        peak = tmp / "traced_peak"
+        proc = subprocess.run([sys.executable, "-c", _TRACED_CLI, str(peak), *argv],
+                              cwd=checkout, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True)
+        if proc.returncode != expected:
+            sys.exit(f"bench_pairs: traced pwlearn {' '.join(argv)} in {checkout} exited "
+                     f"{proc.returncode}, expected {expected}:\n{proc.stderr[-2000:]}")
+        return int(peak.read_text())
+    finally:
+        shutil.rmtree(tmp)
+
+
 def time_tier1(checkout: Path) -> dict:
     """Run the tier-1 suite in a checkout: wall time and the counts from
     pytest's summary line. Failures are counted, not fatal."""
@@ -340,10 +384,17 @@ def main(argv=None) -> int:
                        for key in ("wall_s", "peak_rss_mb")} | {"runs": rs}
                 for side, rs in runs.items()
             }
+            for side, checkout in _sides(parent, 0):
+                sides[side]["traced_peak_bytes"] = traced_peak(
+                    checkout, cli_argv, TMP / f"cli-{os.getpid()}", expected)
             digests = [r["sha256"] for rs in runs.values() for r in rs]
             sides["same_bytes"] = all(d == digests[0] for d in digests)
-            print(f"{name}: median parent {sides['parent']['wall_s']:.2f} s, change "
-                  f"{sides['change']['wall_s']:.2f} s, same bytes "
+            print(f"{name}: median parent {sides['parent']['wall_s']:.2f} s, "
+                  f"{sides['parent']['peak_rss_mb']:.1f} MB RSS, "
+                  f"{sides['parent']['traced_peak_bytes']:,} B traced; change "
+                  f"{sides['change']['wall_s']:.2f} s, "
+                  f"{sides['change']['peak_rss_mb']:.1f} MB RSS, "
+                  f"{sides['change']['traced_peak_bytes']:,} B traced; same bytes "
                   f"{sides['same_bytes']}", file=sys.stderr)
         tier1 = report["tier1"] = {}
         for side, checkout in (("parent", parent), ("change", ROOT)):

@@ -53,6 +53,7 @@ from .adversary import (
     EnergyAudit,
     MatchAudit,
     MatchResult,
+    MatchTrace,
     StageSummary,
     audit_energy,
     dyadic_x,

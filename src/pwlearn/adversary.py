@@ -7,32 +7,24 @@ t = 2^(i-1) .. 2^i - 1; the stage-i inputs are the odd multiples of 2^-i, so
 every input is the exact midpoint of two already-committed knots at distance
 exactly 2^-i.
 
-Two functions are maintained, each as a float64 array on the dense level-i
-grid k·2^-i, k = 0 .. 2^i:
-
-* the committed function interpolates every revealed (x_t, y_t) plus the
-  anchors (0, 0) and (1, 0);
-* the probe function interpolates the *proposed* labels v_t of the current
-  stage (regardless of acceptance) on top of the committed knots from earlier
-  stages. Its energy budget is what forces acceptances.
-
-A new stage spreads the committed grid onto the next level (the old knots at
-the even indices); the stage's trials then fill the odd indices left to
-right, so trial t's neighbours are the grid entries on either side of it.
-
-A trial is accepted when the proposed label keeps both adjacent slopes at
-most 1; otherwise the midpoint value is revealed, which leaves the committed
-function unchanged as a function.
+A match of S stages holds one float64 array, the committed function at the
+final spacing 2^-S: the anchors (0, 0) and (1, 0), then each label as it is
+revealed (NaN before). Stage i works on the view grid[::2^(S-i)], whose odd
+entries are its inputs, filled left to right between earlier knots. Its
+proposed labels are one array v. The probe function, that view with v at the
+odd entries, is built only where its energy is summed; its energy budget is
+what forces acceptances. A trial is accepted when the proposed label keeps
+both adjacent slopes at most 1; otherwise the midpoint value is revealed,
+which leaves the committed function unchanged as a function.
 
 No input inside a stage lies nearer to another stage input than the two
 stage-start knots around it, so the built-in learners' predictions for a whole
 stage follow from the stage-start grid. run_match plays a fresh learner of
 exact built-in type a stage at a time on the arrays; any other learner goes
 through predict/respond/observe trial by trial. Either way play only writes
-the grids: _end_stage reads a finished stage's acceptances, probe energy and
-steepest slope off them, and _stage_audits its audits (the audit after trial
-w reads only grid indices up to 2w, final once trial w is revealed).
-audit_energy, the same audit from the live state, is the scalar oracle.
+the grid and v, and _end_stage and _stage_audits read a finished stage off
+them. audit_energy, the same audit from the live state, is the scalar oracle.
+The final grid and the predictions fix the whole trace (MatchTrace).
 """
 
 from __future__ import annotations
@@ -46,7 +38,7 @@ import numpy as np
 from . import pwl
 from .errors import DomainError, SequenceError, _check_int
 from .learner import (
-    Learner, Trace, ZeroLearner, _fill, _fresh, _midpoint_predictions, _pow_terms,
+    TRACE_HEADER, Learner, ZeroLearner, _fill, _fresh, _midpoint_predictions, _pow_terms,
     _running_total,
 )
 
@@ -58,6 +50,7 @@ __all__ = [
     "StageSummary",
     "MatchAudit",
     "MatchResult",
+    "MatchTrace",
     "dyadic_x",
     "stage_of",
     "perturbation",
@@ -129,55 +122,42 @@ class EnergyAudit(NamedTuple):
 
 
 class AdversaryState:
-    """Mutable per-match state: the committed and probe grids of the current
-    stage. respond plays one trial and _respond_stage a whole stage; both only
-    write the grids, and _end_stage reads each finished stage off them, so
-    accepted (that stage's), max_abs_slope and max_energy_probe change once a stage."""
+    """Mutable per-match state: the grid and the current stage's proposals v,
+    which respond (one trial) and _respond_stage (a whole stage) write and
+    _end_stage reads, so accepted (that stage's), max_abs_slope and
+    max_energy_probe change once a stage. A trial past the config's stage
+    budget raises SequenceError."""
 
-    def __init__(self, epsilon: float) -> None:
-        _check_epsilon(epsilon)
-        self.epsilon = epsilon
-        # Before stage 1 the grid is the two anchors, x = 0 and x = 1.
-        self.committed = np.zeros(2)
-        self.probe = self.committed.copy()
+    def __init__(self, config: AdversaryConfig) -> None:
+        self.epsilon = config.epsilon
+        self.stages = config.stages
+        self.grid = np.full((1 << config.stages) + 1, math.nan)
+        self.grid[[0, -1]] = 0.0
+        # The current stage's view of the grid; before stage 1, the anchors.
+        self.committed = self.grid[:: 1 << config.stages]
+        self.v = np.empty(0)
         self.next_t = 1
         # Geometry of the current stage i, set once by _begin_stage: knot
         # spacing 2^-i, proposal offset, last trial 2^i - 1, trials so far.
-        self.stage = 0
-        self.h = 1.0
-        self.magnitude = 0.0
-        self.stage_end = 0
-        self.within = 0
-        self.accepted = 0
+        self.stage = self.stage_end = self.within = self.accepted = 0
+        self.h, self.magnitude = 1.0, 0.0
         # The probe energy at the stage start, from scratch; the incremental
         # probe energy runs from it, and both feed the recursion audit.
-        self.stage_start_energy = 0.0
-        self.max_energy_probe = self.max_abs_slope = 0.0
+        self.stage_start_energy = self.max_energy_probe = self.max_abs_slope = 0.0
 
     def _begin_stage(self) -> None:
-        # Spread the committed knots onto the next level's even indices; the
-        # odd ones are this stage's inputs, NaN until revealed. The probe
-        # starts as a copy, its energy summed afresh on the old grid so that
+        # The probe energy is summed afresh on the old view, so that
         # floating-point drift cannot cross stage boundaries.
-        old = self.committed
-        self.stage_start_energy = pwl._energy_sum(self.h, old)
-        grid = np.full(2 * len(old) - 1, math.nan)
-        grid[::2] = old
-        self.committed = grid
-        self.probe = grid.copy()
+        if self.stage == self.stages:
+            raise SequenceError(f"trial {self.next_t} is past the budget of {self.stages} stages")
+        self.stage_start_energy = pwl._energy_sum(self.h, self.committed)
         i = self.stage = self.stage + 1
+        self.committed = self.grid[:: 1 << (self.stages - i)]
+        self.v = np.empty(1 << (i - 1))
         self.h = 0.5**i
         self.magnitude = perturbation(i, self.epsilon)
         self.stage_end = (1 << i) - 1
         self.within = 0
-
-    def _filled(self, within: int) -> np.ndarray:
-        """Grid indices set after the stage's first `within` trials, in
-        coordinate order: the trials fill the odd indices left to right, so
-        they are every index up to 2·within, then the even indices (the
-        earlier stages' knots) after it."""
-        done = 2 * within if self.stage else 1
-        return np.concatenate((np.arange(done + 1), np.arange(done + 2, len(self.committed), 2)))
 
     def respond(self, t: int, y_hat: float) -> tuple[float, bool]:
         """Reveal the label for trial t given the learner's prediction.
@@ -204,7 +184,7 @@ class AdversaryState:
         accepted = abs(v - vl) <= h and abs(v - vr) <= h
         y = v if accepted else base
         committed[k] = y
-        self.probe[k] = v
+        self.v[self.within] = v
         self.within += 1
         self.next_t += 1
         if t == self.stage_end:
@@ -213,8 +193,8 @@ class AdversaryState:
 
     def _respond_stage(self, y_hat: np.ndarray) -> None:
         """Reveal every label of the next stage at once, given all of its
-        predictions in trial order. The grids end as respond on each trial in
-        turn leaves them, with the same bits: each step is respond's
+        predictions in trial order. The grid and v end as respond on each
+        trial in turn leaves them, with the same bits: each step is respond's
         operation, elementwise."""
         if self.next_t != self.stage_end + 1:
             raise SequenceError(
@@ -222,37 +202,50 @@ class AdversaryState:
                 f"inside stage {self.stage}"
             )
         self._begin_stage()
-        committed, h, mag = self.committed, self.h, self.magnitude
+        committed, h, mag, v = self.committed, self.h, self.magnitude, self.v
         vl, vr = committed[:-1:2], committed[2::2]
         base = 0.5 * (vl + vr)
-        v = np.where(y_hat > base, base - mag, base + mag)
+        far = y_hat > base
+        np.subtract(base, mag, out=v, where=far)
+        np.add(base, mag, out=v, where=~far)
         accepted = (np.abs(v - vl) <= h) & (np.abs(v - vr) <= h)
-        committed[1::2] = np.where(accepted, v, base)
-        self.probe[1::2] = v
+        np.copyto(base, v, where=accepted)  # the labels
+        committed[1::2] = base
         self.within = len(v)
         self.next_t = self.stage_end + 1
-        del base, v, accepted  # before _end_stage's temporaries
+        del base, far, accepted  # before _end_stage's temporaries
         self._end_stage()
 
     def _end_stage(self) -> None:
-        """Read the stage just played off its grids. Trial w's input is grid
-        index 2w + 1, between the stage-start knots 2w and 2w + 2. The probe
-        holds its proposal v, a magnitude away from base, and the committed
-        grid its label: v if the trial was accepted, base if not."""
-        committed, h = self.committed, self.h
-        v = self.probe[1::2]
+        """Read the stage just played off the grid and v. Trial w's input is
+        grid index 2w + 1 of the stage's view, between the stage-start knots
+        2w and 2w + 2. v holds its proposal, a magnitude away from base, and
+        the grid its label: v if the trial was accepted, base if not."""
+        committed, h, v = self.committed, self.h, self.v
         self.accepted = int(np.count_nonzero(committed[1::2] == v))
         # The probe agrees with the committed function at both neighbours, so
         # its value there is base and the insertion of v grows its energy by
         # 2·(v − base)²/h: a running sum in trial order from the stage start.
-        diff = v - 0.5 * (committed[:-1:2] + committed[2::2])
-        increments = 2.0 * diff * diff / h
-        energy = _running_total(np.concatenate(([self.stage_start_energy], increments)))
+        diff = committed[:-1:2] + committed[2::2]
+        diff *= 0.5
+        np.subtract(v, diff, out=diff)
+        energies = np.append(self.stage_start_energy, diff)
+        energies[1:] *= 2.0
+        energies[1:] *= diff
+        energies[1:] /= h
         # The increments are nonnegative, so the stage's last energy is its largest.
-        self.max_energy_probe = max(self.max_energy_probe, energy)
+        self.max_energy_probe = max(self.max_energy_probe, _running_total(energies))
+        del diff, energies
         # Every segment of the grid has one of the stage's inputs at an end.
-        slope = float(np.abs(committed[1:] - committed[:-1]).max()) / h
-        self.max_abs_slope = max(self.max_abs_slope, slope)
+        slopes = committed[1:] - committed[:-1]
+        self.max_abs_slope = max(self.max_abs_slope, float(np.abs(slopes, out=slopes).max()) / h)
+
+
+def _probe(state: AdversaryState) -> np.ndarray:
+    """The probe function: the stage's view with the proposals so far at the odd entries."""
+    probe = state.committed.copy()
+    probe[1 : 2 * state.within : 2] = state.v[: state.within]
+    return probe
 
 
 def _recursion_residual(state: AdversaryState, within, j_probe):
@@ -270,13 +263,13 @@ def audit_energy(state: AdversaryState) -> EnergyAudit:
     The expected probe energy after j in-stage trials is the stage-start
     energy plus j * eps*(1-eps)^i / 2^(i+1); the residual is the absolute
     difference between that and the scratch recomputation. run_match reads
-    the same values, with the same bits, off a finished stage's grids
-    (_stage_audits); this is the oracle those are tested against.
+    the same values, with the same bits, off a finished stage's grid and
+    proposals (_stage_audits); this is the oracle those are tested against.
     """
     # Before stage 1 nothing has been proposed: within = 0, so expected = 0.
-    k = state._filled(state.within)
+    k = np.flatnonzero(~np.isnan(state.committed))  # the knots revealed so far
     du = np.diff(k * state.h)
-    j_probe = pwl._energy_sum(du, state.probe[k])
+    j_probe = pwl._energy_sum(du, _probe(state)[k])
     j_committed = pwl._energy_sum(du, state.committed[k])
     return EnergyAudit(j_probe, j_committed, _recursion_residual(state, state.within, j_probe))
 
@@ -286,17 +279,17 @@ def _stage_audits(state: AdversaryState, per_trial: bool) -> np.ndarray:
     played, or after its last trial only, with the same bits: rows j_probe,
     j_committed and residual, one column per audit.
 
-    After w trials the knots in coordinate order are the grid indices 0..2w,
-    then the even indices after 2w (see _filled). Their segments are the
-    first 2w segments of the full grid followed by the even knots' segments
-    from the w-th on (the w-th joins 2w and 2w + 2). So every audit sums a
-    row of the same terms, in the same order, as _energy_sum does: the knot
-    coordinates are multiples of h, so every run is h or 2h exactly.
+    After w trials the knots in coordinate order are the stage's grid indices
+    0..2w, then the even indices after 2w. Their segments are the first 2w
+    segments of the full grid followed by the even knots' segments from the
+    w-th on (the w-th joins 2w and 2w + 2). So every audit sums a row of the
+    same terms, in the same order, as _energy_sum does: the knot coordinates
+    are multiples of h, so every run is h or 2h exactly.
     """
     last, h = state.within, state.h
     if per_trial:
         within = np.arange(1, last + 1)
-        grids = np.stack((state.probe, state.committed))
+        grids = np.stack((_probe(state), state.committed))
         full = pwl._energy_terms(h, grids)
         sums = np.empty((2, last))
         # Audit w's row is row[:, last - w:]: full's first 2w terms, written
@@ -307,9 +300,9 @@ def _stage_audits(state: AdversaryState, per_trial: bool) -> np.ndarray:
             row[:, last - w : last + w] = full[:, : 2 * w]
             np.add.reduce(row[:, last - w :], axis=1, out=sums[:, w - 1])
     else:
-        # After the last trial every grid index is filled.
-        within = last
-        sums = np.array([[pwl._energy_sum(h, grid)] for grid in (state.probe, state.committed)])
+        within = last  # every grid index is filled
+        j_probe = pwl._energy_sum(h, _probe(state))  # frees the probe before the next sum
+        sums = np.array([[j_probe], [pwl._energy_sum(h, state.committed)]])
     return np.vstack((sums, _recursion_residual(state, within, sums[0])))
 
 
@@ -331,12 +324,53 @@ class MatchAudit:
     max_recursion_residual: float
 
 
+def _time_order(stages: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    """Grid index, at spacing 2^-stages, of the input of each trial from start
+    up to stop (every trial by default): trial 0 at x = 1, then stage i's
+    inputs (2w+1)·2^-i left to right."""
+    t = np.arange(start, 1 << stages if stop is None else stop)
+    i = np.frexp(t)[1]  # the stage of trial t >= 1: its bit length
+    return np.where(t > 0, (2 * t + 1 - (1 << i)) << (stages - i), 1 << stages)
+
+
+@dataclass(frozen=True, eq=False)
+class MatchTrace:
+    """A match's trace as the two arrays that fix it: the final grid at
+    spacing 2^-S (read-only) and y_hat, the predictions in trial order, NaN
+    for trial 0. Reading x, y, e, d or loss_term computes that Trace column
+    with the same bits; write_trace_csv computes a chunk of rows at a time."""
+
+    grid: np.ndarray
+    y_hat: np.ndarray
+    p: float
+
+    def __len__(self) -> int:
+        return len(self.y_hat)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Reached only when normal lookup fails: the computed columns.
+        columns = TRACE_HEADER[1:7]  # Trace's fields
+        if name not in columns:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self._rows(0, len(self))[columns.index(name)]
+
+    def _rows(self, start: int, stop: int) -> tuple[np.ndarray, ...]:
+        """Trace's columns for trials start .. stop - 1: x = k·2^-S, y = grid[k]
+        and d = 2^-i, k's lowest set bit times 2^-S (NaN for trial 0, k = 2^S)."""
+        n = len(self.y_hat)
+        k = _time_order(n.bit_length() - 1, start, stop)
+        y, y_hat = self.grid[k], self.y_hat[start:stop]
+        e = np.abs(y_hat - y)
+        d = np.where(k < n, (k & -k) / n, math.nan)
+        return k / n, y_hat, y, e, d, _pow_terms(e, self.p)
+
+
 @dataclass(frozen=True)
 class MatchResult:
     epsilon: float
     stages: int
     total_loss: float
-    records: Optional[Trace]
+    records: Optional[MatchTrace]
     per_stage: list[StageSummary]
     audit: MatchAudit
     lower_partial: float
@@ -348,18 +382,10 @@ class MatchResult:
             "stages": self.stages,
             "total_loss": self.total_loss,
             "per_stage": [
-                {
-                    "i": s.i,
-                    "trials": s.trials,
-                    "accepted": s.accepted,
-                    "J_probe_end": s.j_probe_end,
-                }
+                {"i": s.i, "trials": s.trials, "accepted": s.accepted, "J_probe_end": s.j_probe_end}
                 for s in self.per_stage
             ],
-            "bounds": {
-                "lower_partial": self.lower_partial,
-                "upper_linint": self.upper_linint,
-            },
+            "bounds": {"lower_partial": self.lower_partial, "upper_linint": self.upper_linint},
         }
 
 
@@ -374,16 +400,11 @@ def _play_stage(learner: Learner, state: AdversaryState, xs: np.ndarray) -> np.n
     return np.array(y_hats, dtype=float)
 
 
-def _time_order(stages: int) -> np.ndarray:
-    """Grid index, at spacing 2^-stages, of every trial's input: trial 0 at
-    x = 1, then stage i's inputs (2w+1)·2^-i left to right."""
-    n = 1 << stages
-    k = np.empty(n, dtype=np.intp)
-    k[0] = n
-    for i in range(1, stages + 1):
-        first = 1 << (i - 1)
-        k[first : 2 * first] = (2 * np.arange(first) + 1) << (stages - i)
-    return k
+def _knots(grid: np.ndarray) -> tuple[np.ndarray, ...]:
+    # Every knot of a final grid but (0, 0): in time order, then in coordinate order.
+    n = len(grid) - 1
+    k = _time_order(n.bit_length() - 1)
+    return k / n, grid[k], np.arange(1, n + 1) / n
 
 
 def run_match(
@@ -400,30 +421,26 @@ def run_match(
     audited from scratch at every stage boundary (and after every trial when
     ``audit_per_trial`` is set, which costs O(n) per trial). With
     ``collect_records=False`` only totals and audits are kept, which is the
-    cheap mode for sweeps; otherwise ``records`` is the columnar Trace. A
-    loss term that overflows, or a non-finite total loss (a NaN or infinite
-    prediction), raises DomainError.
+    cheap mode for sweeps; otherwise ``records`` is the match's MatchTrace,
+    the final grid and the predictions. A loss term that overflows, or a
+    non-finite total loss (a NaN or infinite prediction), raises DomainError.
 
     A fresh learner of exact built-in type (zero, nearest, or linint with
-    nothing observed) is played a stage at a time: its predictions come from
-    the stage-start grid, _respond_stage reveals the stage, and the learner's
-    state is filled in bulk at the end, equal to what observing each trial
+    nothing observed) is played a stage at a time, and its state is filled
+    from the final grid on its first use, equal to what observing each trial
     would leave. Every other learner is played trial by trial through
-    predict, respond and observe. Both give the same bits. Whichever path
-    played a stage, its labels are read off the committed grid and its
-    audits off the finished grids (_stage_audits).
+    predict, respond and observe. Both give the same bits.
     """
     eps = config.epsilon
     p = 1.0 + eps
-    state = AdversaryState(eps)
+    state = AdversaryState(config)
     by_stage = _fresh(learner)
     if not by_stage:
         learner.predict(X0)  # uncharged; the opening prediction is discarded
         learner.observe(X0, Y0)
-    n = 1 << config.stages
     if collect_records:
-        # Trace columns, trial 0 first; NaN marks its uncharged fields.
-        y_hats, es, ds, terms_col = (np.full(n, math.nan) for _ in range(4))
+        # The one trace column the grid cannot give back; NaN for trial 0.
+        y_hats = np.full(1 << config.stages, math.nan)
     total = 0.0
     per_stage: list[StageSummary] = []
     max_resid = max_jp = max_jc = 0.0
@@ -435,22 +452,20 @@ def run_match(
             state._respond_stage(y_hat)
         else:
             y_hat = _play_stage(learner, state, (2.0 * np.arange(first) + 1.0) * h)
-        y = state.committed[1::2]
-        j_probe, j_committed, residual = _stage_audits(state, audit_per_trial)
-        e = np.abs(y_hat - y)
+        if collect_records:
+            y_hats[first : 2 * first] = y_hat
+        e = y_hat - state.committed[1::2]
+        del y_hat
         try:
-            terms = _pow_terms(e, p)
+            terms = _pow_terms(np.abs(e, out=e), p)
         except OverflowError:
             raise DomainError(
                 f"a loss term in stage {i} overflows; predictions must be moderate"
             ) from None
+        del e
         total = _running_total(np.append(total, terms))
-        if collect_records:
-            trials = slice(first, 2 * first)
-            y_hats[trials] = y_hat
-            es[trials] = e
-            ds[trials] = h  # every neighbour is exactly 2^-i away
-            terms_col[trials] = terms
+        del terms  # before the audits' temporaries
+        j_probe, j_committed, residual = _stage_audits(state, audit_per_trial)
         max_resid = max(max_resid, float(residual.max()))
         max_jp = max(max_jp, float(j_probe.max()))
         max_jc = max(max_jc, float(j_committed.max()))
@@ -458,25 +473,17 @@ def run_match(
     # One check per match: NaN and inf both survive the running sum.
     if not math.isfinite(total):
         raise DomainError(f"total loss {total!r} is not finite; predictions must be")
-    fill = by_stage and type(learner) is not ZeroLearner
-    records = None
-    if fill or collect_records:
-        # Trial t's input is k[t]·2^-stages on the final grid and its label the
-        # grid value there; the learner and the trace each get their own arrays.
-        k = _time_order(config.stages)
-        spacing = 0.5**config.stages
-        if fill:
-            # The learner holds every knot but (0, 0), in time order.
-            _fill(learner, k * spacing, state.committed[k], np.arange(1, n + 1) * spacing)
-        if collect_records:
-            records = Trace(k * spacing, y_hats, state.committed[k], es, ds, terms_col)
+    grid = state.grid
+    grid.setflags(write=False)
+    if by_stage and type(learner) is not ZeroLearner:
+        _fill(learner, lambda: _knots(grid))
     from .bounds import lower_bound_partial, upper_bound_linint
 
     return MatchResult(
         epsilon=eps,
         stages=config.stages,
         total_loss=total,
-        records=records,
+        records=MatchTrace(grid, y_hats, p) if collect_records else None,
         per_stage=per_stage,
         audit=MatchAudit(
             max_abs_slope=state.max_abs_slope,

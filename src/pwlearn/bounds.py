@@ -149,14 +149,12 @@ def check_proof_inequalities(grid: Iterable[float]) -> ProofInequalityReport:
         if not 0.0 < eps < 1.0:
             raise DomainError(f"grid value {eps!r} outside (0, 1)")
         s2 = (1.0 + eps) - 2.0**eps
-        if s2 < pow2_slack:
-            pow2_slack = s2
+        pow2_slack = min(pow2_slack, s2)
         if s2 < 0.0:
             bad.append(f"(1+eps) - 2^eps = {s2!r} at eps={eps!r}")
         if eps < 0.5:
             s1 = (1.0 - eps) ** ((1.0 + eps) / 2.0) - (1.0 - eps * (1.0 + eps))
-            if s1 < root_slack:
-                root_slack = s1
+            root_slack = min(root_slack, s1)
             if s1 < 0.0:
                 bad.append(
                     f"(1-eps)^((1+eps)/2) - (1-eps*(1+eps)) = {s1!r} at eps={eps!r}"

@@ -262,22 +262,19 @@ def run_invariant_audit(config: ExperimentConfig) -> AuditReport:
             np.random.default_rng(seeds.spawn(1)[0]), config.max_trials
         )
         report.trials_total += account.trials
-        if account.total > report.worst_p2_loss:
-            report.worst_p2_loss = account.total
+        report.worst_p2_loss = max(report.worst_p2_loss, account.total)
         if account.total > 1.0 + E2D_TOL:
             violations.append(
                 f"run {k}: squared loss {account.total!r} exceeds 1 "
                 f"(first x={first_x!r})"
             )
         for r, d_sum in d_sums.items():
-            if d_sum > report.d_sums[r]:
-                report.d_sums[r] = d_sum
+            report.d_sums[r] = max(report.d_sums[r], d_sum)
             if d_sum > report.d_bounds[r] + D_SUM_TOL:
                 violations.append(
                     f"run {k}: sum d^{r} = {d_sum!r} exceeds {report.d_bounds[r]!r}"
                 )
-        if e2d > report.worst_e2_over_d:
-            report.worst_e2_over_d = e2d
+        report.worst_e2_over_d = max(report.worst_e2_over_d, e2d)
         if e2d > 1.0 + E2D_TOL:
             violations.append(f"run {k}: sum e^2/d = {e2d!r} exceeds 1")
 
@@ -296,12 +293,9 @@ def run_invariant_audit(config: ExperimentConfig) -> AuditReport:
             )
             a = result.audit
             label = f"match eps={eps} learner={kind}"
-            if a.max_recursion_residual > report.max_energy_residual:
-                report.max_energy_residual = a.max_recursion_residual
-            if a.max_abs_slope > report.max_abs_slope:
-                report.max_abs_slope = a.max_abs_slope
-            if a.max_j_probe > report.max_j_probe:
-                report.max_j_probe = a.max_j_probe
+            report.max_energy_residual = max(report.max_energy_residual, a.max_recursion_residual)
+            report.max_abs_slope = max(report.max_abs_slope, a.max_abs_slope)
+            report.max_j_probe = max(report.max_j_probe, a.max_j_probe)
             if a.max_recursion_residual > RESIDUAL_TOL:
                 violations.append(
                     f"{label}: energy recursion residual {a.max_recursion_residual!r}"

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -70,6 +70,9 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.x)
+
+    def _rows(self, start: int, stop: int) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, f.name)[start:stop] for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,7 @@ class _Observed:
         if pending is None or name not in ("_vals", "_xs"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         del self._pending
-        xs, ys, x_sorted = pending
+        xs, ys, x_sorted = pending()
         self._vals = dict(zip(xs.tolist(), ys.tolist()))
         self._xs = SortedList(x_sorted.tolist())
         return self.__dict__[name]
@@ -344,19 +347,12 @@ def _midpoint_predictions(kind: str, grid: np.ndarray, h: float) -> np.ndarray:
     return y_hat
 
 
-def _fill(
-    learner: NearestLearner | LinintLearner,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    x_sorted: np.ndarray,
-) -> None:
+def _fill(learner: NearestLearner | LinintLearner, knots) -> None:
     """Leave a fresh learner as observing each (x, y) in time order would, for
-    distinct inputs: _vals in time order, trial 0 first, and _xs from
-    x_sorted, the same inputs in increasing order. Both are built on first
-    use from the arrays as given, so the caller hands over arrays that nothing
-    else holds; a learner that is never used again never builds them."""
+    distinct inputs: on first use, _vals and _xs are built from knots(), the
+    inputs and labels in time order and the inputs in increasing order."""
     del learner._vals, learner._xs
-    learner._pending = (xs, ys, x_sorted)
+    learner._pending = knots
 
 
 def scalar_predictions(
@@ -421,7 +417,8 @@ def run_trials(
         d[repeat] = xs[first[repeat]] - xs[repeat]
     if distinct and type(learner) is LinintLearner and _fresh(learner):
         y_hat = _linint_predictions(xs, ys, left, right)
-        _fill(learner, xs.copy(), ys.copy(), x_sorted)  # the trace holds xs and ys
+        knots = (xs.copy(), ys.copy(), x_sorted)  # the trace holds xs and ys
+        _fill(learner, lambda: knots)
     else:
         y_hat = np.array(scalar_predictions(learner, xs.tolist(), ys.tolist()), dtype=float)
     y_hat[:1] = d[:1] = math.nan
@@ -504,25 +501,26 @@ def write_csv(out: str | os.PathLike | IO[str], header, blocks, end: str = "\r\n
 
 
 def write_trace_csv(trace: Trace, out: str | os.PathLike | IO[str]) -> None:
-    """Write the trial trace as CSV, one block per chunk of rows; trial 0 leaves
-    uncharged fields empty."""
+    """Write the trial trace, a Trace or a match's records (MatchTrace), as
+    CSV, one block per chunk of rows; trial 0 leaves uncharged fields empty."""
     write_csv(out, TRACE_HEADER, _trace_blocks(trace))
 
 
 def _trace_blocks(trace: Trace) -> Iterator[tuple]:
     n = len(trace)
     if n:
-        yield ((0,), trace.x[:1], ("",), trace.y[:1], *[("",)] * 4)
-    columns = (trace.x, trace.y_hat, trace.y, trace.e, trace.d, trace.loss_term)
+        x, _, y, *_ = trace._rows(0, 1)
+        yield ((0,), x, ("",), y, *[("",)] * 4)
     cum = 0.0
-    # Columns turn into Python floats one chunk at a time, so a long trace
-    # never exists as Python floats or text all at once.
+    # One chunk of columns at a time: a long trace never exists as Python
+    # floats or text all at once, nor a match's records as columns.
     for start in range(1, n, _CSV_CHUNK):
         stop = min(start + _CSV_CHUNK, n)
+        columns = trace._rows(start, stop)
         # The bits of cum += term: cumsum adds left to right, from cum.
-        cums = np.cumsum(np.append(cum, trace.loss_term[start:stop]))
+        cums = np.cumsum(np.append(cum, columns[-1]))
         cum = cums[-1]
-        yield (range(start, stop), *(c[start:stop] for c in columns), cums[1:])
+        yield (range(start, stop), *columns, cums[1:])
 
 
 def _exact_cells(values) -> tuple[str, Sequence]:

@@ -38,9 +38,9 @@ __all__ = [
 @dataclass(frozen=True)
 class PiecewiseLinearFunction:
     """Knot coordinates and values, sorted by coordinate. Construction refuses
-    unequal lengths, coordinates not strictly increasing in [0, 1] and values or
-    rises that are not finite: DomainError, or DuplicateConflict for a
-    coordinate repeated with another value."""
+    unequal lengths, coordinates not strictly increasing in [0, 1] and values,
+    rises or slopes that are not finite: DomainError, or DuplicateConflict for
+    a coordinate repeated with another value."""
 
     us: tuple[float, ...]
     vs: tuple[float, ...]
@@ -60,6 +60,8 @@ class PiecewiseLinearFunction:
                     raise DuplicateConflict(f"conflicting values {v0!r} and {v!r} at u={u!r}")
                 why = "outside [0, 1]" if not 0.0 <= u <= 1.0 else f"after {u0!r}: must increase"
                 raise DomainError(f"knot coordinate {u!r} {why}")
+            if not abs(v - v0) / (u - u0) < math.inf:
+                raise DomainError(f"slope of the segment from u={u0!r} to u={u!r} is not finite")
             u0, v0 = u, v
         if us and not 0.0 <= us[0]:
             raise DomainError(f"knot coordinate {us[0]!r} outside [0, 1]")
@@ -79,8 +81,8 @@ def from_points(points: Iterable[tuple[float, float]]) -> PiecewiseLinearFunctio
     constructor checks the rest: pairs that share u but disagree on v raise
     DuplicateConflict rather than silently keeping one of them, since a
     function cannot take two values at one point, and a coordinate outside
-    [0, 1] or a value or rise that is not finite raises DomainError. The empty
-    input yields the zero function.
+    [0, 1] or a value, rise or slope that is not finite raises DomainError.
+    The empty input yields the zero function.
     """
     pairs = sorted((float(u), float(v)) for u, v in points)
     kept = [pair for k, pair in enumerate(pairs) if not k or pair != pairs[k - 1]]
@@ -141,9 +143,11 @@ def evaluate_many(f: PiecewiseLinearFunction, xs) -> np.ndarray:
 def _energy_terms(du: np.ndarray | float, vs: np.ndarray) -> np.ndarray:
     # rise^2/run of every segment of sorted knots, given the runs du (an array,
     # or one spacing for a uniform grid); vs may stack several rows of values.
-    # The differences are np.diff's, without its per-call overhead.
+    # np.diff's differences, without its per-call overhead, squared in place.
     dv = vs[..., 1:] - vs[..., :-1]
-    return dv * dv / du
+    dv *= dv
+    dv /= du
+    return dv
 
 
 def _energy_sum(du: np.ndarray | float, vs: np.ndarray) -> float:
@@ -200,12 +204,8 @@ def derivative_norm(f: PiecewiseLinearFunction, q: float) -> float:
     _check_norm_order(q)
     m = len(f.us)
     if q == math.inf:
-        worst = 0.0
-        for k in range(m - 1):
-            s = abs(f.vs[k + 1] - f.vs[k]) / (f.us[k + 1] - f.us[k])
-            if s > worst:
-                worst = s
-        return worst
+        slopes = (abs(f.vs[k + 1] - f.vs[k]) / (f.us[k + 1] - f.us[k]) for k in range(m - 1))
+        return max(slopes, default=0.0)
     total = 0.0
     for k in range(m - 1):
         du = f.us[k + 1] - f.us[k]

@@ -1,14 +1,21 @@
 """Shared generators for randomized tests, the adversary's dict oracle, the
-table and trace CSV oracles, the nearest-earlier-neighbour oracle, and the
-functions a learner or the adversary has built so far."""
+columnar match trace, the table and trace CSV oracles, the
+nearest-earlier-neighbour oracle, and the functions a learner or the
+adversary has built so far."""
 
 import csv
 import math
 
 import numpy as np
 
-from pwlearn import dyadic_x, evaluate, from_points, perturbation, stage_of
-from pwlearn.learner import TRACE_HEADER, open_out
+from pwlearn import (
+    AdversaryState, MatchAudit, StageSummary, Trace, audit_energy, dyadic_x, evaluate,
+    from_points, perturbation, stage_of,
+)
+from pwlearn.adversary import _play_stage
+from pwlearn.learner import (
+    TRACE_HEADER, _fresh, _midpoint_predictions, _pow_terms, _running_total, open_out,
+)
 from pwlearn.pwl import _energy_sum
 
 
@@ -60,13 +67,13 @@ def linint_history(learner):
 
 def committed_function(state):
     """The interpolant of the adversary's committed knots set so far."""
-    k = state._filled(state.within)
+    k = np.flatnonzero(~np.isnan(state.committed))
     return from_points(zip((k * state.h).tolist(), state.committed[k].tolist()))
 
 
 def dict_energy(knots):
     """Energy of the interpolant of a coordinate->value mapping, from scratch:
-    the dict-and-argsort summation the adversary's grids must match bit for
+    the dict-and-argsort summation the adversary's grid must match bit for
     bit."""
     m = len(knots)
     us = np.fromiter(knots.keys(), dtype=float, count=m)
@@ -81,7 +88,7 @@ class DictAdversary:
     time, with its bookkeeping trial by trial: the incremental probe energy
     from the stage start, its maximum, the steepest committed slope and the
     stage's acceptances. The oracle for the grid-based AdversaryState, which
-    reads the bookkeeping off its grids once a stage is finished."""
+    reads the bookkeeping off its grid once a stage is finished."""
 
     def __init__(self, epsilon):
         self.epsilon = epsilon
@@ -114,6 +121,48 @@ class DictAdversary:
         self.max_abs_slope = max(self.max_abs_slope, abs(y - vl) / h, abs(vr - y) / h)
         self.accepted += accepted
         return y, accepted
+
+
+def columnar_match(learner, config):
+    """A match played as run_match plays it, with its trace built as six full
+    columns filled a stage at a time, trial 0 first, and its audits from
+    audit_energy at each stage end: (total_loss, per_stage, MatchAudit,
+    Trace). The oracle for run_match's records, which hold only the final
+    grid and the predictions, and for its totals and audits."""
+    eps, stages = config.epsilon, config.stages
+    p = 1.0 + eps
+    state = AdversaryState(config)
+    by_stage = _fresh(learner)
+    if not by_stage:
+        learner.predict(1.0)
+        learner.observe(1.0, 0.0)
+    n = 1 << stages
+    y_hats, es, ds, terms_col = (np.full(n, math.nan) for _ in range(4))
+    k = np.full(n, n)  # grid index of each trial's input at spacing 2^-stages
+    total = max_jp = max_jc = max_resid = 0.0
+    per_stage = []
+    for i in range(1, stages + 1):
+        first, h = 1 << (i - 1), 0.5**i
+        if by_stage:
+            y_hat = _midpoint_predictions(learner.kind, state.committed, h)
+            state._respond_stage(y_hat)
+        else:
+            y_hat = _play_stage(learner, state, (2.0 * np.arange(first) + 1.0) * h)
+        y = state.committed[1::2]
+        e = np.abs(y_hat - y)
+        terms = _pow_terms(e, p)
+        total = _running_total(np.append(total, terms))
+        trials = slice(first, 2 * first)
+        y_hats[trials], es[trials], ds[trials], terms_col[trials] = y_hat, e, h, terms
+        k[trials] = (2 * np.arange(first) + 1) << (stages - i)
+        audit = audit_energy(state)
+        max_jp = max(max_jp, audit.j_probe)
+        max_jc = max(max_jc, audit.j_committed)
+        max_resid = max(max_resid, audit.recursion_residual)
+        per_stage.append(StageSummary(i, state.within, state.accepted, audit.j_probe))
+    audit = MatchAudit(state.max_abs_slope, max(state.max_energy_probe, max_jp), max_jc, max_resid)
+    trace = Trace(k * 0.5**stages, y_hats, state.grid[k], es, ds, terms_col)
+    return total, per_stage, audit, trace
 
 
 def csv_writer_trace(trace, out):

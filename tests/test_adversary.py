@@ -1,12 +1,13 @@
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
-from helpers import DictAdversary, committed_function, dict_energy
+from helpers import DictAdversary, columnar_match, committed_function, dict_energy
 
 from pwlearn import (
     MAX_STAGES,
@@ -124,18 +125,18 @@ class TestConfig:
 
 class TestRespond:
     def test_first_trial_accepts_positive_perturbation(self):
-        state = AdversaryState(0.25)
+        state = AdversaryState(AdversaryConfig(0.25, 1))
         y, accepted = state.respond(1, 0.0)  # tie: prediction equals base 0
         assert accepted
         assert y == perturbation(1, 0.25)
 
     def test_takes_the_far_side_of_the_prediction(self):
-        state = AdversaryState(0.25)
+        state = AdversaryState(AdversaryConfig(0.25, 1))
         y, _ = state.respond(1, 10.0)
         assert y == -perturbation(1, 0.25)
 
     def test_out_of_order_trials_rejected(self):
-        state = AdversaryState(0.25)
+        state = AdversaryState(AdversaryConfig(0.25, 2))
         with pytest.raises(SequenceError):
             state.respond(2, 0.0)
         state.respond(1, 0.0)
@@ -147,7 +148,7 @@ class TestRespond:
     def test_accepted_reveal_is_far_from_prediction(self):
         rng = np.random.default_rng(3)
         for eps in (0.4, 0.1):
-            state = AdversaryState(eps)
+            state = AdversaryState(AdversaryConfig(eps, 8))
             for t in range(1, 2**8):
                 y_hat = float(rng.normal(0.0, 0.2))
                 y, accepted = state.respond(t, y_hat)
@@ -155,23 +156,24 @@ class TestRespond:
                     assert abs(y - y_hat) >= perturbation(stage_of(t), eps) * (1 - 1e-12)
 
     def test_rejected_trials_split_probe_from_committed(self):
-        # The probe keeps the proposed label even when the revealed label is
-        # the interpolated one.
-        state = AdversaryState(0.25)
+        # The stage's proposals keep the proposed label even when the
+        # revealed label is the interpolated one.
+        state = AdversaryState(AdversaryConfig(0.25, 8))
         split = []
         for t in range(1, 2**8):
             x = dyadic_x(t)
             _, accepted = state.respond(t, 0.0)
-            k = int(x / state.h)  # x_t's index on the stage's grid
+            k = int(x / state.h)  # x_t's index on the stage's view of the grid
+            assert stage_of(t) == state.stage
             if not accepted:
                 split.append(x)
-                assert state.probe[k] != state.committed[k]
-            elif stage_of(t) == state.stage:
-                assert state.probe[k] == state.committed[k]
+                assert state.v[k // 2] != state.committed[k]
+            else:
+                assert state.v[k // 2] == state.committed[k]
         assert split, "expected at least one rejected trial at eps=0.25, S=8"
 
     def test_rejection_keeps_committed_function_unchanged(self):
-        state = AdversaryState(0.25)
+        state = AdversaryState(AdversaryConfig(0.25, 8))
         for t in range(1, 2**8):
             x = dyadic_x(t)
             before = committed_function(state)
@@ -182,11 +184,27 @@ class TestRespond:
                 assert evaluate(committed_function(state), x) == value_before
 
     def test_stage_must_start_at_a_boundary(self):
-        state = AdversaryState(0.25)
+        state = AdversaryState(AdversaryConfig(0.25, 3))
         state.respond(1, 0.0)
         state.respond(2, 0.0)
         with pytest.raises(SequenceError):
             state._respond_stage(np.zeros(2))
+
+    def test_no_trial_past_the_stage_budget(self):
+        # The one grid is sized for the config's stages; either way of
+        # playing stops at its last trial.
+        single = AdversaryState(AdversaryConfig(0.25, 2))
+        for t in range(1, 4):
+            single.respond(t, 0.0)
+        batch = AdversaryState(AdversaryConfig(0.25, 2))
+        batch._respond_stage(np.zeros(1))
+        batch._respond_stage(np.zeros(2))
+        assert batch.grid.tobytes() == single.grid.tobytes()
+        with pytest.raises(SequenceError, match="trial 4 is past the budget of 2 stages"):
+            single.respond(4, 0.0)
+        with pytest.raises(SequenceError, match="trial 4 is past the budget of 2 stages"):
+            batch._respond_stage(np.zeros(4))
+        assert (single.stage, single.next_t) == (batch.stage, batch.next_t) == (2, 4)
 
 
 class TestDictOracle:
@@ -195,7 +213,7 @@ class TestDictOracle:
     @pytest.mark.parametrize("eps", [0.45, 0.25, 0.1, 0.02])
     def test_every_trial_matches_bit_for_bit(self, eps):
         rng = np.random.default_rng(11)
-        state, oracle = AdversaryState(eps), DictAdversary(eps)
+        state, oracle = AdversaryState(AdversaryConfig(eps, 8)), DictAdversary(eps)
         for t in range(1, 2**8):
             # Mostly near the base, some exact ties at 0 early on.
             y_hat = 0.0 if t % 7 == 0 else float(rng.normal(0.0, 0.05))
@@ -208,19 +226,20 @@ class TestDictOracle:
             assert list(zip(f.us, f.vs)) == sorted(oracle.committed.items())
 
     def test_before_any_trial(self):
-        state = AdversaryState(0.25)
+        state = AdversaryState(AdversaryConfig(0.25, 1))
         f = committed_function(state)
         assert list(zip(f.us, f.vs)) == [(0.0, 0.0), (1.0, 0.0)]
 
     def test_whole_stage_matches_trial_by_trial(self):
         rng = np.random.default_rng(5)
-        batch, single = AdversaryState(0.1), AdversaryState(0.1)
+        config = AdversaryConfig(0.1, 8)
+        batch, single = AdversaryState(config), AdversaryState(config)
         t = 1
         for i in range(1, 9):
             y_hat = rng.normal(0.0, 0.05, size=2 ** (i - 1))
             batch._respond_stage(y_hat)
             y = batch.committed[1::2]
-            # Read off the finished grids, the audit after w trials is the one
+            # Read off the finished grid, the audit after w trials is the one
             # taken right after trial w.
             audits = _stage_audits(batch, per_trial=True)
             assert audits.shape == (3, len(y))
@@ -230,8 +249,8 @@ class TestDictOracle:
                 t += 1
             stage_end = _stage_audits(batch, per_trial=False)
             assert stage_end.tolist() == [[v] for v in audit_energy(single)]
-            assert batch.committed.tobytes() == single.committed.tobytes()
-            assert batch.probe.tobytes() == single.probe.tobytes()
+            assert batch.grid.tobytes() == single.grid.tobytes()
+            assert batch.v.tobytes() == single.v.tobytes()
             assert vars(batch).keys() == vars(single).keys()
             for name, value in vars(single).items():
                 if not isinstance(value, np.ndarray):
@@ -241,8 +260,9 @@ class TestDictOracle:
     def test_in_place_audits_at_the_first_stage_and_the_audit_cap(self, stages):
         # The per-trial audits are summed from one reused buffer; check every
         # one of the last stage's at last = 1 and at the audit's 12-stage cap,
-        # with some trials rejected so that probe and committed grids differ.
-        batch, single = AdversaryState(0.1), AdversaryState(0.1)
+        # with some trials rejected so that probe and committed functions differ.
+        config = AdversaryConfig(0.1, stages)
+        batch, single = AdversaryState(config), AdversaryState(config)
         t = 1
         for i in range(1, stages + 1):
             y_hat = np.full(2 ** (i - 1), -1.0)
@@ -257,15 +277,16 @@ class TestDictOracle:
                     assert [v.hex() for v in audits[k]] == [v.hex() for v in want]
         assert len(audits) == 2 ** (stages - 1)
         if stages > 1:
-            assert (batch.probe != batch.committed).any()
+            assert (batch.v != batch.committed[1::2]).any()
 
     @pytest.mark.parametrize("eps", [0.45, 0.25, 0.1, 0.001])
     def test_stage_bookkeeping_matches_the_dict_oracle(self, eps):
         # Acceptances, the incremental probe energy's maximum and the steepest
-        # slope, read off the grids at the stage end, against the oracle's
+        # slope, read off the grid at the stage end, against the oracle's
         # per-trial sums; through respond and through _respond_stage alike.
         rng = np.random.default_rng(31)
-        batch, single, oracle = AdversaryState(eps), AdversaryState(eps), DictAdversary(eps)
+        config = AdversaryConfig(eps, 10)
+        batch, single, oracle = AdversaryState(config), AdversaryState(config), DictAdversary(eps)
         t = 1
         rejected = 0
         for i in range(1, 11):
@@ -291,7 +312,8 @@ class TestDictOracle:
     )
     def test_every_stage_audit_matches_the_scalar_audit_and_the_dicts(self, eps, stages):
         rng = np.random.default_rng(23)
-        batch, single, oracle = AdversaryState(eps), AdversaryState(eps), DictAdversary(eps)
+        config = AdversaryConfig(eps, stages)
+        batch, single, oracle = AdversaryState(config), AdversaryState(config), DictAdversary(eps)
         t = 1
         rejected = 0
         for i in range(1, stages + 1):
@@ -302,7 +324,7 @@ class TestDictOracle:
             else:
                 # Far below: every proposal goes up, which steepens the
                 # committed function; at eps 0.25 and 0.1 some trials are
-                # then rejected, so probe and committed grids differ.
+                # then rejected, so probe and committed functions differ.
                 y_hat = np.full(2 ** (i - 1), -1.0)
             batch._respond_stage(y_hat)
             audits = _stage_audits(batch, per_trial=True).T.tolist()
@@ -395,7 +417,7 @@ class TestStageAtATime:
         learner = LOOP_TWINS[kind]()
         learner.predict(1.0)
         learner.observe(1.0, 0.0)
-        state = AdversaryState(eps)
+        state = AdversaryState(AdversaryConfig(eps, stages))
         max_jp = max_jc = max_resid = 0.0
         j_probe_end = []
         rejected = 0
@@ -430,14 +452,52 @@ class TestStageAtATime:
         assert not _fresh(learner)
 
 
+class TestRecordsAgainstColumns:
+    """A match's records, read off the final grid and the predictions,
+    against the six full columns of helpers.columnar_match, on both play
+    paths; traces from S = 13 on run past the CSV writer's 4,096-row chunk."""
+
+    @pytest.mark.parametrize("kind", ["zero", "nearest", "linint"])
+    @pytest.mark.parametrize("eps", [0.45, 0.1, 0.02])
+    def test_every_column_and_the_csv_have_the_oracle_bits(self, kind, eps):
+        for stages in range(1, 15):
+            config = AdversaryConfig(eps, stages)
+            total, per_stage, audit, trace = columnar_match(make_learner(kind), config)
+            want_csv = io.StringIO()
+            write_trace_csv(trace, want_csv)
+            for learner in (make_learner(kind), LOOP_TWINS[kind]()):
+                result = run_match(learner, config)
+                assert len(result.records) == len(trace) == 2**stages
+                for column in fields(Trace):
+                    got = getattr(result.records, column.name)
+                    assert got.tobytes() == getattr(trace, column.name).tobytes(), column.name
+                buf = io.StringIO()
+                write_trace_csv(result.records, buf)
+                assert buf.getvalue() == want_csv.getvalue()
+                assert result.total_loss.hex() == total.hex()
+                assert [
+                    (s.i, s.trials, s.accepted, s.j_probe_end.hex()) for s in result.per_stage
+                ] == [(s.i, s.trials, s.accepted, s.j_probe_end.hex()) for s in per_stage]
+                want = [v.hex() for v in astuple(audit)]
+                assert [v.hex() for v in astuple(result.audit)] == want
+
+    def test_records_are_read_only_and_columns_are_fresh(self):
+        records = run_match(make_learner("linint"), AdversaryConfig(0.1, 6)).records
+        assert not records.grid.flags.writeable
+        records.x[:] = math.nan  # a computed column is the reader's own
+        assert not np.isnan(records.x).any()
+        with pytest.raises(AttributeError):
+            records.cum_loss
+
+
 class TestAuditEnergy:
     def test_before_any_trial(self):
-        audit = audit_energy(AdversaryState(0.25))
+        audit = audit_energy(AdversaryState(AdversaryConfig(0.25, 1)))
         assert audit == (0.0, 0.0, 0.0)
 
     def test_stage_end_energy_bound(self):
         for eps in (0.4, 0.1):
-            state = AdversaryState(eps)
+            state = AdversaryState(AdversaryConfig(eps, 7))
             for t in range(1, 2**7):
                 state.respond(t, 0.0)
                 i = state.stage
@@ -447,13 +507,13 @@ class TestAuditEnergy:
                     assert audit.j_probe <= cap + 1e-12
 
     def test_residual_tracks_closed_form_recursion(self):
-        state = AdversaryState(0.3)
+        state = AdversaryState(AdversaryConfig(0.3, 7))
         for t in range(1, 2**7):
             state.respond(t, 1.0)
             assert audit_energy(state).recursion_residual <= 1e-10
 
     def test_committed_energy_never_exceeds_probe_energy(self):
-        state = AdversaryState(0.25)
+        state = AdversaryState(AdversaryConfig(0.25, 8))
         for t in range(1, 2**8):
             state.respond(t, 0.0)
             audit = audit_energy(state)
@@ -607,3 +667,44 @@ class TestRunMatch:
         assert set(doc["bounds"]) == {"lower_partial", "upper_linint"}
         assert doc["bounds"]["lower_partial"] == lower_bound_partial(0.25, 3)
         assert doc["bounds"]["upper_linint"] == upper_bound_linint(0.25)
+
+
+class _NullSink:
+    def write(self, text):
+        pass
+
+    def flush(self):
+        pass
+
+
+# Traced peaks in grid bytes at S = 16. A match with records measured 4.64
+# for every kind (the grid, the predictions and one stage's temporaries), and
+# with its trace CSV 6.23 (zero), 6.48 (linint) and 6.83 (nearest): the grid
+# and the predictions, then one 4,096-row chunk as Python floats and text.
+# Holding any other trace column, the learner's fill arrays or a second copy
+# of the grid adds a grid or more to one or both.
+MATCH_PEAK_GRIDS = 5.0
+TRACED_PEAK_GRIDS = 7.0
+
+
+@pytest.mark.parametrize("kind", ["zero", "nearest", "linint"])
+def test_traced_peak_of_a_match_and_its_trace_csv(kind):
+    stages = 16
+    grid_bytes = ((1 << stages) + 1) * 8
+    run_match(make_learner(kind), AdversaryConfig(0.1, 2))  # first-call allocations
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_match(make_learner(kind), AdversaryConfig(0.1, stages))
+        match_peak = tracemalloc.get_traced_memory()[1] - before
+        write_trace_csv(result.records, _NullSink())
+        del result
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert match_peak <= MATCH_PEAK_GRIDS * grid_bytes, match_peak / grid_bytes
+    assert peak <= TRACED_PEAK_GRIDS * grid_bytes, peak / grid_bytes

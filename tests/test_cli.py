@@ -6,6 +6,7 @@ import pytest
 
 from pwlearn import (
     DomainError,
+    adversary,
     cli,
     function_to_json,
     from_points,
@@ -44,20 +45,31 @@ class TestMatch:
         assert len(lines) == 1 + 2**3  # header, trial 0, 7 charged trials
 
     def test_records_are_built_only_for_a_trace_file(self, tmp_path, monkeypatch, capsys):
+        # A match's records, its final grid and predictions, are made only
+        # for --out, and are what write_trace_csv writes.
         real_run_match = cli.run_match
-        seen = []
+        seen, built, written = [], [], []
 
         def spy(*args, **kwargs):
             result = real_run_match(*args, **kwargs)
             seen.append((kwargs.get("collect_records", True), result.records is not None))
             return result
 
+        class SpyRecords(adversary.MatchTrace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
         monkeypatch.setattr(cli, "run_match", spy)
+        monkeypatch.setattr(adversary, "MatchTrace", SpyRecords)
+        monkeypatch.setattr(cli, "write_trace_csv", lambda records, out: written.append(records))
         args = ["match", "--epsilon", "0.25", "--stages", "3"]
         assert run_cli(args) == 0
+        assert seen == [(False, False)] and built == []
         assert run_cli(args + ["--out", str(tmp_path / "trace.csv")]) == 0
         capsys.readouterr()
         assert seen == [(False, False), (True, True)]
+        assert len(built) == 1 and written == built
 
     def test_unwritable_trace_path_exits_three_before_any_trial(
         self, tmp_path, monkeypatch, capsys
@@ -483,6 +495,18 @@ class TestEval:
         assert captured.out == ""
         assert captured.err == (
             "error: knot rise from 1e+308 to -1e+308 at u=1.0 is not finite\n"
+        )
+
+    def test_overflowing_slope_exits_one_with_one_line(self, tmp_path, capsys):
+        # Every value and rise is finite, but 1/5e-324 is not: the 1-norm and
+        # the energy would read inf.
+        path = tmp_path / "f.json"
+        path.write_text('{"knots": [[0.0, 0.0], [5e-324, 1.0], [1.0, 0.0]]}')
+        assert run_cli(["eval", "--function", str(path), "--x", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: slope of the segment from u=0.0 to u=5e-324 is not finite\n"
         )
 
     def test_x_outside_domain(self, tmp_path, capsys):

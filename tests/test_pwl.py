@@ -84,6 +84,9 @@ class TestConstructorChecks:
             ((0.0, 0.5), (0.0, math.nan), "knot value nan at u=0.5 is not finite"),
             ((0.0,), (math.inf,), "knot value inf at u=0.0 is not finite"),
             ((0.0, 1.0), (1e308, -1e308), "knot rise from 1e+308 to -1e+308 at u=1.0 is not"),
+            # Finite rises over runs so short that the slope overflows.
+            ((0.0, 5e-324, 1.0), (0.0, 1.0, 0.0), "segment from u=0.0 to u=5e-324 is not finite"),
+            ((0.0, 0.5), (1e308, 0.0), "segment from u=0.0 to u=0.5 is not finite"),
         ],
     )
     def test_refuses(self, us, vs, message):
@@ -99,8 +102,9 @@ class TestConstructorChecks:
             from_points([(0.0, 1e308), (1.0, -1e308)])
 
     def test_accepts_valid_knots(self):
-        f = PiecewiseLinearFunction((-0.0, 0.5, 1.0), (1e308, 0.0, -1e308))
-        assert f.knots == [(-0.0, 1e308), (0.5, 0.0), (1.0, -1e308)]
+        # Slopes of 1e308, the largest power of ten a double holds.
+        f = PiecewiseLinearFunction((-0.0, 0.5, 1.0), (5e307, 0.0, -5e307))
+        assert f.knots == [(-0.0, 5e307), (0.5, 0.0), (1.0, -5e307)]
         assert PiecewiseLinearFunction((), ()).knots == []
 
 
@@ -385,6 +389,14 @@ values = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
 @given(st.dictionaries(coords, values, max_size=16), coords)
 def test_evaluate_stays_between_extreme_values(points, x):
+    us = sorted(points)
+    steep = [(a, b) for a, b in zip(us, us[1:]) if abs(points[b] - points[a]) / (b - a) == math.inf]
+    if steep:
+        # A run too short for its rise is refused, naming the first such segment.
+        a, b = steep[0]
+        with pytest.raises(DomainError, match=f"segment from u={a!r} to u={b!r} is not finite"):
+            from_points(points.items())
+        return
     f = from_points(points.items())
     y = evaluate(f, x)
     if points:
