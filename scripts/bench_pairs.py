@@ -113,6 +113,10 @@ CLI_COMMANDS = (
     ("audit --runs 1 --max-trials 1", ["audit", "--runs", "1", "--max-trials", "1"], 1),
     ("bounds --epsilons 0.7 --partial-stages 0",
      ["bounds", "--epsilons", "0.7", "--partial-stages", "0"], 1),
+    # 1 + epsilon rounds to 1: refused with one stderr line. Code without that
+    # refusal also exits 1, but with a ZeroDivisionError traceback after the
+    # match, so against such a parent this row's stderr bytes differ.
+    ("match --epsilon 1e-16", ["match", "--epsilon", "1e-16"], 1),
 )
 
 
@@ -299,7 +303,8 @@ def time_cli(checkout: Path, argv: list[str], tmp: Path, expected: int) -> dict:
 
 
 # Runs a CLI command, argv[2:], with tracemalloc on from the CLI's start and
-# writes the traced peak in bytes to the file argv[1].
+# writes the traced peak in bytes to the file argv[1], also when the command
+# ends in an uncaught exception (which then exits 1 with its traceback).
 _TRACED_CLI = """import sys, tracemalloc
 from pwlearn.cli import main
 tracemalloc.start()
@@ -307,8 +312,9 @@ try:
     code = main(sys.argv[2:])
 except SystemExit as exc:
     code = exc.code
-with open(sys.argv[1], "w") as fh:
-    fh.write(str(tracemalloc.get_traced_memory()[1]))
+finally:
+    with open(sys.argv[1], "w") as fh:
+        fh.write(str(tracemalloc.get_traced_memory()[1]))
 sys.exit(code)
 """
 

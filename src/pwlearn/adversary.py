@@ -11,19 +11,20 @@ A match of S stages holds one float64 array, the committed function at the
 final spacing 2^-S: the anchors (0, 0) and (1, 0), then each label as it is
 revealed (NaN before). Stage i works on the view grid[::2^(S-i)], whose odd
 entries are its inputs, filled left to right between earlier knots. Its
-proposed labels are one array v. The probe function, that view with v at the
-odd entries, is built only where its energy is summed; its energy budget is
-what forces acceptances. A trial is accepted when the proposed label keeps
-both adjacent slopes at most 1; otherwise the midpoint value is revealed,
-which leaves the committed function unchanged as a function.
+proposed labels are one array v. The probe function is that view with v at
+the odd entries; its energy budget is what forces acceptances. A trial is
+accepted when the proposed label keeps both adjacent slopes at most 1;
+otherwise the midpoint value is revealed, which leaves the committed function
+unchanged as a function.
 
 No input inside a stage lies nearer to another stage input than the two
 stage-start knots around it, so the built-in learners' predictions for a whole
 stage follow from the stage-start grid. run_match plays a fresh learner of
 exact built-in type a stage at a time on the arrays; any other learner goes
 through predict/respond/observe trial by trial. Either way play only writes
-the grid and v, and _end_stage and _stage_audits read a finished stage off
-them. audit_energy, the same audit from the live state, is the scalar oracle.
+the grid and v; _end_stage reads a finished stage's slope, energies and audit
+off their rises in one pass, and _stage_audits the audit after each trial.
+audit_energy, the same audit from the live state, is the scalar oracle.
 The final grid and the predictions fix the whole trace (MatchTrace).
 """
 
@@ -74,14 +75,16 @@ def _check_epsilon(epsilon: float) -> None:
             f"epsilon {epsilon!r} is outside the adversary's range (0, 0.5); "
             "use the bounds subcommand for that regime"
         )
+    if 1.0 + epsilon == 1.0:
+        raise DomainError(f"epsilon {epsilon!r} is too small: 1 + epsilon rounds to 1")
 
 
 @dataclass(frozen=True)
 class AdversaryConfig:
     """Loss exponent offset and stage budget; a run covers 2^stages - 1 trials.
 
-    Both are checked here: 0 < epsilon < 0.5 and stages an integer in
-    1..MAX_STAGES (a numpy integer is stored as an int).
+    Both are checked here: 0 < epsilon < 0.5 with 1 + epsilon > 1, and stages
+    an integer in 1..MAX_STAGES (a numpy integer is stored as an int).
     """
 
     epsilon: float
@@ -124,9 +127,10 @@ class EnergyAudit(NamedTuple):
 class AdversaryState:
     """Mutable per-match state: the grid and the current stage's proposals v,
     which respond (one trial) and _respond_stage (a whole stage) write and
-    _end_stage reads, so accepted (that stage's), max_abs_slope and
-    max_energy_probe change once a stage. A trial past the config's stage
-    budget raises SequenceError."""
+    _end_stage reads, so accepted (that stage's), max_abs_slope,
+    max_energy_probe and end_audit (audit_energy at the stage end, (3, 1))
+    change once a stage; stage_start_energy holds through the last trial.
+    A trial past the config's stage budget raises SequenceError."""
 
     def __init__(self, config: AdversaryConfig) -> None:
         self.epsilon = config.epsilon
@@ -141,16 +145,16 @@ class AdversaryState:
         # spacing 2^-i, proposal offset, last trial 2^i - 1, trials so far.
         self.stage = self.stage_end = self.within = self.accepted = 0
         self.h, self.magnitude = 1.0, 0.0
-        # The probe energy at the stage start, from scratch; the incremental
-        # probe energy runs from it, and both feed the recursion audit.
+        # end_audit's j_committed, from scratch, is the next stage's start probe
+        # energy, which the incremental probe energy and the residual run from.
+        self.end_audit = np.zeros((3, 1))
         self.stage_start_energy = self.max_energy_probe = self.max_abs_slope = 0.0
 
     def _begin_stage(self) -> None:
-        # The probe energy is summed afresh on the old view, so that
-        # floating-point drift cannot cross stage boundaries.
+        # Summed afresh at the last stage end: no drift crosses a stage boundary.
         if self.stage == self.stages:
             raise SequenceError(f"trial {self.next_t} is past the budget of {self.stages} stages")
-        self.stage_start_energy = pwl._energy_sum(self.h, self.committed)
+        self.stage_start_energy = self.end_audit.item(1)
         i = self.stage = self.stage + 1
         self.committed = self.grid[:: 1 << (self.stages - i)]
         self.v = np.empty(1 << (i - 1))
@@ -237,8 +241,15 @@ class AdversaryState:
         self.max_energy_probe = max(self.max_energy_probe, _running_total(energies))
         del diff, energies
         # Every segment of the grid has one of the stage's inputs at an end.
-        slopes = committed[1:] - committed[:-1]
-        self.max_abs_slope = max(self.max_abs_slope, float(np.abs(slopes, out=slopes).max()) / h)
+        rises = committed[1:] - committed[:-1]
+        self.max_abs_slope = max(self.max_abs_slope, float(np.abs(rises, out=rises).max()) / h)
+        j_committed = float(np.sum(pwl._energy_terms(h, rises)))  # _energy_sum's bits
+        # The probe's rises: v less the knot left of it, the knot right of it less v.
+        np.subtract(v, committed[:-1:2], out=rises[::2])
+        np.subtract(committed[2::2], v, out=rises[1::2])
+        j_probe = float(np.sum(pwl._energy_terms(h, rises)))
+        residual = _recursion_residual(self, len(v), j_probe)
+        self.end_audit = np.array([[j_probe], [j_committed], [residual]])
 
 
 def _probe(state: AdversaryState) -> np.ndarray:
@@ -263,8 +274,8 @@ def audit_energy(state: AdversaryState) -> EnergyAudit:
     The expected probe energy after j in-stage trials is the stage-start
     energy plus j * eps*(1-eps)^i / 2^(i+1); the residual is the absolute
     difference between that and the scratch recomputation. run_match reads
-    the same values, with the same bits, off a finished stage's grid and
-    proposals (_stage_audits); this is the oracle those are tested against.
+    the same values, with the same bits, off a finished stage (end_audit, or
+    _stage_audits per trial); this is the oracle those are tested against.
     """
     # Before stage 1 nothing has been proposed: within = 0, so expected = 0.
     k = np.flatnonzero(~np.isnan(state.committed))  # the knots revealed so far
@@ -274,10 +285,10 @@ def audit_energy(state: AdversaryState) -> EnergyAudit:
     return EnergyAudit(j_probe, j_committed, _recursion_residual(state, state.within, j_probe))
 
 
-def _stage_audits(state: AdversaryState, per_trial: bool) -> np.ndarray:
+def _stage_audits(state: AdversaryState) -> np.ndarray:
     """audit_energy as it read right after each trial of the stage just
-    played, or after its last trial only, with the same bits: rows j_probe,
-    j_committed and residual, one column per audit.
+    played, with the same bits: rows j_probe, j_committed and residual, one
+    column per trial. The last column is the state's end_audit.
 
     After w trials the knots in coordinate order are the stage's grid indices
     0..2w, then the even indices after 2w. Their segments are the first 2w
@@ -287,22 +298,17 @@ def _stage_audits(state: AdversaryState, per_trial: bool) -> np.ndarray:
     are multiples of h, so every run is h or 2h exactly.
     """
     last, h = state.within, state.h
-    if per_trial:
-        within = np.arange(1, last + 1)
-        grids = np.stack((_probe(state), state.committed))
-        full = pwl._energy_terms(h, grids)
-        sums = np.empty((2, last))
-        # Audit w's row is row[:, last - w:]: full's first 2w terms, written
-        # over the even knots' terms before their w-th, which stay in place.
-        row = np.empty((2, 2 * last))
-        row[:, last:] = pwl._energy_terms(2.0 * h, grids[:, ::2])
-        for w in within.tolist():
-            row[:, last - w : last + w] = full[:, : 2 * w]
-            np.add.reduce(row[:, last - w :], axis=1, out=sums[:, w - 1])
-    else:
-        within = last  # every grid index is filled
-        j_probe = pwl._energy_sum(h, _probe(state))  # frees the probe before the next sum
-        sums = np.array([[j_probe], [pwl._energy_sum(h, state.committed)]])
+    within = np.arange(1, last + 1)
+    grids = np.stack((_probe(state), state.committed))
+    full = pwl._energy_terms(h, grids[:, 1:] - grids[:, :-1])
+    sums = np.empty((2, last))
+    # Audit w's row is row[:, last - w:]: full's first 2w terms, written
+    # over the even knots' terms before their w-th, which stay in place.
+    row = np.empty((2, 2 * last))
+    row[:, last:] = pwl._energy_terms(2.0 * h, grids[:, 2::2] - grids[:, :-1:2])
+    for w in within.tolist():
+        row[:, last - w : last + w] = full[:, : 2 * w]
+        np.add.reduce(row[:, last - w :], axis=1, out=sums[:, w - 1])
     return np.vstack((sums, _recursion_residual(state, within, sums[0])))
 
 
@@ -465,7 +471,8 @@ def run_match(
         del e
         total = _running_total(np.append(total, terms))
         del terms  # before the audits' temporaries
-        j_probe, j_committed, residual = _stage_audits(state, audit_per_trial)
+        audits = _stage_audits(state) if audit_per_trial else state.end_audit
+        j_probe, j_committed, residual = audits
         max_resid = max(max_resid, float(residual.max()))
         max_jp = max(max_jp, float(j_probe.max()))
         max_jc = max(max_jc, float(j_committed.max()))

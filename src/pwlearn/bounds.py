@@ -43,6 +43,8 @@ def upper_bound_linint(epsilon: float) -> float:
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    if 1.0 + epsilon == 1.0:
+        raise DomainError(f"epsilon {epsilon!r} is too small: 1 + epsilon rounds to 1")
     p = 1.0 + epsilon
     t = p / (2.0 - p)
     if t >= 1024.0:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -102,10 +102,9 @@ def _distinct_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
 def _sample_target_rng(
     q: float, knot_count: int, rng: np.random.Generator
 ) -> pwl.PiecewiseLinearFunction:
-    interior = knot_count - 2
+    # One sort a draw: a repeat, or an interior 0.0 next to the anchor, redraws.
     while True:
-        us = np.concatenate(([0.0, 1.0], _distinct_uniform(rng, interior)))
-        us.sort()
+        us = np.sort(np.concatenate(([0.0, 1.0], rng.random(knot_count - 2))))
         if not _repeats(us):
             break
     vs = rng.normal(0.0, 1.0, size=knot_count)
@@ -133,16 +132,6 @@ def sample_target(q: float, knot_count: int, seed) -> pwl.PiecewiseLinearFunctio
     return _sample_target_rng(q, knot_count, np.random.default_rng(seed))
 
 
-SWEEP_CSV_HEADER = (
-    "epsilon",
-    "stages",
-    "total_loss",
-    "lower_partial",
-    "upper_linint",
-    "loss_times_sqrt_eps",
-)
-
-
 @dataclass(frozen=True)
 class SweepRow:
     epsilon: float
@@ -151,6 +140,9 @@ class SweepRow:
     lower_partial: float
     upper_linint: float
     loss_times_sqrt_eps: float
+
+
+SWEEP_CSV_HEADER = tuple(f.name for f in fields(SweepRow))
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], out: str | os.PathLike | IO[str]) -> None:

@@ -140,11 +140,9 @@ def evaluate_many(f: PiecewiseLinearFunction, xs) -> np.ndarray:
     return np.where(xs <= us[0], vs[0], out)
 
 
-def _energy_terms(du: np.ndarray | float, vs: np.ndarray) -> np.ndarray:
-    # rise^2/run of every segment of sorted knots, given the runs du (an array,
-    # or one spacing for a uniform grid); vs may stack several rows of values.
-    # np.diff's differences, without its per-call overhead, squared in place.
-    dv = vs[..., 1:] - vs[..., :-1]
+def _energy_terms(du: np.ndarray | float, dv: np.ndarray) -> np.ndarray:
+    # rise^2/run of every segment, given the runs du (an array, or one spacing
+    # for a uniform grid) and the rises dv (or rows of them), in place in dv.
     dv *= dv
     dv /= du
     return dv
@@ -152,9 +150,10 @@ def _energy_terms(du: np.ndarray | float, vs: np.ndarray) -> np.ndarray:
 
 def _energy_sum(du: np.ndarray | float, vs: np.ndarray) -> float:
     # The one energy summation: numpy's pairwise sum of the segment terms
-    # (0.0 for fewer than two knots). The adversary's stage audits sum rows
-    # of the same terms, which numpy sums pairwise row by row with these bits.
-    return float(np.sum(_energy_terms(du, vs)))
+    # (0.0 for fewer than two knots) of np.diff's rises, without its overhead.
+    # The adversary's stage ends sum the same terms, its audits rows of them,
+    # which numpy sums pairwise row by row with these bits.
+    return float(np.sum(_energy_terms(du, vs[1:] - vs[:-1])))
 
 
 def energy(f: PiecewiseLinearFunction) -> float:

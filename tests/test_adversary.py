@@ -33,6 +33,7 @@ from pwlearn import (
     upper_bound_linint,
     write_trace_csv,
 )
+from pwlearn import pwl
 from pwlearn.adversary import _stage_audits
 from pwlearn.learner import _fresh
 
@@ -112,6 +113,13 @@ class TestConfig:
             AdversaryConfig(0.0, 1)
         with pytest.raises(DomainError):
             AdversaryConfig(-0.1, 1)
+
+    def test_epsilon_too_small_to_move_the_loss_exponent(self):
+        # 2^-52 is the smallest epsilon whose 1 + epsilon exceeds 1.
+        AdversaryConfig(2.0**-52, 1)
+        for eps in (1e-16, 2.0**-53, 5e-324):
+            with pytest.raises(DomainError, match=r"too small: 1 \+ epsilon rounds to 1"):
+                AdversaryConfig(eps, 1)
 
     def test_stage_budget(self):
         with pytest.raises(DomainError):
@@ -241,13 +249,13 @@ class TestDictOracle:
             y = batch.committed[1::2]
             # Read off the finished grid, the audit after w trials is the one
             # taken right after trial w.
-            audits = _stage_audits(batch, per_trial=True)
+            audits = _stage_audits(batch)
             assert audits.shape == (3, len(y))
             for yh, y_t, audit in zip(y_hat.tolist(), y.tolist(), audits.T.tolist()):
                 assert single.respond(t, yh)[0] == y_t
                 assert tuple(audit) == audit_energy(single)
                 t += 1
-            stage_end = _stage_audits(batch, per_trial=False)
+            stage_end = batch.end_audit
             assert stage_end.tolist() == [[v] for v in audit_energy(single)]
             assert batch.grid.tobytes() == single.grid.tobytes()
             assert batch.v.tobytes() == single.v.tobytes()
@@ -268,7 +276,7 @@ class TestDictOracle:
             y_hat = np.full(2 ** (i - 1), -1.0)
             y_hat[::3] = 0.0
             batch._respond_stage(y_hat)
-            audits = _stage_audits(batch, per_trial=True).T.tolist() if i == stages else None
+            audits = _stage_audits(batch).T.tolist() if i == stages else None
             for k, yh in enumerate(y_hat.tolist()):
                 single.respond(t, yh)
                 t += 1
@@ -314,6 +322,7 @@ class TestDictOracle:
         rng = np.random.default_rng(23)
         config = AdversaryConfig(eps, stages)
         batch, single, oracle = AdversaryState(config), AdversaryState(config), DictAdversary(eps)
+        batch_end = single_end = [[0.0], [0.0], [0.0]]  # before stage 1
         t = 1
         rejected = 0
         for i in range(1, stages + 1):
@@ -327,7 +336,7 @@ class TestDictOracle:
                 # then rejected, so probe and committed functions differ.
                 y_hat = np.full(2 ** (i - 1), -1.0)
             batch._respond_stage(y_hat)
-            audits = _stage_audits(batch, per_trial=True).T.tolist()
+            audits = _stage_audits(batch).T.tolist()
             for audit, yh in zip(audits, y_hat.tolist(), strict=True):
                 y, accepted = single.respond(t, yh)
                 assert oracle.respond(t, yh) == (y, accepted)
@@ -340,6 +349,20 @@ class TestDictOracle:
                     assert audit[0] == dict_energy(oracle.probe)
                     assert audit[1] == dict_energy(oracle.committed)
                 t += 1
+            # The stage start's probe energy is the last stage end's committed
+            # energy: the old view's energy, summed afresh as _energy_sum sums it.
+            start = pwl._energy_sum(2.0 * batch.h, batch.committed[::2])
+            for state, stage_end in ((batch, batch_end), (single, single_end)):
+                assert state.stage_start_energy.hex() == stage_end[1][0].hex() == start.hex()
+            # The stage end, read once off the grid's rises through respond
+            # and _respond_stage alike: the scalar audit right after the last
+            # trial, the dicts' energies and the last per-trial audit.
+            batch_end, single_end = batch.end_audit.tolist(), single.end_audit.tolist()
+            for stage_end in (batch_end, single_end):
+                assert [v.hex() for (v,) in stage_end] == [v.hex() for v in want]
+                assert [v for (v,) in stage_end] == audits[-1]
+                assert stage_end[0][0] == dict_energy(oracle.probe)
+                assert stage_end[1][0] == dict_energy(oracle.committed)
         if eps in (0.25, 0.1):
             assert rejected
 

@@ -51,6 +51,13 @@ class TestUpperBound:
             with pytest.raises(DomainError):
                 upper_bound_linint(eps)
 
+    def test_epsilon_too_small_to_move_p_is_refused(self):
+        # With 1 + eps == 1, p/(2 - p) is 1 and 2^1 - 2 divides by zero.
+        assert math.isfinite(upper_bound_linint(2.0**-52))
+        for eps in (1e-16, 2.0**-53, 5e-324):
+            with pytest.raises(DomainError, match=f"epsilon {eps!r} is too small"):
+                upper_bound_linint(eps)
+
 
 class TestLowerBoundPartial:
     def test_single_stage_term(self):

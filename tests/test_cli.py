@@ -307,6 +307,31 @@ def test_two_epsilon_sources_exit_one(argv, capsys):
     assert captured.err == "error: give only one of --epsilon, --epsilons, --epsilon-grid\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["match", "--epsilon", "1e-16", "--stages", "3"],
+        ["sweep", "--epsilons", "0.1,1e-16", "--stages", "3"],
+        ["bounds", "--epsilon", "1e-16"],
+    ],
+    ids=["match", "sweep", "bounds"],
+)
+def test_epsilon_too_small_for_one_plus_epsilon_exits_one_before_any_match(
+    argv, tmp_path, monkeypatch, capsys
+):
+    def no_match(*args, **kwargs):
+        raise AssertionError("a match was played")
+
+    monkeypatch.setattr(cli, "run_match", no_match)
+    monkeypatch.setattr(harness, "run_match", no_match)
+    out = tmp_path / "out.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: epsilon 1e-16 is too small: 1 + epsilon rounds to 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sweep", "bounds"])
 def test_huge_log_grid_exits_one_before_any_allocation(command, monkeypatch, capsys):
     def no_grid(*args):

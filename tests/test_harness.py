@@ -55,6 +55,23 @@ class TestSampleTarget:
         with pytest.raises(DomainError):
             sample_target(2.0, 1, 0)
 
+    def test_a_draw_with_a_repeat_or_an_interior_zero_is_redrawn(self):
+        class StubRng:
+            def __init__(self, draws):
+                self.draws, self.sizes = draws, []
+
+            def random(self, size):
+                self.sizes.append(size)
+                return np.array(self.draws.pop(0))
+
+            def normal(self, loc, scale, size):
+                return np.zeros(size)
+
+        rng = StubRng([[0.5, 0.25, 0.5], [0.75, 0.0, 0.25], [0.75, 0.5, 0.25]])
+        f = harness._sample_target_rng(2.0, 5, rng)
+        assert f.us == (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert rng.sizes == [3, 3, 3] and rng.draws == []
+
     def test_nan_norm_order_is_refused(self):
         with pytest.raises(DomainError, match="norm order"):
             sample_target(math.nan, 4, 0)
