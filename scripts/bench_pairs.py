@@ -22,14 +22,15 @@ medians, which locate where a change moved a workload's time.
 
 Then each CLI command in CLI_COMMANDS runs CLI_RUNS times per side in a
 fresh interpreter, the sides again taking turns to go first: every run's wall
-time, peak RSS (from wait4), exit code and the SHA-256 of its stdout, of its
-stderr and of any file it writes are kept, with each side's median wall time
-and peak RSS. One more untimed run per side, under tracemalloc, gives the
-command's traced peak (Python and numpy allocations from the CLI's start,
-imports excluded), which repeats to a few KB where RSS also reads heap
-placement. A row names the exit code it expects (refusal rows expect 1);
-any other code stops the script. The row's bytes are the same only if every
-run of both sides has the same digests.
+time, CPU time and peak RSS (both from wait4, so they include any child the
+command reaped, such as the trace CSV's helper), exit code and the SHA-256 of
+its stdout, of its stderr and of any file it writes are kept, with each
+side's median wall time, CPU time and peak RSS. One more untimed run per
+side, under tracemalloc, gives the command's traced peak (Python and numpy
+allocations from the CLI's start, imports excluded), which repeats to a few
+KB where RSS also reads heap placement. A row names the exit code it expects
+(refusal rows expect 1); any other code stops the script. The row's bytes
+are the same only if every run of both sides has the same digests.
 Last, the tier-1 suite runs once per side: its wall time and its pass and
 fail counts. A failing test does not stop the script; the counts say what
 failed.
@@ -78,6 +79,8 @@ KERNELS = {
     "_end_stage": "_end_stage",
     "_midpoint_predictions": "_midpoint_predictions",
     "write_csv": "write_csv",
+    # One block's CSV text: in this process only, not in a forked helper.
+    "_block_text": "_block_text",
 }
 
 # (name, argv after "python -m pwlearn.cli", expected exit code); "{tmp}" is a
@@ -273,9 +276,10 @@ def _sha256(path: Path) -> str:
 
 
 def time_cli(checkout: Path, argv: list[str], tmp: Path, expected: int) -> dict:
-    """Run one CLI command in a fresh interpreter: wall time, peak RSS, exit
-    code and the SHA-256 of stdout, of stderr and of every file it wrote into
-    tmp. An exit code other than expected stops the script."""
+    """Run one CLI command in a fresh interpreter: wall time, CPU time (user
+    plus system, reaped children included), peak RSS, exit code and the
+    SHA-256 of stdout, of stderr and of every file it wrote into tmp. An exit
+    code other than expected stops the script."""
     tmp.mkdir(parents=True)
     try:
         argv = [a.replace("{tmp}", str(tmp)) for a in argv]
@@ -293,6 +297,7 @@ def time_cli(checkout: Path, argv: list[str], tmp: Path, expected: int) -> dict:
                      f"{(tmp / 'stderr').read_text()[-2000:]}")
         return {
             "wall_s": wall,
+            "cpu_s": usage.ru_utime + usage.ru_stime,
             # ru_maxrss is in KiB on Linux.
             "peak_rss_mb": usage.ru_maxrss / 1024,
             "exit_code": proc.returncode,
@@ -387,7 +392,7 @@ def main(argv=None) -> int:
                         time_cli(checkout, cli_argv, TMP / f"cli-{os.getpid()}", expected))
             sides = cli[name] = {
                 side: {key: statistics.median(r[key] for r in rs)
-                       for key in ("wall_s", "peak_rss_mb")} | {"runs": rs}
+                       for key in ("wall_s", "cpu_s", "peak_rss_mb")} | {"runs": rs}
                 for side, rs in runs.items()
             }
             for side, checkout in _sides(parent, 0):
@@ -396,9 +401,11 @@ def main(argv=None) -> int:
             digests = [r["sha256"] for rs in runs.values() for r in rs]
             sides["same_bytes"] = all(d == digests[0] for d in digests)
             print(f"{name}: median parent {sides['parent']['wall_s']:.2f} s, "
+                  f"{sides['parent']['cpu_s']:.2f} s CPU, "
                   f"{sides['parent']['peak_rss_mb']:.1f} MB RSS, "
                   f"{sides['parent']['traced_peak_bytes']:,} B traced; change "
                   f"{sides['change']['wall_s']:.2f} s, "
+                  f"{sides['change']['cpu_s']:.2f} s CPU, "
                   f"{sides['change']['peak_rss_mb']:.1f} MB RSS, "
                   f"{sides['change']['traced_peak_bytes']:,} B traced; same bytes "
                   f"{sides['same_bytes']}", file=sys.stderr)

@@ -14,14 +14,19 @@ without calling predict/observe. The online predict/observe loop
 offline path must match bit for bit. The adversary's stage-at-a-time play
 takes its predictions from _midpoint_predictions; _fresh is the one rule for
 which learners either offline path may stand in for.
+
+write_trace_csv formats 4,096-row chunks; with fork and two CPUs a forked
+helper formats every other one (walking all, for the same cum_loss carry) and
+pipes its text back, and this process writes all in order: one process's bytes.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, fields
+from itertools import chain, islice
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -488,22 +493,37 @@ def open_out(out: str | os.PathLike | IO[str]) -> Iterator[IO[str]]:
 def write_csv(out: str | os.PathLike | IO[str], header, blocks, end: str = "\r\n") -> None:
     """Write a CSV table: the header, then each block of equal-length columns
     through one row template, flushing after the header and after each block.
-    Floats are written %.17g, ints and text as str gives them, and no field is
-    quoted, which no number needs."""
+    Floats are written %.17g, ints and text as str gives them (a numpy column
+    as its .tolist()), and no field is quoted, which no number needs."""
+    _write_texts(out, header, (t for c in blocks for t in (_block_text(c, end), None)), end)
+
+
+def _write_texts(out, header, texts: Iterator[str | None], end: str = "\r\n") -> None:
+    """write_csv's writer: the header, then each text; a None ends a block."""
     with open_out(out) as fh:
-        fh.write(",".join(header) + end)
-        fh.flush()
-        for columns in blocks:
-            slots, cells = zip(*map(_exact_cells, columns))
-            row = ",".join(slots) + end
-            fh.write("".join(map(row.__mod__, zip(*cells))))
-            fh.flush()
+        for text in chain([",".join(header) + end, None], texts):
+            if text is None:
+                fh.flush()
+            else:
+                fh.write(text)
+
+
+def _block_text(columns, end: str = "\r\n") -> str:
+    slots, cells = zip(*map(_exact_cells, columns))
+    row = ",".join(slots) + end
+    return "".join(map(row.__mod__, zip(*cells)))
 
 
 def write_trace_csv(trace: Trace, out: str | os.PathLike | IO[str]) -> None:
     """Write the trial trace, a Trace or a match's records (MatchTrace), as
-    CSV, one block per chunk of rows; trial 0 leaves uncharged fields empty."""
-    write_csv(out, TRACE_HEADER, _trace_blocks(trace))
+    CSV, one block per chunk of rows; trial 0 leaves uncharged fields empty.
+    With fork and two CPUs, two chunks or more are formatted by two processes."""
+    blocks = _trace_blocks(trace)
+    cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
+    if len(trace) > _CSV_CHUNK + 1 and hasattr(os, "fork") and len(cpus) >= 2:
+        with closing(_dealt_texts(blocks)) as texts:
+            return _write_texts(out, TRACE_HEADER, texts)
+    write_csv(out, TRACE_HEADER, blocks)
 
 
 def _trace_blocks(trace: Trace) -> Iterator[tuple]:
@@ -523,16 +543,56 @@ def _trace_blocks(trace: Trace) -> Iterator[tuple]:
         yield (range(start, stop), *columns, cums[1:])
 
 
+def _dealt_texts(blocks: Iterator[tuple]) -> Iterator[str | None]:
+    """_write_texts' texts of the trace blocks, chunks 1, 3, 5, ... from a forked
+    helper; closing it closes the pipe (EPIPE ends the helper) and reaps it."""
+    yield from (_block_text(next(blocks)), None)
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
+        pid = os.fork()
+        if not pid:  # the helper: it leaves only through os._exit, also on error
+            try:
+                pipe.close()
+                for columns in islice(blocks, 1, None, 2):
+                    text = _block_text(columns).encode("ascii")
+                    sink.write(len(text).to_bytes(8, "little") + text)
+                    sink.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
+        sink.close()
+        try:
+            for i, columns in enumerate(blocks):
+                if i % 2 == 0:
+                    yield _block_text(columns)
+                else:  # 64 KB at a time: a chunk's bytes and text are never held whole
+                    size = int.from_bytes(_read(pipe, 8), "little")
+                    for start in range(0, size, 1 << 16):
+                        yield _read(pipe, min(size - start, 1 << 16)).decode("ascii")
+                yield None
+        finally:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _read(pipe: IO[bytes], size: int) -> bytes:
+    if len(data := pipe.read(size)) < size:
+        raise OSError("the trace helper process ended early")
+    return data
+
+
 def _exact_cells(values) -> tuple[str, Sequence]:
     """One column of a block as a row-template slot and its cells. A range
-    takes a %d slot. Any other column that is not a numpy array takes a %s
-    slot, its floats as %.17g text and its ints and text as they are. A
-    float64 array with fewer runs of equal values than half its rows formats
-    each run's value once and repeats the text in a %s slot; any other goes to
-    %.17g as Python floats. A run ends where the bits change: comparing floats
-    would merge 0.0 with -0.0, whose texts differ, and split a run of NaN."""
+    takes a %d slot. Any other column but a float64 array takes a %s slot,
+    its floats (a numpy column's .tolist() values) as %.17g text and its ints
+    and text as they are. A float64 array with fewer runs of equal values than
+    half its rows formats each run's value once and repeats the text in a %s
+    slot, any other goes to %.17g as Python floats. Runs end where the bits
+    change: a float comparison merges 0.0 and -0.0 and splits a run of NaN."""
     if isinstance(values, range):
         return "%d", values
+    if isinstance(values, np.ndarray) and values.dtype != np.float64:
+        values = values.tolist()
     if not isinstance(values, np.ndarray):
         return "%s", [_EXACT % v if isinstance(v, float) else v for v in values]
     bits = values.view(np.int64)

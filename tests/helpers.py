@@ -1,10 +1,11 @@
 """Shared generators for randomized tests, the adversary's dict oracle, the
 columnar match trace, the table and trace CSV oracles, the
-nearest-earlier-neighbour oracle, and the functions a learner or the
-adversary has built so far."""
+nearest-earlier-neighbour oracle, the functions a learner or the adversary
+has built so far, and a trace helper that dies."""
 
 import csv
 import math
+import os
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from pwlearn import (
     AdversaryState, MatchAudit, StageSummary, Trace, audit_energy, dyadic_x, evaluate,
     from_points, perturbation, stage_of,
 )
+from pwlearn import learner as learner_module
 from pwlearn.adversary import _play_stage
 from pwlearn.learner import (
     TRACE_HEADER, _fresh, _midpoint_predictions, _pow_terms, _running_total, open_out,
@@ -203,6 +205,20 @@ def csv_writer_table(out, header, blocks, end="\r\n"):
             writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
         flushed.append(out.getvalue())
     return flushed
+
+
+def kill_the_trace_helper(monkeypatch):
+    """Force write_trace_csv's helper on for any trace of two chunks or more,
+    and make it exit 1 when it formats its first chunk."""
+    parent, block_text = os.getpid(), learner_module._block_text
+
+    def dying_block_text(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return block_text(*args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(learner_module, "_block_text", dying_block_text)
 
 
 def linked_list_neighbours(xs):

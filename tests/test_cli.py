@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 
 import pytest
@@ -16,6 +17,8 @@ from pwlearn import (
     upper_bound_linint,
 )
 from pwlearn.harness import SWEEP_CSV_HEADER
+
+from helpers import kill_the_trace_helper
 
 
 def run_cli(args):
@@ -84,6 +87,18 @@ class TestMatch:
         err = capsys.readouterr().err
         assert err.startswith("i/o error:")
         assert "Traceback" not in err
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the trace helper is forked")
+    def test_a_trace_helper_that_dies_exits_three(self, tmp_path, monkeypatch, capsys):
+        kill_the_trace_helper(monkeypatch)
+        out = tmp_path / "t.csv"
+        assert run_cli(["match", "--epsilon", "0.1", "--stages", "14", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error:") and "trace helper" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_failed_match_leaves_an_old_trace_whole(self, tmp_path, monkeypatch, capsys):
         def failing_match(*args, **kwargs):

@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import struct
 import warnings
 from dataclasses import fields
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from sortedcontainers import SortedList
 
 from pwlearn import (
+    AdversaryConfig,
     DegenerateInput,
     DomainError,
     DuplicateConflict,
@@ -25,6 +27,7 @@ from pwlearn import (
     kl_d_bound,
     kl_invariants,
     make_learner,
+    run_match,
     run_trials,
     write_trace_csv,
 )
@@ -32,7 +35,8 @@ from pwlearn import learner as learner_module
 from pwlearn.learner import TRACE_HEADER, scalar_predictions, write_csv
 
 from helpers import (
-    csv_writer_table, csv_writer_trace, linint_history, linked_list_neighbours, random_function,
+    csv_writer_table, csv_writer_trace, kill_the_trace_helper, linint_history,
+    linked_list_neighbours, random_function,
 )
 
 
@@ -786,6 +790,88 @@ class TestTraceCsv:
         _assert_same_csv(Trace(*columns), tmp_path)
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the trace helper is forked")
+class TestTraceHelper:
+    """write_trace_csv with a forked helper formatting every other chunk."""
+
+    # 1 chunk (no helper), 2 chunks less a row, exactly and plus a row, 3
+    # chunks and many.
+    @pytest.mark.parametrize("rows", [4097, 8192, 8193, 8194, 3 * 4096 + 1, 6 * 4096 + 37])
+    def test_trace_of_run_trials(self, rows, tmp_path, monkeypatch):
+        xs = np.random.default_rng(rows).permutation(rows) / rows
+        trace, _ = run_trials(LinintLearner(), np.column_stack((xs, np.sin(7 * xs))), p=1.3)
+        _assert_dealt_like_one_process(trace, tmp_path, monkeypatch)
+
+    # 1 chunk (no helper), 2 chunks and 4.
+    @pytest.mark.parametrize("stages", [12, 13, 14])
+    def test_trace_of_a_match(self, stages, tmp_path, monkeypatch):
+        result = run_match(make_learner("nearest"), AdversaryConfig(0.1, stages))
+        _assert_dealt_like_one_process(result.records, tmp_path, monkeypatch)
+
+    # Writes: the header, trial 0, chunk 0, then chunk 1 in 64 KB pieces.
+    @pytest.mark.parametrize("writes", [2, 3, 5, 40])
+    def test_a_failed_write_raises_and_leaves_no_child(self, writes, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        result = run_match(make_learner("linint"), AdversaryConfig(0.1, 15))
+        out = _FailingStream(writes)
+        with pytest.raises(OSError, match="disk full"):
+            write_trace_csv(result.records, out)
+        assert out.writes == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_helper_that_dies_raises_and_leaves_no_child(self, tmp_path, monkeypatch):
+        kill_the_trace_helper(monkeypatch)
+        result = run_match(make_learner("linint"), AdversaryConfig(0.1, 14))
+        with pytest.raises(OSError, match="trace helper"):
+            write_trace_csv(result.records, tmp_path / "trace.csv")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class _FailingStream(io.StringIO):
+    """A stream whose write raises OSError after the given number of writes."""
+
+    def __init__(self, writes):
+        super().__init__()
+        self.writes = writes
+
+    def write(self, text):
+        if not self.writes:
+            raise OSError("disk full")
+        self.writes -= 1
+        return super().write(text)
+
+
+def _assert_dealt_like_one_process(trace, tmp_path, monkeypatch):
+    """With two CPUs, one CPU and no fork, write_trace_csv gives the oracle's
+    bytes (so the same bytes each time) to a path and to a stream, flushing
+    after the header, trial 0 and each chunk, forks a helper for each write
+    of two chunks or more on two CPUs only, and leaves no child behind."""
+    want = io.StringIO()
+    csv_writer_trace(trace, want)
+    want = want.getvalue().splitlines(True)
+    flushed_lines = [1, *range(2, len(want), 4096), len(want)]
+    forks = []
+    fork = os.fork
+    for cpus, has_fork in (({0, 1}, True), ({0}, True), ({0, 1}, False)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        if has_fork:
+            monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        else:
+            monkeypatch.delattr(os, "fork")
+        forks.clear()
+        stream, path = _FlushLog(), tmp_path / "trace.csv"
+        write_trace_csv(trace, stream)
+        write_trace_csv(trace, path)
+        assert stream.getvalue().splitlines(True) == want
+        assert [text.count("\n") for text in stream.flushed] == flushed_lines
+        assert path.read_bytes().decode("ascii").splitlines(True) == want
+        assert len(forks) == (2 if len(cpus) == 2 and has_fork and len(trace) > 4097 else 0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _assert_same_csv(trace, tmp_path):
     """write_trace_csv gives the oracle's bytes, to a path and to a stream.
     Both compare lines with their ends, so a failure names the first row that
@@ -843,15 +929,18 @@ _SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.
 
 @st.composite
 def _tables(draw):
-    """A header and blocks of float, int and text columns. A float column is a
-    list or a float64 array, an int column a list or a range, and values come
-    in runs, so every path of _exact_cells is taken. A one-column table has no
-    empty text, which csv.writer alone would quote."""
-    kinds = draw(st.lists(st.sampled_from(["float", "int", "text"]), min_size=1, max_size=5))
+    """A header and blocks of float, int, bool and text columns. A float
+    column is a list or a float64 or float32 array, an int column a list, a
+    range or an int64 array, a bool column a list or an array, and values
+    come in runs, so every path of _exact_cells is taken. A one-column table
+    has no empty text, which csv.writer alone would quote."""
+    kind = st.sampled_from(["float", "int", "bool", "text"])
+    kinds = draw(st.lists(kind, min_size=1, max_size=5))
     header = [f"c{k}" for k in range(len(kinds))]
     cell = {
         "float": st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()),
         "int": st.integers(-(2**70), 2**70),
+        "bool": st.booleans(),
         "text": st.text(
             st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)),
             min_size=len(kinds) == 1,
@@ -865,10 +954,16 @@ def _tables(draw):
             runs = draw(st.lists(st.tuples(cell[kind], st.integers(1, 80)), min_size=1, max_size=8))
             column = [v for v, length in runs for _ in range(length)]
             column = [column[k % len(column)] for k in range(n)]
-            if kind == "float" and draw(st.booleans()):
-                column = np.array(column)
-            elif kind == "int" and draw(st.booleans()):
+            shape = draw(st.sampled_from(["list", "array", "other"]))
+            if kind == "float" and shape != "list":
+                with np.errstate(over="ignore"):  # a float32 of a huge float is inf
+                    column = np.array(column, dtype=np.float64 if shape == "array" else np.float32)
+            elif kind == "int" and shape == "array" and all(-(2**63) <= v < 2**63 for v in column):
+                column = np.array(column, dtype=np.int64)
+            elif kind == "int" and shape == "other":
                 column = range(column[0], column[0] + n)
+            elif kind == "bool" and shape != "list":
+                column = np.array(column)
             block.append(column)
         blocks.append(block)
     return header, blocks
@@ -879,11 +974,25 @@ def _tables(draw):
 # A NUL in text and ints past 2^63, which a numpy array of the column would lose.
 @example(table=(["c0", "c1"], [[[0.0], ["\x00"]]]), end="\r\n")
 @example(table=(["c0"], [[[-1, 2**63]]]), end="\n")
+# Arrays other than float64 go through their .tolist() values: reading their
+# bits as int64 merged rows or raised, and int64 lost digits to %.17g.
+@example(table=(["c0"], [[np.array([1, 1, 1, 1, 1, 1, 2, 2], dtype=np.float32)]]), end="\n")
+@example(
+    table=(["c0", "c1", "c2"], [[
+        np.array([0.5, 0.5, 0.1], dtype=np.float32),
+        np.array([1, 2, 3], dtype=np.int32),
+        np.array([True, True, False]),
+    ]]),
+    end="\r\n",
+)
+@example(table=(["c0"], [[np.array([2**60 + 1] * 5, dtype=np.int64)]]), end="\n")
 def test_write_csv_matches_the_csv_writer_oracle_and_flushes_per_block(table, end):
     header, blocks = table
     got = _FlushLog()
     write_csv(got, header, blocks, end)
-    want = csv_writer_table(io.StringIO(), header, blocks, end)
+    # The oracle takes each numpy column as the same column given as a list.
+    listed = [[c.tolist() if isinstance(c, np.ndarray) else c for c in b] for b in blocks]
+    want = csv_writer_table(io.StringIO(), header, listed, end)
     assert got.getvalue() == want[-1]
     assert got.flushed == want
 
