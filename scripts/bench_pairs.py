@@ -120,6 +120,10 @@ CLI_COMMANDS = (
     # refusal also exits 1, but with a ZeroDivisionError traceback after the
     # match, so against such a parent this row's stderr bytes differ.
     ("match --epsilon 1e-16", ["match", "--epsilon", "1e-16"], 1),
+    # Real-number refusals: NaN gets the adversary's message, which names the
+    # bounds subcommand; bounds names the upper bound's interval (0, 1).
+    ("match --epsilon nan", ["match", "--epsilon", "nan"], 1),
+    ("bounds --epsilon 1.5", ["bounds", "--epsilon", "1.5"], 1),
 )
 
 

@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import pwl
-from .errors import DomainError, SequenceError, _check_int
+from .errors import DomainError, SequenceError, _check_int, _check_real
 from .learner import (
     TRACE_HEADER, Learner, ZeroLearner, _fill, _fresh, _midpoint_predictions, _pow_terms,
     _running_total,
@@ -69,29 +69,36 @@ MAX_STAGES = 24
 _DESK_SCALE = f" (2^{MAX_STAGES} trials is the desk-scale ceiling)"
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 < epsilon < 0.5:
+def _check_epsilon(epsilon) -> float:
+    try:
+        eps = _check_real("epsilon", epsilon, 0.0, 0.5)
+    except DomainError:
         raise DomainError(
             f"epsilon {epsilon!r} is outside the adversary's range (0, 0.5); "
             "use the bounds subcommand for that regime"
-        )
-    if 1.0 + epsilon == 1.0:
-        raise DomainError(f"epsilon {epsilon!r} is too small: 1 + epsilon rounds to 1")
+        ) from None
+    return _check_not_tiny(eps)
+
+
+def _check_not_tiny(eps: float) -> float:
+    if 1.0 + eps == 1.0:
+        raise DomainError(f"epsilon {eps!r} is too small: 1 + epsilon rounds to 1")
+    return eps
 
 
 @dataclass(frozen=True)
 class AdversaryConfig:
     """Loss exponent offset and stage budget; a run covers 2^stages - 1 trials.
 
-    Both are checked here: 0 < epsilon < 0.5 with 1 + epsilon > 1, and stages
-    an integer in 1..MAX_STAGES (a numpy integer is stored as an int).
+    Both are checked here, and a numpy number is stored as a Python one:
+    epsilon in (0, 0.5) with 1 + epsilon > 1, stages in 1..MAX_STAGES.
     """
 
     epsilon: float
     stages: int
 
     def __post_init__(self) -> None:
-        _check_epsilon(self.epsilon)
+        object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
         stages = _check_int("stages", self.stages, 1, MAX_STAGES, _DESK_SCALE)
         object.__setattr__(self, "stages", stages)
 
@@ -114,7 +121,11 @@ def dyadic_x(t: int) -> float:
 def perturbation(i: int, epsilon: float) -> float:
     """Proposed-label offset magnitude in stage i: sqrt(eps)*(1-eps)^(i/2)/2^(i+1)."""
     i = _check_int("stage index", i, 1, 1022, " (2^1023 is the largest power of 2 a double holds)")
-    _check_epsilon(epsilon)
+    return _perturbation(i, _check_epsilon(epsilon))
+
+
+def _perturbation(i: int, epsilon: float) -> float:
+    # perturbation unchecked, for callers that checked epsilon once for many i.
     return math.sqrt(epsilon) * (1.0 - epsilon) ** (i / 2.0) / 2.0 ** (i + 1)
 
 
@@ -159,7 +170,7 @@ class AdversaryState:
         self.committed = self.grid[:: 1 << (self.stages - i)]
         self.v = np.empty(1 << (i - 1))
         self.h = 0.5**i
-        self.magnitude = perturbation(i, self.epsilon)
+        self.magnitude = _perturbation(i, self.epsilon)
         self.stage_end = (1 << i) - 1
         self.within = 0
 

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .adversary import perturbation
-from .errors import DivergenceError, DomainError, InequalityViolation, _check_int
+from .adversary import _check_not_tiny, _perturbation
+from .errors import DivergenceError, DomainError, InequalityViolation, _check_int, _check_real
 
 __all__ = [
     "upper_bound_linint",
@@ -41,17 +41,9 @@ def upper_bound_linint(epsilon: float) -> float:
     the product of the two trace-sum bounds combined through Hoelder's
     inequality. It holds for any input sequence of any length.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if 1.0 + epsilon == 1.0:
-        raise DomainError(f"epsilon {epsilon!r} is too small: 1 + epsilon rounds to 1")
+    epsilon = _check_not_tiny(_check_real("epsilon", epsilon, 0.0, 1.0))
     p = 1.0 + epsilon
-    t = p / (2.0 - p)
-    if t >= 1024.0:
-        correction = 0.0  # 2^t overflows and the term is 0 at double precision
-    else:
-        correction = 1.0 / (2.0**t - 2.0)
-    return (1.0 + correction) ** (1.0 - p / 2.0)
+    return kl_d_bound(p / (2.0 - p)) ** (1.0 - p / 2.0)
 
 
 def lower_bound_partial(epsilon: float, stages: int) -> float:
@@ -63,8 +55,7 @@ def lower_bound_partial(epsilon: float, stages: int) -> float:
     perturbation values so empirical losses compare against the identical
     floating-point quantities.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise DomainError(f"epsilon must lie in (0, 0.5), got {epsilon!r}")
+    epsilon = _check_real("epsilon", epsilon, 0.0, 0.5)  # once, not per term
     stages = _check_int("stage count", stages, 1, MAX_PARTIAL_STAGES)
     p = 1.0 + epsilon
     log_sqrt_eps = 0.5 * math.log(epsilon)
@@ -72,7 +63,7 @@ def lower_bound_partial(epsilon: float, stages: int) -> float:
     total = 0.0
     for k in range(1, stages + 1):
         if k <= 512:
-            term = 2.0 ** (k - 2) * perturbation(k, epsilon) ** p
+            term = 2.0 ** (k - 2) * _perturbation(k, epsilon) ** p
         else:
             # 2^(k-2) alone overflows for k > 1076 although the term itself
             # only decays; deep tail terms go through log space instead.
@@ -91,8 +82,7 @@ def lower_bound_closed_form(epsilon: float) -> float:
     vanishes linearly as eps -> 0, and a direct subtraction would lose the
     leading digits there.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise DomainError(f"epsilon must lie in (0, 0.5), got {epsilon!r}")
+    epsilon = _check_real("epsilon", epsilon, 0.0, 0.5)
     p = 1.0 + epsilon
     log_first = math.log(0.5) + p * (
         0.5 * (math.log(epsilon) + math.log1p(-epsilon)) - math.log(4.0)
@@ -109,8 +99,7 @@ def lower_bound_closed_form(epsilon: float) -> float:
 def kl_d_bound(r: float) -> float:
     """Upper bound 1 + 1/(2^r - 2) on the sum of d^r over any distinct
     input sequence in [0, 1]."""
-    if not r > 1.0:
-        raise DomainError(f"exponent r must exceed 1, got {r!r}")
+    r = _check_real("exponent r", r, 1.0, math.inf, "(]")
     if r >= 1024.0:
         return 1.0
     return 1.0 + 1.0 / (2.0**r - 2.0)
@@ -141,15 +130,13 @@ def check_proof_inequalities(grid: Iterable[float]) -> ProofInequalityReport:
     Raises InequalityViolation when any point comes out negative, which would
     indicate a transcription bug in the formulas rather than a math fact.
     """
-    points = [float(e) for e in grid]
+    points = [_check_real("grid value", e, 0.0, 1.0) for e in grid]
     if not points:
         raise DomainError("inequality grid must be nonempty")
     root_slack = math.inf
     pow2_slack = math.inf
     bad: list[str] = []
     for eps in points:
-        if not 0.0 < eps < 1.0:
-            raise DomainError(f"grid value {eps!r} outside (0, 1)")
         s2 = (1.0 + eps) - 2.0**eps
         pow2_slack = min(pow2_slack, s2)
         if s2 < 0.0:
@@ -201,7 +188,8 @@ class BoundReport:
 
 
 def bound_report(epsilon: float, partial_stages: int = 60) -> BoundReport:
-    upper = upper_bound_linint(epsilon)  # raises outside (0, 1)
+    epsilon = _check_real("epsilon", epsilon, 0.0, 1.0)
+    upper = upper_bound_linint(epsilon)
     # Checked for every epsilon, not only where the partial sum is computed.
     partial_stages = _check_int("stage count", partial_stages, 1, MAX_PARTIAL_STAGES)
     if epsilon < 0.5:

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the one integer-count check."""
+"""Exception types shared across the package, and the count and real-number checks."""
 
 import math
+import numbers
 import operator
 
 
@@ -24,6 +25,22 @@ def _check_int(name: str, value, lo: int = 0, hi: float = math.inf, why: str = "
                  else "be nonnegative" if lo == 0 else f"be at least {lo}")
         raise DomainError(f"{name} must {bound}{why}, got {value!r}")
     return value
+
+
+def _check_real(name: str, value, lo=-math.inf, hi=math.inf, ends: str = "()") -> float:
+    """value as a float if it lies in the interval lo..hi with brackets ends
+    ("(]", ...), else DomainError. A bool, text or complex is no real number."""
+    x = value
+    if type(x) is not float:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+        try:
+            x = float(x)
+        except OverflowError:
+            raise DomainError(f"{name} must fit in a double, got a number past ±1.8e308") from None
+    if not ((lo < x or ends[0] == "[" and lo == x) and (x < hi or ends[1] == "]" and x == hi)):
+        raise DomainError(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {value!r}")
+    return x
 
 
 class DuplicateConflict(Error, ValueError):

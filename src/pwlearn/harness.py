@@ -17,7 +17,7 @@ import numpy as np
 from . import pwl
 from .adversary import _DESK_SCALE, MAX_STAGES, AdversaryConfig, _check_epsilon, run_match
 from .bounds import kl_d_bound
-from .errors import AuditFailure, DomainError, _check_int
+from .errors import AuditFailure, DegenerateInput, DomainError, _check_int, _check_real
 from .learner import (
     LinintLearner, LossAccount, _repeats, kl_invariants, make_learner, run_trials, write_csv,
 )
@@ -53,14 +53,13 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Check every field: an unknown learner raises UnknownKind; the seed
-        and budgets must be integers (a numpy integer is stored as an int, a
-        bool is refused). max_trials is capped at 2^MAX_STAGES, the
-        adversary's desk-scale ceiling."""
+        and budgets must be integers and each epsilon a real in (0, 0.5) (a
+        numpy number is stored as a Python one, a bool is refused). max_trials
+        is capped at 2^MAX_STAGES, the adversary's desk-scale ceiling."""
         make_learner(self.learner)
         # Checking every epsilon up front stops a sweep before its first match.
         self.stages = _check_int("stages", self.stages, 1, MAX_STAGES, _DESK_SCALE)
-        for eps in self.epsilons:
-            _check_epsilon(eps)
+        self.epsilons = [_check_epsilon(eps) for eps in self.epsilons]
         self.seed = _check_int("seed", self.seed)
         self.runs = _check_int("runs", self.runs)
         self.max_trials = _check_max_trials(self.max_trials)
@@ -90,15 +89,6 @@ def parse_epsilon_grid(text: str) -> list[float]:
         raise DomainError(f"bad epsilon list {text!r}: {exc}") from exc
 
 
-def _distinct_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
-    # Collisions among uniform doubles are vanishingly rare; redraw if one
-    # happens anyway so downstream distance sums never divide by zero.
-    while True:
-        xs = rng.random(size)
-        if not _repeats(np.sort(xs)):
-            return xs
-
-
 def _sample_target_rng(
     q: float, knot_count: int, rng: np.random.Generator
 ) -> pwl.PiecewiseLinearFunction:
@@ -124,10 +114,10 @@ def sample_target(q: float, knot_count: int, seed) -> pwl.PiecewiseLinearFunctio
 
     Coordinates are knot_count sorted uniforms including 0 and 1; values are
     standard normal, rescaled by 1/norm whenever the norm exceeds 1. The seed
-    fully determines the result (numpy PCG64). A q below 1 or NaN raises
+    fully determines the result (numpy PCG64). A q outside [1, inf] raises
     DomainError.
     """
-    pwl._check_norm_order(q)
+    q = _check_real("norm order", q, 1.0, math.inf, "[]")
     knot_count = _check_int("knot_count", knot_count, 2)
     return _sample_target_rng(q, knot_count, np.random.default_rng(seed))
 
@@ -221,11 +211,16 @@ def audit_trace_run(
     sum e^2/d, {r: sum d^r} over D_EXPONENTS and the first input."""
     max_trials = _check_max_trials(max_trials)
     target = _sample_target_rng(2.0, int(rng.integers(2, 33)), rng)
-    xs = _distinct_uniform(rng, int(rng.integers(2, max_trials + 1)))
-    pairs = np.column_stack((xs, pwl.evaluate_many(target, xs)))
-    trace, account = run_trials(LinintLearner(), pairs, p=2.0)
-    e2d, *d_sums = kl_invariants(trace, *D_EXPONENTS)
-    return account, e2d, dict(zip(D_EXPONENTS, d_sums)), float(xs[0])
+    size = int(rng.integers(2, max_trials + 1))
+    while True:  # kl_invariants refuses a repeat, which uniform doubles make rarely
+        xs = rng.random(size)
+        pairs = np.column_stack((xs, pwl.evaluate_many(target, xs)))
+        trace, account = run_trials(LinintLearner(), pairs, p=2.0)
+        try:
+            e2d, *d_sums = kl_invariants(trace, *D_EXPONENTS)
+        except DegenerateInput:
+            continue
+        return account, e2d, dict(zip(D_EXPONENTS, d_sums)), float(xs[0])
 
 
 def run_invariant_audit(config: ExperimentConfig) -> AuditReport:

@@ -32,7 +32,7 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 from sortedcontainers import SortedList
 
-from .errors import DegenerateInput, DomainError, DuplicateConflict, UnknownKind
+from .errors import DegenerateInput, DomainError, DuplicateConflict, UnknownKind, _check_real
 
 __all__ = [
     "LEARNER_KINDS",
@@ -394,8 +394,7 @@ def run_trials(
     then filled in bulk, equal to what observing each pair would leave. Every
     other case runs scalar_predictions.
     """
-    if not p > 1.0:
-        raise DomainError(f"loss exponent must exceed 1, got {p!r}")
+    p = _check_real("loss exponent", p, 1.0, math.inf, "(]")
     pairs = np.asarray(sequence, dtype=float)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
@@ -452,10 +451,7 @@ def kl_invariants(trace: Trace, r: float, *more_r: float) -> tuple[float, ...]:
     dividing by it; any other d outside (0, 1], NaN included, is no distance
     and raises DomainError naming its trial.
     """
-    exponents = (r, *more_r)
-    for q in exponents:
-        if not q > 1.0:
-            raise DomainError(f"exponent r must exceed 1, got {q!r}")
+    exponents = [_check_real("exponent r", q, 1.0, math.inf, "(]") for q in (r, *more_r)]
     e, d = trace.e[1:], trace.d[1:]
     bad = np.flatnonzero(~((0.0 < d) & (d <= 1.0)))  # both comparisons fail on NaN
     if bad.size:

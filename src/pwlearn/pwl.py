@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, DuplicateConflict, PreconditionError, _check_int
+from .errors import DomainError, DuplicateConflict, PreconditionError, _check_int, _check_real
 
 __all__ = [
     "PiecewiseLinearFunction",
@@ -187,20 +187,14 @@ def _pow(base: float, exp: float) -> float:
         return math.inf
 
 
-def _check_norm_order(q: float) -> None:
-    # Written so that NaN, for which every comparison fails, is refused.
-    if not (q == math.inf or q >= 1.0):
-        raise DomainError(f"norm order must be >= 1 or inf, got {q!r}")
-
-
 def derivative_norm(f: PiecewiseLinearFunction, q: float) -> float:
     """q-norm of the derivative; q may be math.inf for the sup norm.
 
     Flat extensions outside the knot span contribute slope 0, so only the
     segments between knots matter. Functions with at most one knot have
-    derivative 0 everywhere. A q below 1 or NaN raises DomainError.
+    derivative 0 everywhere. A q outside [1, inf] raises DomainError.
     """
-    _check_norm_order(q)
+    q = _check_real("norm order", q, 1.0, math.inf, "[]")
     m = len(f.us)
     if q == math.inf:
         slopes = (abs(f.vs[k + 1] - f.vs[k]) / (f.us[k + 1] - f.us[k]) for k in range(m - 1))
@@ -215,9 +209,8 @@ def derivative_norm(f: PiecewiseLinearFunction, q: float) -> float:
 
 def is_member(f: PiecewiseLinearFunction, q: float, tol: float = 0.0) -> bool:
     """Whether the derivative's q-norm is at most 1, up to a relative slack.
-    A tolerance that is negative or not finite raises DomainError."""
-    if not 0.0 <= tol < math.inf:
-        raise DomainError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    A tolerance outside [0, inf) raises DomainError."""
+    tol = _check_real("tolerance", tol, 0.0, math.inf, "[)")
     return derivative_norm(f, q) <= 1.0 + tol
 
 
@@ -237,14 +230,11 @@ def energy_increment(
     the tolerance only matters for user-supplied data.
 
     ``S`` may be a PiecewiseLinearFunction or any iterable of (u, v) pairs.
-    A non-finite x or y, or a tolerance that is negative or not finite,
-    raises DomainError before any arithmetic.
+    A non-finite x or y or a tolerance outside [0, inf) raises DomainError
+    before any arithmetic; so does an increment too large for a double.
     """
-    for name, value in (("x", x), ("y", y)):
-        if not abs(value) < math.inf:
-            raise DomainError(f"{name}={value!r} is not finite")
-    if not 0.0 <= tol < math.inf:
-        raise DomainError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    x, y = _check_real("x", x), _check_real("y", y)
+    tol = _check_real("tolerance", tol, 0.0, math.inf, "[)")
     f = S if isinstance(S, PiecewiseLinearFunction) else from_points(S)
     us = f.us
     if not us:
@@ -265,7 +255,10 @@ def energy_increment(
         )
     d = a if a <= b else b
     e = y - evaluate(f, x)
-    return 2.0 * e * e / d
+    gain = 2.0 * e * e / d
+    if gain == math.inf:
+        raise DomainError(f"the energy increment of y={y!r} at x={x!r} overflows")
+    return gain
 
 
 def function_to_json(f: PiecewiseLinearFunction) -> str:

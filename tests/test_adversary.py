@@ -125,6 +125,18 @@ class TestConfig:
         with pytest.raises(DomainError):
             AdversaryConfig(0.25, 0)
 
+    def test_numpy_float_epsilon_is_stored_as_a_float(self):
+        # A float32 epsilon once mixed float32 and float64 arithmetic in the
+        # match: a total off in the 8th digit and a result json refused.
+        eps = np.float32(0.1)
+        config = AdversaryConfig(eps, 4)
+        assert type(config.epsilon) is float and config.epsilon == float(eps)
+        result = run_match(make_learner("linint"), config)
+        same = run_match(make_learner("linint"), AdversaryConfig(float(eps), 4))
+        assert result.total_loss.hex() == same.total_loss.hex()
+        assert type(result.epsilon) is float and type(result.upper_linint) is float
+        assert json.dumps(result.to_json_dict()) == json.dumps(same.to_json_dict())
+
     def test_stage_ceiling(self):
         AdversaryConfig(0.25, MAX_STAGES)
         with pytest.raises(DomainError, match=str(MAX_STAGES)):

@@ -214,5 +214,12 @@ class TestBoundReport:
         with pytest.raises(DomainError):
             bound_report(eps)
 
+    def test_numpy_float_epsilon_gives_python_floats(self):
+        eps = np.float32(0.1)
+        assert type(upper_bound_linint(eps)) is float
+        assert upper_bound_linint(eps) == upper_bound_linint(float(eps))
+        rep = bound_report(eps)
+        assert type(rep.epsilon) is float and rep == bound_report(float(eps))
+
     def test_partial_defaults_to_sixty_stages(self):
         assert bound_report(0.3).lower_partial == lower_bound_partial(0.3, 60)

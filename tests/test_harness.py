@@ -28,6 +28,23 @@ from pwlearn import harness
 from pwlearn.harness import write_sweep_csv, SWEEP_CSV_HEADER
 
 
+class StubRng:
+    """Hands out the given draws in order, recording each random() size."""
+
+    def __init__(self, draws, integers=()):
+        self.draws, self.integers_left, self.sizes = draws, list(integers), []
+
+    def integers(self, low, high):
+        return self.integers_left.pop(0)
+
+    def random(self, size):
+        self.sizes.append(size)
+        return np.array(self.draws.pop(0), dtype=float)
+
+    def normal(self, loc, scale, size):
+        return np.zeros(size)
+
+
 class TestSampleTarget:
     def test_membership_after_normalization(self):
         for seed in range(30):
@@ -56,21 +73,17 @@ class TestSampleTarget:
             sample_target(2.0, 1, 0)
 
     def test_a_draw_with_a_repeat_or_an_interior_zero_is_redrawn(self):
-        class StubRng:
-            def __init__(self, draws):
-                self.draws, self.sizes = draws, []
-
-            def random(self, size):
-                self.sizes.append(size)
-                return np.array(self.draws.pop(0))
-
-            def normal(self, loc, scale, size):
-                return np.zeros(size)
-
         rng = StubRng([[0.5, 0.25, 0.5], [0.75, 0.0, 0.25], [0.75, 0.5, 0.25]])
         f = harness._sample_target_rng(2.0, 5, rng)
         assert f.us == (0.0, 0.25, 0.5, 0.75, 1.0)
         assert rng.sizes == [3, 3, 3] and rng.draws == []
+
+    def test_a_trace_run_with_a_repeated_input_is_drawn_again_at_the_same_size(self):
+        # Two knots (no interior draw), then 3 inputs: the first draw repeats 0.5.
+        rng = StubRng([[], [0.5, 0.25, 0.5], [0.5, 0.25, 0.75]], integers=[2, 3])
+        account, _, _, first_x = harness.audit_trace_run(rng, 10)
+        assert rng.sizes == [0, 3, 3] and rng.draws == [] and rng.integers_left == []
+        assert account.trials == 2 and first_x == 0.5
 
     def test_nan_norm_order_is_refused(self):
         with pytest.raises(DomainError, match="norm order"):
