@@ -25,7 +25,9 @@ fresh interpreter, the sides again taking turns to go first: every run's wall
 time, CPU time and peak RSS (both from wait4, so they include any child the
 command reaped, such as the trace CSV's helper), exit code and the SHA-256 of
 its stdout, of its stderr and of any file it writes are kept, with each
-side's median wall time, CPU time and peak RSS. One more untimed run per
+side's median wall time, CPU time and peak RSS. A row named in ONE_CPU runs
+pinned to one CPU, and records whether its bytes equal those of its twin row
+run on every CPU. One more untimed run per
 side, under tracemalloc, gives the command's traced peak (Python and numpy
 allocations from the CLI's start, imports excluded), which repeats to a few
 KB where RSS also reads heap placement. A row names the exit code it expects
@@ -87,6 +89,8 @@ KERNELS = {
 # scratch directory.
 CLI_COMMANDS = (
     ("audit --runs 1000 --seed 7", ["audit", "--runs", "1000", "--seed", "7"], 0),
+    # The same audit pinned to one CPU, where it plays every run in one process.
+    ("audit --runs 1000 --seed 7, one CPU", ["audit", "--runs", "1000", "--seed", "7"], 0),
     # Runs of up to 10^5 trials, which perfbench's workloads do not reach.
     ("audit --runs 20 --seed 7 --max-trials 100000",
      ["audit", "--runs", "20", "--seed", "7", "--max-trials", "100000"], 0),
@@ -125,6 +129,14 @@ CLI_COMMANDS = (
     ("match --epsilon nan", ["match", "--epsilon", "nan"], 1),
     ("bounds --epsilon 1.5", ["bounds", "--epsilon", "1.5"], 1),
 )
+
+# Rows whose command runs pinned to one CPU, each with the row run on every
+# CPU whose bytes it must repeat.
+ONE_CPU = {"audit --runs 1000 --seed 7, one CPU": "audit --runs 1000 --seed 7"}
+
+
+def _pin_to_one_cpu() -> None:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 def _git(*args: str) -> str:
@@ -279,11 +291,12 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def time_cli(checkout: Path, argv: list[str], tmp: Path, expected: int) -> dict:
-    """Run one CLI command in a fresh interpreter: wall time, CPU time (user
-    plus system, reaped children included), peak RSS, exit code and the
-    SHA-256 of stdout, of stderr and of every file it wrote into tmp. An exit
-    code other than expected stops the script."""
+def time_cli(checkout: Path, argv: list[str], tmp: Path, expected: int,
+             one_cpu: bool = False) -> dict:
+    """Run one CLI command in a fresh interpreter, on one CPU if one_cpu: wall
+    time, CPU time (user plus system, reaped children included), peak RSS,
+    exit code and the SHA-256 of stdout, of stderr and of every file it wrote
+    into tmp. An exit code other than expected stops the script."""
     tmp.mkdir(parents=True)
     try:
         argv = [a.replace("{tmp}", str(tmp)) for a in argv]
@@ -291,7 +304,8 @@ def time_cli(checkout: Path, argv: list[str], tmp: Path, expected: int) -> dict:
         with open(tmp / "stdout", "wb") as out, open(tmp / "stderr", "wb") as err:
             t0 = time.perf_counter()
             proc = subprocess.Popen([sys.executable, "-m", "pwlearn.cli", *argv],
-                                    cwd=checkout, env=env, stdout=out, stderr=err)
+                                    cwd=checkout, env=env, stdout=out, stderr=err,
+                                    preexec_fn=_pin_to_one_cpu if one_cpu else None)
             _, status, usage = os.wait4(proc.pid, 0)
             wall = time.perf_counter() - t0
             proc.returncode = os.waitstatus_to_exitcode(status)
@@ -328,10 +342,11 @@ sys.exit(code)
 """
 
 
-def traced_peak(checkout: Path, argv: list[str], tmp: Path, expected: int) -> int:
+def traced_peak(checkout: Path, argv: list[str], tmp: Path, expected: int,
+                one_cpu: bool = False) -> int:
     """One untimed run of a CLI command in a fresh interpreter under
-    tracemalloc: its traced peak in bytes. An exit code other than expected
-    stops the script."""
+    tracemalloc, on one CPU if one_cpu: its traced peak in bytes. An exit code
+    other than expected stops the script."""
     tmp.mkdir(parents=True)
     try:
         argv = [a.replace("{tmp}", str(tmp)) for a in argv]
@@ -339,7 +354,8 @@ def traced_peak(checkout: Path, argv: list[str], tmp: Path, expected: int) -> in
         peak = tmp / "traced_peak"
         proc = subprocess.run([sys.executable, "-c", _TRACED_CLI, str(peak), *argv],
                               cwd=checkout, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True)
+                              stderr=subprocess.PIPE, text=True,
+                              preexec_fn=_pin_to_one_cpu if one_cpu else None)
         if proc.returncode != expected:
             sys.exit(f"bench_pairs: traced pwlearn {' '.join(argv)} in {checkout} exited "
                      f"{proc.returncode}, expected {expected}:\n{proc.stderr[-2000:]}")
@@ -392,8 +408,8 @@ def main(argv=None) -> int:
             runs = {"parent": [], "change": []}
             for k in range(CLI_RUNS):
                 for side, checkout in _sides(parent, k):
-                    runs[side].append(
-                        time_cli(checkout, cli_argv, TMP / f"cli-{os.getpid()}", expected))
+                    runs[side].append(time_cli(checkout, cli_argv, TMP / f"cli-{os.getpid()}",
+                                               expected, name in ONE_CPU))
             sides = cli[name] = {
                 side: {key: statistics.median(r[key] for r in rs)
                        for key in ("wall_s", "cpu_s", "peak_rss_mb")} | {"runs": rs}
@@ -401,7 +417,7 @@ def main(argv=None) -> int:
             }
             for side, checkout in _sides(parent, 0):
                 sides[side]["traced_peak_bytes"] = traced_peak(
-                    checkout, cli_argv, TMP / f"cli-{os.getpid()}", expected)
+                    checkout, cli_argv, TMP / f"cli-{os.getpid()}", expected, name in ONE_CPU)
             digests = [r["sha256"] for rs in runs.values() for r in rs]
             sides["same_bytes"] = all(d == digests[0] for d in digests)
             print(f"{name}: median parent {sides['parent']['wall_s']:.2f} s, "
@@ -413,6 +429,10 @@ def main(argv=None) -> int:
                   f"{sides['change']['peak_rss_mb']:.1f} MB RSS, "
                   f"{sides['change']['traced_peak_bytes']:,} B traced; same bytes "
                   f"{sides['same_bytes']}", file=sys.stderr)
+        for name, twin in ONE_CPU.items():
+            cli[name]["same_bytes_as"] = {twin: cli[name]["same_bytes"] and cli[twin]["same_bytes"]
+                                          and cli[name]["change"]["runs"][0]["sha256"]
+                                          == cli[twin]["change"]["runs"][0]["sha256"]}
         tier1 = report["tier1"] = {}
         for side, checkout in (("parent", parent), ("change", ROOT)):
             tier1[side] = time_tier1(checkout)

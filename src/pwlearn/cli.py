@@ -19,7 +19,7 @@ from typing import Optional
 from . import pwl
 from .adversary import AdversaryConfig, run_match
 from .bounds import BOUNDS_CSV_HEADER, MAX_PARTIAL_STAGES, bound_report
-from .errors import AuditFailure, DomainError, Error, InequalityViolation, _check_int
+from .errors import AuditFailure, DomainError, Error, InequalityViolation, _check_int, _check_real
 from .harness import (
     ExperimentConfig,
     parse_epsilon_grid,
@@ -104,16 +104,19 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _config_value(action: argparse.Action, key: str, value):
-    """The value, checked against its flag: int takes only ints, float takes ints
-    and floats, untyped flags take strings (bools pass none); then the choices."""
-    kind = action.type or str
-    if not (type(value) is kind or (kind is float and type(value) is int)):
-        raise DomainError(f"config key {key!r} must be a {kind.__name__}, got {value!r}")
+    """The value, checked against its flag: an int flag takes an integer, a float
+    flag a finite real number, an untyped flag a string (bools pass none); then
+    the choices."""
+    name = f"config key {key!r}"
+    if action.type is float:
+        value = _check_real(name, value)
+    elif action.type is int:
+        value = _check_int(name, value, -math.inf)
+    elif type(value) is not str:
+        raise DomainError(f"{name} must be a str, got {value!r}")
     if action.choices is not None and value not in action.choices:
-        raise DomainError(
-            f"config key {key!r} must be one of {list(action.choices)}, got {value!r}"
-        )
-    return kind(value)
+        raise DomainError(f"{name} must be one of {list(action.choices)}, got {value!r}")
+    return value
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:

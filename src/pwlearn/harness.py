@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import closing
 from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import IO, Iterable, Iterator
 
@@ -19,7 +20,8 @@ from .adversary import _DESK_SCALE, MAX_STAGES, AdversaryConfig, _check_epsilon,
 from .bounds import kl_d_bound
 from .errors import AuditFailure, DegenerateInput, DomainError, _check_int, _check_real
 from .learner import (
-    LinintLearner, LossAccount, _repeats, kl_invariants, make_learner, run_trials, write_csv,
+    LinintLearner, LossAccount, _dealt, _repeats, kl_invariants, make_learner, run_trials,
+    write_csv,
 )
 
 __all__ = [
@@ -242,28 +244,31 @@ def run_invariant_audit(config: ExperimentConfig) -> AuditReport:
         return report
     violations: list[str] = []
     # Spawning one child a run gives the children spawn(config.runs) would,
-    # without holding them all.
+    # without holding them all; with two CPUs a helper plays every other run.
     seeds = np.random.SeedSequence(config.seed)
-    for k in range(config.runs):
-        account, e2d, d_sums, first_x = audit_trace_run(
-            np.random.default_rng(seeds.spawn(1)[0]), config.max_trials
-        )
-        report.trials_total += account.trials
-        report.worst_p2_loss = max(report.worst_p2_loss, account.total)
-        if account.total > 1.0 + E2D_TOL:
-            violations.append(
-                f"run {k}: squared loss {account.total!r} exceeds 1 "
-                f"(first x={first_x!r})"
-            )
-        for r, d_sum in d_sums.items():
-            report.d_sums[r] = max(report.d_sums[r], d_sum)
-            if d_sum > report.d_bounds[r] + D_SUM_TOL:
+    runs = _dealt(
+        (seeds.spawn(1)[0] for _ in range(config.runs)),
+        config.runs,
+        lambda seed: audit_trace_run(np.random.default_rng(seed), config.max_trials),
+    )
+    with closing(runs):
+        for k, (account, e2d, d_sums, first_x) in enumerate(runs):
+            report.trials_total += account.trials
+            report.worst_p2_loss = max(report.worst_p2_loss, account.total)
+            if account.total > 1.0 + E2D_TOL:
                 violations.append(
-                    f"run {k}: sum d^{r} = {d_sum!r} exceeds {report.d_bounds[r]!r}"
+                    f"run {k}: squared loss {account.total!r} exceeds 1 "
+                    f"(first x={first_x!r})"
                 )
-        report.worst_e2_over_d = max(report.worst_e2_over_d, e2d)
-        if e2d > 1.0 + E2D_TOL:
-            violations.append(f"run {k}: sum e^2/d = {e2d!r} exceeds 1")
+            for r, d_sum in d_sums.items():
+                report.d_sums[r] = max(report.d_sums[r], d_sum)
+                if d_sum > report.d_bounds[r] + D_SUM_TOL:
+                    violations.append(
+                        f"run {k}: sum d^{r} = {d_sum!r} exceeds {report.d_bounds[r]!r}"
+                    )
+            report.worst_e2_over_d = max(report.worst_e2_over_d, e2d)
+            if e2d > 1.0 + E2D_TOL:
+                violations.append(f"run {k}: sum e^2/d = {e2d!r} exceeds 1")
 
     report.adversary_epsilons = list(DEFAULT_AUDIT_EPSILONS)
     # Scratch-recomputing the probe energy every trial is O(n) per trial, so

@@ -15,19 +15,22 @@ offline path must match bit for bit. The adversary's stage-at-a-time play
 takes its predictions from _midpoint_predictions; _fresh is the one rule for
 which learners either offline path may stand in for.
 
-write_trace_csv formats 4,096-row chunks; with fork and two CPUs a forked
-helper formats every other one (walking all, for the same cum_loss carry) and
-pipes its text back, and this process writes all in order: one process's bytes.
+_dealt works an iterator's items on two CPUs: with fork, a forked helper works
+every other item (walking all, so both carry the same state) and pipes each
+result back, and the caller gets every result in item order, as one process
+would give them. write_trace_csv deals it the trace's 4,096-row chunks and
+harness.run_invariant_audit its trace runs.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, fields
 from itertools import chain, islice
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 from sortedcontainers import SortedList
@@ -515,11 +518,16 @@ def write_trace_csv(trace: Trace, out: str | os.PathLike | IO[str]) -> None:
     CSV, one block per chunk of rows; trial 0 leaves uncharged fields empty.
     With fork and two CPUs, two chunks or more are formatted by two processes."""
     blocks = _trace_blocks(trace)
-    cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
-    if len(trace) > _CSV_CHUNK + 1 and hasattr(os, "fork") and len(cpus) >= 2:
-        with closing(_dealt_texts(blocks)) as texts:
-            return _write_texts(out, TRACE_HEADER, texts)
-    write_csv(out, TRACE_HEADER, blocks)
+    # Each chunk's texts come one-shot, so none is held once written: not
+    # while the block is flushed, nor while the next chunk is made.
+    first = [iter([_block_text(columns)]) for columns in islice(blocks, 1)]  # trial 0's row
+    chunks = _dealt(blocks, len(range(1, len(trace), _CSV_CHUNK)),
+                    lambda columns: iter([_block_text(columns)]),
+                    lambda texts: next(texts).encode("ascii"),
+                    lambda pieces: (piece.decode("ascii") for piece in pieces))
+    with closing(chunks):
+        texts = (t for chunk in chain(first, chunks) for t in chain(chunk, [None]))
+        _write_texts(out, TRACE_HEADER, texts)
 
 
 def _trace_blocks(trace: Trace) -> Iterator[tuple]:
@@ -539,33 +547,48 @@ def _trace_blocks(trace: Trace) -> Iterator[tuple]:
         yield (range(start, stop), *columns, cums[1:])
 
 
-def _dealt_texts(blocks: Iterator[tuple]) -> Iterator[str | None]:
-    """_write_texts' texts of the trace blocks, chunks 1, 3, 5, ... from a forked
-    helper; closing it closes the pipe (EPIPE ends the helper) and reaps it."""
-    yield from (_block_text(next(blocks)), None)
+def _dealt(items: Iterator, count: int, work: Callable, dump: Callable = pickle.dumps,
+           load: Callable = lambda pieces: pickle.loads(b"".join(pieces))) -> Iterator:
+    """work(item) for each of the count items, in item order. With fork and two
+    CPUs, and two items or more, a forked helper walks every item (so both
+    carry the same state) and works items 1, 3, 5, ...: it sends each result
+    as dump(result), length first, and this process hands its bytes to load
+    64 KB at a time, which must read them before the next result is asked for.
+    An exception the helper's work raises is pickled back and raised here at
+    its item's turn. Closing the iterator closes the pipe (EPIPE ends the
+    helper) and reaps it."""
+    cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
+    if count < 2 or not hasattr(os, "fork") or len(cpus) < 2:
+        yield from map(work, items)
+        return
     read_fd, write_fd = os.pipe()
     with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
         pid = os.fork()
         if not pid:  # the helper: it leaves only through os._exit, also on error
             try:
                 pipe.close()
-                for columns in islice(blocks, 1, None, 2):
-                    text = _block_text(columns).encode("ascii")
-                    sink.write(len(text).to_bytes(8, "little") + text)
+                for item in islice(items, 1, None, 2):
+                    try:
+                        data, sign = dump(work(item)), 1
+                    except Exception as exc:  # sent on, for the parent to raise
+                        data, sign = pickle.dumps(exc), -1
+                    sink.write((sign * len(data)).to_bytes(8, "little", signed=True) + data)
                     sink.flush()
+                    if sign < 0:
+                        break
                 os._exit(0)
             finally:
                 os._exit(1)
         sink.close()
         try:
-            for i, columns in enumerate(blocks):
+            for i, item in enumerate(items):
                 if i % 2 == 0:
-                    yield _block_text(columns)
-                else:  # 64 KB at a time: a chunk's bytes and text are never held whole
-                    size = int.from_bytes(_read(pipe, 8), "little")
-                    for start in range(0, size, 1 << 16):
-                        yield _read(pipe, min(size - start, 1 << 16)).decode("ascii")
-                yield None
+                    yield work(item)
+                    continue
+                size = int.from_bytes(_read(pipe, 8), "little", signed=True)
+                if size < 0:
+                    raise pickle.loads(_read(pipe, -size))
+                yield load(_read(pipe, min(size - s, 1 << 16)) for s in range(0, size, 1 << 16))
         finally:
             pipe.close()
             os.waitpid(pid, 0)

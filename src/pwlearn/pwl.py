@@ -277,18 +277,10 @@ def function_from_json(text: str) -> PiecewiseLinearFunction:
     if not isinstance(entries, list):
         raise DomainError('"knots" must be a list of [u, v] pairs')
     pairs = []
-    for entry in entries:
-        ok = (
-            isinstance(entry, (list, tuple))
-            and len(entry) == 2
-            and all(
-                isinstance(c, (int, float)) and not isinstance(c, bool)
-                for c in entry
-            )
-        )
-        if not ok:
+    for k, entry in enumerate(entries):
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise DomainError(f"bad knot entry {entry!r}; expected [u, v] numbers")
-        pairs.append((float(entry[0]), float(entry[1])))
+        pairs.append([_check_real(f"knot {k} {c}", v) for c, v in zip(("u", "v"), entry)])
     return from_points(pairs)
 
 

@@ -231,6 +231,48 @@ class TestConfigFile:
             assert "config JSON" in err
 
 
+# JSON numbers no double holds, non-finite ones and non-numbers. A JSON integer
+# of 401 digits once ended in an OverflowError traceback.
+HOSTILE_NUMBERS = ["1" + "0" * 400, "NaN", "Infinity", "-Infinity", "1e400", "true", "null",
+                   "[[0.5]]"]
+
+
+@pytest.mark.parametrize("value", HOSTILE_NUMBERS)
+@pytest.mark.parametrize("key", ["epsilon", "stages"])
+def test_a_hostile_config_value_exits_one_with_one_line(key, value, tmp_path, capsys):
+    code, out, err = config_run(tmp_path, capsys, f'{{"{key}": {value}}}',
+                                ["match", "--epsilon", "0.1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and key in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", HOSTILE_NUMBERS)
+@pytest.mark.parametrize("knot", ["[{}, 0]", "[1, {}]"])
+def test_a_hostile_knot_number_exits_one_with_one_line(knot, value, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(f'{{"knots": [[0, 0], {knot.format(value)}]}}')
+    assert run_cli(["eval", "--function", str(path), "--x", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: knot 1 ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_refusals_of_numbers_past_the_largest_double_name_where_they_are(tmp_path, capsys):
+    big = HOSTILE_NUMBERS[0]
+    code, _, err = config_run(tmp_path, capsys, f'{{"epsilon": {big}}}',
+                              ["match", "--epsilon", "0.1"])
+    assert code == 1
+    assert err == "error: config key 'epsilon' must fit in a double, got a number past ±1.8e308\n"
+    path = tmp_path / "f.json"
+    path.write_text(f'{{"knots": [[0, 0], [1, {big}]]}}')
+    assert run_cli(["eval", "--function", str(path), "--x", "0.5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: knot 1 v must fit in a double, got a number past ±1.8e308\n"
+    )
+
+
 class TestSweep:
     def test_stdout_table(self, capsys):
         code = run_cli(["sweep", "--epsilons", "0.3,0.2", "--stages", "4"])
@@ -525,7 +567,8 @@ class TestEval:
         path = tmp_path / "f.json"
         path.write_text(f'{{"knots": [[0.0, 0.0], [0.5, {text}], [1.0, 0.0]]}}')
         assert run_cli(["eval", "--function", str(path), "--x", "0.25"]) == 1
-        assert "not finite" in capsys.readouterr().err
+        value = float(text)
+        assert capsys.readouterr().err == f"error: knot 1 v must lie in (-inf, inf), got {value!r}\n"
 
     def test_overflowing_rise_exits_one_with_one_line(self, tmp_path, capsys):
         path = tmp_path / "f.json"

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from pwlearn import (
     sample_target,
     upper_bound_linint,
 )
-from pwlearn import harness
+from pwlearn import cli, harness
 from pwlearn.harness import write_sweep_csv, SWEEP_CSV_HEADER
 
 
@@ -374,3 +375,123 @@ class TestAuditFailures:
                      *[["stage", str(i)] for i in range(1, AUDIT["stages"] + 1)],
                      ["loss", "-1.0"]]
         assert kinds == per_run * AUDIT["runs"] + per_match * len(MATCHES)
+
+
+def _run_index(rng):
+    # A trace run's generator comes from the k-th child of the audit's seed.
+    return rng.bit_generator.seed_seq.spawn_key[-1]
+
+
+def _patch_runs(monkeypatch, change):
+    """Make harness.audit_trace_run call change(k, result) on run k's result."""
+    real = harness.audit_trace_run
+    monkeypatch.setattr(harness, "audit_trace_run",
+                        lambda rng, max_trials: change(_run_index(rng), real(rng, max_trials)))
+
+
+# Two CPUs (a helper plays the odd runs), one CPU and no fork (one process).
+PATHS = {"two CPUs": ({0, 1}, True), "one CPU": ({0}, True), "no fork": ({0, 1}, False)}
+SMALL_AUDIT = ["audit", "--seed", "5", "--stages", "3", "--max-trials", "60"]
+SMALL_CONFIG = {"seed": 5, "stages": 3, "max_trials": 60}
+
+
+def _take_path(monkeypatch, path, forks):
+    cpus, has_fork = PATHS[path]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    if has_fork:
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    else:
+        monkeypatch.delattr(os, "fork")
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the audit's helper is forked")
+class TestAuditDealer:
+    """run_invariant_audit with its trace runs dealt to a forked helper."""
+
+    @pytest.mark.parametrize("runs", [0, 1, 2, 3, 7])
+    def test_every_path_gives_the_same_report_and_stdout(self, runs, monkeypatch, capsys):
+        seen = {}
+        for path in PATHS:
+            forks = []
+            with monkeypatch.context() as m:
+                _take_path(m, path, forks)
+                report = run_invariant_audit(ExperimentConfig(runs=runs, **SMALL_CONFIG))
+                assert cli.main([*SMALL_AUDIT, "--runs", str(runs)]) == 0
+            assert len(forks) == (2 if path == "two CPUs" and runs >= 2 else 0)
+            seen[path] = report, capsys.readouterr()
+            _no_child_left()
+        (report, out), *others = seen.values()
+        assert all(o == (report, out) for o in others)
+        assert report.runs == runs and out.err == ""
+        assert json.loads(out.out) == json.loads(json.dumps(report.to_json_dict()))
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_violations_of_an_even_and_an_odd_run_come_out_in_run_order(
+        self, path, monkeypatch, capsys
+    ):
+        def over_one(k, result):
+            account, e2d, d_sums, first_x = result
+            return (replace(account, total=2.0), e2d, d_sums, first_x) if k in (2, 5) else result
+
+        _patch_runs(monkeypatch, over_one)
+        _take_path(monkeypatch, path, [])
+        assert cli.main([*SMALL_AUDIT, "--runs", "7"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and lines[0] == "invariant audit failed:"
+        assert [line.split(": ")[0] for line in lines[1:]] == ["run 2", "run 5"]
+        assert all(": squared loss 2.0 exceeds 1 (first x=" in line for line in lines[1:])
+        _no_child_left()
+
+    def test_a_helper_that_dies_raises_and_the_cli_exits_three(self, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def dies(k, result):
+            if os.getpid() != parent and k == 3:
+                os._exit(1)
+            return result
+
+        _patch_runs(monkeypatch, dies)
+        _take_path(monkeypatch, "two CPUs", [])
+        with pytest.raises(OSError, match="helper process ended early"):
+            run_invariant_audit(ExperimentConfig(runs=7, **SMALL_CONFIG))
+        _no_child_left()
+        assert cli.main([*SMALL_AUDIT, "--runs", "7"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "i/o error: the trace helper process ended early\n"
+        _no_child_left()
+
+    # Run 3 is the helper's, run 2 this process's own.
+    @pytest.mark.parametrize("bad_run", [3, 2])
+    def test_a_refused_run_raises_its_error_here(self, bad_run, monkeypatch):
+        def refused(k, result):
+            if k == bad_run:
+                raise DomainError(f"run {k} refused in process {os.getpid()}")
+            return result
+
+        _patch_runs(monkeypatch, refused)
+        forks = []
+        _take_path(monkeypatch, "two CPUs", forks)
+        with pytest.raises(DomainError) as info:
+            run_invariant_audit(ExperimentConfig(runs=7, **SMALL_CONFIG))
+        assert type(info.value) is DomainError and len(forks) == 1
+        raised_in = int(str(info.value).rsplit(" ", 1)[1])
+        assert str(info.value) == f"run {bad_run} refused in process {raised_in}"
+        assert (raised_in == os.getpid()) == (bad_run % 2 == 0)
+        _no_child_left()
+
+    def test_an_error_while_folding_the_runs_reaps_the_helper(self, monkeypatch):
+        monkeypatch.setattr(harness, "E2D_TOL", None)  # 1.0 + None raises in the fold
+        _take_path(monkeypatch, "two CPUs", [])
+        with pytest.raises(TypeError) as info:
+            run_invariant_audit(ExperimentConfig(runs=7, **SMALL_CONFIG))
+        # Reaped while the error still holds the audit's frame and its iterator.
+        assert info.tb is not None
+        _no_child_left()
