@@ -120,11 +120,8 @@ def _config_value(action: argparse.Action, key: str, value):
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"invalid config JSON: {exc}") from exc
+    with open(args.config, "rb") as fh:
+        doc = pwl._parse_json("config", fh.read())
     if not isinstance(doc, dict):
         raise DomainError("config JSON must be an object")
     for key, value in doc.items():

@@ -17,9 +17,9 @@ which learners either offline path may stand in for.
 
 _dealt works an iterator's items on two CPUs: with fork, a forked helper works
 every other item (walking all, so both carry the same state) and pipes each
-result back, and the caller gets every result in item order, as one process
-would give them. write_trace_csv deals it the trace's 4,096-row chunks and
-harness.run_invariant_audit its trace runs.
+result back as one pickle, and the caller gets every result in item order, as
+one process would give them. write_trace_csv deals it the trace's 4,096-row
+chunks and harness.run_invariant_audit its trace runs.
 """
 
 from __future__ import annotations
@@ -494,17 +494,16 @@ def write_csv(out: str | os.PathLike | IO[str], header, blocks, end: str = "\r\n
     through one row template, flushing after the header and after each block.
     Floats are written %.17g, ints and text as str gives them (a numpy column
     as its .tolist()), and no field is quoted, which no number needs."""
-    _write_texts(out, header, (t for c in blocks for t in (_block_text(c, end), None)), end)
+    _write_texts(out, header, (_block_text(c, end) for c in blocks), end)
 
 
-def _write_texts(out, header, texts: Iterator[str | None], end: str = "\r\n") -> None:
-    """write_csv's writer: the header, then each text; a None ends a block."""
+def _write_texts(out, header, texts: Iterator[str], end: str = "\r\n") -> None:
+    """write_csv's writer: the header, then each text, flushing after each."""
     with open_out(out) as fh:
-        for text in chain([",".join(header) + end, None], texts):
-            if text is None:
-                fh.flush()
-            else:
-                fh.write(text)
+        for text in chain([",".join(header) + end], texts):
+            fh.write(text)
+            fh.flush()
+            del text  # before the next is asked for: never two chunk texts at once
 
 
 def _block_text(columns, end: str = "\r\n") -> str:
@@ -518,16 +517,10 @@ def write_trace_csv(trace: Trace, out: str | os.PathLike | IO[str]) -> None:
     CSV, one block per chunk of rows; trial 0 leaves uncharged fields empty.
     With fork and two CPUs, two chunks or more are formatted by two processes."""
     blocks = _trace_blocks(trace)
-    # Each chunk's texts come one-shot, so none is held once written: not
-    # while the block is flushed, nor while the next chunk is made.
-    first = [iter([_block_text(columns)]) for columns in islice(blocks, 1)]  # trial 0's row
-    chunks = _dealt(blocks, len(range(1, len(trace), _CSV_CHUNK)),
-                    lambda columns: iter([_block_text(columns)]),
-                    lambda texts: next(texts).encode("ascii"),
-                    lambda pieces: (piece.decode("ascii") for piece in pieces))
+    first = [_block_text(columns) for columns in islice(blocks, 1)]  # trial 0's row
+    chunks = _dealt(blocks, len(range(1, len(trace), _CSV_CHUNK)), _block_text)
     with closing(chunks):
-        texts = (t for chunk in chain(first, chunks) for t in chain(chunk, [None]))
-        _write_texts(out, TRACE_HEADER, texts)
+        _write_texts(out, TRACE_HEADER, chain(first, chunks))
 
 
 def _trace_blocks(trace: Trace) -> Iterator[tuple]:
@@ -547,16 +540,14 @@ def _trace_blocks(trace: Trace) -> Iterator[tuple]:
         yield (range(start, stop), *columns, cums[1:])
 
 
-def _dealt(items: Iterator, count: int, work: Callable, dump: Callable = pickle.dumps,
-           load: Callable = lambda pieces: pickle.loads(b"".join(pieces))) -> Iterator:
+def _dealt(items: Iterator, count: int, work: Callable) -> Iterator:
     """work(item) for each of the count items, in item order. With fork and two
     CPUs, and two items or more, a forked helper walks every item (so both
     carry the same state) and works items 1, 3, 5, ...: it sends each result
-    as dump(result), length first, and this process hands its bytes to load
-    64 KB at a time, which must read them before the next result is asked for.
-    An exception the helper's work raises is pickled back and raised here at
-    its item's turn. Closing the iterator closes the pipe (EPIPE ends the
-    helper) and reaps it."""
+    pickled, length first, and this process reads each pickle whole and loads
+    it at its item's turn. An exception the helper's work raises is sent the
+    same way with a negative length, and raised here at its item's turn.
+    Closing the iterator closes the pipe (EPIPE ends the helper) and reaps it."""
     cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
     if count < 2 or not hasattr(os, "fork") or len(cpus) < 2:
         yield from map(work, items)
@@ -569,7 +560,7 @@ def _dealt(items: Iterator, count: int, work: Callable, dump: Callable = pickle.
                 pipe.close()
                 for item in islice(items, 1, None, 2):
                     try:
-                        data, sign = dump(work(item)), 1
+                        data, sign = pickle.dumps(work(item)), 1
                     except Exception as exc:  # sent on, for the parent to raise
                         data, sign = pickle.dumps(exc), -1
                     sink.write((sign * len(data)).to_bytes(8, "little", signed=True) + data)
@@ -588,7 +579,7 @@ def _dealt(items: Iterator, count: int, work: Callable, dump: Callable = pickle.
                 size = int.from_bytes(_read(pipe, 8), "little", signed=True)
                 if size < 0:
                     raise pickle.loads(_read(pipe, -size))
-                yield load(_read(pipe, min(size - s, 1 << 16)) for s in range(0, size, 1 << 16))
+                yield pickle.loads(_read(pipe, size))
         finally:
             pipe.close()
             os.waitpid(pid, 0)

@@ -265,12 +265,20 @@ def function_to_json(f: PiecewiseLinearFunction) -> str:
     return json.dumps({"knots": [[u, v] for u, v in zip(f.us, f.vs)]})
 
 
-def function_from_json(text: str) -> PiecewiseLinearFunction:
-    """Parse {"knots": [[u, v], ...]}; construction rules match from_points."""
+def _parse_json(what: str, data: bytes | str):
+    """A file's bytes, which must be UTF-8, or text, as JSON. Bytes that are not
+    UTF-8, text that is not JSON, nesting too deep to parse and an integer of
+    too many digits to convert all raise DomainError "invalid {what} JSON: ..."."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid function JSON: {exc}") from exc
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # a UnicodeDecodeError is a ValueError
+        raise DomainError(f"invalid {what} JSON: {exc}") from exc
+
+
+def function_from_json(text: str | bytes) -> PiecewiseLinearFunction:
+    """Parse {"knots": [[u, v], ...]} from text or UTF-8 bytes; construction
+    rules match from_points."""
+    doc = _parse_json("function", text)
     if not isinstance(doc, dict) or "knots" not in doc:
         raise DomainError('function JSON must be an object with a "knots" list')
     entries = doc["knots"]
@@ -285,5 +293,5 @@ def function_from_json(text: str) -> PiecewiseLinearFunction:
 
 
 def load_function(path: str | os.PathLike) -> PiecewiseLinearFunction:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return function_from_json(fh.read())

@@ -1,9 +1,12 @@
+import io
 import json
 import math
 import os
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pwlearn import (
     DomainError,
@@ -271,6 +274,124 @@ def test_refusals_of_numbers_past_the_largest_double_name_where_they_are(tmp_pat
     assert capsys.readouterr().err == (
         "error: knot 1 v must fit in a double, got a number past ±1.8e308\n"
     )
+
+
+# Files json cannot read: bytes that are not UTF-8, nesting deeper than the
+# parser recurses, and an integer of more digits than int() converts.
+JSON_FAULTS = {
+    "not-utf-8": b"\xff\xfe{}",
+    "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
+    "integer-of-5000-digits": b'{"knots": [[0, ' + b"1" * 5000 + b"]]}",
+}
+
+
+@pytest.mark.parametrize("fault", JSON_FAULTS)
+@pytest.mark.parametrize("kind", ["config", "function"])
+def test_a_file_json_cannot_read_exits_one_with_one_line(kind, fault, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_bytes(JSON_FAULTS[fault])
+    argv = ["eval", "--function", str(path), "--x", "0.5"]
+    if kind == "config":
+        argv = ["match", "--epsilon", "0.1", "--stages", "3", "--config", str(path)]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: invalid {kind} JSON: ")
+    assert captured.err.count("\n") == 1
+
+
+# Parts for argv and for the JSON of config and function files. Every valid
+# count is at most 6 (a budget: stages, runs), so no case runs long.
+BIG = "1" + "0" * 400
+
+
+def _part(valid, hostile):
+    """valid three draws in four, hostile the fourth (a list is sampled from), so
+    a case with several flags still often gets through."""
+    valid, hostile = (st.sampled_from(p) if isinstance(p, list) else p for p in (valid, hostile))
+    return st.integers(0, 3).flatmap(lambda k: valid if k else hostile)
+
+
+REAL = _part(["0.1", "0.25", "0.5"], ["nan", "inf", "-inf", "1e400", "-0.0", "0", "1.5", "-1",
+                                      "5e-324", BIG, "true", "null", "[[0.5]]", "text", ""])
+COUNT = _part(["1", "2", "3", "6"], ["-1", "0", "2.5", "1e400", "nan", "null", "text", ""])
+GRID = _part(["0.1", "0.1,0.25", "log:0.1:0.2:3"],
+             ["nan,0.1", "inf", "-0.0", "1e400", "0.1,text", ",", "[[0.5]]", "log:nan:0.2:2",
+              "log:0.1:inf:2", "log:0.1:0.2:-1", "log:0.1:0.2:" + BIG, "log:1e400:0.2:2",
+              "log:0.1", "log:0.1:0.2:2.5", ""])
+OUT = _part(["out.csv", ""], [".", "missing/out.csv"])
+LEARNER = _part(["linint", "zero", "nearest"], ["ridge", "null", ""])
+HOSTILE_JSON = ["NaN", "Infinity", "-Infinity", "1e400", "-0.0", "0", "-1", "2.5", "5e-324",
+                "true", "false", "null", "[[0.5]]", "[]", "{}", '"text"', '""']
+JSON_VALUE = _part(["0.1", "0.25", "2", "3", '"zero"', '"0.1,0.25"', '"out.csv"'], HOSTILE_JSON)
+# Each subcommand's flags: (flag, argv value, given every time). A required
+# flag is given every time, and so is a count whose default would run long
+# (stages 14, runs 1000).
+CLI_FLAGS = {
+    "match": [("--learner", LEARNER, False), ("--epsilon", REAL, True),
+              ("--stages", COUNT | st.just(BIG), True), ("--out", OUT, False)],
+    "sweep": [("--learner", LEARNER, False), ("--epsilons", GRID, False),
+              ("--epsilon-grid", GRID, False), ("--stages", COUNT | st.just(BIG), True),
+              ("--out", OUT, False)],
+    "bounds": [("--epsilon", REAL, False), ("--epsilons", GRID, False),
+               ("--epsilon-grid", GRID, False), ("--partial-stages", COUNT | st.just(BIG), False),
+               ("--out", OUT, False)],
+    "audit": [("--runs", COUNT, True), ("--seed", COUNT | st.just(BIG), False),
+              ("--stages", COUNT | st.just(BIG), True),
+              ("--max-trials", COUNT | st.just(BIG), False), ("--out", OUT, False)],
+    "eval": [("--function", _part(["f.json"], ["missing.json", "."]), True), ("--x", REAL, True)],
+}
+
+
+def _json_files(pairs):
+    """A file's bytes: a JSON object of (key, value text) pairs drawn from
+    pairs, a document that is no object, or a fault."""
+    objects = st.lists(pairs, max_size=4).map(
+        lambda kv: "{" + ", ".join(f'"{k}": {v}' for k, v in kv) + "}")
+    return _part(objects.map(str.encode),
+                 JSON_VALUE.map(str.encode) | st.sampled_from(list(JSON_FAULTS.values())))
+
+
+@st.composite
+def _cli_cases(draw):
+    """argv for one subcommand, its config file's bytes (or None) and a function
+    file's bytes."""
+    command = draw(st.sampled_from(sorted(CLI_FLAGS)))
+    argv = [command]
+    for flag, value, always in CLI_FLAGS[command]:
+        if always or draw(st.booleans()):
+            argv += [flag, draw(value)]
+    keys = [flag[2:] for flag, _, _ in CLI_FLAGS[command]] + ["max_trials", "frobnicate"]
+    # A config's runs is a budget too: no 400-digit count there.
+    value_of = {k: JSON_VALUE if k == "runs" else JSON_VALUE | st.just(BIG) for k in keys}
+    config = draw(st.none() | _json_files(st.sampled_from(keys).flatmap(
+        lambda k: st.tuples(st.just(k), value_of[k]))))
+    number = _part(["0", "0.5", "1", "-2"], HOSTILE_JSON + [BIG])
+    knot = st.lists(number, min_size=2, max_size=2).map(lambda uv: f"[{uv[0]}, {uv[1]}]")
+    knots = st.lists(knot | JSON_VALUE, max_size=4).map(lambda k: f"[{', '.join(k)}]")
+    function = draw(_json_files(st.tuples(_part(["knots"], ["text"]), knots | JSON_VALUE)))
+    return argv, config, function
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_cli_cases())
+def test_hostile_input_to_any_subcommand_exits_with_a_code_and_no_traceback(
+    case, tmp_path, monkeypatch
+):
+    argv, config, function = case
+    monkeypatch.chdir(tmp_path)  # every path the case names is relative
+    (tmp_path / "f.json").write_bytes(function)
+    if config is not None:
+        (tmp_path / "cfg.json").write_bytes(config)
+        argv = argv + ["--config", "cfg.json"]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's refusals
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestSweep:

@@ -808,8 +808,9 @@ class TestTraceHelper:
         result = run_match(make_learner("nearest"), AdversaryConfig(0.1, stages))
         _assert_dealt_like_one_process(result.records, tmp_path, monkeypatch)
 
-    # Writes: the header, trial 0, chunk 0, then chunk 1 in 64 KB pieces.
-    @pytest.mark.parametrize("writes", [2, 3, 5, 40])
+    # Writes: the header, trial 0, then chunks 0 to 7, one write each; 9
+    # fails on chunk 7, the helper's last.
+    @pytest.mark.parametrize("writes", [2, 3, 5, 9])
     def test_a_failed_write_raises_and_leaves_no_child(self, writes, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         result = run_match(make_learner("linint"), AdversaryConfig(0.1, 15))
@@ -817,6 +818,27 @@ class TestTraceHelper:
         with pytest.raises(OSError, match="disk full"):
             write_trace_csv(result.records, out)
         assert out.writes == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_helper_that_raises_relays_its_error_after_the_rows_before(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        parent, block_text = os.getpid(), learner_module._block_text
+
+        def failing_block_text(columns):
+            if os.getpid() != parent:
+                raise ValueError("no text for this chunk")
+            return block_text(columns)
+
+        monkeypatch.setattr(learner_module, "_block_text", failing_block_text)
+        result = run_match(make_learner("linint"), AdversaryConfig(0.1, 14))
+        want = io.StringIO()
+        csv_writer_trace(result.records, want)
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="no text for this chunk"):
+            write_trace_csv(result.records, out)
+        # The header, trial 0 and chunk 0: chunk 1 is the helper's first.
+        assert out.getvalue().splitlines(True) == want.getvalue().splitlines(True)[: 2 + 4096]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -376,11 +376,19 @@ class TestJsonFormat:
             '{"knots": [[0.5, "a"]]}',
             '{"knots": [[true, 1.0]]}',
             '{"other": []}',
+            # What json cannot read: bytes that are not UTF-8, nesting too deep
+            # to parse and an integer of more digits than int() converts.
+            pytest.param(b"\xff\xfe{}", id="not-utf-8"),
+            pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
+            pytest.param('{"knots": [[0, ' + "1" * 5000 + "]]}", id="integer-of-5000-digits"),
         ],
     )
     def test_malformed_documents(self, text):
         with pytest.raises(DomainError):
             function_from_json(text)
+
+    def test_bytes_are_read_as_utf_8(self):
+        assert function_from_json(function_to_json(TENT).encode()) == TENT
 
 
 coords = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
