@@ -77,8 +77,9 @@ KERNELS = {
     "run_trials": "run_trials",
     "ndarray.argsort": "<method 'argsort' of 'numpy.ndarray' objects>",
     "_sample_target_rng": "_sample_target_rng",
-    "_respond_stage": "_respond_stage",
-    "_end_stage": "_end_stage",
+    # Plays and reads each stage of a built-in learner's match, and reads
+    # each stage that respond played.
+    "_fold": "_fold",
     "_midpoint_predictions": "_midpoint_predictions",
     "write_csv": "write_csv",
     # One block's CSV text: in this process only, not in a forked helper.

@@ -18,14 +18,12 @@ otherwise the midpoint value is revealed, which leaves the committed function
 unchanged as a function.
 
 No input inside a stage lies nearer to another stage input than the two
-stage-start knots around it, so the built-in learners' predictions for a whole
-stage follow from the stage-start grid. run_match plays a fresh learner of
-exact built-in type a stage at a time on the arrays; any other learner goes
-through predict/respond/observe trial by trial. Either way play only writes
-the grid and v; _end_stage reads a finished stage's slope, energies and audit
-off their rises in one pass, and _stage_audits the audit after each trial.
-audit_energy, the same audit from the live state, is the scalar oracle.
-The final grid and the predictions fix the whole trace (MatchTrace).
+stage-start knots around it, so the built-in learners' predictions follow from
+those knots. AdversaryState._fold, the one function that knows a stage's layout,
+plays a fresh learner of exact built-in type a block of trials at a time and reads
+every finished stage; any other learner goes through predict/respond/observe trial
+by trial. _stage_audits gives the audit after each trial, audit_energy (its scalar
+oracle) the live state's. The grid and the predictions fix the trace (MatchTrace).
 """
 
 from __future__ import annotations
@@ -67,6 +65,10 @@ Y0 = 0.0
 # stop being desk-scale.
 MAX_STAGES = 24
 _DESK_SCALE = f" (2^{MAX_STAGES} trials is the desk-scale ceiling)"
+
+# Trials AdversaryState._fold takes at once, to stay in cache. Not below 2^6: np.sum
+# adds fewer than 128 terms (a block has 2·_BLOCK) unrolled, not pairwise.
+_BLOCK = 1 << 14
 
 
 def _check_epsilon(epsilon) -> float:
@@ -137,8 +139,8 @@ class EnergyAudit(NamedTuple):
 
 class AdversaryState:
     """Mutable per-match state: the grid and the current stage's proposals v,
-    which respond (one trial) and _respond_stage (a whole stage) write and
-    _end_stage reads, so accepted (that stage's), max_abs_slope,
+    which respond (one trial) or _fold (a whole stage) write. _fold reads a
+    finished stage, so accepted (that stage's), max_abs_slope,
     max_energy_probe and end_audit (audit_energy at the stage end, (3, 1))
     change once a stage; stage_start_energy holds through the last trial.
     A trial past the config's stage budget raises SequenceError."""
@@ -150,7 +152,9 @@ class AdversaryState:
         self.grid[[0, -1]] = 0.0
         # The current stage's view of the grid; before stage 1, the anchors.
         self.committed = self.grid[:: 1 << config.stages]
-        self.v = np.empty(0)
+        # Every stage's v is a prefix of one buffer, the size of the last's.
+        self._proposals = np.empty(1 << (config.stages - 1))
+        self.v = self._proposals[:0]
         self.next_t = 1
         # Geometry of the current stage i, set once by _begin_stage: knot
         # spacing 2^-i, proposal offset, last trial 2^i - 1, trials so far.
@@ -168,7 +172,7 @@ class AdversaryState:
         self.stage_start_energy = self.end_audit.item(1)
         i = self.stage = self.stage + 1
         self.committed = self.grid[:: 1 << (self.stages - i)]
-        self.v = np.empty(1 << (i - 1))
+        self.v = self._proposals[: 1 << (i - 1)]
         self.h = 0.5**i
         self.magnitude = _perturbation(i, self.epsilon)
         self.stage_end = (1 << i) - 1
@@ -203,64 +207,68 @@ class AdversaryState:
         self.within += 1
         self.next_t += 1
         if t == self.stage_end:
-            self._end_stage()
+            self._fold()
         return y, accepted
 
-    def _respond_stage(self, y_hat: np.ndarray) -> None:
-        """Reveal every label of the next stage at once, given all of its
-        predictions in trial order. The grid and v end as respond on each
-        trial in turn leaves them, with the same bits: each step is respond's
-        operation, elementwise."""
-        if self.next_t != self.stage_end + 1:
-            raise SequenceError(
-                f"a whole stage starts at a stage boundary; trial {self.next_t} is "
-                f"inside stage {self.stage}"
-            )
-        self._begin_stage()
-        committed, h, mag, v = self.committed, self.h, self.magnitude, self.v
-        vl, vr = committed[:-1:2], committed[2::2]
-        base = 0.5 * (vl + vr)
-        far = y_hat > base
-        np.subtract(base, mag, out=v, where=far)
-        np.add(base, mag, out=v, where=~far)
-        accepted = (np.abs(v - vl) <= h) & (np.abs(v - vr) <= h)
-        np.copyto(base, v, where=accepted)  # the labels
-        committed[1::2] = base
-        self.within = len(v)
-        self.next_t = self.stage_end + 1
-        del base, far, accepted  # before _end_stage's temporaries
-        self._end_stage()
+    def _fold(self, predict=None, total: float = 0.0, y_hats=None) -> float:
+        """Read the stage just played off the grid and v, _BLOCK trials at a time;
+        given predict, play the next stage first, with respond's operations
+        elementwise, and return total plus its loss terms. predict(a, knots) is a
+        block's predictions from trial w = a on, off its stage-start knots, and
+        y_hats (by trial) gets a copy. Trial w's input is index 2w + 1 of the view,
+        between knots 2w and 2w + 2: v holds its proposal, base ± mag, the grid its label."""
+        if predict is not None:
+            if self.next_t != self.stage_end + 1:
+                raise SequenceError(f"a whole stage starts at a stage boundary; trial "
+                                    f"{self.next_t} is inside stage {self.stage}")
+            self._begin_stage()
+        h, mag, n = self.h, self.magnitude, len(self.v)
+        energy, accepted, steepest, sums = self.stage_start_energy, 0, 0.0, []
+        for a in range(0, n, _BLOCK):
+            block = self.committed[2 * a : 2 * min(a + _BLOCK, n) + 1]
+            vl, y, vr = block[:-1:2], block[1::2], block[2::2]
+            v = self.v[a : a + len(y)]
+            base = 0.5 * (vl + vr)
+            if predict is not None:
+                y_hat = predict(a, block[::2])
+                if y_hats is not None:
+                    y_hats[n + a : n + a + len(y)] = y_hat  # stage i's first trial is n
+                # Furthest of base +/- mag from the prediction; ties take +.
+                v[:] = np.where(y_hat > base, base - mag, base + mag)
+                y[:] = np.where((np.abs(v - vl) <= h) & (np.abs(v - vr) <= h), v, base)
+                total = _add_loss(total, y_hat, y, 1.0 + self.epsilon, self.stage)
+            accepted += int(np.count_nonzero(y == v))
+            # The probe is base at x until v is inserted, adding 2·(v − base)²/h to its
+            # energy: a running sum in trial order from the stage start, largest last.
+            d = v - base
+            energy = _running_total(np.append(energy, d * 2.0 * d / h))
+            # Every segment of the block has one of the stage's inputs at an end.
+            rises = block[1:] - block[:-1]
+            steepest = max(steepest, float(np.abs(rises, out=rises).max()))
+            jc = np.sum(pwl._energy_terms(h, rises))
+            np.subtract(v, vl, out=rises[::2])  # the probe's rises
+            np.subtract(vr, v, out=rises[1::2])
+            sums.append((np.sum(pwl._energy_terms(h, rises)), jc))
+        # np.sum splits the stage's 2n terms (n a power of two) into halves
+        # down to the blocks: adding their sums pairwise gives _energy_sum's bits.
+        sums = np.array(sums)
+        while len(sums) > 1:
+            sums = sums[::2] + sums[1::2]
+        jp, jc = sums[0].tolist()
+        self.within, self.next_t, self.accepted = n, self.stage_end + 1, accepted
+        self.max_energy_probe = max(self.max_energy_probe, energy)
+        self.max_abs_slope = max(self.max_abs_slope, steepest / h)
+        self.end_audit = np.array([[jp], [jc], [_recursion_residual(self, n, jp)]])
+        return total
 
-    def _end_stage(self) -> None:
-        """Read the stage just played off the grid and v. Trial w's input is
-        grid index 2w + 1 of the stage's view, between the stage-start knots
-        2w and 2w + 2. v holds its proposal, a magnitude away from base, and
-        the grid its label: v if the trial was accepted, base if not."""
-        committed, h, v = self.committed, self.h, self.v
-        self.accepted = int(np.count_nonzero(committed[1::2] == v))
-        # The probe agrees with the committed function at both neighbours, so
-        # its value there is base and the insertion of v grows its energy by
-        # 2·(v − base)²/h: a running sum in trial order from the stage start.
-        diff = committed[:-1:2] + committed[2::2]
-        diff *= 0.5
-        np.subtract(v, diff, out=diff)
-        energies = np.append(self.stage_start_energy, diff)
-        energies[1:] *= 2.0
-        energies[1:] *= diff
-        energies[1:] /= h
-        # The increments are nonnegative, so the stage's last energy is its largest.
-        self.max_energy_probe = max(self.max_energy_probe, _running_total(energies))
-        del diff, energies
-        # Every segment of the grid has one of the stage's inputs at an end.
-        rises = committed[1:] - committed[:-1]
-        self.max_abs_slope = max(self.max_abs_slope, float(np.abs(rises, out=rises).max()) / h)
-        j_committed = float(np.sum(pwl._energy_terms(h, rises)))  # _energy_sum's bits
-        # The probe's rises: v less the knot left of it, the knot right of it less v.
-        np.subtract(v, committed[:-1:2], out=rises[::2])
-        np.subtract(committed[2::2], v, out=rises[1::2])
-        j_probe = float(np.sum(pwl._energy_terms(h, rises)))
-        residual = _recursion_residual(self, len(v), j_probe)
-        self.end_audit = np.array([[j_probe], [j_committed], [residual]])
+
+def _add_loss(total: float, y_hat: np.ndarray, y: np.ndarray, p: float, stage: int) -> float:
+    # total plus each |y_hat - y|^p in trial order: the loss rule of both ways of play.
+    try:
+        return _running_total(np.append(total, _pow_terms(np.abs(y_hat - y), p)))
+    except OverflowError:
+        raise DomainError(f"a loss term in stage {stage} overflows; predictions must "
+                          "be moderate") from None
 
 
 def _probe(state: AdversaryState) -> np.ndarray:
@@ -435,8 +443,8 @@ def run_match(
 
     Trial 0 presents (1, 0) with no loss charged; trials 1 .. 2^stages - 1
     alternate predict/respond at loss exponent p = 1 + epsilon. Energy is
-    audited from scratch at every stage boundary (and after every trial when
-    ``audit_per_trial`` is set, which costs O(n) per trial). With
+    audited at every stage end (and after every trial when ``audit_per_trial``
+    is set, which costs O(n) per trial). With
     ``collect_records=False`` only totals and audits are kept, which is the
     cheap mode for sweeps; otherwise ``records`` is the match's MatchTrace,
     the final grid and the predictions. A loss term that overflows, or a
@@ -452,45 +460,33 @@ def run_match(
     p = 1.0 + eps
     state = AdversaryState(config)
     by_stage = _fresh(learner)
-    if not by_stage:
+    if by_stage:
+        def predict(a, knots):
+            return _midpoint_predictions(learner.kind, knots, state.h, first=(a == 0))
+    else:
         learner.predict(X0)  # uncharged; the opening prediction is discarded
         learner.observe(X0, Y0)
-    if collect_records:
-        # The one trace column the grid cannot give back; NaN for trial 0.
-        y_hats = np.full(1 << config.stages, math.nan)
+    # The one trace column the grid cannot give back; NaN for trial 0.
+    y_hats = np.full(1 << config.stages, math.nan) if collect_records else None
     total = 0.0
     per_stage: list[StageSummary] = []
-    max_resid = max_jp = max_jc = 0.0
+    worst = np.zeros(3)  # the largest audited j_probe, j_committed and residual
     for i in range(1, config.stages + 1):
         first = 1 << (i - 1)
-        h = 0.5**i
         if by_stage:
-            y_hat = _midpoint_predictions(learner.kind, state.committed, h)
-            state._respond_stage(y_hat)
+            total = state._fold(predict, total, y_hats)
         else:
-            y_hat = _play_stage(learner, state, (2.0 * np.arange(first) + 1.0) * h)
-        if collect_records:
-            y_hats[first : 2 * first] = y_hat
-        e = y_hat - state.committed[1::2]
-        del y_hat
-        try:
-            terms = _pow_terms(np.abs(e, out=e), p)
-        except OverflowError:
-            raise DomainError(
-                f"a loss term in stage {i} overflows; predictions must be moderate"
-            ) from None
-        del e
-        total = _running_total(np.append(total, terms))
-        del terms  # before the audits' temporaries
+            y_hat = _play_stage(learner, state, (2.0 * np.arange(first) + 1.0) * 0.5**i)
+            total = _add_loss(total, y_hat, state.committed[1::2], p, i)
+            if collect_records:
+                y_hats[first : 2 * first] = y_hat
         audits = _stage_audits(state) if audit_per_trial else state.end_audit
-        j_probe, j_committed, residual = audits
-        max_resid = max(max_resid, float(residual.max()))
-        max_jp = max(max_jp, float(j_probe.max()))
-        max_jc = max(max_jc, float(j_committed.max()))
-        per_stage.append(StageSummary(i, state.within, state.accepted, float(j_probe[-1])))
+        worst = np.maximum(worst, audits.max(axis=1))
+        per_stage.append(StageSummary(i, state.within, state.accepted, audits.item(0, -1)))
     # One check per match: NaN and inf both survive the running sum.
     if not math.isfinite(total):
         raise DomainError(f"total loss {total!r} is not finite; predictions must be")
+    max_jp, max_jc, max_resid = worst.tolist()
     grid = state.grid
     grid.setflags(write=False)
     if by_stage and type(learner) is not ZeroLearner:

@@ -40,6 +40,8 @@ __all__ = [
 DEFAULT_AUDIT_EPSILONS = (0.4, 0.25, 0.1, 0.05, 0.02)
 # Largest log:a:b:n grid; each point is a whole match or bound row.
 MAX_GRID_SIZE = 1 << 20
+# Most audit runs: 1,000 take about 2.5 s on two CPUs, 2^20 about 45 minutes.
+MAX_RUNS = 1 << 20
 
 
 @dataclass
@@ -56,14 +58,14 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Check every field: an unknown learner raises UnknownKind; the seed
         and budgets must be integers and each epsilon a real in (0, 0.5) (a
-        numpy number is stored as a Python one, a bool is refused). max_trials
-        is capped at 2^MAX_STAGES, the adversary's desk-scale ceiling."""
+        numpy number is stored as a Python one, a bool is refused). runs is
+        capped at MAX_RUNS, max_trials at 2^MAX_STAGES, the desk-scale ceiling."""
         make_learner(self.learner)
         # Checking every epsilon up front stops a sweep before its first match.
         self.stages = _check_int("stages", self.stages, 1, MAX_STAGES, _DESK_SCALE)
         self.epsilons = [_check_epsilon(eps) for eps in self.epsilons]
         self.seed = _check_int("seed", self.seed)
-        self.runs = _check_int("runs", self.runs)
+        self.runs = _check_int("runs", self.runs, 0, MAX_RUNS)
         self.max_trials = _check_max_trials(self.max_trials)
 
 

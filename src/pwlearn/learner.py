@@ -334,15 +334,15 @@ def _fresh(learner: Learner) -> bool:
     return type(learner) in (NearestLearner, LinintLearner) and not learner._vals
 
 
-def _midpoint_predictions(kind: str, grid: np.ndarray, h: float) -> np.ndarray:
-    """A fresh built-in learner's predictions at the midpoints (2w+1)·h,
-    w = 0, 1, ..., of a grid of labels at spacing 2h, when it has observed
-    every grid knot but the one at x = 0 and nothing nearer to any midpoint.
-
-    Midpoint w lies between grid knots w and w + 1. nearest's neighbours tie,
-    and ties go left; linint uses predict's chord in predict's order, not
-    0.5·(vl + vr). With no knot observed at x = 0, both extend grid[1] as a
-    constant at x = h."""
+def _midpoint_predictions(kind: str, grid: np.ndarray, h: float, first=True) -> np.ndarray:
+    """A fresh built-in learner's predictions at the midpoints of grid, a run
+    of labels at spacing 2h, when it has observed every knot at that spacing
+    but the one at x = 0 and nothing nearer to any midpoint. Midpoint w lies
+    between grid knots w and w + 1. nearest's neighbours tie, and ties go
+    left; linint uses predict's chord in predict's order, not 0.5·(vl + vr).
+    first says the run starts at x = 0: with no knot observed there, both
+    extend grid[1] as a constant at x = h. A later block of the stage's
+    midpoints is predicted with first=False."""
     vl, vr = grid[:-1], grid[1:]
     if kind == "zero":
         return np.zeros(len(vl))
@@ -351,7 +351,8 @@ def _midpoint_predictions(kind: str, grid: np.ndarray, h: float) -> np.ndarray:
     else:
         # x - u0 = h and u1 - u0 = 2h exactly.
         y_hat = vl + h * (vr - vl) / (2.0 * h)
-    y_hat[0] = grid[1]
+    if first:
+        y_hat[0] = grid[1]
     return y_hat
 
 

@@ -1,7 +1,8 @@
-"""Shared generators for randomized tests, the adversary's dict oracle, the
-columnar match trace, the table and trace CSV oracles, the
-nearest-earlier-neighbour oracle, the functions a learner or the adversary
-has built so far, and a trace helper that dies."""
+"""Shared generators for randomized tests, the adversary's dict oracle, a
+whole stage played from its predictions, the columnar match trace, the
+table and trace CSV oracles, the nearest-earlier-neighbour oracle, the
+functions a learner or the adversary has built so far, and a trace helper
+that dies."""
 
 import csv
 import math
@@ -125,6 +126,12 @@ class DictAdversary:
         return y, accepted
 
 
+def respond_stage(state, y_hat):
+    """Play the next stage through the state's blocked fold, given all of its
+    predictions at once in trial order."""
+    state._fold(lambda a, knots: y_hat[a : a + len(knots) - 1])
+
+
 def columnar_match(learner, config):
     """A match played as run_match plays it, with its trace built as six full
     columns filled a stage at a time, trial 0 first, and its audits from
@@ -147,7 +154,7 @@ def columnar_match(learner, config):
         first, h = 1 << (i - 1), 0.5**i
         if by_stage:
             y_hat = _midpoint_predictions(learner.kind, state.committed, h)
-            state._respond_stage(y_hat)
+            respond_stage(state, y_hat)
         else:
             y_hat = _play_stage(learner, state, (2.0 * np.arange(first) + 1.0) * h)
         y = state.committed[1::2]

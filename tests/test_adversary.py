@@ -7,7 +7,9 @@ from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
-from helpers import DictAdversary, columnar_match, committed_function, dict_energy
+from helpers import (
+    DictAdversary, columnar_match, committed_function, dict_energy, respond_stage,
+)
 
 from pwlearn import (
     MAX_STAGES,
@@ -33,7 +35,7 @@ from pwlearn import (
     upper_bound_linint,
     write_trace_csv,
 )
-from pwlearn import pwl
+from pwlearn import adversary as adversary_module, pwl
 from pwlearn.adversary import _stage_audits
 from pwlearn.learner import _fresh
 
@@ -208,7 +210,7 @@ class TestRespond:
         state.respond(1, 0.0)
         state.respond(2, 0.0)
         with pytest.raises(SequenceError):
-            state._respond_stage(np.zeros(2))
+            respond_stage(state, np.zeros(2))
 
     def test_no_trial_past_the_stage_budget(self):
         # The one grid is sized for the config's stages; either way of
@@ -217,13 +219,13 @@ class TestRespond:
         for t in range(1, 4):
             single.respond(t, 0.0)
         batch = AdversaryState(AdversaryConfig(0.25, 2))
-        batch._respond_stage(np.zeros(1))
-        batch._respond_stage(np.zeros(2))
+        respond_stage(batch, np.zeros(1))
+        respond_stage(batch, np.zeros(2))
         assert batch.grid.tobytes() == single.grid.tobytes()
         with pytest.raises(SequenceError, match="trial 4 is past the budget of 2 stages"):
             single.respond(4, 0.0)
         with pytest.raises(SequenceError, match="trial 4 is past the budget of 2 stages"):
-            batch._respond_stage(np.zeros(4))
+            respond_stage(batch, np.zeros(4))
         assert (single.stage, single.next_t) == (batch.stage, batch.next_t) == (2, 4)
 
 
@@ -257,7 +259,7 @@ class TestDictOracle:
         t = 1
         for i in range(1, 9):
             y_hat = rng.normal(0.0, 0.05, size=2 ** (i - 1))
-            batch._respond_stage(y_hat)
+            respond_stage(batch, y_hat)
             y = batch.committed[1::2]
             # Read off the finished grid, the audit after w trials is the one
             # taken right after trial w.
@@ -287,7 +289,7 @@ class TestDictOracle:
         for i in range(1, stages + 1):
             y_hat = np.full(2 ** (i - 1), -1.0)
             y_hat[::3] = 0.0
-            batch._respond_stage(y_hat)
+            respond_stage(batch, y_hat)
             audits = _stage_audits(batch).T.tolist() if i == stages else None
             for k, yh in enumerate(y_hat.tolist()):
                 single.respond(t, yh)
@@ -303,7 +305,7 @@ class TestDictOracle:
     def test_stage_bookkeeping_matches_the_dict_oracle(self, eps):
         # Acceptances, the incremental probe energy's maximum and the steepest
         # slope, read off the grid at the stage end, against the oracle's
-        # per-trial sums; through respond and through _respond_stage alike.
+        # per-trial sums; through respond and through the fold alike.
         rng = np.random.default_rng(31)
         config = AdversaryConfig(eps, 10)
         batch, single, oracle = AdversaryState(config), AdversaryState(config), DictAdversary(eps)
@@ -314,7 +316,7 @@ class TestDictOracle:
             y_hat = rng.normal(0.0, perturbation(i, eps), size=2 ** (i - 1))
             y_hat[::5] = 0.0
             y_hat[2::7] = -1.0
-            batch._respond_stage(y_hat)
+            respond_stage(batch, y_hat)
             for yh in y_hat.tolist():
                 y, accepted = single.respond(t, yh)
                 assert oracle.respond(t, yh) == (y, accepted)
@@ -347,7 +349,7 @@ class TestDictOracle:
                 # committed function; at eps 0.25 and 0.1 some trials are
                 # then rejected, so probe and committed functions differ.
                 y_hat = np.full(2 ** (i - 1), -1.0)
-            batch._respond_stage(y_hat)
+            respond_stage(batch, y_hat)
             audits = _stage_audits(batch).T.tolist()
             for audit, yh in zip(audits, y_hat.tolist(), strict=True):
                 y, accepted = single.respond(t, yh)
@@ -366,8 +368,8 @@ class TestDictOracle:
             start = pwl._energy_sum(2.0 * batch.h, batch.committed[::2])
             for state, stage_end in ((batch, batch_end), (single, single_end)):
                 assert state.stage_start_energy.hex() == stage_end[1][0].hex() == start.hex()
-            # The stage end, read once off the grid's rises through respond
-            # and _respond_stage alike: the scalar audit right after the last
+            # The stage end, read off the grid's rises through respond and
+            # the fold alike: the scalar audit right after the last
             # trial, the dicts' energies and the last per-trial audit.
             batch_end, single_end = batch.end_audit.tolist(), single.end_audit.tolist()
             for stage_end in (batch_end, single_end):
@@ -523,6 +525,52 @@ class TestRecordsAgainstColumns:
         assert not np.isnan(records.x).any()
         with pytest.raises(AttributeError):
             records.cum_loss
+
+
+class TestSmallBlocks:
+    """run_match with the fold's blocks cut to 2^6 and 2^7 trials, so that
+    every stage from the 8th or 9th on spans several blocks, against oracles
+    taken at the default block, which holds any stage up to S = 15 whole.
+    Smaller blocks are not allowed: below 2^6 trials a block has fewer than
+    128 energy terms, where np.sum adds in an unrolled loop instead of
+    splitting pairwise, and the block sums miss the stage's bits."""
+
+    @pytest.mark.parametrize("block", [1 << 6, 1 << 7])
+    @pytest.mark.parametrize("kind", ["zero", "nearest", "linint", "loop"])
+    @pytest.mark.parametrize("eps", [0.45, 0.1, 0.02])
+    def test_same_bits_as_one_block(self, block, kind, eps, monkeypatch):
+        stages = 12
+        config = AdversaryConfig(eps, stages)
+        learner = LoopLinint if kind == "loop" else lambda: make_learner(kind)
+        total, per_stage, audit, trace = columnar_match(learner(), config)
+        per_trial = run_match(learner(), config, collect_records=False, audit_per_trial=True)
+        monkeypatch.setattr(adversary_module, "_BLOCK", block)
+        result = run_match(learner(), config)
+        for column in fields(Trace):
+            got = getattr(result.records, column.name)
+            assert got.tobytes() == getattr(trace, column.name).tobytes(), column.name
+        assert result.total_loss.hex() == total.hex()
+        assert [(s.i, s.trials, s.accepted, s.j_probe_end.hex()) for s in result.per_stage] == [
+            (s.i, s.trials, s.accepted, s.j_probe_end.hex()) for s in per_stage
+        ]
+        assert [v.hex() for v in astuple(result.audit)] == [v.hex() for v in astuple(audit)]
+        got = run_match(learner(), config, collect_records=False, audit_per_trial=True)
+        assert got.total_loss.hex() == per_trial.total_loss.hex()
+        assert got.per_stage == per_trial.per_stage
+        assert [v.hex() for v in astuple(got.audit)] == [v.hex() for v in astuple(per_trial.audit)]
+        # The dict oracle's per-trial bookkeeping, against a state played a
+        # whole stage at a time on the same predictions.
+        state, oracle = AdversaryState(config), DictAdversary(eps)
+        y_hat = result.records.y_hat
+        for i in range(1, stages + 1):
+            stage = y_hat[1 << (i - 1) : 1 << i]
+            respond_stage(state, stage)
+            for t, yh in enumerate(stage.tolist(), start=1 << (i - 1)):
+                oracle.respond(t, yh)
+            assert state.accepted == oracle.accepted
+            assert state.max_energy_probe.hex() == oracle.max_energy_probe.hex()
+            assert state.max_abs_slope.hex() == oracle.max_abs_slope.hex()
+        assert state.grid.tobytes() == result.records.grid.tobytes()
 
 
 class TestAuditEnergy:

@@ -336,7 +336,7 @@ CLI_FLAGS = {
     "bounds": [("--epsilon", REAL, False), ("--epsilons", GRID, False),
                ("--epsilon-grid", GRID, False), ("--partial-stages", COUNT | st.just(BIG), False),
                ("--out", OUT, False)],
-    "audit": [("--runs", COUNT, True), ("--seed", COUNT | st.just(BIG), False),
+    "audit": [("--runs", COUNT | st.just(BIG), True), ("--seed", COUNT | st.just(BIG), False),
               ("--stages", COUNT | st.just(BIG), True),
               ("--max-trials", COUNT | st.just(BIG), False), ("--out", OUT, False)],
     "eval": [("--function", _part(["f.json"], ["missing.json", "."]), True), ("--x", REAL, True)],
@@ -362,10 +362,8 @@ def _cli_cases(draw):
         if always or draw(st.booleans()):
             argv += [flag, draw(value)]
     keys = [flag[2:] for flag, _, _ in CLI_FLAGS[command]] + ["max_trials", "frobnicate"]
-    # A config's runs is a budget too: no 400-digit count there.
-    value_of = {k: JSON_VALUE if k == "runs" else JSON_VALUE | st.just(BIG) for k in keys}
-    config = draw(st.none() | _json_files(st.sampled_from(keys).flatmap(
-        lambda k: st.tuples(st.just(k), value_of[k]))))
+    config = draw(st.none() | _json_files(
+        st.tuples(st.sampled_from(keys), JSON_VALUE | st.just(BIG))))
     number = _part(["0", "0.5", "1", "-2"], HOSTILE_JSON + [BIG])
     knot = st.lists(number, min_size=2, max_size=2).map(lambda uv: f"[{uv[0]}, {uv[1]}]")
     knots = st.lists(knot | JSON_VALUE, max_size=4).map(lambda k: f"[{', '.join(k)}]")
@@ -653,6 +651,26 @@ class TestAudit:
         assert err.count("\n") == 1
         assert err.startswith("error: max_trials must lie in 2..16777216")
         assert max_trials in err
+
+
+    @pytest.mark.parametrize("where", ["argv", "config"])
+    def test_runs_above_the_ceiling_exits_one_before_any_run(
+        self, where, tmp_path, monkeypatch, capsys
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("audit_trace_run was called")
+
+        monkeypatch.setattr(harness, "audit_trace_run", no_run)
+        argv = ["audit", "--stages", "3"]
+        if where == "argv":
+            argv += ["--runs", BIG]
+        else:
+            (tmp_path / "c.json").write_text(f'{{"runs": {BIG}}}')
+            argv += ["--config", str(tmp_path / "c.json")]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: runs must lie in 0..1048576, got {BIG}"]
 
 
 class TestEval:

@@ -59,7 +59,7 @@ ENTRY_POINTS = {
         lambda n: _validated(seed=n).seed, "seed", "be nonnegative", 0, None, 7, 1.5,
     ),
     "ExperimentConfig-runs": (
-        lambda n: _validated(runs=n).runs, "runs", "be nonnegative", 0, None, 2, 2.0,
+        lambda n: _validated(runs=n).runs, "runs", "lie in 0..1048576", 0, 1 << 20, 2, 2.0,
     ),
     "ExperimentConfig-max_trials": (
         lambda n: _validated(max_trials=n).max_trials, "max_trials",

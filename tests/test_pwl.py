@@ -227,6 +227,30 @@ class TestEnergy:
             assert out[:, 0].tolist() == [float(np.sum(view[0])), float(np.sum(view[1]))], n
 
 
+    def test_power_of_two_sums_split_pairwise_into_blocks(self):
+        # The adversary's stage fold sums each block of 2^j terms with np.sum
+        # and adds the block sums pairwise. That has np.sum's bits for the
+        # whole only while numpy halves a power-of-two length down to its
+        # 128-term unrolled loop; a numpy that splits otherwise fails here.
+        rng = np.random.default_rng(17)
+        terms = rng.random(1 << 20) * np.exp(rng.normal(0.0, 8.0, size=1 << 20))
+
+        def folded(whole, j):
+            sums = np.array([np.sum(block) for block in whole.reshape(-1, 1 << j)])
+            while len(sums) > 1:
+                sums = sums[::2] + sums[1::2]
+            return float(sums[0])
+
+        misses = 0
+        for k in range(8, 21):
+            whole = terms[: 1 << k]
+            want = float(np.sum(whole))
+            assert [folded(whole, j).hex() for j in range(7, k)] == [want.hex()] * (k - 7), k
+            misses += folded(whole, 6) != want
+        # Blocks of 64 terms run below the split, and miss its bits.
+        assert misses
+
+
 class TestEnergyOracle:
     def test_zero_function(self):
         assert integrate_energy_oracle(ZERO, 100) == 0.0
