@@ -64,7 +64,7 @@ TMP = ROOT / ".perfbench_tmp"
 WORKLOADS = ("match-trace", "sweep-learners", "audit")
 PAIRS = 10
 SEED = 11  # the first pair's; pair k runs on SEED + k
-SECONDS = 1.0  # perfbench --seconds
+SECONDS = 3.0  # perfbench --seconds; a 1 s run holds too few operations for a median
 CLI_RUNS = 3  # per side and CLI command; one run alone lets an outlier read as a change
 LAYER_RUNS = 3  # traced perfbench runs per side and workload
 KERNEL_RUNS = 3  # cProfile'd passes per side and workload
@@ -84,6 +84,9 @@ KERNELS = {
     "write_csv": "write_csv",
     # One block's CSV text: in this process only, not in a forked helper.
     "_block_text": "_block_text",
+    # A trace chunk's text, and its values' 17 digits, in this process only.
+    "_chunk_text": "_chunk_text",
+    "_digits": "_digits",
 }
 
 # (name, argv after "python -m pwlearn.cli", expected exit code); "{tmp}" is a
@@ -103,7 +106,7 @@ CLI_COMMANDS = (
      ["match", "--learner", "zero", "--epsilon", "0.1", "--stages", "24"], 0),
     ("match --epsilon 0.1 --stages 20 --out",
      ["match", "--epsilon", "0.1", "--stages", "20", "--out", "{tmp}/trace.csv"], 0),
-    # zero's y_hat column is one run: the writer's run path at scale.
+    # zero's y_hat column is 0 in every row.
     ("match --learner zero --epsilon 0.1 --stages 20 --out",
      ["match", "--learner", "zero", "--epsilon", "0.1", "--stages", "20",
       "--out", "{tmp}/trace.csv"], 0),

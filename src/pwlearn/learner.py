@@ -19,7 +19,9 @@ _dealt works an iterator's items on two CPUs: with fork, a forked helper works
 every other item (walking all, so both carry the same state) and pipes each
 result back as one pickle, and the caller gets every result in item order, as
 one process would give them. write_trace_csv deals it the trace's 4,096-row
-chunks and harness.run_invariant_audit its trace runs.
+chunks and harness.run_invariant_audit its trace runs. A chunk's text comes
+from _chunk_text, a numpy kernel that gives every byte of "%.17g"; every
+other CSV block takes the % row template (_template_text), its oracle.
 """
 
 from __future__ import annotations
@@ -492,9 +494,9 @@ def open_out(out: str | os.PathLike | IO[str]) -> Iterator[IO[str]]:
 
 def write_csv(out: str | os.PathLike | IO[str], header, blocks, end: str = "\r\n") -> None:
     """Write a CSV table: the header, then each block of equal-length columns
-    through one row template, flushing after the header and after each block.
-    Floats are written %.17g, ints and text as str gives them (a numpy column
-    as its .tolist()), and no field is quoted, which no number needs."""
+    as rows, flushing after the header and after each block. Floats are
+    written %.17g, ints and text as str gives them (a numpy column as its
+    .tolist()), and no field is quoted, which no number needs."""
     _write_texts(out, header, (_block_text(c, end) for c in blocks), end)
 
 
@@ -508,15 +510,165 @@ def _write_texts(out, header, texts: Iterator[str], end: str = "\r\n") -> None:
 
 
 def _block_text(columns, end: str = "\r\n") -> str:
+    """A block's CSV text: a trace chunk (a range in [0, 10^16), then float64
+    arrays of its length) through _chunk_text, any other through _template_text."""
+    t, *floats = columns if isinstance(columns, (tuple, list)) and columns else ((),)
+    if (isinstance(t, range) and t and 0 <= min(t[0], t[-1]) <= max(t[0], t[-1]) < 10**16
+            and end in ("\r\n", "\n") and all(isinstance(v, np.ndarray) and v.dtype == np.float64
+                                                and v.shape == (len(t),) for v in floats)):
+        return _chunk_text(t, floats, end)
+    return _template_text(columns, end)
+
+
+def _template_text(columns, end: str = "\r\n") -> str:
+    """One block's rows through one % row template (see _exact_cells)."""
     slots, cells = zip(*map(_exact_cells, columns))
     row = ",".join(slots) + end
     return "".join(map(row.__mod__, zip(*cells)))
 
 
+_WORDS: dict[str, np.ndarray] = {}  # _chunk_text's tables, built on first use
+
+
+def _words() -> dict[str, np.ndarray]:
+    """_chunk_text's tables. A word is four ASCII bytes as a little-endian uint32:
+    digits[r·10^4 + w] is w's four digits in full (r = 0), leading zeros NUL but
+    0 as "0" (r = 1), or trailing zeros NUL (r = 2). The rest are indexed by e =
+    E + 100, E = -100 .. 16: ten[:, e] is 10^q, q = 16 − E, as Veltkamp's split
+    hi + lo of p1 = float(10^q) and p2 = 10^q − p1; point[e] is 10^L for the L
+    digits of D after the point, shift[e] 10^(17 − L); mid[e + 117] is "." and
+    the zeros before D's digits, mid[e] NUL; exp[e] is "e-XX" or NUL."""
+    if not _WORDS:
+        w = np.arange(10000)
+        d = np.stack([w // 1000, w // 100 % 10, w // 10 % 10, w % 10], axis=1)
+        lead = np.logical_or.accumulate(d != 0, axis=1) | (np.arange(4) == 3)
+        trail = np.logical_or.accumulate(d[:, ::-1] != 0, axis=1)[:, ::-1]
+        chars = (d + 48).astype(np.uint8)
+        E = np.arange(-100, 17)
+        L = np.where(E < -4, 16, np.minimum(16 - E, 17))
+        tens = [10 ** (16 - x) for x in E.tolist()]
+        p1 = np.array([float(x) for x in tens])
+        hi = p1 * 134217729.0
+        hi -= hi - p1
+        mid = np.frombuffer(b".\0\0\0.0\0\0.00\0.000", "<u4")[np.clip(-1 - E, 0, 3) * (E >= -4)]
+        exp = [b"e-%02d" % -x if -100 < x < -4 else bytes(4) for x in E.tolist()]
+        _WORDS.update(
+            digits=np.stack([chars, chars * lead, chars * trail]).view("<u4").ravel(),
+            ten=np.stack([hi, p1 - hi, [float(x - int(y)) for x, y in zip(tens, p1.tolist())]]),
+            point=10**L, shift=10 ** (17 - L), mid=np.concatenate([mid * 0, mid]),
+            exp=np.frombuffer(b"".join(exp), "<u4"),
+        )
+    return _WORDS
+
+
+def _digits(v: np.ndarray, ten: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits %.17g gives each value of a float64 column:
+    (D, e, ok), |v| = D·10^(E − 16) rounded, 10^16 <= D < 10^17, e = E + 100
+    (int32), and D = 0, E = 0 for ±0. ok is False, and D = 0, E = 0, where
+    %.17g must give the text: NaN, ±inf, |v| < 1e-99 or >= 1e17, and a
+    rounding not decided here. With q = 16 − E, D is X = |v|·10^q in [10^16,
+    10^17) rounded, ties to even. With 10^q = p1 + p2, Dekker's two-product
+    gives |v|·p1 = h + l exactly, h >= 2^53 an even integer, so D = h +
+    round(l + |v|·p2). For q <= 22, p2 = 0 and all is exact. Otherwise the sum
+    is within 5e-15 of X − h, so a fraction within 1e-13 of ½, or an X within
+    1e-13 of 10^16 or 10^17, is not decided, unless X is a tie (|v|·2^(q+1) an
+    odd integer): nine doubles, m·2^-24 and m·2^-25, whose sum is exact. E
+    starts at floor(log10 |v|) and moves until X lies in range."""
+    a = np.abs(v)
+    fast = (1e-99 <= a) & (a < 1e17)
+    a[~fast] = 1.0
+    e = np.minimum(np.floor(np.log10(a)), 16).astype(np.int32) + 100
+    a_hi = a * 134217729.0
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    for _ in range(3):
+        hi, lo, p2 = (row.take(e) for row in ten)
+        h = a * (hi + lo)
+        r = (((a_hi * hi - h) + a_hi * lo + a_lo * hi) + a_lo * lo) + a * p2
+        below, above = (h - 1e16) + r, (h - 1e17) + r
+        moves = (above >= 0).view(np.int8) - (below < 0).view(np.int8)
+        if not moves.any():
+            break
+        e = np.clip(e + moves, 0, 116)  # a lane that moves is not ok
+    t = np.ldexp(a, 117 - e)
+    tie = (np.floor(t) == t) & (np.floor(t * 0.5) != t * 0.5)
+    near = (np.abs(r - np.floor(r) - 0.5) <= 1e-13) & ~tie
+    near |= (np.abs(below) < 1e-13) | (np.abs(above) < 1e-13)
+    D = h.astype(np.int64) + np.rint(r).astype(np.int64)
+    top = D == 10**17
+    D[top] = 10**16
+    e += top
+    ok = fast & (moves == 0) & ~(near & (p2 != 0)) & (e >= 1)
+    D[~ok], e[~ok] = 0, 100
+    return D, e, ok | (v == 0)
+
+
+def _chunk_text(t: range, floats: list[np.ndarray], end: str) -> str:
+    """_template_text's bytes for a trace chunk, at a fraction of its cost: rows
+    of NUL-padded byte slots, filled a field at a time with whole words from
+    _words' tables, then one translate drops the NULs. t's slot is its digits;
+    a float's is ",", the sign, the integer part, the mid word, the first
+    fraction digit, four words of fraction and, if the column needs it, the
+    exponent word (%g's fixed notation is -4 <= E < 17). A value _digits
+    leaves to %.17g gets that text in its slot."""
+    w = _words()
+    n, digits = len(t), w["digits"]
+    cols = [(v, *_digits(v, w["ten"])) for v in floats]
+    kt = (len(str(max(t[0], t[-1]))) + 3) // 4
+    # Words of integer part (E + 1 digits at most), and whether E < -4 occurs.
+    shapes = [((max(int(e.max()) - 100, 0) + 4) // 4, bool((e < 96).any())) for _, _, e, _ in cols]
+    width = 4 * kt + sum(4 * k + 23 + 4 * x for k, x in shapes) + len(end)
+    buf = bytearray(n * width)
+    rows = np.frombuffer(buf, np.uint8).reshape(n, width)
+
+    def put(table: np.ndarray, index: np.ndarray, at: int) -> None:
+        np.ndarray(n, "<u4", buf, at, (width,))[...] = table[index]
+
+    def put_int(values: np.ndarray, k: int, at: int) -> None:
+        for j in range(k):  # right-aligned: leading zero words NUL, 0 as "0"
+            top = values // 10 ** (4 * (k - 1 - j)) if j < k - 1 else values  # words 0 .. j
+            index = top % 10000 + 10000 * (top < 10000) if j else top + 10000
+            index[(top == 0) & (j < k - 1)] = 20000
+            put(digits, index, at + 4 * j)
+
+    put_int(np.arange(t.start, t.stop, t.step), kt, 0)
+    at = 4 * kt
+    for (v, D, e, ok), (k, x) in zip(cols, shapes):
+        point = w["point"][e]
+        whole = D // point
+        rest = frac = (D - whole * point) * w["shift"][e]  # 17 digits, left-aligned
+        rows[:, at] = 44
+        rows[:, at + 1] = np.signbit(v) * np.uint8(45)
+        put_int(whole, k, at + 2)
+        m = at + 2 + 4 * k
+        put(w["mid"], e + 117 * (frac != 0), m)
+        for j, scale in enumerate((10**16, 10**12, 10**8, 10**4, 1)):
+            word = rest // scale
+            rest = rest - word * scale
+            if j:  # NUL from the last digit that is not 0 on
+                word[rest == 0] += 20000
+                put(digits, word, m + 1 + 4 * j)
+            else:
+                rows[:, m + 4] = (word + 48) * (frac != 0)
+        if x:
+            put(w["exp"], e, m + 21)
+        size = 4 * k + 23 + 4 * x
+        if (bad := np.flatnonzero(~ok)).size:  # their text after the ","
+            texts = b"".join((_EXACT % f).encode().ljust(size - 1, b"\0") for f in v[bad].tolist())
+            rows[bad, at + 1 : at + size] = np.frombuffer(texts, np.uint8).reshape(len(bad), -1)
+        at += size
+    rows[:, at:] = np.frombuffer(end.encode(), np.uint8)
+    del rows, cols
+    text = buf.translate(None, b"\0")
+    del buf
+    return text.decode("ascii")
+
+
 def write_trace_csv(trace: Trace, out: str | os.PathLike | IO[str]) -> None:
     """Write the trial trace, a Trace or a match's records (MatchTrace), as
-    CSV, one block per chunk of rows; trial 0 leaves uncharged fields empty.
-    With fork and two CPUs, two chunks or more are formatted by two processes."""
+    CSV, one block per 4,096-row chunk, its text from _chunk_text; trial 0
+    leaves uncharged fields empty. With fork and two CPUs, two chunks or more
+    are formatted by two processes."""
     blocks = _trace_blocks(trace)
     first = [_block_text(columns) for columns in islice(blocks, 1)]  # trial 0's row
     chunks = _dealt(blocks, len(range(1, len(trace), _CSV_CHUNK)), _block_text)
@@ -588,28 +740,16 @@ def _dealt(items: Iterator, count: int, work: Callable) -> Iterator:
 
 def _read(pipe: IO[bytes], size: int) -> bytes:
     if len(data := pipe.read(size)) < size:
-        raise OSError("the trace helper process ended early")
+        raise OSError("the helper process ended early")
     return data
 
 
 def _exact_cells(values) -> tuple[str, Sequence]:
-    """One column of a block as a row-template slot and its cells. A range
-    takes a %d slot. Any other column but a float64 array takes a %s slot,
-    its floats (a numpy column's .tolist() values) as %.17g text and its ints
-    and text as they are. A float64 array with fewer runs of equal values than
-    half its rows formats each run's value once and repeats the text in a %s
-    slot, any other goes to %.17g as Python floats. Runs end where the bits
-    change: a float comparison merges 0.0 and -0.0 and splits a run of NaN."""
+    """One column of a block as a row-template slot and its cells: a range
+    takes a %d slot, any other column a %s slot, its floats (a numpy column's
+    .tolist() values) as %.17g text and its ints and text as they are."""
     if isinstance(values, range):
         return "%d", values
-    if isinstance(values, np.ndarray) and values.dtype != np.float64:
+    if isinstance(values, np.ndarray):
         values = values.tolist()
-    if not isinstance(values, np.ndarray):
-        return "%s", [_EXACT % v if isinstance(v, float) else v for v in values]
-    bits = values.view(np.int64)
-    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    if 2 * (len(starts) + 1) >= len(values):
-        return _EXACT, values.tolist()
-    starts = np.append(0, starts)
-    texts = np.array([_EXACT % v for v in values[starts].tolist()], dtype=object)
-    return "%s", np.repeat(texts, np.diff(starts, append=len(values))).tolist()
+    return "%s", [_EXACT % v if isinstance(v, float) else v for v in values]

@@ -760,10 +760,11 @@ class _NullSink:
         pass
 
 
-# Traced peaks in grid bytes at S = 16. A match with records measured 4.64
+# Traced peaks in grid bytes at S = 16. A match with records measured 4.55
 # for every kind (the grid, the predictions and one stage's temporaries), and
-# with its trace CSV 6.23 (zero), 6.48 (linint) and 6.83 (nearest): the grid
-# and the predictions, then one 4,096-row chunk as Python floats and text.
+# with its trace CSV 6.51 (zero) and 6.31 (linint, nearest): the grid and the
+# predictions, then one 4,096-row chunk's byte slots, held twice while their
+# NULs are squeezed out.
 # Holding any other trace column, the learner's fill arrays or a second copy
 # of the grid adds a grid or more to one or both.
 MATCH_PEAK_GRIDS = 5.0

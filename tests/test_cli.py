@@ -98,7 +98,7 @@ class TestMatch:
         assert run_cli(["match", "--epsilon", "0.1", "--stages", "14", "--out", str(out)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("i/o error:") and "trace helper" in captured.err
+        assert captured.err == "i/o error: the helper process ended early\n"
         assert len(captured.err.splitlines()) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

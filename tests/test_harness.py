@@ -465,7 +465,7 @@ class TestAuditDealer:
         assert cli.main([*SMALL_AUDIT, "--runs", "7"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "i/o error: the trace helper process ended early\n"
+        assert captured.err == "i/o error: the helper process ended early\n"
         _no_child_left()
 
     # Run 3 is the helper's, run 2 this process's own.

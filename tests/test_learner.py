@@ -2,8 +2,12 @@ import io
 import math
 import os
 import struct
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from itertools import islice, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -742,28 +746,27 @@ class TestTraceCsv:
         _assert_same_csv(Trace(*columns), tmp_path)
 
     def test_signed_zeros_stay_apart_in_runs(self, tmp_path):
-        # Long runs put every column on the run path, where a float comparison
-        # would merge the adjacent and alternating 0.0 and -0.0 into one run.
+        # Adjacent and alternating runs of 0.0 and -0.0, which a float
+        # comparison would merge.
         column = np.zeros(1 + 4096)
         column[1000:2000] = -0.0
         column[2000:2020:2] = -0.0
         column[3000:] = -0.0
-        _assert_run_path(column[1:])
+        _assert_kernel_gives_the_template_bytes(column[1:])
         columns = np.tile(column, (6, 1))
         columns[:, 0] = math.nan
         columns[1, 1:] = -column[1:]
         _assert_same_csv(Trace(*columns), tmp_path)
 
     def test_runs_of_nan_and_inf(self, tmp_path):
-        # A NaN of another payload starts a run of its own, with the same text.
-        # Split into runs of one, the NaNs alone would be over half the rows.
+        # A NaN of another payload has the same text.
         other_nan = np.array(0x7FF8000000000001, dtype=np.int64).view(float)
         column = np.full(1 + 4096, 0.25)
         column[10:2500] = math.nan
         column[2500:2600] = other_nan
         column[2600:3500] = math.inf
         column[3500:3600] = -math.inf
-        _assert_run_path(column[1:])
+        _assert_kernel_gives_the_template_bytes(column[1:])
         _assert_same_csv(Trace(*np.tile(column, (6, 1))), tmp_path)
 
     def test_run_across_the_chunk_boundary(self, tmp_path):
@@ -773,14 +776,14 @@ class TestTraceCsv:
         columns[:, 0] = math.nan
         _assert_same_csv(Trace(*columns), tmp_path)
 
-    @pytest.mark.parametrize("runs, path", [(2047, "%s"), (2048, "%.17g"), (2049, "%.17g")])
-    def test_half_as_many_runs_as_rows_is_formatted_row_by_row(self, tmp_path, runs, path):
-        # One long run, then runs of one row: 4,096 rows in one chunk.
+    @pytest.mark.parametrize("runs", [2047, 2048, 2049])
+    def test_one_long_run_then_runs_of_one_row(self, tmp_path, runs):
+        # 4,096 rows in one chunk.
         values = np.random.default_rng(runs).random(runs)
         lengths = np.ones(runs, dtype=int)
         lengths[0] = 4096 - (runs - 1)
         column = np.concatenate(([math.nan], np.repeat(values, lengths)))
-        assert learner_module._exact_cells(column[1:])[0] == path
+        _assert_kernel_gives_the_template_bytes(column[1:])
         _assert_same_csv(Trace(*np.tile(column, (6, 1))), tmp_path)
 
     def test_final_chunk_of_one_row(self, tmp_path):
@@ -845,7 +848,7 @@ class TestTraceHelper:
     def test_a_helper_that_dies_raises_and_leaves_no_child(self, tmp_path, monkeypatch):
         kill_the_trace_helper(monkeypatch)
         result = run_match(make_learner("linint"), AdversaryConfig(0.1, 14))
-        with pytest.raises(OSError, match="trace helper"):
+        with pytest.raises(OSError, match="helper process ended early"):
             write_trace_csv(result.records, tmp_path / "trace.csv")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -912,8 +915,13 @@ def _assert_same_stream(trace):
     assert got.getvalue().splitlines(True) == want.getvalue().splitlines(True)
 
 
-def _assert_run_path(values):
-    assert learner_module._exact_cells(values)[0] == "%s"
+def _assert_kernel_gives_the_template_bytes(values):
+    """A float64 column as a trace chunk, through the kernel and through the %
+    row template, its oracle: the same bytes, compared line by line."""
+    t = range(1, 1 + len(values))
+    got = learner_module._chunk_text(t, [values], "\r\n")
+    want = learner_module._template_text((t, values))
+    assert got.splitlines(True) == want.splitlines(True)
 
 
 @settings(max_examples=20)
@@ -924,8 +932,8 @@ def _assert_run_path(values):
 )
 def test_columns_from_three_values_match_the_csv_writer_oracle(n, switch, seed):
     # Each row keeps the value above it, or with probability switch[k] draws
-    # again from 0.0, -0.0 and NaN, so the run counts fall on both sides of
-    # half the rows and runs cross the chunk boundary.
+    # again from 0.0, -0.0 and NaN, so values come in runs of every length and
+    # runs cross the chunk boundary.
     rng = np.random.default_rng(seed)
     pool = np.array([0.0, -0.0, math.nan])
     draws = rng.integers(0, 3, (6, n))
@@ -933,6 +941,118 @@ def test_columns_from_three_values_match_the_csv_writer_oracle(n, switch, seed):
     redraw[:, 0] = True
     index = np.maximum.accumulate(np.where(redraw, np.arange(n), 0), axis=1)
     _assert_same_stream(Trace(*pool[np.take_along_axis(draws, index, axis=1)]))
+
+
+def _kernel_lines(values):
+    """Each value's row from the kernel, as a one-column trace chunk from t = 0,
+    next to its row from "%.17g" % v."""
+    got = learner_module._chunk_text(range(len(values)), [values], "\n").splitlines()
+    return got, [f"{t},{'%.17g' % v}" for t, v in enumerate(values.tolist())]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+def test_kernel_gives_percent_text_for_every_bit_pattern(bits):
+    got, want = _kernel_lines(np.array(bits, dtype=np.uint64).view(np.float64))
+    assert got == want
+
+
+def _with_neighbours(values, ulps=2):
+    values = np.asarray(values, dtype=float)
+    out = [values]
+    for way in (-math.inf, math.inf):
+        step = values
+        for _ in range(ulps):
+            step = np.nextafter(step, way)
+            out.append(step)
+    return np.concatenate(out)
+
+
+_POWERS = [float(f"1e{k}") for k in range(-120, 21)]
+_NAN_BITS = [0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF]
+_KERNEL_EDGES = {
+    # 10^E ± 1–2 ulp, E = -120 .. 20, and the 17-digit round-ups 9.99…95e±k.
+    "powers of ten": _with_neighbours(_POWERS),
+    "9.99999999999999995e±k": _with_neighbours(
+        [float(f"9.99999999999999995e{k}") for k in range(-120, 21)]
+    ),
+    # (2k+1)·2^-j: 17-digit ties wherever |v|·10^q has the fraction ½, which
+    # beyond q = 22 (|v| < 1e-6) only m·2^-24 and m·2^-25 have.
+    "dyadic ties": np.concatenate((
+        np.ldexp(2.0 * np.arange(1, 3000).repeat(40) + 1, -np.tile(np.arange(1, 81, 2), 2999)),
+        np.ldexp(np.arange(1.0, 17.0, 2.0), -24), np.ldexp([1.0, 3.0], -25),
+    )),
+    "specials": np.array(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf]
+        + np.array(_NAN_BITS, dtype=np.uint64).view(np.float64).tolist()
+    ),
+    # Where the kernel's lanes end (1e-99, 1e17) and %g's notation turns
+    # (E = -5 / -4, 16 / 17).
+    "boundaries": _with_neighbours([1e-99, 1e-100, 1e-5, 1e-4, 1e16, 1e17]),
+}
+
+
+def _decided(values):
+    return learner_module._digits(values, learner_module._words()["ten"])[2]
+
+
+@pytest.mark.parametrize("values", _KERNEL_EDGES.values(), ids=_KERNEL_EDGES)
+def test_kernel_gives_percent_text_at_the_edges(values):
+    flipped = (values.view(np.uint64) ^ np.uint64(1 << 63)).view(np.float64)  # -values
+    for column in (values, flipped):
+        got, want = _kernel_lines(column)
+        assert got == want
+    # The kernel itself decides every value from 1e-99 up to 1e17.
+    a = np.abs(values)
+    assert _decided(values)[(1e-99 <= a) & (a < 1e17)].all()
+
+
+def _near_ties():
+    """Doubles v = m·2^-(q+k), 2^52 <= m < 2^53, where X = v·10^q lies in
+    [10^16, 10^17) with the fraction ½ ± 2^-k, k >= 44: m·5^q ≡ 2^(k-1) ± 1
+    (mod 2^k). The kernel's sum is within 5e-15 of X's fraction, so it cannot
+    tell which way these round."""
+    out = []
+    for q, k, sign in product(range(23, 30), range(44, 60), (1, -1)):
+        m = ((1 << (k - 1)) + sign) * pow(5**q, -1, 1 << k) % (1 << k)
+        for m in range(m, 1 << 53, 1 << k):
+            if m >= 1 << 52 and 10**16 << k <= m * 5**q < 10**17 << k:
+                out.append(math.ldexp(m, -(q + k)))
+    return np.array(out)
+
+
+def test_kernel_leaves_what_it_cannot_decide_to_percent():
+    values = _near_ties()
+    assert len(values) >= 8 and not _decided(values).any()
+    got, want = _kernel_lines(values)
+    assert got == want
+
+
+@pytest.mark.parametrize("stages", [17, 20])
+@pytest.mark.parametrize("kind", ["zero", "nearest", "linint"])
+def test_no_value_of_a_match_trace_is_left_to_percent(kind, stages):
+    # _digits leaves a value to "%.17g" only where it cannot decide it; a
+    # match's trace has none, so the kernel formats every value of it.
+    result = run_match(make_learner(kind), AdversaryConfig(0.1, stages))
+    ten = learner_module._words()["ten"]
+    for t, *columns in islice(learner_module._trace_blocks(result.records), 1, None):
+        assert all(learner_module._digits(v, ten)[2].all() for v in columns), t
+
+
+def test_importing_the_cli_builds_no_kernel_table():
+    # The kernel's tables are built on first use, never at import.
+    code = (
+        "import io, pwlearn.cli, pwlearn.learner as m; print(len(m._WORDS)); "
+        "trace = m.run_trials(m.ZeroLearner(), [(0.5, 1.0), (0.25, 2.0)], 2.0)[0]; "
+        "m.write_trace_csv(trace, io.StringIO()); print(len(m._WORDS))"
+    )
+    path = [str(Path(learner_module.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    before, after = out.stdout.split()
+    assert before == "0" and after != "0"
 
 
 class _FlushLog(io.StringIO):
@@ -954,7 +1074,7 @@ def _tables(draw):
     """A header and blocks of float, int, bool and text columns. A float
     column is a list or a float64 or float32 array, an int column a list, a
     range or an int64 array, a bool column a list or an array, and values
-    come in runs, so every path of _exact_cells is taken. A one-column table
+    come in runs, so both paths of _block_text are taken. A one-column table
     has no empty text, which csv.writer alone would quote."""
     kind = st.sampled_from(["float", "int", "bool", "text"])
     kinds = draw(st.lists(kind, min_size=1, max_size=5))
@@ -996,6 +1116,8 @@ def _tables(draw):
 # A NUL in text and ints past 2^63, which a numpy array of the column would lose.
 @example(table=(["c0", "c1"], [[[0.0], ["\x00"]]]), end="\r\n")
 @example(table=(["c0"], [[[-1, 2**63]]]), end="\n")
+# A trace chunk, which goes through the kernel.
+@example(table=(["c0", "c1"], [[range(3), np.array([0.5, -0.0, 1e-7])]]), end="\n")
 # Arrays other than float64 go through their .tolist() values: reading their
 # bits as int64 merged rows or raised, and int64 lost digits to %.17g.
 @example(table=(["c0"], [[np.array([1, 1, 1, 1, 1, 1, 2, 2], dtype=np.float32)]]), end="\n")
