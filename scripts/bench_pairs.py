@@ -82,8 +82,6 @@ KERNELS = {
     "_fold": "_fold",
     "_midpoint_predictions": "_midpoint_predictions",
     "write_csv": "write_csv",
-    # One block's CSV text: in this process only, not in a forked helper.
-    "_block_text": "_block_text",
     # A trace chunk's text, and its values' 17 digits, in this process only.
     "_chunk_text": "_chunk_text",
     "_digits": "_digits",

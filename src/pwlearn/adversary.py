@@ -23,7 +23,8 @@ those knots. AdversaryState._fold, the one function that knows a stage's layout,
 plays a fresh learner of exact built-in type a block of trials at a time and reads
 every finished stage; any other learner goes through predict/respond/observe trial
 by trial. _stage_audits gives the audit after each trial, audit_energy (its scalar
-oracle) the live state's. The grid and the predictions fix the trace (MatchTrace).
+oracle) the live state's. The final grid fixes the trace (MatchTrace), a fresh
+built-in learner's predictions included; any other learner's are kept beside it.
 """
 
 from __future__ import annotations
@@ -210,13 +211,13 @@ class AdversaryState:
             self._fold()
         return y, accepted
 
-    def _fold(self, predict=None, total: float = 0.0, y_hats=None) -> float:
+    def _fold(self, predict=None, total: float = 0.0) -> float:
         """Read the stage just played off the grid and v, _BLOCK trials at a time;
         given predict, play the next stage first, with respond's operations
         elementwise, and return total plus its loss terms. predict(a, knots) is a
-        block's predictions from trial w = a on, off its stage-start knots, and
-        y_hats (by trial) gets a copy. Trial w's input is index 2w + 1 of the view,
-        between knots 2w and 2w + 2: v holds its proposal, base ± mag, the grid its label."""
+        block's predictions from trial w = a on, off its stage-start knots. Trial
+        w's input is index 2w + 1 of the view, between knots 2w and 2w + 2: v
+        holds its proposal, base ± mag, the grid its label."""
         if predict is not None:
             if self.next_t != self.stage_end + 1:
                 raise SequenceError(f"a whole stage starts at a stage boundary; trial "
@@ -231,8 +232,6 @@ class AdversaryState:
             base = 0.5 * (vl + vr)
             if predict is not None:
                 y_hat = predict(a, block[::2])
-                if y_hats is not None:
-                    y_hats[n + a : n + a + len(y)] = y_hat  # stage i's first trial is n
                 # Furthest of base +/- mag from the prediction; ties take +.
                 v[:] = np.where(y_hat > base, base - mag, base + mag)
                 y[:] = np.where((np.abs(v - vl) <= h) & (np.abs(v - vr) <= h), v, base)
@@ -360,17 +359,17 @@ def _time_order(stages: int, start: int = 0, stop: Optional[int] = None) -> np.n
 
 @dataclass(frozen=True, eq=False)
 class MatchTrace:
-    """A match's trace as the two arrays that fix it: the final grid at
-    spacing 2^-S (read-only) and y_hat, the predictions in trial order, NaN
-    for trial 0. Reading x, y, e, d or loss_term computes that Trace column
-    with the same bits; write_trace_csv computes a chunk of rows at a time."""
+    """A match's trace as what fixes it: the final grid at spacing 2^-S
+    (read-only), p and the predictions: a fresh built-in learner's kind, which
+    with the grid fixes them, or y_hat in trial order, NaN for trial 0. Reading
+    a Trace column computes it; write_trace_csv computes a chunk of rows at a time."""
 
     grid: np.ndarray
-    y_hat: np.ndarray
     p: float
+    predictions: str | np.ndarray
 
     def __len__(self) -> int:
-        return len(self.y_hat)
+        return len(self.grid) - 1
 
     def __getattr__(self, name: str) -> np.ndarray:
         # Reached only when normal lookup fails: the computed columns.
@@ -381,12 +380,19 @@ class MatchTrace:
 
     def _rows(self, start: int, stop: int) -> tuple[np.ndarray, ...]:
         """Trace's columns for trials start .. stop - 1: x = k·2^-S, y = grid[k]
-        and d = 2^-i, k's lowest set bit times 2^-S (NaN for trial 0, k = 2^S)."""
-        n = len(self.y_hat)
+        and d = 2^-i, k's lowest set bit s times 2^-S (NaN for trial 0, k = 2^S).
+        A stage-i trial was predicted off the knots at k ∓ s, the first at x = d."""
+        n = len(self)
         k = _time_order(n.bit_length() - 1, start, stop)
-        y, y_hat = self.grid[k], self.y_hat[start:stop]
+        s, y = k & -k, self.grid[k]
+        if isinstance(self.predictions, str):
+            vr = self.grid[np.minimum(k + s, n)]  # trial 0's is out of play
+            y_hat = _midpoint_predictions(self.predictions, self.grid[k - s], vr, s / n, k == s)
+            y_hat[k == n] = math.nan
+        else:
+            y_hat = self.predictions[start:stop].copy()  # the reader's own, as every column
         e = np.abs(y_hat - y)
-        d = np.where(k < n, (k & -k) / n, math.nan)
+        d = np.where(k < n, s / n, math.nan)
         return k / n, y_hat, y, e, d, _pow_terms(e, self.p)
 
 
@@ -395,7 +401,7 @@ class MatchResult:
     epsilon: float
     stages: int
     total_loss: float
-    records: Optional[MatchTrace]
+    records: MatchTrace
     per_stage: list[StageSummary]
     audit: MatchAudit
     lower_partial: float
@@ -436,7 +442,6 @@ def run_match(
     learner: Learner,
     config: AdversaryConfig,
     *,
-    collect_records: bool = True,
     audit_per_trial: bool = False,
 ) -> MatchResult:
     """Play the adversary against a learner for the full stage budget.
@@ -444,11 +449,9 @@ def run_match(
     Trial 0 presents (1, 0) with no loss charged; trials 1 .. 2^stages - 1
     alternate predict/respond at loss exponent p = 1 + epsilon. Energy is
     audited at every stage end (and after every trial when ``audit_per_trial``
-    is set, which costs O(n) per trial). With
-    ``collect_records=False`` only totals and audits are kept, which is the
-    cheap mode for sweeps; otherwise ``records`` is the match's MatchTrace,
-    the final grid and the predictions. A loss term that overflows, or a
-    non-finite total loss (a NaN or infinite prediction), raises DomainError.
+    is set, which costs O(n) per trial). ``records`` is the match's MatchTrace.
+    A loss term that overflows, or a non-finite total loss (a NaN or infinite
+    prediction), raises DomainError.
 
     A fresh learner of exact built-in type (zero, nearest, or linint with
     nothing observed) is played a stage at a time, and its state is filled
@@ -461,25 +464,26 @@ def run_match(
     state = AdversaryState(config)
     by_stage = _fresh(learner)
     if by_stage:
-        def predict(a, knots):
-            return _midpoint_predictions(learner.kind, knots, state.h, first=(a == 0))
+        predictions = learner.kind
+
+        def predict(a, knots):  # the stage's first trial is the first block's
+            return _midpoint_predictions(predictions, knots[:-1], knots[1:], state.h, slice(a == 0))
     else:
         learner.predict(X0)  # uncharged; the opening prediction is discarded
         learner.observe(X0, Y0)
-    # The one trace column the grid cannot give back; NaN for trial 0.
-    y_hats = np.full(1 << config.stages, math.nan) if collect_records else None
+        # The one trace column the grid cannot give back; NaN for trial 0.
+        predictions = np.full(1 << config.stages, math.nan)
     total = 0.0
     per_stage: list[StageSummary] = []
     worst = np.zeros(3)  # the largest audited j_probe, j_committed and residual
     for i in range(1, config.stages + 1):
         first = 1 << (i - 1)
         if by_stage:
-            total = state._fold(predict, total, y_hats)
+            total = state._fold(predict, total)
         else:
             y_hat = _play_stage(learner, state, (2.0 * np.arange(first) + 1.0) * 0.5**i)
             total = _add_loss(total, y_hat, state.committed[1::2], p, i)
-            if collect_records:
-                y_hats[first : 2 * first] = y_hat
+            predictions[first : 2 * first] = y_hat
         audits = _stage_audits(state) if audit_per_trial else state.end_audit
         worst = np.maximum(worst, audits.max(axis=1))
         per_stage.append(StageSummary(i, state.within, state.accepted, audits.item(0, -1)))
@@ -497,7 +501,7 @@ def run_match(
         epsilon=eps,
         stages=config.stages,
         total_loss=total,
-        records=MatchTrace(grid, y_hats, p) if collect_records else None,
+        records=MatchTrace(grid, p, predictions),
         per_stage=per_stage,
         audit=MatchAudit(
             max_abs_slope=state.max_abs_slope,

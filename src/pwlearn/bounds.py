@@ -43,7 +43,7 @@ def upper_bound_linint(epsilon: float) -> float:
     """
     epsilon = _check_not_tiny(_check_real("epsilon", epsilon, 0.0, 1.0))
     p = 1.0 + epsilon
-    return kl_d_bound(p / (2.0 - p)) ** (1.0 - p / 2.0)
+    return kl_d_bound(p / (2.0 - p) if p < 2.0 else math.inf) ** (1.0 - p / 2.0)
 
 
 def lower_bound_partial(epsilon: float, stages: int) -> float:

@@ -137,9 +137,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
         # Like sweep: bad flags leave no file, an unwritable path plays no
         # trial. Append mode leaves an old trace whole until the write.
         open(args.out, "a").close()
-    # Only --out keeps records, the final grid and the predictions, off which
-    # write_trace_csv computes the trace a chunk of rows at a time.
-    result = run_match(make_learner(args.learner), config, collect_records=bool(args.out))
+    result = run_match(make_learner(args.learner), config)
     if args.out:
         write_trace_csv(result.records, args.out)
     json.dump(result.to_json_dict(), sys.stdout)

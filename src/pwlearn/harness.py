@@ -156,11 +156,7 @@ def run_sweep(config: ExperimentConfig) -> Iterator[SweepRow]:
 
 
 def _sweep_row(config: ExperimentConfig, eps: float) -> SweepRow:
-    result = run_match(
-        make_learner(config.learner),
-        AdversaryConfig(eps, config.stages),
-        collect_records=False,
-    )
+    result = run_match(make_learner(config.learner), AdversaryConfig(eps, config.stages))
     return SweepRow(
         epsilon=eps,
         stages=config.stages,
@@ -280,10 +276,7 @@ def run_invariant_audit(config: ExperimentConfig) -> AuditReport:
     for eps in report.adversary_epsilons:
         for kind in ("zero", "nearest", "linint"):
             result = run_match(
-                make_learner(kind),
-                AdversaryConfig(eps, stages),
-                collect_records=False,
-                audit_per_trial=True,
+                make_learner(kind), AdversaryConfig(eps, stages), audit_per_trial=True
             )
             a = result.audit
             label = f"match eps={eps} learner={kind}"

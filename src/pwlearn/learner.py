@@ -11,9 +11,10 @@ oracle is the linked-list pass in tests/helpers.py). For a fresh
 LinintLearner on distinct inputs it computes every prediction from them
 without calling predict/observe. The online predict/observe loop
 (scalar_predictions) serves every other learner and is the reference the
-offline path must match bit for bit. The adversary's stage-at-a-time play
-takes its predictions from _midpoint_predictions; _fresh is the one rule for
-which learners either offline path may stand in for.
+offline path must match bit for bit. The adversary's stage-at-a-time play,
+and the trace of a match so played, take their predictions from
+_midpoint_predictions; _fresh is the one rule for which learners either
+offline path may stand in for.
 
 _dealt works an iterator's items on two CPUs: with fork, a forked helper works
 every other item (walking all, so both carry the same state) and pipes each
@@ -336,16 +337,14 @@ def _fresh(learner: Learner) -> bool:
     return type(learner) in (NearestLearner, LinintLearner) and not learner._vals
 
 
-def _midpoint_predictions(kind: str, grid: np.ndarray, h: float, first=True) -> np.ndarray:
-    """A fresh built-in learner's predictions at the midpoints of grid, a run
-    of labels at spacing 2h, when it has observed every knot at that spacing
-    but the one at x = 0 and nothing nearer to any midpoint. Midpoint w lies
-    between grid knots w and w + 1. nearest's neighbours tie, and ties go
-    left; linint uses predict's chord in predict's order, not 0.5·(vl + vr).
-    first says the run starts at x = 0: with no knot observed there, both
-    extend grid[1] as a constant at x = h. A later block of the stage's
-    midpoints is predicted with first=False."""
-    vl, vr = grid[:-1], grid[1:]
+def _midpoint_predictions(kind: str, vl: np.ndarray, vr: np.ndarray, h, first) -> np.ndarray:
+    """A fresh built-in learner's predictions at midpoints x between knots
+    labelled vl at x - h and vr at x + h, when it has observed every knot at
+    that spacing 2h but the one at x = 0 and nothing nearer to any midpoint.
+    nearest's neighbours tie, and ties go left; linint uses predict's chord in
+    predict's order, not 0.5·(vl + vr). first indexes the midpoints at x = h:
+    with no knot observed at 0, both extend vr as a constant there. h is a
+    scalar, or an array of one per midpoint."""
     if kind == "zero":
         return np.zeros(len(vl))
     if kind == "nearest":
@@ -353,8 +352,7 @@ def _midpoint_predictions(kind: str, grid: np.ndarray, h: float, first=True) -> 
     else:
         # x - u0 = h and u1 - u0 = 2h exactly.
         y_hat = vl + h * (vr - vl) / (2.0 * h)
-    if first:
-        y_hat[0] = grid[1]
+    y_hat[first] = vr[first]
     return y_hat
 
 
@@ -496,8 +494,9 @@ def write_csv(out: str | os.PathLike | IO[str], header, blocks, end: str = "\r\n
     """Write a CSV table: the header, then each block of equal-length columns
     as rows, flushing after the header and after each block. Floats are
     written %.17g, ints and text as str gives them (a numpy column as its
-    .tolist()), and no field is quoted, which no number needs."""
-    _write_texts(out, header, (_block_text(c, end) for c in blocks), end)
+    .tolist()), and no field is quoted, which no number needs. A block with
+    no columns, or columns of unequal length, raises DomainError at its turn."""
+    _write_texts(out, header, (_template_text(c, end, b) for b, c in enumerate(blocks)), end)
 
 
 def _write_texts(out, header, texts: Iterator[str], end: str = "\r\n") -> None:
@@ -509,20 +508,12 @@ def _write_texts(out, header, texts: Iterator[str], end: str = "\r\n") -> None:
             del text  # before the next is asked for: never two chunk texts at once
 
 
-def _block_text(columns, end: str = "\r\n") -> str:
-    """A block's CSV text: a trace chunk (a range in [0, 10^16), then float64
-    arrays of its length) through _chunk_text, any other through _template_text."""
-    t, *floats = columns if isinstance(columns, (tuple, list)) and columns else ((),)
-    if (isinstance(t, range) and t and 0 <= min(t[0], t[-1]) <= max(t[0], t[-1]) < 10**16
-            and end in ("\r\n", "\n") and all(isinstance(v, np.ndarray) and v.dtype == np.float64
-                                                and v.shape == (len(t),) for v in floats)):
-        return _chunk_text(t, floats, end)
-    return _template_text(columns, end)
-
-
-def _template_text(columns, end: str = "\r\n") -> str:
-    """One block's rows through one % row template (see _exact_cells)."""
-    slots, cells = zip(*map(_exact_cells, columns))
+def _template_text(columns, end: str = "\r\n", block: int = 0) -> str:
+    """The rows of a table's block (its index) through one % row template (see _exact_cells)."""
+    cells = list(map(_exact_cells, columns))
+    if len({len(column) for _, column in cells}) != 1:
+        raise DomainError(f"CSV block {block} has no columns or columns of unequal length")
+    slots, cells = zip(*cells)
     row = ",".join(slots) + end
     return "".join(map(row.__mod__, zip(*cells)))
 
@@ -603,14 +594,16 @@ def _digits(v: np.ndarray, ten: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return D, e, ok | (v == 0)
 
 
-def _chunk_text(t: range, floats: list[np.ndarray], end: str) -> str:
-    """_template_text's bytes for a trace chunk, at a fraction of its cost: rows
+def _chunk_text(block: tuple, end: str = "\r\n") -> str:
+    """_template_text's bytes for a trace chunk, a range t in [0, 10^16) and
+    float64 columns of its length, at a fraction of its cost: rows
     of NUL-padded byte slots, filled a field at a time with whole words from
     _words' tables, then one translate drops the NULs. t's slot is its digits;
     a float's is ",", the sign, the integer part, the mid word, the first
     fraction digit, four words of fraction and, if the column needs it, the
     exponent word (%g's fixed notation is -4 <= E < 17). A value _digits
     leaves to %.17g gets that text in its slot."""
+    t, *floats = block
     w = _words()
     n, digits = len(t), w["digits"]
     cols = [(v, *_digits(v, w["ten"])) for v in floats]
@@ -670,8 +663,8 @@ def write_trace_csv(trace: Trace, out: str | os.PathLike | IO[str]) -> None:
     leaves uncharged fields empty. With fork and two CPUs, two chunks or more
     are formatted by two processes."""
     blocks = _trace_blocks(trace)
-    first = [_block_text(columns) for columns in islice(blocks, 1)]  # trial 0's row
-    chunks = _dealt(blocks, len(range(1, len(trace), _CSV_CHUNK)), _block_text)
+    first = [_template_text(columns) for columns in islice(blocks, 1)]  # trial 0's row
+    chunks = _dealt(blocks, len(range(1, len(trace), _CSV_CHUNK)), _chunk_text)
     with closing(chunks):
         _write_texts(out, TRACE_HEADER, chain(first, chunks))
 

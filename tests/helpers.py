@@ -137,7 +137,8 @@ def columnar_match(learner, config):
     columns filled a stage at a time, trial 0 first, and its audits from
     audit_energy at each stage end: (total_loss, per_stage, MatchAudit,
     Trace). The oracle for run_match's records, which hold only the final
-    grid and the predictions, and for its totals and audits."""
+    grid and, unless the grid fixes them, the predictions, and for its
+    totals and audits."""
     eps, stages = config.epsilon, config.stages
     p = 1.0 + eps
     state = AdversaryState(config)
@@ -153,7 +154,8 @@ def columnar_match(learner, config):
     for i in range(1, stages + 1):
         first, h = 1 << (i - 1), 0.5**i
         if by_stage:
-            y_hat = _midpoint_predictions(learner.kind, state.committed, h)
+            knots = state.committed  # the last stage's view, at spacing 2h
+            y_hat = _midpoint_predictions(learner.kind, knots[:-1], knots[1:], h, slice(0, 1))
             respond_stage(state, y_hat)
         else:
             y_hat = _play_stage(learner, state, (2.0 * np.arange(first) + 1.0) * h)
@@ -217,15 +219,15 @@ def csv_writer_table(out, header, blocks, end="\r\n"):
 def kill_the_trace_helper(monkeypatch):
     """Force write_trace_csv's helper on for any trace of two chunks or more,
     and make it exit 1 when it formats its first chunk."""
-    parent, block_text = os.getpid(), learner_module._block_text
+    parent, chunk_text = os.getpid(), learner_module._chunk_text
 
-    def dying_block_text(*args):
+    def dying_chunk_text(*args):
         if os.getpid() != parent:
             os._exit(1)
-        return block_text(*args)
+        return chunk_text(*args)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(learner_module, "_block_text", dying_block_text)
+    monkeypatch.setattr(learner_module, "_chunk_text", dying_chunk_text)
 
 
 def linked_list_neighbours(xs):

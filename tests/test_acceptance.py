@@ -93,11 +93,7 @@ def matches():
     out = {}
     for eps in EPS_GRID:
         for kind in LEARNERS:
-            out[kind, eps] = run_match(
-                make_learner(kind),
-                AdversaryConfig(eps, STAGES),
-                collect_records=False,
-            )
+            out[kind, eps] = run_match(make_learner(kind), AdversaryConfig(eps, STAGES))
     return out
 
 

@@ -58,6 +58,13 @@ class TestUpperBound:
             with pytest.raises(DomainError, match=f"epsilon {eps!r} is too small"):
                 upper_bound_linint(eps)
 
+    def test_epsilon_whose_p_rounds_to_two(self):
+        # 1 + (1 - 2^-53) rounds to 2, so p/(2 - p) would divide by zero; the
+        # exact bound is 1 to within 2^-54, whose double is 1.
+        assert 1.0 + (1 - 2**-53) == 2.0
+        assert upper_bound_linint(1 - 2**-53).hex() == "0x1.0000000000000p+0"
+        assert bound_report(1 - 2**-53).upper_linint == 1.0
+
 
 class TestLowerBoundPartial:
     def test_single_stage_term(self):

@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pwlearn import (
     DomainError,
-    adversary,
     cli,
     function_to_json,
     from_points,
@@ -50,32 +49,22 @@ class TestMatch:
         assert lines[0] == "t,x,y_hat,y,e,d,loss_term,cum_loss"
         assert len(lines) == 1 + 2**3  # header, trial 0, 7 charged trials
 
-    def test_records_are_built_only_for_a_trace_file(self, tmp_path, monkeypatch, capsys):
-        # A match's records, its final grid and predictions, are made only
-        # for --out, and are what write_trace_csv writes.
+    def test_out_writes_the_match_records(self, tmp_path, monkeypatch, capsys):
+        # The trace file is the match's records, its final grid and whatever
+        # the grid does not fix of the predictions.
         real_run_match = cli.run_match
-        seen, built, written = [], [], []
+        results, written = [], []
 
         def spy(*args, **kwargs):
-            result = real_run_match(*args, **kwargs)
-            seen.append((kwargs.get("collect_records", True), result.records is not None))
-            return result
-
-        class SpyRecords(adversary.MatchTrace):
-            def __init__(self, *args):
-                super().__init__(*args)
-                built.append(self)
+            results.append(real_run_match(*args, **kwargs))
+            return results[-1]
 
         monkeypatch.setattr(cli, "run_match", spy)
-        monkeypatch.setattr(adversary, "MatchTrace", SpyRecords)
         monkeypatch.setattr(cli, "write_trace_csv", lambda records, out: written.append(records))
-        args = ["match", "--epsilon", "0.25", "--stages", "3"]
-        assert run_cli(args) == 0
-        assert seen == [(False, False)] and built == []
-        assert run_cli(args + ["--out", str(tmp_path / "trace.csv")]) == 0
+        out = str(tmp_path / "trace.csv")
+        assert run_cli(["match", "--epsilon", "0.25", "--stages", "3", "--out", out]) == 0
         capsys.readouterr()
-        assert seen == [(False, False), (True, True)]
-        assert len(built) == 1 and written == built
+        assert len(results) == len(written) == 1 and written[0] is results[0].records
 
     def test_unwritable_trace_path_exits_three_before_any_trial(
         self, tmp_path, monkeypatch, capsys
@@ -313,7 +302,9 @@ def _part(valid, hostile):
 
 
 REAL = _part(["0.1", "0.25", "0.5"], ["nan", "inf", "-inf", "1e400", "-0.0", "0", "1.5", "-1",
-                                      "5e-324", BIG, "true", "null", "[[0.5]]", "text", ""])
+                                      "5e-324", BIG, "true", "null", "[[0.5]]", "text", "",
+                                      # 1 + eps rounds to 2; 2^-52, the least eps that moves it
+                                      "0.9999999999999999", "2.220446049250313e-16"])
 COUNT = _part(["1", "2", "3", "6"], ["-1", "0", "2.5", "1e400", "nan", "null", "text", ""])
 GRID = _part(["0.1", "0.1,0.25", "log:0.1:0.2:3"],
              ["nan,0.1", "inf", "-0.0", "1e400", "0.1,text", ",", "[[0.5]]", "log:nan:0.2:2",

@@ -280,8 +280,7 @@ def _trace_runs():
 
 def _matches():
     return [(f"match eps={eps} learner={kind}", run_match(
-        make_learner(kind), AdversaryConfig(eps, AUDIT["stages"]),
-        collect_records=False, audit_per_trial=True,
+        make_learner(kind), AdversaryConfig(eps, AUDIT["stages"]), audit_per_trial=True,
     )) for eps, kind in MATCHES]
 
 

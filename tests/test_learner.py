@@ -826,14 +826,14 @@ class TestTraceHelper:
 
     def test_a_helper_that_raises_relays_its_error_after_the_rows_before(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        parent, block_text = os.getpid(), learner_module._block_text
+        parent, chunk_text = os.getpid(), learner_module._chunk_text
 
-        def failing_block_text(columns):
+        def failing_chunk_text(block):
             if os.getpid() != parent:
                 raise ValueError("no text for this chunk")
-            return block_text(columns)
+            return chunk_text(block)
 
-        monkeypatch.setattr(learner_module, "_block_text", failing_block_text)
+        monkeypatch.setattr(learner_module, "_chunk_text", failing_chunk_text)
         result = run_match(make_learner("linint"), AdversaryConfig(0.1, 14))
         want = io.StringIO()
         csv_writer_trace(result.records, want)
@@ -919,7 +919,7 @@ def _assert_kernel_gives_the_template_bytes(values):
     """A float64 column as a trace chunk, through the kernel and through the %
     row template, its oracle: the same bytes, compared line by line."""
     t = range(1, 1 + len(values))
-    got = learner_module._chunk_text(t, [values], "\r\n")
+    got = learner_module._chunk_text((t, values), "\r\n")
     want = learner_module._template_text((t, values))
     assert got.splitlines(True) == want.splitlines(True)
 
@@ -946,7 +946,7 @@ def test_columns_from_three_values_match_the_csv_writer_oracle(n, switch, seed):
 def _kernel_lines(values):
     """Each value's row from the kernel, as a one-column trace chunk from t = 0,
     next to its row from "%.17g" % v."""
-    got = learner_module._chunk_text(range(len(values)), [values], "\n").splitlines()
+    got = learner_module._chunk_text((range(len(values)), values), "\n").splitlines()
     return got, [f"{t},{'%.17g' % v}" for t, v in enumerate(values.tolist())]
 
 
@@ -1074,7 +1074,7 @@ def _tables(draw):
     """A header and blocks of float, int, bool and text columns. A float
     column is a list or a float64 or float32 array, an int column a list, a
     range or an int64 array, a bool column a list or an array, and values
-    come in runs, so both paths of _block_text are taken. A one-column table
+    come in runs. A one-column table
     has no empty text, which csv.writer alone would quote."""
     kind = st.sampled_from(["float", "int", "bool", "text"])
     kinds = draw(st.lists(kind, min_size=1, max_size=5))
@@ -1116,7 +1116,7 @@ def _tables(draw):
 # A NUL in text and ints past 2^63, which a numpy array of the column would lose.
 @example(table=(["c0", "c1"], [[[0.0], ["\x00"]]]), end="\r\n")
 @example(table=(["c0"], [[[-1, 2**63]]]), end="\n")
-# A trace chunk, which goes through the kernel.
+# A trace chunk's columns, which write_trace_csv would give to the kernel.
 @example(table=(["c0", "c1"], [[range(3), np.array([0.5, -0.0, 1e-7])]]), end="\n")
 # Arrays other than float64 go through their .tolist() values: reading their
 # bits as int64 merged rows or raised, and int64 lost digits to %.17g.
@@ -1139,6 +1139,19 @@ def test_write_csv_matches_the_csv_writer_oracle_and_flushes_per_block(table, en
     want = csv_writer_table(io.StringIO(), header, listed, end)
     assert got.getvalue() == want[-1]
     assert got.flushed == want
+
+
+@pytest.mark.parametrize(
+    "bad", [[[1.5, 2.5, 3.5], [4]], [], [[], [4]]], ids=["unequal", "empty", "one-empty"]
+)
+def test_write_csv_refuses_a_block_of_unequal_or_no_columns(bad):
+    # The row template zipped the columns, so a short one dropped rows
+    # without a word, and no column at all raised a bare ValueError.
+    out = io.StringIO()
+    message = "CSV block 1 has no columns or columns of unequal length"
+    with pytest.raises(DomainError, match=message):
+        write_csv(out, ["a", "b"], [[[0.5], [1]], bad, [[2.5], [3]]], "\n")
+    assert out.getvalue() == "a,b\n0.5,1\n"
 
 
 @given(st.floats())
