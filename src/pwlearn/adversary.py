@@ -22,16 +22,17 @@ stage-start knots around it, so the built-in learners' predictions follow from
 those knots. AdversaryState._fold, the one function that knows a stage's layout,
 plays a fresh learner of exact built-in type a block of trials at a time and reads
 every finished stage; any other learner goes through predict/respond/observe trial
-by trial. _stage_audits gives the audit after each trial, audit_energy (its scalar
-oracle) the live state's. The final grid fixes the trace (MatchTrace), a fresh
-built-in learner's predictions included; any other learner's are kept beside it.
+by trial. The final grid fixes the trace (MatchTrace), a fresh built-in learner's
+predictions included; any other learner's are kept beside it. So _stage_audits
+gives the audit after each trial of a stage off finished matches, many at once;
+audit_energy, its scalar oracle, gives the live state's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -142,8 +143,8 @@ class AdversaryState:
     """Mutable per-match state: the grid and the current stage's proposals v,
     which respond (one trial) or _fold (a whole stage) write. _fold reads a
     finished stage, so accepted (that stage's), max_abs_slope,
-    max_energy_probe and end_audit (audit_energy at the stage end, (3, 1))
-    change once a stage; stage_start_energy holds through the last trial.
+    max_energy_probe and end_audit (audit_energy at the stage end) change
+    once a stage; stage_start_energy holds through the last trial.
     A trial past the config's stage budget raises SequenceError."""
 
     def __init__(self, config: AdversaryConfig) -> None:
@@ -163,14 +164,14 @@ class AdversaryState:
         self.h, self.magnitude = 1.0, 0.0
         # end_audit's j_committed, from scratch, is the next stage's start probe
         # energy, which the incremental probe energy and the residual run from.
-        self.end_audit = np.zeros((3, 1))
+        self.end_audit = EnergyAudit(0.0, 0.0, 0.0)
         self.stage_start_energy = self.max_energy_probe = self.max_abs_slope = 0.0
 
     def _begin_stage(self) -> None:
         # Summed afresh at the last stage end: no drift crosses a stage boundary.
         if self.stage == self.stages:
             raise SequenceError(f"trial {self.next_t} is past the budget of {self.stages} stages")
-        self.stage_start_energy = self.end_audit.item(1)
+        self.stage_start_energy = self.end_audit.j_committed
         i = self.stage = self.stage + 1
         self.committed = self.grid[:: 1 << (self.stages - i)]
         self.v = self._proposals[: 1 << (i - 1)]
@@ -257,7 +258,8 @@ class AdversaryState:
         self.within, self.next_t, self.accepted = n, self.stage_end + 1, accepted
         self.max_energy_probe = max(self.max_energy_probe, energy)
         self.max_abs_slope = max(self.max_abs_slope, steepest / h)
-        self.end_audit = np.array([[jp], [jc], [_recursion_residual(self, n, jp)]])
+        resid = _recursion_residual(self.epsilon, self.stage, self.stage_start_energy, n, jp)
+        self.end_audit = EnergyAudit(jp, jc, resid)
         return total
 
 
@@ -270,19 +272,11 @@ def _add_loss(total: float, y_hat: np.ndarray, y: np.ndarray, p: float, stage: i
                           "be moderate") from None
 
 
-def _probe(state: AdversaryState) -> np.ndarray:
-    """The probe function: the stage's view with the proposals so far at the odd entries."""
-    probe = state.committed.copy()
-    probe[1 : 2 * state.within : 2] = state.v[: state.within]
-    return probe
-
-
-def _recursion_residual(state: AdversaryState, within, j_probe):
-    # |J_probe - expected| after the stage's first `within` trials; on arrays
-    # too, elementwise with the same operations.
-    eps = state.epsilon
-    step = eps * (1.0 - eps) ** state.stage / 2.0 ** (state.stage + 1)
-    return abs(j_probe - (state.stage_start_energy + within * step))
+def _recursion_residual(epsilon: float, i: int, start, within, j_probe):
+    # |J_probe - expected| after stage i's first `within` trials from the
+    # stage-start energy; on arrays too, elementwise with the same operations.
+    step = epsilon * (1.0 - epsilon) ** i / 2.0 ** (i + 1)
+    return abs(j_probe - (start + within * step))
 
 
 def audit_energy(state: AdversaryState) -> EnergyAudit:
@@ -291,43 +285,65 @@ def audit_energy(state: AdversaryState) -> EnergyAudit:
 
     The expected probe energy after j in-stage trials is the stage-start
     energy plus j * eps*(1-eps)^i / 2^(i+1); the residual is the absolute
-    difference between that and the scratch recomputation. run_match reads
-    the same values, with the same bits, off a finished stage (end_audit, or
-    _stage_audits per trial); this is the oracle those are tested against.
+    difference between that and the scratch recomputation. The stage end
+    (end_audit) and finished matches (_stage_audits, per trial) give the same
+    values with the same bits; this is the oracle they are tested against.
     """
     # Before stage 1 nothing has been proposed: within = 0, so expected = 0.
     k = np.flatnonzero(~np.isnan(state.committed))  # the knots revealed so far
-    du = np.diff(k * state.h)
-    j_probe = pwl._energy_sum(du, _probe(state)[k])
-    j_committed = pwl._energy_sum(du, state.committed[k])
-    return EnergyAudit(j_probe, j_committed, _recursion_residual(state, state.within, j_probe))
+    du, w = np.diff(k * state.h), state.within
+    probe = state.committed.copy()  # the stage's view with the proposals so far
+    probe[1 : 2 * w : 2] = state.v[:w]
+    j_probe = pwl._energy_sum(du, probe[k])
+    resid = _recursion_residual(state.epsilon, state.stage, state.stage_start_energy, w, j_probe)
+    return EnergyAudit(j_probe, pwl._energy_sum(du, state.committed[k]), resid)
 
 
-def _stage_audits(state: AdversaryState) -> np.ndarray:
-    """audit_energy as it read right after each trial of the stage just
-    played, with the same bits: rows j_probe, j_committed and residual, one
-    column per trial. The last column is the state's end_audit.
+def _stage_audits(results: Sequence[MatchResult], i: int) -> np.ndarray:
+    """audit_energy as it read right after each trial of stage i, for each of
+    the finished matches at once, with the same bits: shape (matches, 3,
+    2^(i-1)), rows j_probe, j_committed and residual, one column per trial.
 
-    After w trials the knots in coordinate order are the stage's grid indices
+    Stage i's knots are the view grid[::2^(S-i)] of the final grid; its
+    proposals follow from them and the predictions with respond's operations.
+    After w trials the knots in coordinate order are the view's indices
     0..2w, then the even indices after 2w. Their segments are the first 2w
-    segments of the full grid followed by the even knots' segments from the
+    segments of the full view followed by the even knots' segments from the
     w-th on (the w-th joins 2w and 2w + 2). So every audit sums a row of the
     same terms, in the same order, as _energy_sum does: the knot coordinates
-    are multiples of h, so every run is h or 2h exactly.
+    are multiples of h, so every run is h or 2h exactly, and numpy sums each
+    row of a stack as it sums that row alone. The even knots' terms alone sum
+    to the last stage's committed energy, the stage-start energy.
     """
-    last, h = state.within, state.h
-    within = np.arange(1, last + 1)
-    grids = np.stack((_probe(state), state.committed))
-    full = pwl._energy_terms(h, grids[:, 1:] - grids[:, :-1])
-    sums = np.empty((2, last))
-    # Audit w's row is row[:, last - w:]: full's first 2w terms, written
-    # over the even knots' terms before their w-th, which stay in place.
-    row = np.empty((2, 2 * last))
-    row[:, last:] = pwl._energy_terms(2.0 * h, grids[:, 2::2] - grids[:, :-1:2])
-    for w in within.tolist():
-        row[:, last - w : last + w] = full[:, : 2 * w]
-        np.add.reduce(row[:, last - w :], axis=1, out=sums[:, w - 1])
-    return np.vstack((sums, _recursion_residual(state, within, sums[0])))
+    k, n, h = len(results), 1 << (i - 1), 0.5**i
+    # Rows: the terms of every match's probe, then of every match's committed
+    # function, at spacing h; and those of each match's even knots, which
+    # its probe and committed function share, at 2h.
+    full, evens = np.empty((2 * k, 2 * n)), np.empty((k, n))
+    for m, r in enumerate(results):
+        committed = r.records.grid[:: 1 << (r.stages - i)]
+        vl, vr = committed[:-1:2], committed[2::2]
+        base, mag, y_hat = 0.5 * (vl + vr), _perturbation(i, r.epsilon), r.records.predictions
+        y_hat = (_midpoint_predictions(y_hat, vl, vr, h, slice(1)) if isinstance(y_hat, str)
+                 else y_hat[n : 2 * n])
+        probe = committed.copy()
+        # Furthest of base +/- mag from the prediction; ties take +.
+        probe[1::2] = np.where(y_hat > base, base - mag, base + mag)
+        full[m], full[k + m] = (pwl._energy_terms(h, g[1:] - g[:-1]) for g in (probe, committed))
+        evens[m] = pwl._energy_terms(2.0 * h, vr - vl)
+    start = np.add.reduce(evens, axis=1).tolist()
+    audits = np.empty((3, k, n))
+    sums = audits[:2].reshape(2 * k, n)  # j_probe, then j_committed, of every match
+    # Audit w sums full's first 2w terms, then the even knots' from the w-th on.
+    # From w = n down, each audit writes its even terms over full's past 2w,
+    # where no later audit reads.
+    halves = full.reshape(2, k, 2 * n)  # a view: probe rows, then committed rows
+    for w in range(n, 0, -1):
+        halves[:, :, 2 * w : n + w] = evens[:, w:]
+        np.add.reduce(full[:, : n + w], axis=1, out=sums[:, w - 1])
+    for r, s, jp, resid in zip(results, start, audits[0], audits[2]):
+        resid[:] = _recursion_residual(r.epsilon, i, s, np.arange(1, n + 1), jp)
+    return audits.transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -340,7 +356,9 @@ class StageSummary:
 
 @dataclass(frozen=True)
 class MatchAudit:
-    """Worst values observed over a whole match."""
+    """Worst values observed over a whole match: the committed slope, the
+    incremental probe energy and, at every stage end, both scratch energies
+    and the recursion residual. _stage_audits gives those after every trial."""
 
     max_abs_slope: float
     max_j_probe: float
@@ -438,18 +456,13 @@ def _knots(grid: np.ndarray) -> tuple[np.ndarray, ...]:
     return k / n, grid[k], np.arange(1, n + 1) / n
 
 
-def run_match(
-    learner: Learner,
-    config: AdversaryConfig,
-    *,
-    audit_per_trial: bool = False,
-) -> MatchResult:
+def run_match(learner: Learner, config: AdversaryConfig) -> MatchResult:
     """Play the adversary against a learner for the full stage budget.
 
     Trial 0 presents (1, 0) with no loss charged; trials 1 .. 2^stages - 1
     alternate predict/respond at loss exponent p = 1 + epsilon. Energy is
-    audited at every stage end (and after every trial when ``audit_per_trial``
-    is set, which costs O(n) per trial). ``records`` is the match's MatchTrace.
+    audited at every stage end; _stage_audits reads the audit after every
+    trial off finished matches. ``records`` is the match's MatchTrace.
     A loss term that overflows, or a non-finite total loss (a NaN or infinite
     prediction), raises DomainError.
 
@@ -475,7 +488,7 @@ def run_match(
         predictions = np.full(1 << config.stages, math.nan)
     total = 0.0
     per_stage: list[StageSummary] = []
-    worst = np.zeros(3)  # the largest audited j_probe, j_committed and residual
+    worst = np.zeros(3)  # the largest stage-end j_probe, j_committed and residual
     for i in range(1, config.stages + 1):
         first = 1 << (i - 1)
         if by_stage:
@@ -484,9 +497,8 @@ def run_match(
             y_hat = _play_stage(learner, state, (2.0 * np.arange(first) + 1.0) * 0.5**i)
             total = _add_loss(total, y_hat, state.committed[1::2], p, i)
             predictions[first : 2 * first] = y_hat
-        audits = _stage_audits(state) if audit_per_trial else state.end_audit
-        worst = np.maximum(worst, audits.max(axis=1))
-        per_stage.append(StageSummary(i, state.within, state.accepted, audits.item(0, -1)))
+        worst = np.maximum(worst, state.end_audit)
+        per_stage.append(StageSummary(i, state.within, state.accepted, state.end_audit.j_probe))
     # One check per match: NaN and inf both survive the running sum.
     if not math.isfinite(total):
         raise DomainError(f"total loss {total!r} is not finite; predictions must be")

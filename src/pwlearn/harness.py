@@ -16,7 +16,9 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from . import pwl
-from .adversary import _DESK_SCALE, MAX_STAGES, AdversaryConfig, _check_epsilon, run_match
+from .adversary import (
+    _DESK_SCALE, MAX_STAGES, AdversaryConfig, _check_epsilon, _stage_audits, run_match,
+)
 from .bounds import kl_d_bound
 from .errors import AuditFailure, DegenerateInput, DomainError, _check_int, _check_real
 from .learner import (
@@ -269,39 +271,38 @@ def run_invariant_audit(config: ExperimentConfig) -> AuditReport:
                 violations.append(f"run {k}: sum e^2/d = {e2d!r} exceeds 1")
 
     report.adversary_epsilons = list(DEFAULT_AUDIT_EPSILONS)
-    # Scratch-recomputing the probe energy every trial is O(n) per trial, so
-    # the per-trial audit stays at a moderate stage budget.
+    # The audit after each of a stage's n trials sums up to 2n terms, so the
+    # per-trial audits cost O(n²) a stage; the matches stay at 12 stages at most.
     stages = min(config.stages, 12)
     report.adversary_stages = stages
-    for eps in report.adversary_epsilons:
-        for kind in ("zero", "nearest", "linint"):
-            result = run_match(
-                make_learner(kind), AdversaryConfig(eps, stages), audit_per_trial=True
-            )
-            a = result.audit
-            label = f"match eps={eps} learner={kind}"
-            report.max_energy_residual = max(report.max_energy_residual, a.max_recursion_residual)
-            report.max_abs_slope = max(report.max_abs_slope, a.max_abs_slope)
-            report.max_j_probe = max(report.max_j_probe, a.max_j_probe)
-            if a.max_recursion_residual > RESIDUAL_TOL:
-                violations.append(
-                    f"{label}: energy recursion residual {a.max_recursion_residual!r}"
-                )
-            if a.max_abs_slope > 1.0 + SLOPE_TOL:
-                violations.append(f"{label}: committed slope {a.max_abs_slope!r}")
-            if not a.max_j_probe < 0.25:
-                violations.append(f"{label}: probe energy {a.max_j_probe!r} >= 1/4")
-            for s in result.per_stage:
-                need = 1 if s.i == 1 else 2 ** (s.i - 2)
-                if s.accepted < need:
-                    violations.append(
-                        f"{label}: stage {s.i} accepted {s.accepted} < {need}"
-                    )
-            if result.total_loss < result.lower_partial:
-                violations.append(
-                    f"{label}: loss {result.total_loss!r} below forced "
-                    f"minimum {result.lower_partial!r}"
-                )
+    plays = [(eps, kind) for eps in report.adversary_epsilons
+             for kind in ("zero", "nearest", "linint")]
+    results = [run_match(make_learner(kind), AdversaryConfig(eps, stages)) for eps, kind in plays]
+    # The largest j_probe and residual after any trial of each match.
+    per_trial = np.zeros((len(results), 2))
+    for i in range(1, stages + 1):
+        per_trial = np.maximum(per_trial, _stage_audits(results, i)[:, ::2].max(axis=2))
+    for (eps, kind), result, (j_probe, resid) in zip(plays, results, per_trial.tolist()):
+        label = f"match eps={eps} learner={kind}"
+        a = result.audit
+        max_resid = max(a.max_recursion_residual, resid)
+        max_j_probe = max(a.max_j_probe, j_probe)
+        report.max_energy_residual = max(report.max_energy_residual, max_resid)
+        report.max_abs_slope = max(report.max_abs_slope, a.max_abs_slope)
+        report.max_j_probe = max(report.max_j_probe, max_j_probe)
+        if max_resid > RESIDUAL_TOL:
+            violations.append(f"{label}: energy recursion residual {max_resid!r}")
+        if a.max_abs_slope > 1.0 + SLOPE_TOL:
+            violations.append(f"{label}: committed slope {a.max_abs_slope!r}")
+        if not max_j_probe < 0.25:
+            violations.append(f"{label}: probe energy {max_j_probe!r} >= 1/4")
+        for s in result.per_stage:
+            need = 1 if s.i == 1 else 2 ** (s.i - 2)
+            if s.accepted < need:
+                violations.append(f"{label}: stage {s.i} accepted {s.accepted} < {need}")
+        if result.total_loss < result.lower_partial:
+            violations.append(f"{label}: loss {result.total_loss!r} below forced "
+                              f"minimum {result.lower_partial!r}")
     report.violations = violations
     if violations:
         raise AuditFailure(

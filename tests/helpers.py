@@ -1,21 +1,22 @@
 """Shared generators for randomized tests, the adversary's dict oracle, a
-whole stage played from its predictions, the columnar match trace, the
-table and trace CSV oracles, the nearest-earlier-neighbour oracle, the
-functions a learner or the adversary has built so far, and a trace helper
-that dies."""
+whole stage played from its predictions, a match's audits after every
+trial, the columnar match trace, the table and trace CSV oracles, the
+nearest-earlier-neighbour oracle, the functions a learner or the adversary
+has built so far, and a trace helper that dies."""
 
 import csv
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 
 from pwlearn import (
-    AdversaryState, MatchAudit, StageSummary, Trace, audit_energy, dyadic_x, evaluate,
-    from_points, perturbation, stage_of,
+    AdversaryState, MatchAudit, MatchResult, MatchTrace, StageSummary, Trace, audit_energy,
+    dyadic_x, evaluate, from_points, perturbation, stage_of,
 )
 from pwlearn import learner as learner_module
-from pwlearn.adversary import _play_stage
+from pwlearn.adversary import _play_stage, _stage_audits
 from pwlearn.learner import (
     TRACE_HEADER, _fresh, _midpoint_predictions, _pow_terms, _running_total, open_out,
 )
@@ -130,6 +131,31 @@ def respond_stage(state, y_hat):
     """Play the next stage through the state's blocked fold, given all of its
     predictions at once in trial order."""
     state._fold(lambda a, knots: y_hat[a : a + len(knots) - 1])
+
+
+def played(state, predictions):
+    """The match played on state so far as _stage_audits reads it: the grid
+    and the predictions in trial order (trial 0's unread), with placeholder
+    totals; every finished stage can be audited."""
+    records = MatchTrace(state.grid, 1.0 + state.epsilon, predictions)
+    return MatchResult(state.epsilon, state.stages, 0.0, records, [], None, 0.0, 0.0)
+
+
+def trial_audits(result):
+    """Every trial's audit of a finished match, read off by _stage_audits
+    stage by stage for it alone: rows j_probe, j_committed and residual, one
+    column per trial 1 .. 2^S - 1."""
+    return np.hstack([_stage_audits([result], i)[0] for i in range(1, result.stages + 1)])
+
+
+def worst_audit(result):
+    """result's MatchAudit with the worst of every trial's audit folded in,
+    as run_invariant_audit checks a match."""
+    jp, jc, resid = trial_audits(result).max(axis=1).tolist()
+    a = result.audit
+    return replace(a, max_j_probe=max(a.max_j_probe, jp),
+                   max_j_committed=max(a.max_j_committed, jc),
+                   max_recursion_residual=max(a.max_recursion_residual, resid))
 
 
 def columnar_match(learner, config):

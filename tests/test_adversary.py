@@ -8,7 +8,8 @@ from dataclasses import astuple, fields
 import numpy as np
 import pytest
 from helpers import (
-    DictAdversary, columnar_match, committed_function, dict_energy, respond_stage,
+    DictAdversary, columnar_match, committed_function, dict_energy, played, respond_stage,
+    trial_audits, worst_audit,
 )
 
 from pwlearn import (
@@ -256,21 +257,21 @@ class TestDictOracle:
         rng = np.random.default_rng(5)
         config = AdversaryConfig(0.1, 8)
         batch, single = AdversaryState(config), AdversaryState(config)
+        predictions = np.full(2**8, math.nan)
         t = 1
         for i in range(1, 9):
-            y_hat = rng.normal(0.0, 0.05, size=2 ** (i - 1))
+            y_hat = predictions[2 ** (i - 1) : 2**i] = rng.normal(0.0, 0.05, size=2 ** (i - 1))
             respond_stage(batch, y_hat)
             y = batch.committed[1::2]
-            # Read off the finished grid, the audit after w trials is the one
-            # taken right after trial w.
-            audits = _stage_audits(batch)
+            # Read off the grid played so far, the audit after w trials is the
+            # one taken right after trial w.
+            (audits,) = _stage_audits([played(batch, predictions)], i)
             assert audits.shape == (3, len(y))
             for yh, y_t, audit in zip(y_hat.tolist(), y.tolist(), audits.T.tolist()):
                 assert single.respond(t, yh)[0] == y_t
                 assert tuple(audit) == audit_energy(single)
                 t += 1
-            stage_end = batch.end_audit
-            assert stage_end.tolist() == [[v] for v in audit_energy(single)]
+            assert batch.end_audit == audit_energy(single)
             assert batch.grid.tobytes() == single.grid.tobytes()
             assert batch.v.tobytes() == single.v.tobytes()
             assert vars(batch).keys() == vars(single).keys()
@@ -285,12 +286,15 @@ class TestDictOracle:
         # with some trials rejected so that probe and committed functions differ.
         config = AdversaryConfig(0.1, stages)
         batch, single = AdversaryState(config), AdversaryState(config)
+        predictions = np.full(2**stages, math.nan)
         t = 1
         for i in range(1, stages + 1):
-            y_hat = np.full(2 ** (i - 1), -1.0)
+            y_hat = predictions[2 ** (i - 1) : 2**i] = np.full(2 ** (i - 1), -1.0)
             y_hat[::3] = 0.0
             respond_stage(batch, y_hat)
-            audits = _stage_audits(batch).T.tolist() if i == stages else None
+            audits = None
+            if i == stages:
+                audits = _stage_audits([played(batch, predictions)], i)[0].T.tolist()
             for k, yh in enumerate(y_hat.tolist()):
                 single.respond(t, yh)
                 t += 1
@@ -336,21 +340,23 @@ class TestDictOracle:
         rng = np.random.default_rng(23)
         config = AdversaryConfig(eps, stages)
         batch, single, oracle = AdversaryState(config), AdversaryState(config), DictAdversary(eps)
-        batch_end = single_end = [[0.0], [0.0], [0.0]]  # before stage 1
+        batch_end = single_end = (0.0, 0.0, 0.0)  # before stage 1
+        predictions = np.full(2**stages, math.nan)
         t = 1
         rejected = 0
         for i in range(1, stages + 1):
+            y_hat = predictions[2 ** (i - 1) : 2**i]
             if i % 3 == 0:
                 # Predictions near the base, some exact ties at 0.
-                y_hat = rng.normal(0.0, perturbation(i, eps), size=2 ** (i - 1))
+                y_hat[:] = rng.normal(0.0, perturbation(i, eps), size=2 ** (i - 1))
                 y_hat[::7] = 0.0
             else:
                 # Far below: every proposal goes up, which steepens the
                 # committed function; at eps 0.25 and 0.1 some trials are
                 # then rejected, so probe and committed functions differ.
-                y_hat = np.full(2 ** (i - 1), -1.0)
+                y_hat[:] = -1.0
             respond_stage(batch, y_hat)
-            audits = _stage_audits(batch).T.tolist()
+            audits = _stage_audits([played(batch, predictions)], i)[0].T.tolist()
             for audit, yh in zip(audits, y_hat.tolist(), strict=True):
                 y, accepted = single.respond(t, yh)
                 assert oracle.respond(t, yh) == (y, accepted)
@@ -367,16 +373,16 @@ class TestDictOracle:
             # energy: the old view's energy, summed afresh as _energy_sum sums it.
             start = pwl._energy_sum(2.0 * batch.h, batch.committed[::2])
             for state, stage_end in ((batch, batch_end), (single, single_end)):
-                assert state.stage_start_energy.hex() == stage_end[1][0].hex() == start.hex()
+                assert state.stage_start_energy.hex() == stage_end[1].hex() == start.hex()
             # The stage end, read off the grid's rises through respond and
             # the fold alike: the scalar audit right after the last
             # trial, the dicts' energies and the last per-trial audit.
-            batch_end, single_end = batch.end_audit.tolist(), single.end_audit.tolist()
+            batch_end, single_end = batch.end_audit, single.end_audit
             for stage_end in (batch_end, single_end):
-                assert [v.hex() for (v,) in stage_end] == [v.hex() for v in want]
-                assert [v for (v,) in stage_end] == audits[-1]
-                assert stage_end[0][0] == dict_energy(oracle.probe)
-                assert stage_end[1][0] == dict_energy(oracle.committed)
+                assert [v.hex() for v in stage_end] == [v.hex() for v in want]
+                assert list(stage_end) == audits[-1]
+                assert stage_end.j_probe == dict_energy(oracle.probe)
+                assert stage_end.j_committed == dict_energy(oracle.committed)
         if eps in (0.25, 0.1):
             assert rejected
 
@@ -400,11 +406,11 @@ class TestStageAtATime:
     """run_match's stage-at-a-time path against the trial-by-trial loop, which
     a subclass of the same learner is forced through."""
 
-    def _both(self, kind, eps, stages, **kwargs):
+    def _both(self, kind, eps, stages):
         config = AdversaryConfig(eps, stages)
         fast, slow = make_learner(kind), LOOP_TWINS[kind]()
         assert _fresh(fast) and not _fresh(slow)
-        return fast, run_match(fast, config, **kwargs), slow, run_match(slow, config, **kwargs)
+        return fast, run_match(fast, config), slow, run_match(slow, config)
 
     @pytest.mark.parametrize("kind", ["zero", "nearest", "linint"])
     @pytest.mark.parametrize(
@@ -433,13 +439,9 @@ class TestStageAtATime:
     @pytest.mark.parametrize("kind", ["zero", "nearest", "linint"])
     @pytest.mark.parametrize("eps, stages", [(0.45, 4), (0.02, 7), (0.49, 10)])
     def test_per_trial_audit_same_bits_as_the_loop(self, kind, eps, stages):
-        fast, a, slow, b = self._both(kind, eps, stages, audit_per_trial=True)
-        assert a.total_loss == b.total_loss
-        assert a.per_stage == b.per_stage
-        assert a.audit == b.audit
-        if kind != "zero":
-            assert list(fast._vals.items()) == list(slow._vals.items())
-            assert list(fast._xs) == list(slow._xs)
+        _, a, _, b = self._both(kind, eps, stages)
+        assert trial_audits(a).tobytes() == trial_audits(b).tobytes()
+        assert worst_audit(a) == worst_audit(b)
 
     @pytest.mark.parametrize(
         "kind, eps, stages",
@@ -453,26 +455,23 @@ class TestStageAtATime:
         learner.predict(1.0)
         learner.observe(1.0, 0.0)
         state = AdversaryState(AdversaryConfig(eps, stages))
-        max_jp = max_jc = max_resid = 0.0
-        j_probe_end = []
+        audits = []
         rejected = 0
         for t in range(1, 2**stages):
             x = dyadic_x(t)
             y, accepted = state.respond(t, learner.predict(x))
             learner.observe(x, y)
             rejected += not accepted
-            audit = audit_energy(state)
-            max_jp = max(max_jp, audit.j_probe)
-            max_jc = max(max_jc, audit.j_committed)
-            max_resid = max(max_resid, audit.recursion_residual)
-            if t == state.stage_end:
-                j_probe_end.append(audit.j_probe)
-        result = run_match(LOOP_TWINS[kind](), AdversaryConfig(eps, stages), audit_per_trial=True)
+            audits.append([v.hex() for v in audit_energy(state)])
+        max_jp, max_jc, max_resid = (max(map(float.fromhex, row)) for row in zip(*audits))
         want = (state.max_abs_slope, max(state.max_energy_probe, max_jp), max_jc, max_resid)
-        assert [v.hex() for v in astuple(result.audit)] == [v.hex() for v in want]
-        assert [s.j_probe_end.hex() for s in result.per_stage] == [
-            v.hex() for v in j_probe_end
-        ]
+        j_probe_end = [audits[2**i - 2][0] for i in range(1, stages + 1)]
+        # Both play paths' rows, read off the finished match, are those audits.
+        for learner in (make_learner(kind), LOOP_TWINS[kind]()):
+            result = run_match(learner, AdversaryConfig(eps, stages))
+            assert [[v.hex() for v in col] for col in trial_audits(result).T.tolist()] == audits
+            assert [v.hex() for v in astuple(worst_audit(result))] == [v.hex() for v in want]
+            assert [s.j_probe_end.hex() for s in result.per_stage] == j_probe_end
         if eps in (0.25, 0.1):
             assert rejected
 
@@ -480,6 +479,43 @@ class TestStageAtATime:
         learner = make_learner("linint")
         learner.observe(0.5, 0.0)
         assert not _fresh(learner)
+
+
+class TestStageAudits:
+    """_stage_audits, the audit after every trial, over finished matches
+    stacked together."""
+
+    def test_matches_audited_together_get_the_rows_they_get_alone(self):
+        # Mixed epsilons, learners, play paths and stage budgets in one stack.
+        plays = [(make_learner("zero"), 0.45, 7), (LoopNearest(), 0.02, 7),
+                 (make_learner("linint"), 0.1, 9), (LoopZero(), 0.25, 8),
+                 (make_learner("nearest"), 0.001, 7), (LoopLinint(), 0.3, 7)]
+        results = [run_match(learner, AdversaryConfig(eps, stages))
+                   for learner, eps, stages in plays]
+        for i in range(1, 8):
+            together = _stage_audits(results, i)
+            assert together.shape == (len(results), 3, 2 ** (i - 1))
+            for result, rows in zip(results, together):
+                assert rows.tobytes() == _stage_audits([result], i)[0].tobytes()
+
+    @pytest.mark.parametrize("stages", [1, 12])
+    def test_the_first_stage_and_the_audit_cap(self, stages):
+        # Both play paths, stacked, against audit_energy after every trial of
+        # the last stage, replayed on the match's own predictions.
+        results = [run_match(learner, AdversaryConfig(eps, stages))
+                   for kind, eps in (("zero", 0.45), ("nearest", 0.1), ("linint", 0.02))
+                   for learner in (make_learner(kind), LOOP_TWINS[kind]())]
+        audits = _stage_audits(results, stages)
+        first = 2 ** (stages - 1)
+        assert audits.shape == (len(results), 3, first)
+        for result, rows in zip(results, audits):
+            state = AdversaryState(AdversaryConfig(result.epsilon, stages))
+            for t, y_hat in enumerate(result.records.y_hat[1:].tolist(), start=1):
+                state.respond(t, y_hat)
+                if t >= first:
+                    want = [v.hex() for v in audit_energy(state)]
+                    assert [v.hex() for v in rows[:, t - first].tolist()] == want, t
+            assert rows[0, -1] == result.per_stage[-1].j_probe_end
 
 
 class TestRecordsAgainstColumns:
@@ -557,7 +593,7 @@ class TestSmallBlocks:
         config = AdversaryConfig(eps, stages)
         learner = LoopLinint if kind == "loop" else lambda: make_learner(kind)
         total, per_stage, audit, trace = columnar_match(learner(), config)
-        per_trial = run_match(learner(), config, audit_per_trial=True)
+        per_trial = trial_audits(run_match(learner(), config))
         monkeypatch.setattr(adversary_module, "_BLOCK", block)
         result = run_match(learner(), config)
         for column in fields(Trace):
@@ -568,10 +604,7 @@ class TestSmallBlocks:
             (s.i, s.trials, s.accepted, s.j_probe_end.hex()) for s in per_stage
         ]
         assert [v.hex() for v in astuple(result.audit)] == [v.hex() for v in astuple(audit)]
-        got = run_match(learner(), config, audit_per_trial=True)
-        assert got.total_loss.hex() == per_trial.total_loss.hex()
-        assert got.per_stage == per_trial.per_stage
-        assert [v.hex() for v in astuple(got.audit)] == [v.hex() for v in astuple(per_trial.audit)]
+        assert trial_audits(result).tobytes() == per_trial.tobytes()
         # The dict oracle's per-trial bookkeeping, against a state played a
         # whole stage at a time on the same predictions.
         state, oracle = AdversaryState(config), DictAdversary(eps)
@@ -648,10 +681,7 @@ class TestRunMatch:
 
     def test_membership_and_energy_caps(self):
         for eps in EPS_GRID:
-            result = run_match(
-                make_learner("nearest"), AdversaryConfig(eps, 10), audit_per_trial=True
-            )
-            audit = result.audit
+            audit = worst_audit(run_match(make_learner("nearest"), AdversaryConfig(eps, 10)))
             assert audit.max_abs_slope <= 1.0 + 1e-12
             assert audit.max_j_probe < 0.25
             assert audit.max_j_committed <= audit.max_j_probe + 1e-12

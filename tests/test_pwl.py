@@ -227,6 +227,23 @@ class TestEnergy:
             assert out[:, 0].tolist() == [float(np.sum(view[0])), float(np.sum(view[1]))], n
 
 
+    @pytest.mark.parametrize("rows", [2, 30])
+    def test_stacked_row_sums_have_the_bits_of_each_row_alone(self, rows):
+        # The adversary audits a stage of many matches at once, two rows a
+        # match, with np.add.reduce along the rows into a column of its
+        # output. Each row must get the bits np.sum gives it alone: below
+        # numpy's 8-term unrolling, up to and past its 128-term blocks, at
+        # odd lengths, on contiguous rows and on views of wider ones.
+        rng = np.random.default_rng(29)
+        width = 1100
+        terms = rng.random((rows, width)) * np.exp(rng.normal(0.0, 8.0, size=(rows, width)))
+        out = np.empty((rows, 2))
+        for n in range(1, width + 1):
+            for stack in (terms[:, :n], terms[:, width - n :], np.ascontiguousarray(terms[:, :n])):
+                np.add.reduce(stack, axis=1, out=out[:, 1])
+                want = [float(np.sum(stack[r].copy())).hex() for r in range(rows)]
+                assert [v.hex() for v in out[:, 1].tolist()] == want, n
+
     def test_power_of_two_sums_split_pairwise_into_blocks(self):
         # The adversary's stage fold sums each block of 2^j terms with np.sum
         # and adds the block sums pairwise. That has np.sum's bits for the
