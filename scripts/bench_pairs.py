@@ -80,8 +80,8 @@ KERNELS = {
     "run_trials": "run_trials",
     "ndarray.argsort": "<method 'argsort' of 'numpy.ndarray' objects>",
     "_sample_target_rng": "_sample_target_rng",
-    # Plays and reads each stage of a built-in learner's match, and reads
-    # each stage that respond played.
+    # Reveals, charges the loss of and reads every stage, the same way for a
+    # built-in learner's stage played whole and for one that respond played.
     "_fold": "_fold",
     "_midpoint_predictions": "_midpoint_predictions",
     "write_csv": "write_csv",

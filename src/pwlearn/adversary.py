@@ -10,22 +10,24 @@ exactly 2^-i.
 A match of S stages holds one float64 array, the committed function at the
 final spacing 2^-S: the anchors (0, 0) and (1, 0), then each label as it is
 revealed (NaN before). Stage i works on the view grid[::2^(S-i)], whose odd
-entries are its inputs, filled left to right between earlier knots. Its
-proposed labels are one array v. The probe function is that view with v at
-the odd entries; its energy budget is what forces acceptances. A trial is
-accepted when the proposed label keeps both adjacent slopes at most 1;
-otherwise the midpoint value is revealed, which leaves the committed function
-unchanged as a function.
+entries are its inputs, filled left to right between earlier knots. A
+proposed label is base ± mag, base the midpoint of the stage-start knots
+around the input, on the far side of the prediction: the grid and the
+predictions fix every proposal (_proposals). The probe function is the view
+with the proposals at the odd entries; its energy budget is what forces
+acceptances. A trial is accepted when the proposed label keeps both adjacent
+slopes at most 1; otherwise the midpoint value is revealed, which leaves the
+committed function unchanged as a function.
 
 No input inside a stage lies nearer to another stage input than the two
 stage-start knots around it, so the built-in learners' predictions follow from
-those knots. AdversaryState._fold, the one function that knows a stage's layout,
-plays a fresh learner of exact built-in type a block of trials at a time and reads
-every finished stage; any other learner goes through predict/respond/observe trial
-by trial. The final grid fixes the trace (MatchTrace), a fresh built-in learner's
-predictions included; any other learner's are kept beside it. So _stage_audits
-gives the audit after each trial of a stage off finished matches, many at once;
-audit_energy, its scalar oracle, gives the live state's.
+those knots. The state holds a match's predictions as MatchTrace does: a fresh
+built-in learner's kind, played a stage at a time, or y_hat in trial order
+from any other learner, played trial by trial through predict/respond/observe.
+AdversaryState._fold, the one function that knows a stage's layout, reveals,
+charges and reads every stage from them, a block of trials at a time. So
+_stage_audits gives the audit after each trial of a stage off finished
+matches, many at once; audit_energy, its scalar oracle, gives the live state's.
 """
 
 from __future__ import annotations
@@ -140,12 +142,13 @@ class EnergyAudit(NamedTuple):
 
 
 class AdversaryState:
-    """Mutable per-match state: the grid and the current stage's proposals v,
-    which respond (one trial) or _fold (a whole stage) write. _fold reads a
-    finished stage, so accepted (that stage's), max_abs_slope,
-    max_energy_probe and end_audit (audit_energy at the stage end) change
-    once a stage; stage_start_energy holds through the last trial.
-    A trial past the config's stage budget raises SequenceError."""
+    """Mutable per-match state: the grid, the predictions in MatchTrace's form
+    and the loss charged so far. respond plays one trial, _play a whole stage.
+    _fold reads a finished stage and charges its loss, so total_loss,
+    accepted (that stage's), max_abs_slope, max_energy_probe and end_audit
+    (audit_energy at the stage end) change once a stage; stage_start_energy
+    holds through the last trial. A trial past the config's stage budget
+    raises SequenceError."""
 
     def __init__(self, config: AdversaryConfig) -> None:
         self.epsilon = config.epsilon
@@ -154,9 +157,10 @@ class AdversaryState:
         self.grid[[0, -1]] = 0.0
         # The current stage's view of the grid; before stage 1, the anchors.
         self.committed = self.grid[:: 1 << config.stages]
-        # Every stage's v is a prefix of one buffer, the size of the last's.
-        self._proposals = np.empty(1 << (config.stages - 1))
-        self.v = self._proposals[:0]
+        # A fresh built-in learner's kind, which _play sets, or y_hat in trial
+        # order, which respond allocates at trial 1 (NaN for trial 0) and fills.
+        self.predictions: str | np.ndarray = np.empty(0)
+        self.total_loss = 0.0
         self.next_t = 1
         # Geometry of the current stage i, set once by _begin_stage: knot
         # spacing 2^-i, proposal offset, last trial 2^i - 1, trials so far.
@@ -174,7 +178,6 @@ class AdversaryState:
         self.stage_start_energy = self.end_audit.j_committed
         i = self.stage = self.stage + 1
         self.committed = self.grid[:: 1 << (self.stages - i)]
-        self.v = self._proposals[: 1 << (i - 1)]
         self.h = 0.5**i
         self.magnitude = _perturbation(i, self.epsilon)
         self.stage_end = (1 << i) - 1
@@ -187,11 +190,15 @@ class AdversaryState:
         which sits at distance >= perturbation(i, epsilon) from y_hat by the
         furthest-sign choice; rejected trials reveal the midpoint of the
         committed neighbors, leaving the committed function unchanged.
+        y_hat joins predictions. The stage's last trial charges the stage's
+        loss to total_loss, raising DomainError if a loss term overflows.
         """
         if t != self.next_t:
             raise SequenceError(f"expected trial {self.next_t}, got {t}")
         if t > self.stage_end:
             self._begin_stage()
+            if t == 1:
+                self.predictions = np.full(1 << self.stages, math.nan)
         h = self.h
         # x_t = k·h; both neighbours are knots of earlier stages.
         k = 2 * self.within + 1
@@ -200,43 +207,50 @@ class AdversaryState:
         vr = committed.item(k + 1)
         base = 0.5 * (vl + vr)
         mag = self.magnitude
-        # Furthest of base +/- mag from the prediction; ties take +.
-        v = base - mag if y_hat > base else base + mag
+        # Furthest of base +/- mag from the prediction as the double _fold
+        # compares (a float32 compared with a float is rounded); ties take +.
+        v = base - mag if float(y_hat) > base else base + mag
         accepted = abs(v - vl) <= h and abs(v - vr) <= h
         y = v if accepted else base
         committed[k] = y
-        self.v[self.within] = v
+        self.predictions[t] = y_hat
         self.within += 1
         self.next_t += 1
         if t == self.stage_end:
             self._fold()
         return y, accepted
 
-    def _fold(self, predict=None, total: float = 0.0) -> float:
-        """Read the stage just played off the grid and v, _BLOCK trials at a time;
-        given predict, play the next stage first, with respond's operations
-        elementwise, and return total plus its loss terms. predict(a, knots) is a
-        block's predictions from trial w = a on, off its stage-start knots. Trial
-        w's input is index 2w + 1 of the view, between knots 2w and 2w + 2: v
-        holds its proposal, base ± mag, the grid its label."""
-        if predict is not None:
-            if self.next_t != self.stage_end + 1:
-                raise SequenceError(f"a whole stage starts at a stage boundary; trial "
-                                    f"{self.next_t} is inside stage {self.stage}")
-            self._begin_stage()
-        h, mag, n = self.h, self.magnitude, len(self.v)
+    def _play(self, predictions: str | np.ndarray) -> None:
+        """Play the next stage whole on predictions in MatchTrace's form: a
+        fresh built-in learner's kind, or y_hat in trial order."""
+        if self.next_t != self.stage_end + 1:
+            raise SequenceError(f"a whole stage starts at a stage boundary; trial "
+                                f"{self.next_t} is inside stage {self.stage}")
+        self._begin_stage()
+        self.predictions = predictions
+        self._fold()
+
+    def _fold(self) -> None:
+        """Reveal, charge and read the stage just played, _BLOCK trials at a
+        time, with respond's operations elementwise (a stage respond played
+        gets the same labels again). Trial w's input is the view's index
+        2w + 1, between stage-start knots 2w and 2w + 2; the loss terms are
+        added to total_loss in trial order."""
+        h, mag, p = self.h, self.magnitude, 1.0 + self.epsilon
+        n = first = 1 << (self.stage - 1)
         energy, accepted, steepest, sums = self.stage_start_energy, 0, 0.0, []
         for a in range(0, n, _BLOCK):
             block = self.committed[2 * a : 2 * min(a + _BLOCK, n) + 1]
             vl, y, vr = block[:-1:2], block[1::2], block[2::2]
-            v = self.v[a : a + len(y)]
-            base = 0.5 * (vl + vr)
-            if predict is not None:
-                y_hat = predict(a, block[::2])
-                # Furthest of base +/- mag from the prediction; ties take +.
-                v[:] = np.where(y_hat > base, base - mag, base + mag)
-                y[:] = np.where((np.abs(v - vl) <= h) & (np.abs(v - vr) <= h), v, base)
-                total = _add_loss(total, y_hat, y, 1.0 + self.epsilon, self.stage)
+            y_hat, base, v = _proposals(self.predictions, vl, vr, h, first + a, mag)
+            y[:] = np.where((np.abs(v - vl) <= h) & (np.abs(v - vr) <= h), v, base)
+            try:
+                self.total_loss = _running_total(
+                    np.append(self.total_loss, _pow_terms(np.abs(y_hat - y), p)))
+            except OverflowError:
+                raise DomainError(f"a loss term in stage {self.stage} overflows; predictions "
+                                  "must be moderate") from None
+            del y_hat  # a block's predictions are not held past its loss
             accepted += int(np.count_nonzero(y == v))
             # The probe is base at x until v is inserted, adding 2·(v − base)²/h to its
             # energy: a running sum in trial order from the stage start, largest last.
@@ -260,16 +274,20 @@ class AdversaryState:
         self.max_abs_slope = max(self.max_abs_slope, steepest / h)
         resid = _recursion_residual(self.epsilon, self.stage, self.stage_start_energy, n, jp)
         self.end_audit = EnergyAudit(jp, jc, resid)
-        return total
 
 
-def _add_loss(total: float, y_hat: np.ndarray, y: np.ndarray, p: float, stage: int) -> float:
-    # total plus each |y_hat - y|^p in trial order: the loss rule of both ways of play.
-    try:
-        return _running_total(np.append(total, _pow_terms(np.abs(y_hat - y), p)))
-    except OverflowError:
-        raise DomainError(f"a loss term in stage {stage} overflows; predictions must "
-                          "be moderate") from None
+def _proposals(predictions, vl, vr, h, t, mag) -> tuple[np.ndarray, ...]:
+    """(y_hat, base, v) of one stage's trials from t on, between stage-start
+    knots vl and vr at spacing 2h, off predictions in MatchTrace's form and
+    offset mag, with respond's operations elementwise."""
+    if isinstance(predictions, str):
+        # t is a power of two only at the stage's first trial.
+        y_hat = _midpoint_predictions(predictions, vl, vr, h, slice(t & (t - 1) == 0))
+    else:
+        y_hat = predictions[t : t + len(vl)]
+    base = 0.5 * (vl + vr)
+    # Furthest of base +/- mag from the prediction; ties take +.
+    return y_hat, base, np.where(y_hat > base, base - mag, base + mag)
 
 
 def _recursion_residual(epsilon: float, i: int, start, within, j_probe):
@@ -292,8 +310,10 @@ def audit_energy(state: AdversaryState) -> EnergyAudit:
     # Before stage 1 nothing has been proposed: within = 0, so expected = 0.
     k = np.flatnonzero(~np.isnan(state.committed))  # the knots revealed so far
     du, w = np.diff(k * state.h), state.within
+    knots = state.committed[::2]
     probe = state.committed.copy()  # the stage's view with the proposals so far
-    probe[1 : 2 * w : 2] = state.v[:w]
+    probe[1 : 2 * w : 2] = _proposals(state.predictions, knots[:w], knots[1 : w + 1], state.h,
+                                      state.next_t - w, state.magnitude)[2]
     j_probe = pwl._energy_sum(du, probe[k])
     resid = _recursion_residual(state.epsilon, state.stage, state.stage_start_energy, w, j_probe)
     return EnergyAudit(j_probe, pwl._energy_sum(du, state.committed[k]), resid)
@@ -323,12 +343,8 @@ def _stage_audits(results: Sequence[MatchResult], i: int) -> np.ndarray:
     for m, r in enumerate(results):
         committed = r.records.grid[:: 1 << (r.stages - i)]
         vl, vr = committed[:-1:2], committed[2::2]
-        base, mag, y_hat = 0.5 * (vl + vr), _perturbation(i, r.epsilon), r.records.predictions
-        y_hat = (_midpoint_predictions(y_hat, vl, vr, h, slice(1)) if isinstance(y_hat, str)
-                 else y_hat[n : 2 * n])
-        probe = committed.copy()
-        # Furthest of base +/- mag from the prediction; ties take +.
-        probe[1::2] = np.where(y_hat > base, base - mag, base + mag)
+        probe, mag = committed.copy(), _perturbation(i, r.epsilon)
+        probe[1::2] = _proposals(r.records.predictions, vl, vr, h, n, mag)[2]
         full[m], full[k + m] = (pwl._energy_terms(h, g[1:] - g[:-1]) for g in (probe, committed))
         evens[m] = pwl._energy_terms(2.0 * h, vr - vl)
     start = np.add.reduce(evens, axis=1).tolist()
@@ -438,17 +454,6 @@ class MatchResult:
         }
 
 
-def _play_stage(learner: Learner, state: AdversaryState, xs: np.ndarray) -> np.ndarray:
-    """One stage trial by trial through predict, respond and observe, as any
-    learner but a fresh built-in one is played; returns the predictions."""
-    y_hats: list[float] = []
-    for t, x in enumerate(xs.tolist(), start=state.next_t):
-        y_hat = learner.predict(x)
-        learner.observe(x, state.respond(t, y_hat)[0])
-        y_hats.append(y_hat)
-    return np.array(y_hats, dtype=float)
-
-
 def _knots(grid: np.ndarray) -> tuple[np.ndarray, ...]:
     # Every knot of a final grid but (0, 0): in time order, then in coordinate order.
     n = len(grid) - 1
@@ -462,46 +467,37 @@ def run_match(learner: Learner, config: AdversaryConfig) -> MatchResult:
     Trial 0 presents (1, 0) with no loss charged; trials 1 .. 2^stages - 1
     alternate predict/respond at loss exponent p = 1 + epsilon. Energy is
     audited at every stage end; _stage_audits reads the audit after every
-    trial off finished matches. ``records`` is the match's MatchTrace.
-    A loss term that overflows, or a non-finite total loss (a NaN or infinite
-    prediction), raises DomainError.
+    trial off finished matches. ``records`` is the match's MatchTrace: the
+    final grid and the state's predictions. The state charges each stage's
+    loss at its end; a loss term that overflows raises DomainError there, and
+    a non-finite total loss (a NaN or infinite prediction) after the match.
 
     A fresh learner of exact built-in type (zero, nearest, or linint with
-    nothing observed) is played a stage at a time, and its state is filled
-    from the final grid on its first use, equal to what observing each trial
-    would leave. Every other learner is played trial by trial through
-    predict, respond and observe. Both give the same bits.
+    nothing observed) is played a stage at a time on its kind, and its state
+    is filled from the final grid on its first use, equal to what observing
+    each trial would leave. Every other learner is played trial by trial
+    through predict, respond and observe. Both give the same bits.
     """
     eps = config.epsilon
-    p = 1.0 + eps
     state = AdversaryState(config)
     by_stage = _fresh(learner)
-    if by_stage:
-        predictions = learner.kind
-
-        def predict(a, knots):  # the stage's first trial is the first block's
-            return _midpoint_predictions(predictions, knots[:-1], knots[1:], state.h, slice(a == 0))
-    else:
+    if not by_stage:
         learner.predict(X0)  # uncharged; the opening prediction is discarded
         learner.observe(X0, Y0)
-        # The one trace column the grid cannot give back; NaN for trial 0.
-        predictions = np.full(1 << config.stages, math.nan)
-    total = 0.0
     per_stage: list[StageSummary] = []
     worst = np.zeros(3)  # the largest stage-end j_probe, j_committed and residual
     for i in range(1, config.stages + 1):
-        first = 1 << (i - 1)
         if by_stage:
-            total = state._fold(predict, total)
-        else:
-            y_hat = _play_stage(learner, state, (2.0 * np.arange(first) + 1.0) * 0.5**i)
-            total = _add_loss(total, y_hat, state.committed[1::2], p, i)
-            predictions[first : 2 * first] = y_hat
+            state._play(learner.kind)
+        else:  # trial by trial through predict, respond and observe
+            xs = (2.0 * np.arange(1 << (i - 1)) + 1.0) * 0.5**i
+            for t, x in enumerate(xs.tolist(), start=state.next_t):
+                learner.observe(x, state.respond(t, learner.predict(x))[0])
         worst = np.maximum(worst, state.end_audit)
         per_stage.append(StageSummary(i, state.within, state.accepted, state.end_audit.j_probe))
     # One check per match: NaN and inf both survive the running sum.
-    if not math.isfinite(total):
-        raise DomainError(f"total loss {total!r} is not finite; predictions must be")
+    if not math.isfinite(state.total_loss):
+        raise DomainError(f"total loss {state.total_loss!r} is not finite; predictions must be")
     max_jp, max_jc, max_resid = worst.tolist()
     grid = state.grid
     grid.setflags(write=False)
@@ -512,8 +508,8 @@ def run_match(learner: Learner, config: AdversaryConfig) -> MatchResult:
     return MatchResult(
         epsilon=eps,
         stages=config.stages,
-        total_loss=total,
-        records=MatchTrace(grid, p, predictions),
+        total_loss=state.total_loss,
+        records=MatchTrace(grid, 1.0 + eps, state.predictions),
         per_stage=per_stage,
         audit=MatchAudit(
             max_abs_slope=state.max_abs_slope,

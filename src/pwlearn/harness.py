@@ -278,14 +278,14 @@ def run_invariant_audit(config: ExperimentConfig) -> AuditReport:
     plays = [(eps, kind) for eps in report.adversary_epsilons
              for kind in ("zero", "nearest", "linint")]
     results = [run_match(make_learner(kind), AdversaryConfig(eps, stages)) for eps, kind in plays]
-    # The largest j_probe and residual after any trial of each match.
+    # The largest j_probe and residual after any trial of each match; a stage's
+    # last trial's audit is its stage-end audit, with the same bits.
     per_trial = np.zeros((len(results), 2))
     for i in range(1, stages + 1):
         per_trial = np.maximum(per_trial, _stage_audits(results, i)[:, ::2].max(axis=2))
-    for (eps, kind), result, (j_probe, resid) in zip(plays, results, per_trial.tolist()):
+    for (eps, kind), result, (j_probe, max_resid) in zip(plays, results, per_trial.tolist()):
         label = f"match eps={eps} learner={kind}"
         a = result.audit
-        max_resid = max(a.max_recursion_residual, resid)
         max_j_probe = max(a.max_j_probe, j_probe)
         report.max_energy_residual = max(report.max_energy_residual, max_resid)
         report.max_abs_slope = max(report.max_abs_slope, a.max_abs_slope)

@@ -1,8 +1,8 @@
 """Shared generators for randomized tests, the adversary's dict oracle, a
-whole stage played from its predictions, a match's audits after every
-trial, the columnar match trace, the table and trace CSV oracles, the
-nearest-earlier-neighbour oracle, the functions a learner or the adversary
-has built so far, and a trace helper that dies."""
+whole stage played from its predictions, a stage's proposals so far, a
+match's audits after every trial, the columnar match trace, the table and
+trace CSV oracles, the nearest-earlier-neighbour oracle, the functions a
+learner or the adversary has built so far, and a trace helper that dies."""
 
 import csv
 import math
@@ -16,7 +16,7 @@ from pwlearn import (
     dyadic_x, evaluate, from_points, perturbation, stage_of,
 )
 from pwlearn import learner as learner_module
-from pwlearn.adversary import _play_stage, _stage_audits
+from pwlearn.adversary import _proposals, _stage_audits
 from pwlearn.learner import (
     TRACE_HEADER, _fresh, _midpoint_predictions, _pow_terms, _running_total, open_out,
 )
@@ -129,8 +129,17 @@ class DictAdversary:
 
 def respond_stage(state, y_hat):
     """Play the next stage through the state's blocked fold, given all of its
-    predictions at once in trial order."""
-    state._fold(lambda a, knots: y_hat[a : a + len(knots) - 1])
+    predictions at once in trial order: the state's predictions become an
+    array with y_hat from the stage's first trial on, NaN before."""
+    state._play(np.append(np.full(state.next_t, math.nan), y_hat))
+
+
+def proposals(state):
+    """The proposals of the current stage's trials so far, rebuilt from the
+    state's stage-start knots and predictions as the state rebuilds them."""
+    w, knots = state.within, state.committed[::2]
+    return _proposals(state.predictions, knots[:w], knots[1 : w + 1], state.h,
+                      state.next_t - w, state.magnitude)[2]
 
 
 def played(state, predictions):
@@ -184,7 +193,11 @@ def columnar_match(learner, config):
             y_hat = _midpoint_predictions(learner.kind, knots[:-1], knots[1:], h, slice(0, 1))
             respond_stage(state, y_hat)
         else:
-            y_hat = _play_stage(learner, state, (2.0 * np.arange(first) + 1.0) * h)
+            y_hat = []
+            for t, x in enumerate(((2.0 * np.arange(first) + 1.0) * h).tolist(), start=first):
+                y_hat.append(learner.predict(x))
+                learner.observe(x, state.respond(t, y_hat[-1])[0])
+            y_hat = np.array(y_hat, dtype=float)
         y = state.committed[1::2]
         e = np.abs(y_hat - y)
         terms = _pow_terms(e, p)
