@@ -6,8 +6,12 @@ parent:
 
     python3 scripts/bench_pairs.py --out BENCH_7.json
 
-HEAD's files are unpacked with ``git archive`` under ``.perfbench_tmp/`` and
-removed afterwards. For every workload, ``perfbench/run.py --trace 0`` runs
+HEAD's files are unpacked with ``git archive`` under ``.perfbench_tmp/``, and
+the change's, every file ``git ls-files --cached --others --exclude-standard``
+lists (uncommitted edits and new files included), are copied from the working
+tree into a sibling there, so both sides run from a fresh tree at the same
+depth and neither run writes into the repository; both trees are removed
+afterwards. For every workload, ``perfbench/run.py --trace 0`` runs
 PAIRS times on each side, on seeds SEED, SEED + 1, ..., the two sides taking
 turns to go first. Each run's final JSON line, digest line and ``env`` line
 are kept. Then ``--trace 1`` runs LAYER_RUNS times per side and workload, on
@@ -152,11 +156,19 @@ def _git(*args: str) -> str:
     ).stdout.strip()
 
 
-def _sides(parent: Path, k: int) -> tuple:
+def _copy_change(dest: Path) -> None:
+    """Copy the working tree's files that git tracks or would track into dest:
+    uncommitted edits and new files come along, ignored files do not."""
+    for name in _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        if name and (ROOT / name).is_file():  # a deleted tracked file is skipped
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+
+
+def _sides(trees: tuple, k: int) -> tuple:
     """(side, checkout) for both sides in the order of round k: the parent
     goes first in even rounds, the change in odd ones."""
-    order = (("parent", parent), ("change", ROOT))
-    return order if k % 2 == 0 else order[::-1]
+    return trees if k % 2 == 0 else trees[::-1]
 
 
 def _bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -183,10 +195,10 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare_workload(parent: Path, workload: str, metrics: list[dict]) -> dict:
+def compare_workload(trees: tuple, workload: str, metrics: list[dict]) -> dict:
     runs = {"parent": [], "change": []}
     for k in range(PAIRS):
-        for side, checkout in _sides(parent, k):
+        for side, checkout in _sides(trees, k):
             runs[side].append(_bench(checkout, workload, SEED + k, 0))
             r = runs[side][-1]
             print(f"{workload} seed={SEED + k} {side}: "
@@ -215,12 +227,12 @@ def compare_workload(parent: Path, workload: str, metrics: list[dict]) -> dict:
     return out
 
 
-def compare_layers(parent: Path, workload: str) -> dict:
+def compare_layers(trees: tuple, workload: str) -> dict:
     """LAYER_RUNS traced runs per side, alternating: per side, each layer's
     median and its value in every run, plus every run's digest and env."""
     runs = {"parent": [], "change": []}
     for k in range(LAYER_RUNS):
-        for side, checkout in _sides(parent, k):
+        for side, checkout in _sides(trees, k):
             runs[side].append(_bench(checkout, workload, SEED + k, 1))
     out: dict = {"seeds": [SEED + k for k in range(LAYER_RUNS)]}
     for side, rs in runs.items():
@@ -265,7 +277,7 @@ def profile_kernels(workload: str, seed: int) -> dict:
     return rows
 
 
-def compare_kernels(parent: Path, workload: str) -> dict:
+def compare_kernels(trees: tuple, workload: str) -> dict:
     """KERNEL_RUNS profiled passes per side, alternating, each in a fresh
     interpreter: per side and kernel, the median calls and self time and
     every run's values."""
@@ -273,7 +285,7 @@ def compare_kernels(parent: Path, workload: str) -> dict:
             "print(json.dumps(bench_pairs.profile_kernels(sys.argv[2], int(sys.argv[3]))))")
     runs = {"parent": [], "change": []}
     for k in range(KERNEL_RUNS):
-        for side, checkout in _sides(parent, k):
+        for side, checkout in _sides(trees, k):
             cmd = [sys.executable, "-c", code, str(ROOT / "scripts"), workload, str(SEED + k)]
             proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
             if proc.returncode != 0:
@@ -394,27 +406,30 @@ def main(argv=None) -> int:
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     commit = _git("rev-parse", "HEAD")
-    parent = TMP / f"parent-{commit[:12]}"
+    parent, change = TMP / "parent", TMP / "change"  # names of one length
+    trees = (("parent", parent), ("change", change))
     parent.mkdir(parents=True)
-    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
-                             capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+    change.mkdir()
     try:
+        archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+        _copy_change(change)
         report = {
             "parent": {"commit": commit},
             "change": {"dirty": bool(_git("status", "--porcelain"))},
             "pairs": PAIRS,
             "seeds": [SEED + k for k in range(PAIRS)],
             "seconds": SECONDS,
-            "workloads": {w: compare_workload(parent, w, metrics) for w in WORKLOADS},
+            "workloads": {w: compare_workload(trees, w, metrics) for w in WORKLOADS},
         }
-        report["layers"] = {w: compare_layers(parent, w) for w in WORKLOADS}
-        report["kernels"] = {w: compare_kernels(parent, w) for w in WORKLOADS}
+        report["layers"] = {w: compare_layers(trees, w) for w in WORKLOADS}
+        report["kernels"] = {w: compare_kernels(trees, w) for w in WORKLOADS}
         cli = report["cli"] = {}
         for name, cli_argv, expected in CLI_COMMANDS:
             runs = {"parent": [], "change": []}
             for k in range(CLI_RUNS):
-                for side, checkout in _sides(parent, k):
+                for side, checkout in _sides(trees, k):
                     runs[side].append(time_cli(checkout, cli_argv, TMP / f"cli-{os.getpid()}",
                                                expected, name in ONE_CPU))
             sides = cli[name] = {
@@ -422,7 +437,7 @@ def main(argv=None) -> int:
                        for key in ("wall_s", "cpu_s", "peak_rss_mb")} | {"runs": rs}
                 for side, rs in runs.items()
             }
-            for side, checkout in _sides(parent, 0):
+            for side, checkout in _sides(trees, 0):
                 sides[side]["traced_peak_bytes"] = traced_peak(
                     checkout, cli_argv, TMP / f"cli-{os.getpid()}", expected, name in ONE_CPU)
             digests = [r["sha256"] for rs in runs.values() for r in rs]
@@ -442,11 +457,12 @@ def main(argv=None) -> int:
                                           == cli[twin]["change"]["runs"][0]["sha256"]}
             cli[name]["timing_claim"] = False
         tier1 = report["tier1"] = {}
-        for side, checkout in (("parent", parent), ("change", ROOT)):
+        for side, checkout in trees:
             tier1[side] = time_tier1(checkout)
             print(f"tier-1 {side}: {tier1[side]['summary']}", file=sys.stderr)
     finally:
-        shutil.rmtree(parent, ignore_errors=True)
+        for _, tree in trees:
+            shutil.rmtree(tree, ignore_errors=True)
         with contextlib.suppress(OSError):
             TMP.rmdir()
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")

@@ -24,10 +24,11 @@ stage-start knots around it, so the built-in learners' predictions follow from
 those knots. The state holds a match's predictions as MatchTrace does: a fresh
 built-in learner's kind, played a stage at a time, or y_hat in trial order
 from any other learner, played trial by trial through predict/respond/observe.
-AdversaryState._fold, the one function that knows a stage's layout, reveals,
-charges and reads every stage from them, a block of trials at a time. So
-_stage_audits gives the audit after each trial of a stage off finished
-matches, many at once; audit_energy, its scalar oracle, gives the live state's.
+Five functions read a stage off the grid, each for its own use: respond plays
+one trial; AdversaryState._fold reveals, charges and reads a whole stage, a
+block of trials at a time; audit_energy, the scalar oracle, audits the live
+state; _stage_audits gives j_probe and the residual after each trial of a
+stage off finished matches, many at once; MatchTrace._rows reads trace rows.
 """
 
 from __future__ import annotations
@@ -260,9 +261,7 @@ class AdversaryState:
             rises = block[1:] - block[:-1]
             steepest = max(steepest, float(np.abs(rises, out=rises).max()))
             jc = np.sum(pwl._energy_terms(h, rises))
-            np.subtract(v, vl, out=rises[::2])  # the probe's rises
-            np.subtract(vr, v, out=rises[1::2])
-            sums.append((np.sum(pwl._energy_terms(h, rises)), jc))
+            sums.append((np.sum(_probe_terms(vl, v, vr, h, rises)), jc))
         # np.sum splits the stage's 2n terms (n a power of two) into halves
         # down to the blocks: adding their sums pairwise gives _energy_sum's bits.
         sums = np.array(sums)
@@ -290,6 +289,14 @@ def _proposals(predictions, vl, vr, h, t, mag) -> tuple[np.ndarray, ...]:
     return y_hat, base, np.where(y_hat > base, base - mag, base + mag)
 
 
+def _probe_terms(vl, v, vr, h, out) -> np.ndarray:
+    # The probe's energy terms at spacing h, in place in out, from its rises
+    # v − vl and vr − v around each proposal v, in coordinate order.
+    np.subtract(v, vl, out=out[::2])
+    np.subtract(vr, v, out=out[1::2])
+    return pwl._energy_terms(h, out)
+
+
 def _recursion_residual(epsilon: float, i: int, start, within, j_probe):
     # |J_probe - expected| after stage i's first `within` trials from the
     # stage-start energy; on arrays too, elementwise with the same operations.
@@ -303,9 +310,9 @@ def audit_energy(state: AdversaryState) -> EnergyAudit:
 
     The expected probe energy after j in-stage trials is the stage-start
     energy plus j * eps*(1-eps)^i / 2^(i+1); the residual is the absolute
-    difference between that and the scratch recomputation. The stage end
-    (end_audit) and finished matches (_stage_audits, per trial) give the same
-    values with the same bits; this is the oracle they are tested against.
+    difference between that and the scratch recomputation. end_audit gives
+    these bits at a stage end, _stage_audits j_probe's and the residual's
+    after every trial; this is the oracle both are tested against.
     """
     # Before stage 1 nothing has been proposed: within = 0, so expected = 0.
     k = np.flatnonzero(~np.isnan(state.committed))  # the knots revealed so far
@@ -320,46 +327,33 @@ def audit_energy(state: AdversaryState) -> EnergyAudit:
 
 
 def _stage_audits(results: Sequence[MatchResult], i: int) -> np.ndarray:
-    """audit_energy as it read right after each trial of stage i, for each of
-    the finished matches at once, with the same bits: shape (matches, 3,
-    2^(i-1)), rows j_probe, j_committed and residual, one column per trial.
-
-    Stage i's knots are the view grid[::2^(S-i)] of the final grid; its
-    proposals follow from them and the predictions with respond's operations.
-    After w trials the knots in coordinate order are the view's indices
-    0..2w, then the even indices after 2w. Their segments are the first 2w
-    segments of the full view followed by the even knots' segments from the
-    w-th on (the w-th joins 2w and 2w + 2). So every audit sums a row of the
-    same terms, in the same order, as _energy_sum does: the knot coordinates
-    are multiples of h, so every run is h or 2h exactly, and numpy sums each
-    row of a stack as it sums that row alone. The even knots' terms alone sum
-    to the last stage's committed energy, the stage-start energy.
-    """
+    """audit_energy's j_probe and residual right after each trial of stage i,
+    for each finished match at once, with the same bits: shape (matches, 2,
+    2^(i-1)), one column per trial. Stage i's view of the final grid and the
+    predictions fix its proposals. After w trials the probe's segments are
+    the full probe's first 2w, then the stage-start knots' from the w-th on:
+    the terms _energy_sum sums, in its order, since every run is h or 2h
+    exactly, and numpy sums each row of a stack as it sums that row alone.
+    The stage-start knots' terms alone sum to the stage-start energy."""
     k, n, h = len(results), 1 << (i - 1), 0.5**i
-    # Rows: the terms of every match's probe, then of every match's committed
-    # function, at spacing h; and those of each match's even knots, which
-    # its probe and committed function share, at 2h.
-    full, evens = np.empty((2 * k, 2 * n)), np.empty((k, n))
+    # Rows: each match's probe terms at spacing h, its stage-start knots' at 2h.
+    probes, evens = np.empty((k, 2 * n)), np.empty((k, n))
     for m, r in enumerate(results):
         committed = r.records.grid[:: 1 << (r.stages - i)]
         vl, vr = committed[:-1:2], committed[2::2]
-        probe, mag = committed.copy(), _perturbation(i, r.epsilon)
-        probe[1::2] = _proposals(r.records.predictions, vl, vr, h, n, mag)[2]
-        full[m], full[k + m] = (pwl._energy_terms(h, g[1:] - g[:-1]) for g in (probe, committed))
+        v = _proposals(r.records.predictions, vl, vr, h, n, _perturbation(i, r.epsilon))[2]
+        _probe_terms(vl, v, vr, h, probes[m])
         evens[m] = pwl._energy_terms(2.0 * h, vr - vl)
     start = np.add.reduce(evens, axis=1).tolist()
-    audits = np.empty((3, k, n))
-    sums = audits[:2].reshape(2 * k, n)  # j_probe, then j_committed, of every match
-    # Audit w sums full's first 2w terms, then the even knots' from the w-th on.
-    # From w = n down, each audit writes its even terms over full's past 2w,
-    # where no later audit reads.
-    halves = full.reshape(2, k, 2 * n)  # a view: probe rows, then committed rows
+    audits = np.empty((k, 2, n))
+    # From w = n down, audit w writes its stage-start terms over the probe's
+    # past 2w, where no later audit reads.
     for w in range(n, 0, -1):
-        halves[:, :, 2 * w : n + w] = evens[:, w:]
-        np.add.reduce(full[:, : n + w], axis=1, out=sums[:, w - 1])
-    for r, s, jp, resid in zip(results, start, audits[0], audits[2]):
+        probes[:, 2 * w : n + w] = evens[:, w:]
+        np.add.reduce(probes[:, : n + w], axis=1, out=audits[:, 0, w - 1])
+    for r, s, (jp, resid) in zip(results, start, audits):
         resid[:] = _recursion_residual(r.epsilon, i, s, np.arange(1, n + 1), jp)
-    return audits.transpose(1, 0, 2)
+    return audits
 
 
 @dataclass(frozen=True)
@@ -372,9 +366,9 @@ class StageSummary:
 
 @dataclass(frozen=True)
 class MatchAudit:
-    """Worst values observed over a whole match: the committed slope, the
-    incremental probe energy and, at every stage end, both scratch energies
-    and the recursion residual. _stage_audits gives those after every trial."""
+    """Worst values over a whole match: the committed slope, the incremental
+    probe energy and, at stage ends, both scratch energies and the residual;
+    _stage_audits gives j_probe and the residual after every trial."""
 
     max_abs_slope: float
     max_j_probe: float

@@ -42,7 +42,7 @@ __all__ = [
 DEFAULT_AUDIT_EPSILONS = (0.4, 0.25, 0.1, 0.05, 0.02)
 # Largest log:a:b:n grid; each point is a whole match or bound row.
 MAX_GRID_SIZE = 1 << 20
-# Most audit runs: 1,000 take about 2.5 s on two CPUs, 2^20 about 45 minutes.
+# Most audit runs: 1,000 take about 1.7 s on two CPUs, 2^20 about half an hour.
 MAX_RUNS = 1 << 20
 
 
@@ -280,9 +280,8 @@ def run_invariant_audit(config: ExperimentConfig) -> AuditReport:
     results = [run_match(make_learner(kind), AdversaryConfig(eps, stages)) for eps, kind in plays]
     # The largest j_probe and residual after any trial of each match; a stage's
     # last trial's audit is its stage-end audit, with the same bits.
-    per_trial = np.zeros((len(results), 2))
-    for i in range(1, stages + 1):
-        per_trial = np.maximum(per_trial, _stage_audits(results, i)[:, ::2].max(axis=2))
+    per_trial = np.max([_stage_audits(results, i).max(axis=2)
+                        for i in range(1, stages + 1)], axis=0)
     for (eps, kind), result, (j_probe, max_resid) in zip(plays, results, per_trial.tolist()):
         label = f"match eps={eps} learner={kind}"
         a = result.audit

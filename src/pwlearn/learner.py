@@ -385,9 +385,9 @@ def run_trials(
 ) -> tuple[Trace, LossAccount]:
     """Drive predict/observe over (x, y) pairs, charging loss from trial 1 on.
 
-    ``sequence`` holds (x, y) pairs, or is an (n, 2) float array. Every pair
-    is checked before the first prediction: a non-finite value or an x
-    outside [0, 1] raises DomainError naming the trial. Repeated input
+    ``sequence`` holds (x, y) pairs of reals, or is an (n, 2) float array,
+    else DomainError. Every pair is checked before the first prediction: a
+    non-finite value or an x outside [0, 1] raises DomainError naming the trial. Repeated input
     coordinates are allowed (the learner should answer the known value);
     they show up as d = 0 in the trace, which kl_invariants will reject. A
     loss term that overflows or a non-finite total loss raises DomainError.
@@ -399,7 +399,10 @@ def run_trials(
     other case runs scalar_predictions.
     """
     p = _check_real("loss exponent", p, 1.0, math.inf, "(]")
-    pairs = np.asarray(sequence, dtype=float)
+    try:
+        pairs = np.asarray(sequence, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"expected (x, y) pairs of real numbers: {exc}") from None
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:

@@ -118,9 +118,12 @@ def evaluate_many(f: PiecewiseLinearFunction, xs) -> np.ndarray:
 
     The same rules in one pass: constant beyond the end knots, the stored
     value on a knot hit, otherwise the chord with evaluate's operations in
-    evaluate's order. Any x outside [0, 1] (NaN included) raises DomainError.
+    evaluate's order. An x outside [0, 1] (NaN included) or not real raises DomainError.
     """
-    xs = np.asarray(xs, dtype=float)
+    try:
+        xs = np.asarray(xs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"evaluation points must be real numbers: {exc}") from None
     bad = np.flatnonzero(~((0.0 <= xs) & (xs <= 1.0)))
     if bad.size:
         raise DomainError(f"evaluation point {float(xs[bad[0]])!r} outside [0, 1]")

@@ -150,20 +150,25 @@ def played(state, predictions):
     return MatchResult(state.epsilon, state.stages, 0.0, records, [], None, 0.0, 0.0)
 
 
+def probe_hex(audit):
+    """An EnergyAudit's j_probe and residual, the rows _stage_audits gives,
+    as hex."""
+    return [audit.j_probe.hex(), audit.recursion_residual.hex()]
+
+
 def trial_audits(result):
     """Every trial's audit of a finished match, read off by _stage_audits
-    stage by stage for it alone: rows j_probe, j_committed and residual, one
-    column per trial 1 .. 2^S - 1."""
+    stage by stage for it alone: rows j_probe and residual, one column per
+    trial 1 .. 2^S - 1."""
     return np.hstack([_stage_audits([result], i)[0] for i in range(1, result.stages + 1)])
 
 
 def worst_audit(result):
-    """result's MatchAudit with the worst of every trial's audit folded in,
-    as run_invariant_audit checks a match."""
-    jp, jc, resid = trial_audits(result).max(axis=1).tolist()
+    """result's MatchAudit with the worst of every trial's j_probe and
+    residual folded in, as run_invariant_audit checks a match."""
+    jp, resid = trial_audits(result).max(axis=1).tolist()
     a = result.audit
     return replace(a, max_j_probe=max(a.max_j_probe, jp),
-                   max_j_committed=max(a.max_j_committed, jc),
                    max_recursion_residual=max(a.max_recursion_residual, resid))
 
 

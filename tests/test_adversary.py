@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from helpers import (
     DictAdversary, columnar_match, committed_function, dict_energy, played, proposals,
-    respond_stage, trial_audits, worst_audit,
+    probe_hex, respond_stage, trial_audits, worst_audit,
 )
 
 from pwlearn import (
@@ -312,10 +312,10 @@ class TestDictOracle:
             # Read off the grid played so far, the audit after w trials is the
             # one taken right after trial w.
             (audits,) = _stage_audits([played(batch, predictions)], i)
-            assert audits.shape == (3, len(y))
+            assert audits.shape == (2, len(y))
             for yh, y_t, audit in zip(y_hat.tolist(), y.tolist(), audits.T.tolist()):
                 assert single.respond(t, yh)[0] == y_t
-                assert tuple(audit) == audit_energy(single)
+                assert [v.hex() for v in audit] == probe_hex(audit_energy(single))
                 t += 1
             assert batch.end_audit == audit_energy(single)
             assert batch.grid.tobytes() == single.grid.tobytes()
@@ -345,8 +345,7 @@ class TestDictOracle:
                 single.respond(t, yh)
                 t += 1
                 if audits is not None:
-                    want = audit_energy(single)
-                    assert [v.hex() for v in audits[k]] == [v.hex() for v in want]
+                    assert [v.hex() for v in audits[k]] == probe_hex(audit_energy(single))
         assert len(audits) == 2 ** (stages - 1)
         if stages > 1:
             assert (proposals(batch) != batch.committed[1::2]).any()
@@ -408,12 +407,12 @@ class TestDictOracle:
                 assert oracle.respond(t, yh) == (y, accepted)
                 rejected += not accepted
                 want = audit_energy(single)
-                assert [v.hex() for v in audit] == [v.hex() for v in want]
+                assert [v.hex() for v in audit] == probe_hex(want)
                 # The dict oracle's from-scratch sums are slow past S = 9, so
                 # it checks every trial of the first 9 stages, then a sample.
                 if i <= 9 or t % 29 == 0 or t == 2**i - 1:
                     assert audit[0] == dict_energy(oracle.probe)
-                    assert audit[1] == dict_energy(oracle.committed)
+                    assert want.j_committed == dict_energy(oracle.committed)
                 t += 1
             # The stage start's probe energy is the last stage end's committed
             # energy: the old view's energy, summed afresh as _energy_sum sums it.
@@ -426,7 +425,7 @@ class TestDictOracle:
             batch_end, single_end = batch.end_audit, single.end_audit
             for stage_end in (batch_end, single_end):
                 assert [v.hex() for v in stage_end] == [v.hex() for v in want]
-                assert list(stage_end) == audits[-1]
+                assert [stage_end.j_probe, stage_end.recursion_residual] == audits[-1]
                 assert stage_end.j_probe == dict_energy(oracle.probe)
                 assert stage_end.j_committed == dict_energy(oracle.committed)
         if eps in (0.25, 0.1):
@@ -508,14 +507,18 @@ class TestStageAtATime:
             y, accepted = state.respond(t, learner.predict(x))
             learner.observe(x, y)
             rejected += not accepted
-            audits.append([v.hex() for v in audit_energy(state)])
-        max_jp, max_jc, max_resid = (max(map(float.fromhex, row)) for row in zip(*audits))
+            audits.append(audit_energy(state))
+        max_jp, max_resid = (max(a.j_probe for a in audits),
+                             max(a.recursion_residual for a in audits))
+        stage_ends = [audits[2**i - 2] for i in range(1, stages + 1)]
+        max_jc = max(a.j_committed for a in stage_ends)  # read at stage ends only
         want = (state.max_abs_slope, max(state.max_energy_probe, max_jp), max_jc, max_resid)
-        j_probe_end = [audits[2**i - 2][0] for i in range(1, stages + 1)]
+        j_probe_end = [a.j_probe.hex() for a in stage_ends]
         # Both play paths' rows, read off the finished match, are those audits.
         for learner in (make_learner(kind), LOOP_TWINS[kind]()):
             result = run_match(learner, AdversaryConfig(eps, stages))
-            assert [[v.hex() for v in col] for col in trial_audits(result).T.tolist()] == audits
+            got = [[v.hex() for v in col] for col in trial_audits(result).T.tolist()]
+            assert got == [probe_hex(a) for a in audits]
             assert [v.hex() for v in astuple(worst_audit(result))] == [v.hex() for v in want]
             assert [s.j_probe_end.hex() for s in result.per_stage] == j_probe_end
         if eps in (0.25, 0.1):
@@ -540,7 +543,7 @@ class TestStageAudits:
                    for learner, eps, stages in plays]
         for i in range(1, 8):
             together = _stage_audits(results, i)
-            assert together.shape == (len(results), 3, 2 ** (i - 1))
+            assert together.shape == (len(results), 2, 2 ** (i - 1))
             for result, rows in zip(results, together):
                 assert rows.tobytes() == _stage_audits([result], i)[0].tobytes()
 
@@ -553,13 +556,13 @@ class TestStageAudits:
                    for learner in (make_learner(kind), LOOP_TWINS[kind]())]
         audits = _stage_audits(results, stages)
         first = 2 ** (stages - 1)
-        assert audits.shape == (len(results), 3, first)
+        assert audits.shape == (len(results), 2, first)
         for result, rows in zip(results, audits):
             state = AdversaryState(AdversaryConfig(result.epsilon, stages))
             for t, y_hat in enumerate(result.records.y_hat[1:].tolist(), start=1):
                 state.respond(t, y_hat)
                 if t >= first:
-                    want = [v.hex() for v in audit_energy(state)]
+                    want = probe_hex(audit_energy(state))
                     assert [v.hex() for v in rows[:, t - first].tolist()] == want, t
             assert rows[0, -1] == result.per_stage[-1].j_probe_end
 

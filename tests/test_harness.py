@@ -334,6 +334,23 @@ class TestAuditFailures:
                      f"{label}: committed slope {a.max_abs_slope!r}"]
         assert _failed_audit() == want
 
+    def test_a_mid_stage_probe_energy_and_residual(self, monkeypatch):
+        # One match's audit after trial 5, inside stage 3 (trials 4..7), and
+        # so in no stage-end audit: both violations name that match alone.
+        real, m = harness._stage_audits, 7
+
+        def broken(results, i):
+            audits = real(results, i)
+            if i == 3:
+                audits[m, :, 5 - 4] = 0.3, 1.0
+            return audits
+
+        monkeypatch.setattr(harness, "_stage_audits", broken)
+        eps, kind = MATCHES[m]
+        label = f"match eps={eps} learner={kind}"
+        assert _failed_audit() == [f"{label}: energy recursion residual 1.0",
+                                   f"{label}: probe energy 0.3 >= 1/4"]
+
     def test_probe_energy_quota_and_forced_loss(self, monkeypatch):
         real = harness.run_match
 

@@ -196,6 +196,13 @@ class TestRunTrials:
         with pytest.raises(DomainError):
             run_trials(ZeroLearner(), [(1.5, 0.0)], p=2.0)
 
+    @pytest.mark.parametrize("pairs", [[("a", 1.0)], [(1j, 0.0)], [[0.1, 0.2], [0.3]]],
+                             ids=["text", "complex", "ragged"])
+    def test_rejects_pairs_that_are_not_reals(self, pairs):
+        # numpy's own ValueError or TypeError would name no argument.
+        with pytest.raises(DomainError, match=r"expected \(x, y\) pairs of real numbers: "):
+            run_trials(ZeroLearner(), pairs, p=2.0)
+
     @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (2,), (2, 2, 2)])
     def test_rejects_an_array_of_anything_but_pairs(self, shape):
         with pytest.raises(DomainError, match=rf"expected \(x, y\) pairs, got an array of shape"):

@@ -138,6 +138,13 @@ class TestEvaluateMany:
             with pytest.raises(DomainError):
                 evaluate_many(f, [0.5, bad])
 
+    @pytest.mark.parametrize("xs", [[("a", 1.0)], [(1j, 0.0)], [[0.1, 0.2], [0.3]]],
+                             ids=["text", "complex", "ragged"])
+    def test_points_that_are_not_reals(self, xs):
+        # numpy's own ValueError or TypeError would name no argument.
+        with pytest.raises(DomainError, match="evaluation points must be real numbers: "):
+            evaluate_many(TENT, xs)
+
 
 class TestEvaluate:
     def test_clamps_and_interpolates(self):
