@@ -77,7 +77,7 @@ LAYER_RUNS = 3  # traced perfbench runs per side and workload
 KERNEL_RUNS = 3  # cProfile'd passes per side and workload
 # Kernel row name: the function's name in cProfile's statistics.
 KERNELS = {
-    "_stage_audits": "_stage_audits",
+    "_trial_audits": "_trial_audits",
     "_earlier_neighbours": "_earlier_neighbours",
     "_pow_terms": "_pow_terms",
     "evaluate_many": "evaluate_many",

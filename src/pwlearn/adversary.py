@@ -27,15 +27,15 @@ from any other learner, played trial by trial through predict/respond/observe.
 Five functions read a stage off the grid, each for its own use: respond plays
 one trial; AdversaryState._fold reveals, charges and reads a whole stage, a
 block of trials at a time; audit_energy, the scalar oracle, audits the live
-state; _stage_audits gives j_probe and the residual after each trial of a
-stage off finished matches, many at once; MatchTrace._rows reads trace rows.
+state; _trial_audits reads j_probe and the residual after every mid-stage
+trial off a finished match; MatchTrace._rows reads trace rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -311,8 +311,8 @@ def audit_energy(state: AdversaryState) -> EnergyAudit:
     The expected probe energy after j in-stage trials is the stage-start
     energy plus j * eps*(1-eps)^i / 2^(i+1); the residual is the absolute
     difference between that and the scratch recomputation. end_audit gives
-    these bits at a stage end, _stage_audits j_probe's and the residual's
-    after every trial; this is the oracle both are tested against.
+    these bits at a stage end, _trial_audits j_probe and the residual after
+    mid-stage trials up to rounding; both are tested against this oracle.
     """
     # Before stage 1 nothing has been proposed: within = 0, so expected = 0.
     k = np.flatnonzero(~np.isnan(state.committed))  # the knots revealed so far
@@ -326,33 +326,26 @@ def audit_energy(state: AdversaryState) -> EnergyAudit:
     return EnergyAudit(j_probe, pwl._energy_sum(du, state.committed[k]), resid)
 
 
-def _stage_audits(results: Sequence[MatchResult], i: int) -> np.ndarray:
-    """audit_energy's j_probe and residual right after each trial of stage i,
-    for each finished match at once, with the same bits: shape (matches, 2,
-    2^(i-1)), one column per trial. Stage i's view of the final grid and the
-    predictions fix its proposals. After w trials the probe's segments are
-    the full probe's first 2w, then the stage-start knots' from the w-th on:
-    the terms _energy_sum sums, in its order, since every run is h or 2h
-    exactly, and numpy sums each row of a stack as it sums that row alone.
-    The stage-start knots' terms alone sum to the stage-start energy."""
-    k, n, h = len(results), 1 << (i - 1), 0.5**i
-    # Rows: each match's probe terms at spacing h, its stage-start knots' at 2h.
-    probes, evens = np.empty((k, 2 * n)), np.empty((k, n))
-    for m, r in enumerate(results):
-        committed = r.records.grid[:: 1 << (r.stages - i)]
+def _trial_audits(result: MatchResult) -> np.ndarray:
+    """audit_energy's j_probe and residual right after every trial of a
+    finished match but the stage ends, whose audits end_audit gives: shape
+    (2, 2^S - S - 1), stage i's trial t in column t - i. After w trials the
+    probe's segments are the full probe's first 2w, then the stage-start
+    knots' from the w-th on, whose terms sum to the stage-start energy less
+    their first w: two prefix sums, recursive where audit_energy's is pairwise."""
+    records, eps, stages = result.records, result.epsilon, result.stages
+    audits = np.empty((2, (1 << stages) - stages - 1))
+    for i in range(2, stages + 1):
+        n, h = 1 << (i - 1), 0.5**i
+        committed = records.grid[:: 1 << (stages - i)]
         vl, vr = committed[:-1:2], committed[2::2]
-        v = _proposals(r.records.predictions, vl, vr, h, n, _perturbation(i, r.epsilon))[2]
-        _probe_terms(vl, v, vr, h, probes[m])
-        evens[m] = pwl._energy_terms(2.0 * h, vr - vl)
-    start = np.add.reduce(evens, axis=1).tolist()
-    audits = np.empty((k, 2, n))
-    # From w = n down, audit w writes its stage-start terms over the probe's
-    # past 2w, where no later audit reads.
-    for w in range(n, 0, -1):
-        probes[:, 2 * w : n + w] = evens[:, w:]
-        np.add.reduce(probes[:, : n + w], axis=1, out=audits[:, 0, w - 1])
-    for r, s, (jp, resid) in zip(results, start, audits):
-        resid[:] = _recursion_residual(r.epsilon, i, s, np.arange(1, n + 1), jp)
+        v = _proposals(records.predictions, vl, vr, h, n, _perturbation(i, eps))[2]
+        probe = np.cumsum(_probe_terms(vl, v, vr, h, np.empty(2 * n)))
+        evens = pwl._energy_terms(2.0 * h, vr - vl)
+        start = np.sum(evens)  # the state's stage_start_energy, bit for bit
+        j_probe, resid = audits[:, n - i : 2 * n - 1 - i]  # trials n .. 2n - 2
+        np.add(probe[1:-2:2], start - np.cumsum(evens)[:-1], out=j_probe)
+        resid[:] = _recursion_residual(eps, i, start, np.arange(1, n), j_probe)
     return audits
 
 
@@ -367,12 +360,11 @@ class StageSummary:
 @dataclass(frozen=True)
 class MatchAudit:
     """Worst values over a whole match: the committed slope, the incremental
-    probe energy and, at stage ends, both scratch energies and the residual;
-    _stage_audits gives j_probe and the residual after every trial."""
+    probe energy and, at stage ends, the scratch probe energy and the residual;
+    _trial_audits gives j_probe and the residual after the mid-stage trials."""
 
     max_abs_slope: float
     max_j_probe: float
-    max_j_committed: float
     max_recursion_residual: float
 
 
@@ -460,11 +452,11 @@ def run_match(learner: Learner, config: AdversaryConfig) -> MatchResult:
 
     Trial 0 presents (1, 0) with no loss charged; trials 1 .. 2^stages - 1
     alternate predict/respond at loss exponent p = 1 + epsilon. Energy is
-    audited at every stage end; _stage_audits reads the audit after every
-    trial off finished matches. ``records`` is the match's MatchTrace: the
-    final grid and the state's predictions. The state charges each stage's
-    loss at its end; a loss term that overflows raises DomainError there, and
-    a non-finite total loss (a NaN or infinite prediction) after the match.
+    audited at every stage end; _trial_audits audits mid-stage trials off
+    the finished match. ``records`` is the match's MatchTrace: the final
+    grid and the state's predictions. The state charges each stage's loss
+    at its end; a loss term that overflows raises DomainError there, and a
+    non-finite total loss (a NaN or infinite prediction) after the match.
 
     A fresh learner of exact built-in type (zero, nearest, or linint with
     nothing observed) is played a stage at a time on its kind, and its state
@@ -479,7 +471,7 @@ def run_match(learner: Learner, config: AdversaryConfig) -> MatchResult:
         learner.predict(X0)  # uncharged; the opening prediction is discarded
         learner.observe(X0, Y0)
     per_stage: list[StageSummary] = []
-    worst = np.zeros(3)  # the largest stage-end j_probe, j_committed and residual
+    worst = np.zeros(2)  # the largest stage-end j_probe and residual
     for i in range(1, config.stages + 1):
         if by_stage:
             state._play(learner.kind)
@@ -487,12 +479,13 @@ def run_match(learner: Learner, config: AdversaryConfig) -> MatchResult:
             xs = (2.0 * np.arange(1 << (i - 1)) + 1.0) * 0.5**i
             for t, x in enumerate(xs.tolist(), start=state.next_t):
                 learner.observe(x, state.respond(t, learner.predict(x))[0])
-        worst = np.maximum(worst, state.end_audit)
-        per_stage.append(StageSummary(i, state.within, state.accepted, state.end_audit.j_probe))
+        end = state.end_audit
+        worst = np.maximum(worst, (end.j_probe, end.recursion_residual))
+        per_stage.append(StageSummary(i, state.within, state.accepted, end.j_probe))
     # One check per match: NaN and inf both survive the running sum.
     if not math.isfinite(state.total_loss):
         raise DomainError(f"total loss {state.total_loss!r} is not finite; predictions must be")
-    max_jp, max_jc, max_resid = worst.tolist()
+    max_jp, max_resid = worst.tolist()
     grid = state.grid
     grid.setflags(write=False)
     if by_stage and type(learner) is not ZeroLearner:
@@ -508,7 +501,6 @@ def run_match(learner: Learner, config: AdversaryConfig) -> MatchResult:
         audit=MatchAudit(
             max_abs_slope=state.max_abs_slope,
             max_j_probe=max(state.max_energy_probe, max_jp),
-            max_j_committed=max_jc,
             max_recursion_residual=max_resid,
         ),
         lower_partial=lower_bound_partial(eps, config.stages),

@@ -145,7 +145,7 @@ def evaluate_many(f: PiecewiseLinearFunction, xs) -> np.ndarray:
 
 def _energy_terms(du: np.ndarray | float, dv: np.ndarray) -> np.ndarray:
     # rise^2/run of every segment, given the runs du (an array, or one spacing
-    # for a uniform grid) and the rises dv (or rows of them), in place in dv.
+    # for a uniform grid) and the rises dv, in place in dv.
     dv *= dv
     dv /= du
     return dv
@@ -154,8 +154,7 @@ def _energy_terms(du: np.ndarray | float, dv: np.ndarray) -> np.ndarray:
 def _energy_sum(du: np.ndarray | float, vs: np.ndarray) -> float:
     # The one energy summation: numpy's pairwise sum of the segment terms
     # (0.0 for fewer than two knots) of np.diff's rises, without its overhead.
-    # The adversary's stage ends sum the same terms, its audits rows of them,
-    # which numpy sums pairwise row by row with these bits.
+    # The adversary's stage ends sum the same terms with these bits.
     return float(np.sum(_energy_terms(du, vs[1:] - vs[:-1])))
 
 

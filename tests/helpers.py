@@ -1,8 +1,9 @@
 """Shared generators for randomized tests, the adversary's dict oracle, a
 whole stage played from its predictions, a stage's proposals so far, a
-match's audits after every trial, the columnar match trace, the table and
-trace CSV oracles, the nearest-earlier-neighbour oracle, the functions a
-learner or the adversary has built so far, and a trace helper that dies."""
+match's audits after every trial and their rounding bound, the columnar
+match trace, the table and trace CSV oracles, the nearest-earlier-neighbour
+oracle, the functions a learner or the adversary has built so far, and a
+trace helper that dies."""
 
 import csv
 import math
@@ -16,7 +17,7 @@ from pwlearn import (
     dyadic_x, evaluate, from_points, perturbation, stage_of,
 )
 from pwlearn import learner as learner_module
-from pwlearn.adversary import _proposals, _stage_audits
+from pwlearn.adversary import _proposals, _trial_audits
 from pwlearn.learner import (
     TRACE_HEADER, _fresh, _midpoint_predictions, _pow_terms, _running_total, open_out,
 )
@@ -143,30 +144,55 @@ def proposals(state):
 
 
 def played(state, predictions):
-    """The match played on state so far as _stage_audits reads it: the grid
-    and the predictions in trial order (trial 0's unread), with placeholder
-    totals; every finished stage can be audited."""
-    records = MatchTrace(state.grid, 1.0 + state.epsilon, predictions)
-    return MatchResult(state.epsilon, state.stages, 0.0, records, [], None, 0.0, 0.0)
-
-
-def probe_hex(audit):
-    """An EnergyAudit's j_probe and residual, the rows _stage_audits gives,
-    as hex."""
-    return [audit.j_probe.hex(), audit.recursion_residual.hex()]
+    """The match played on state so far, up to a stage end, as _trial_audits
+    reads it: the stages so far on the last one's view of the grid, and the
+    predictions in trial order (trial 0's unread), with placeholder totals."""
+    records = MatchTrace(state.committed, 1.0 + state.epsilon, predictions)
+    return MatchResult(state.epsilon, state.stage, 0.0, records, [], None, 0.0, 0.0)
 
 
 def trial_audits(result):
-    """Every trial's audit of a finished match, read off by _stage_audits
-    stage by stage for it alone: rows j_probe and residual, one column per
-    trial 1 .. 2^S - 1."""
-    return np.hstack([_stage_audits([result], i)[0] for i in range(1, result.stages + 1)])
+    """_trial_audits' rows of a finished match split by stage: for stage i,
+    j_probe and residual after each of its trials 2^(i-1) .. 2^i - 2, one
+    column per trial (none for stage 1)."""
+    stops = [(1 << i) - i - 1 for i in range(1, result.stages)]
+    return np.split(_trial_audits(result), stops, axis=1)
+
+
+def check_trial_audit(column, state):
+    """Check _trial_audits' column for the state's last trial, w of a stage
+    of n, against audit_energy(state): each of j_probe and the residual lies
+    within γ_k·(J + 2A) of the oracle's, k = 4w + 2n, where J is the oracle's
+    j_probe and A the state's stage_start_energy.
+
+    Both sum the same nonnegative terms, bit for bit: the probe's first 2w,
+    of sum P, then the stage-start knots' from the w-th on, of sum A − E,
+    where A sums all n of those and E their first w. Only the order of the
+    additions differs. A sum that passes each term through at most m
+    roundings is Σ x_i(1 + θ_i) with |θ_i| ≤ γ_m = m·u/(1 − m·u) (Higham,
+    Accuracy and Stability of Numerical Algorithms, Lemma 3.1 and §4.2).
+    _trial_audits adds P's terms in a cumsum (2w − 1 additions), A's (n − 1),
+    E's in a cumsum (w − 1), then forms P + (A − E) (2 more): within
+    γ_{3w+n−1}·(P + A + E) of the exact value. audit_energy adds its 2w +
+    n − w terms (n + w − 1 additions): within γ_{n+w−1}·(P + A − E). As
+    γ_a + γ_b ≤ γ_{a+b}, they differ by at most γ_{4w+2n−2}·(P + A + E),
+    and P + A + E ≤ J + 2A since E ≤ A. J and A are read rounded, each
+    within a relative γ_{n+w} of the exact, and J + 2A rounds once more;
+    while k·(n + w)·u < 1/4, the two additions k counts past 4w + 2n − 2
+    cover both. The residual is |j_probe − expected| with one expected for
+    both, which lies within a factor 2 of j_probe, so that subtraction is
+    exact (Sterbenz): residuals differ by at most what the j_probes do."""
+    want, w, n = audit_energy(state), state.within, 1 << (state.stage - 1)
+    u, k = 2.0**-53, 4 * w + 2 * n
+    bound = k * u / (1.0 - k * u) * (want.j_probe + 2.0 * state.stage_start_energy)
+    assert abs(column[0] - want.j_probe) <= bound, (state.next_t - 1, column[0], want)
+    assert abs(column[1] - want.recursion_residual) <= bound, (state.next_t - 1, column[1], want)
 
 
 def worst_audit(result):
     """result's MatchAudit with the worst of every trial's j_probe and
     residual folded in, as run_invariant_audit checks a match."""
-    jp, resid = trial_audits(result).max(axis=1).tolist()
+    jp, resid = _trial_audits(result).max(axis=1, initial=0.0).tolist()
     a = result.audit
     return replace(a, max_j_probe=max(a.max_j_probe, jp),
                    max_recursion_residual=max(a.max_recursion_residual, resid))
@@ -189,7 +215,7 @@ def columnar_match(learner, config):
     n = 1 << stages
     y_hats, es, ds, terms_col = (np.full(n, math.nan) for _ in range(4))
     k = np.full(n, n)  # grid index of each trial's input at spacing 2^-stages
-    total = max_jp = max_jc = max_resid = 0.0
+    total = max_jp = max_resid = 0.0
     per_stage = []
     for i in range(1, stages + 1):
         first, h = 1 << (i - 1), 0.5**i
@@ -212,10 +238,9 @@ def columnar_match(learner, config):
         k[trials] = (2 * np.arange(first) + 1) << (stages - i)
         audit = audit_energy(state)
         max_jp = max(max_jp, audit.j_probe)
-        max_jc = max(max_jc, audit.j_committed)
         max_resid = max(max_resid, audit.recursion_residual)
         per_stage.append(StageSummary(i, state.within, state.accepted, audit.j_probe))
-    audit = MatchAudit(state.max_abs_slope, max(state.max_energy_probe, max_jp), max_jc, max_resid)
+    audit = MatchAudit(state.max_abs_slope, max(state.max_energy_probe, max_jp), max_resid)
     trace = Trace(k * 0.5**stages, y_hats, state.grid[k], es, ds, terms_col)
     return total, per_stage, audit, trace
 

@@ -8,8 +8,8 @@ from dataclasses import astuple, fields
 import numpy as np
 import pytest
 from helpers import (
-    DictAdversary, columnar_match, committed_function, dict_energy, played, proposals,
-    probe_hex, respond_stage, trial_audits, worst_audit,
+    DictAdversary, check_trial_audit, columnar_match, committed_function, dict_energy, played,
+    proposals, respond_stage, trial_audits, worst_audit,
 )
 
 from pwlearn import (
@@ -37,7 +37,7 @@ from pwlearn import (
     write_trace_csv,
 )
 from pwlearn import adversary as adversary_module, pwl
-from pwlearn.adversary import _stage_audits
+from pwlearn.adversary import _recursion_residual, _trial_audits
 from pwlearn.learner import _fresh
 
 EPS_GRID = (0.4, 0.25, 0.1, 0.05, 0.02)
@@ -310,12 +310,13 @@ class TestDictOracle:
             respond_stage(batch, y_hat)
             y = batch.committed[1::2]
             # Read off the grid played so far, the audit after w trials is the
-            # one taken right after trial w.
-            (audits,) = _stage_audits([played(batch, predictions)], i)
-            assert audits.shape == (2, len(y))
-            for yh, y_t, audit in zip(y_hat.tolist(), y.tolist(), audits.T.tolist()):
+            # one taken right after trial w; the stage end's is end_audit.
+            audits = trial_audits(played(batch, predictions))[-1]
+            assert audits.shape == (2, len(y) - 1)
+            for yh, y_t, column in zip(y_hat.tolist(), y.tolist(), [*audits.T, None], strict=True):
                 assert single.respond(t, yh)[0] == y_t
-                assert [v.hex() for v in audit] == probe_hex(audit_energy(single))
+                if column is not None:
+                    check_trial_audit(column, single)
                 t += 1
             assert batch.end_audit == audit_energy(single)
             assert batch.grid.tobytes() == single.grid.tobytes()
@@ -326,10 +327,10 @@ class TestDictOracle:
                     assert getattr(batch, name) == value, name
 
     @pytest.mark.parametrize("stages", [1, 12])
-    def test_in_place_audits_at_the_first_stage_and_the_audit_cap(self, stages):
-        # The per-trial audits are summed from one reused buffer; check every
-        # one of the last stage's at last = 1 and at the audit's 12-stage cap,
-        # with some trials rejected so that probe and committed functions differ.
+    def test_audits_at_the_first_stage_and_the_audit_cap(self, stages):
+        # Every mid-stage audit of the last stage, of which stage 1 has none,
+        # at the audit's 12-stage cap, with some trials rejected so that probe
+        # and committed functions differ.
         config = AdversaryConfig(0.1, stages)
         batch, single = AdversaryState(config), AdversaryState(config)
         predictions = np.full(2**stages, math.nan)
@@ -340,13 +341,13 @@ class TestDictOracle:
             respond_stage(batch, y_hat)
             audits = None
             if i == stages:
-                audits = _stage_audits([played(batch, predictions)], i)[0].T.tolist()
+                audits = trial_audits(played(batch, predictions))[-1].T
             for k, yh in enumerate(y_hat.tolist()):
                 single.respond(t, yh)
                 t += 1
-                if audits is not None:
-                    assert [v.hex() for v in audits[k]] == probe_hex(audit_energy(single))
-        assert len(audits) == 2 ** (stages - 1)
+                if audits is not None and k < len(audits):
+                    check_trial_audit(audits[k], single)
+        assert len(audits) == 2 ** (stages - 1) - 1
         if stages > 1:
             assert (proposals(batch) != batch.committed[1::2]).any()
 
@@ -401,17 +402,18 @@ class TestDictOracle:
                 # then rejected, so probe and committed functions differ.
                 y_hat[:] = -1.0
             respond_stage(batch, y_hat)
-            audits = _stage_audits([played(batch, predictions)], i)[0].T.tolist()
-            for audit, yh in zip(audits, y_hat.tolist(), strict=True):
+            audits = [*trial_audits(played(batch, predictions))[-1].T, None]
+            for column, yh in zip(audits, y_hat.tolist(), strict=True):
                 y, accepted = single.respond(t, yh)
                 assert oracle.respond(t, yh) == (y, accepted)
                 rejected += not accepted
                 want = audit_energy(single)
-                assert [v.hex() for v in audit] == probe_hex(want)
+                if column is not None:
+                    check_trial_audit(column, single)
                 # The dict oracle's from-scratch sums are slow past S = 9, so
                 # it checks every trial of the first 9 stages, then a sample.
                 if i <= 9 or t % 29 == 0 or t == 2**i - 1:
-                    assert audit[0] == dict_energy(oracle.probe)
+                    assert want.j_probe == dict_energy(oracle.probe)
                     assert want.j_committed == dict_energy(oracle.committed)
                 t += 1
             # The stage start's probe energy is the last stage end's committed
@@ -420,12 +422,11 @@ class TestDictOracle:
             for state, stage_end in ((batch, batch_end), (single, single_end)):
                 assert state.stage_start_energy.hex() == stage_end[1].hex() == start.hex()
             # The stage end, read off the grid's rises through respond and
-            # the fold alike: the scalar audit right after the last
-            # trial, the dicts' energies and the last per-trial audit.
+            # the fold alike: the scalar audit right after the last trial and
+            # the dicts' energies.
             batch_end, single_end = batch.end_audit, single.end_audit
             for stage_end in (batch_end, single_end):
                 assert [v.hex() for v in stage_end] == [v.hex() for v in want]
-                assert [stage_end.j_probe, stage_end.recursion_residual] == audits[-1]
                 assert stage_end.j_probe == dict_energy(oracle.probe)
                 assert stage_end.j_committed == dict_energy(oracle.committed)
         if eps in (0.25, 0.1):
@@ -485,7 +486,7 @@ class TestStageAtATime:
     @pytest.mark.parametrize("eps, stages", [(0.45, 4), (0.02, 7), (0.49, 10)])
     def test_per_trial_audit_same_bits_as_the_loop(self, kind, eps, stages):
         _, a, _, b = self._both(kind, eps, stages)
-        assert trial_audits(a).tobytes() == trial_audits(b).tobytes()
+        assert _trial_audits(a).tobytes() == _trial_audits(b).tobytes()
         assert worst_audit(a) == worst_audit(b)
 
     @pytest.mark.parametrize(
@@ -495,11 +496,13 @@ class TestStageAtATime:
     )
     def test_loop_audits_equal_audit_energy_after_every_trial(self, kind, eps, stages):
         # The oracle: the loop learner played by hand, with the scalar audit
-        # of the live state after every trial.
+        # of the live state after every trial. (TestTrialAudits checks each
+        # trial's column; this checks what run_invariant_audit reads.)
+        config = AdversaryConfig(eps, stages)
         learner = LOOP_TWINS[kind]()
         learner.predict(1.0)
         learner.observe(1.0, 0.0)
-        state = AdversaryState(AdversaryConfig(eps, stages))
+        state = AdversaryState(config)
         audits = []
         rejected = 0
         for t in range(1, 2**stages):
@@ -508,18 +511,18 @@ class TestStageAtATime:
             learner.observe(x, y)
             rejected += not accepted
             audits.append(audit_energy(state))
-        max_jp, max_resid = (max(a.j_probe for a in audits),
-                             max(a.recursion_residual for a in audits))
         stage_ends = [audits[2**i - 2] for i in range(1, stages + 1)]
-        max_jc = max(a.j_committed for a in stage_ends)  # read at stage ends only
-        want = (state.max_abs_slope, max(state.max_energy_probe, max_jp), max_jc, max_resid)
+        # The worst j_probe is a stage end's or the incremental one, with their
+        # bits; the worst stage-end residual has the bits of the scalar audit's.
+        want = (state.max_abs_slope,
+                max(state.max_energy_probe, *(a.j_probe for a in audits)),
+                max(a.recursion_residual for a in stage_ends))
         j_probe_end = [a.j_probe.hex() for a in stage_ends]
-        # Both play paths' rows, read off the finished match, are those audits.
         for learner in (make_learner(kind), LOOP_TWINS[kind]()):
-            result = run_match(learner, AdversaryConfig(eps, stages))
-            got = [[v.hex() for v in col] for col in trial_audits(result).T.tolist()]
-            assert got == [probe_hex(a) for a in audits]
-            assert [v.hex() for v in astuple(worst_audit(result))] == [v.hex() for v in want]
+            result = run_match(learner, config)
+            worst = worst_audit(result)
+            got = (worst.max_abs_slope, worst.max_j_probe, result.audit.max_recursion_residual)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
             assert [s.j_probe_end.hex() for s in result.per_stage] == j_probe_end
         if eps in (0.25, 0.1):
             assert rejected
@@ -530,41 +533,45 @@ class TestStageAtATime:
         assert not _fresh(learner)
 
 
-class TestStageAudits:
-    """_stage_audits, the audit after every trial, over finished matches
-    stacked together."""
+class TestTrialAudits:
+    """_trial_audits, the audit after every trial of a finished match but the
+    stage ends, against audit_energy on the match replayed through respond."""
 
-    def test_matches_audited_together_get_the_rows_they_get_alone(self):
-        # Mixed epsilons, learners, play paths and stage budgets in one stack.
-        plays = [(make_learner("zero"), 0.45, 7), (LoopNearest(), 0.02, 7),
-                 (make_learner("linint"), 0.1, 9), (LoopZero(), 0.25, 8),
-                 (make_learner("nearest"), 0.001, 7), (LoopLinint(), 0.3, 7)]
-        results = [run_match(learner, AdversaryConfig(eps, stages))
-                   for learner, eps, stages in plays]
-        for i in range(1, 8):
-            together = _stage_audits(results, i)
-            assert together.shape == (len(results), 2, 2 ** (i - 1))
-            for result, rows in zip(results, together):
-                assert rows.tobytes() == _stage_audits([result], i)[0].tobytes()
-
-    @pytest.mark.parametrize("stages", [1, 12])
-    def test_the_first_stage_and_the_audit_cap(self, stages):
-        # Both play paths, stacked, against audit_energy after every trial of
-        # the last stage, replayed on the match's own predictions.
-        results = [run_match(learner, AdversaryConfig(eps, stages))
-                   for kind, eps in (("zero", 0.45), ("nearest", 0.1), ("linint", 0.02))
-                   for learner in (make_learner(kind), LOOP_TWINS[kind]())]
-        audits = _stage_audits(results, stages)
-        first = 2 ** (stages - 1)
-        assert audits.shape == (len(results), 2, first)
-        for result, rows in zip(results, audits):
-            state = AdversaryState(AdversaryConfig(result.epsilon, stages))
+    @pytest.mark.parametrize(
+        "kind, eps, stages",
+        [(kind, eps, stages) for kind in ("zero", "nearest", "linint")
+         for eps in (0.45, 0.3, 0.1, 0.05, 0.02, 0.001) for stages in (1, 2, 5, 9)]
+        + [("zero", 0.45, 12), ("nearest", 0.25, 12), ("linint", 0.1, 12)],
+    )
+    def test_every_trial_on_both_play_paths(self, kind, eps, stages):
+        config = AdversaryConfig(eps, stages)
+        for learner in (make_learner(kind), LOOP_TWINS[kind]()):
+            result = run_match(learner, config)
+            audits = _trial_audits(result)
+            assert audits.shape == (2, 2**stages - stages - 1)
+            state, ends = AdversaryState(config), []
             for t, y_hat in enumerate(result.records.y_hat[1:].tolist(), start=1):
                 state.respond(t, y_hat)
-                if t >= first:
-                    want = probe_hex(audit_energy(state))
-                    assert [v.hex() for v in rows[:, t - first].tolist()] == want, t
-            assert rows[0, -1] == result.per_stage[-1].j_probe_end
+                if t < state.stage_end:
+                    check_trial_audit(audits[:, t - state.stage], state)
+                else:  # a stage end: end_audit has the oracle's bits
+                    assert state.end_audit == audit_energy(state)
+                    ends.append(state.end_audit.j_probe)
+            assert [s.j_probe_end for s in result.per_stage] == ends
+
+    @pytest.mark.parametrize("eps", [0.45, 0.1, 0.001])
+    def test_residuals_run_from_the_stage_start_energy(self, eps):
+        # Each stage's residual row is the recursion residual of its j_probe
+        # row after trials 1 .. n - 1, from the state's stage-start energy,
+        # bit for bit.
+        config = AdversaryConfig(eps, 10)
+        result = run_match(make_learner("linint"), config)
+        state = AdversaryState(config)
+        for i, (j_probe, resid) in enumerate(trial_audits(result), start=1):
+            respond_stage(state, result.records.y_hat[1 << (i - 1) : 1 << i])
+            w = np.arange(1, 1 << (i - 1))
+            want = _recursion_residual(eps, i, state.stage_start_energy, w, j_probe)
+            assert resid.tobytes() == want.tobytes()
 
 
 class TestRecordsAgainstColumns:
@@ -642,7 +649,7 @@ class TestSmallBlocks:
         config = AdversaryConfig(eps, stages)
         learner = LoopLinint if kind == "loop" else lambda: make_learner(kind)
         total, per_stage, audit, trace = columnar_match(learner(), config)
-        per_trial = trial_audits(run_match(learner(), config))
+        per_trial = _trial_audits(run_match(learner(), config))
         monkeypatch.setattr(adversary_module, "_BLOCK", block)
         result = run_match(learner(), config)
         for column in fields(Trace):
@@ -653,7 +660,7 @@ class TestSmallBlocks:
             (s.i, s.trials, s.accepted, s.j_probe_end.hex()) for s in per_stage
         ]
         assert [v.hex() for v in astuple(result.audit)] == [v.hex() for v in astuple(audit)]
-        assert trial_audits(result).tobytes() == per_trial.tobytes()
+        assert _trial_audits(result).tobytes() == per_trial.tobytes()
         # The dict oracle's per-trial bookkeeping, against a state played a
         # whole stage at a time on the same predictions.
         state, oracle = AdversaryState(config), DictAdversary(eps)
@@ -733,8 +740,14 @@ class TestRunMatch:
             audit = worst_audit(run_match(make_learner("nearest"), AdversaryConfig(eps, 10)))
             assert audit.max_abs_slope <= 1.0 + 1e-12
             assert audit.max_j_probe < 0.25
-            assert audit.max_j_committed <= audit.max_j_probe + 1e-12
             assert audit.max_recursion_residual <= 1e-10
+            # The committed energy, at every stage end of a state played a
+            # stage at a time as run_match plays the learner.
+            state = AdversaryState(AdversaryConfig(eps, 10))
+            for _ in range(10):
+                state._play("nearest")
+                end = state.end_audit
+                assert end.j_committed <= end.j_probe + 1e-12
 
     def test_revealed_labels_realized_by_final_function(self):
         result = run_match(make_learner("linint"), AdversaryConfig(0.1, 8))

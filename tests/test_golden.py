@@ -9,7 +9,7 @@ import pytest
 
 from pwlearn import cli
 
-AUDIT_STDOUT = "de2289b2ed4dc7ad9b64765b072bcec834b563ea3f099af2f95c7c4e4dda4cdc"
+AUDIT_STDOUT = "c51ef2c94942e871208ba57b613650be1812bf5f5c89f2762b62278a90e6b975"
 MATCH_STDOUT = "1ee79e31280d509633a136a636d1d025d6580c08bb3ff629aae9565b1fc928d1"
 MATCH_TRACE_CSV = "717d1528ab1b49d000808d1600c19e29171056db00e8de89883f0a2a8eb3f719"
 # S=13: 8,192 rows, so the trace spans two of the writer's 4,096-row chunks.

@@ -337,15 +337,16 @@ class TestAuditFailures:
     def test_a_mid_stage_probe_energy_and_residual(self, monkeypatch):
         # One match's audit after trial 5, inside stage 3 (trials 4..7), and
         # so in no stage-end audit: both violations name that match alone.
-        real, m = harness._stage_audits, 7
+        real, m, played = harness._trial_audits, 7, []
 
-        def broken(results, i):
-            audits = real(results, i)
-            if i == 3:
-                audits[m, :, 5 - 4] = 0.3, 1.0
+        def broken(result):
+            audits = real(result)
+            if len(played) == m:  # trial t of stage i is column t - i
+                audits[:, 5 - 3] = 0.3, 1.0
+            played.append(result)
             return audits
 
-        monkeypatch.setattr(harness, "_stage_audits", broken)
+        monkeypatch.setattr(harness, "_trial_audits", broken)
         eps, kind = MATCHES[m]
         label = f"match eps={eps} learner={kind}"
         assert _failed_audit() == [f"{label}: energy recursion residual 1.0",
