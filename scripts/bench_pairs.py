@@ -34,6 +34,10 @@ pinned to one CPU, and records whether its bytes equal those of its twin row
 run on every CPU. It is a bytes check with no timing claim (its JSON row says
 ``"timing_claim": false``): on code that did not change, one run of this
 script read 2.73–2.80 s on the parent side against 3.42–3.59 s on the other.
+The two ``match --stages 24`` rows are bytes-and-memory checks with no
+timing claim either: on code that did not change their path, one run read
+linint 1.40 → 1.84 s and zero 1.66 → 1.50 s, and two runs of ten in-process
+pairs disagreed in sign. Their bytes, peak RSS and traced peak stay checked.
 One more untimed run per
 side, under tracemalloc, gives the command's traced peak (Python and numpy
 allocations from the CLI's start, imports excluded), which repeats to a few
@@ -103,8 +107,13 @@ CLI_COMMANDS = (
     # Runs of up to 10^5 trials, which perfbench's workloads do not reach.
     ("audit --runs 20 --seed 7 --max-trials 100000",
      ["audit", "--runs", "20", "--seed", "7", "--max-trials", "100000"], 0),
+    # The Kimber & Long trace path at scale: the only row whose runs go past
+    # 10^5 trials.
+    ("audit --runs 2 --seed 7 --max-trials 4194304",
+     ["audit", "--runs", "2", "--seed", "7", "--max-trials", "4194304"], 0),
     ("match --epsilon 0.1 --stages 20", ["match", "--epsilon", "0.1", "--stages", "20"], 0),
-    # The stage budget's ceiling, where the adversary's grid is 128 MB.
+    # The stage budget's ceiling, where the adversary's grid is 128 MB. Both
+    # rows check bytes and memory and claim no timing (see NO_TIMING_CLAIM).
     ("match --learner linint --epsilon 0.1 --stages 24",
      ["match", "--learner", "linint", "--epsilon", "0.1", "--stages", "24"], 0),
     ("match --learner zero --epsilon 0.1 --stages 24",
@@ -144,6 +153,14 @@ CLI_COMMANDS = (
 # one CPU they pin to is shared, and on code that did not change the one-CPU
 # audit read 2.73–2.80 s on one side against 3.42–3.59 s on the other.
 ONE_CPU = {"audit --runs 1000 --seed 7, one CPU": "audit --runs 1000 --seed 7"}
+# Rows whose JSON says "timing_claim": false: the one-CPU rows, and the two
+# S = 24 match rows, whose wall time moved either way on code that did not
+# change their path.
+NO_TIMING_CLAIM = {
+    *ONE_CPU,
+    "match --learner linint --epsilon 0.1 --stages 24",
+    "match --learner zero --epsilon 0.1 --stages 24",
+}
 
 
 def _pin_to_one_cpu() -> None:
@@ -455,6 +472,7 @@ def main(argv=None) -> int:
             cli[name]["same_bytes_as"] = {twin: cli[name]["same_bytes"] and cli[twin]["same_bytes"]
                                           and cli[name]["change"]["runs"][0]["sha256"]
                                           == cli[twin]["change"]["runs"][0]["sha256"]}
+        for name in NO_TIMING_CLAIM:
             cli[name]["timing_claim"] = False
         tier1 = report["tier1"] = {}
         for side, checkout in trees:

@@ -4,6 +4,8 @@ import math
 import numbers
 import operator
 
+import numpy as np
+
 
 class Error(Exception):
     """Base class for all package-specific errors."""
@@ -27,20 +29,33 @@ def _check_int(name: str, value, lo: int = 0, hi: float = math.inf, why: str = "
     return value
 
 
+def _real(name: str, value) -> float:
+    """value as a float, NaN and ±inf too, else DomainError: a bool, text or complex is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} must fit in a double, got a number past ±1.8e308") from None
+
+
 def _check_real(name: str, value, lo=-math.inf, hi=math.inf, ends: str = "()") -> float:
-    """value as a float if it lies in the interval lo..hi with brackets ends
-    ("(]", ...), else DomainError. A bool, text or complex is no real number."""
-    x = value
-    if type(x) is not float:
-        if isinstance(x, bool) or not isinstance(x, numbers.Real):
-            raise DomainError(f"{name} must be a real number, got {value!r}")
-        try:
-            x = float(x)
-        except OverflowError:
-            raise DomainError(f"{name} must fit in a double, got a number past ±1.8e308") from None
+    """_real(name, value) if it lies in the interval lo..hi with brackets ends ("(]", ...)."""
+    x = _real(name, value)
     if not ((lo < x or ends[0] == "[" and lo == x) and (x < hi or ends[1] == "]" and x == hi)):
         raise DomainError(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {value!r}")
     return x
+
+
+def _real_array(what: str, values) -> np.ndarray:
+    """values as a float64 array if numpy reads them as ints or floats, else DomainError."""
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what}: {exc}") from None
+    if array.dtype.kind not in "iuf":
+        raise DomainError(f"{what}: got {array.dtype} values")
+    return array.astype(float, copy=False)
 
 
 class DuplicateConflict(Error, ValueError):

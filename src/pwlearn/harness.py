@@ -214,15 +214,16 @@ def audit_trace_run(
     max_trials = _check_max_trials(max_trials)
     target = _sample_target_rng(2.0, int(rng.integers(2, 33)), rng)
     size = int(rng.integers(2, max_trials + 1))
+    pairs = np.empty((2, size)).T  # contiguous columns, which run_trials takes as they are
     while True:  # kl_invariants refuses a repeat, which uniform doubles make rarely
-        xs = rng.random(size)
-        pairs = np.column_stack((xs, pwl.evaluate_many(target, xs)))
+        rng.random(size, out=pairs[:, 0])
+        pairs[:, 1] = pwl.evaluate_many(target, pairs[:, 0])
         trace, account = run_trials(LinintLearner(), pairs, p=2.0)
         try:
             e2d, *d_sums = kl_invariants(trace, *D_EXPONENTS)
         except DegenerateInput:
             continue
-        return account, e2d, dict(zip(D_EXPONENTS, d_sums)), float(xs[0])
+        return account, e2d, dict(zip(D_EXPONENTS, d_sums)), float(pairs[0, 0])
 
 
 def run_invariant_audit(config: ExperimentConfig) -> AuditReport:

@@ -7,11 +7,12 @@ sum of |prediction - label|^p over trials t >= 1.
 run_trials knows the whole (x, y) sequence in advance, so it finds every
 trial's nearest earlier inputs offline, in a few vector rounds of pointer
 jumping over the trial indices in input order (_earlier_neighbours, whose
-oracle is the linked-list pass in tests/helpers.py). For a fresh
-LinintLearner on distinct inputs it computes every prediction from them
-without calling predict/observe. The online predict/observe loop
-(scalar_predictions) serves every other learner and is the reference the
-offline path must match bit for bit. The adversary's stage-at-a-time play,
+oracle is the linked-list pass in tests/helpers.py). For a fresh LinintLearner
+on distinct inputs it computes every prediction from them without calling
+predict/observe; the online loop (scalar_predictions) serves every other
+learner and is the reference the offline path must match bit for bit. It
+builds the trace, which kl_invariants reads, 4,096 trials at a time, so a run
+holds one block of temporaries. The adversary's stage-at-a-time play,
 and the trace of a match so played, take their predictions from
 _midpoint_predictions; _fresh is the one rule for which learners either
 offline path may stand in for.
@@ -38,7 +39,9 @@ from typing import IO, Callable, Iterator, Sequence
 import numpy as np
 from sortedcontainers import SortedList
 
-from .errors import DegenerateInput, DomainError, DuplicateConflict, UnknownKind, _check_real
+from .errors import (
+    DegenerateInput, DomainError, DuplicateConflict, UnknownKind, _check_real, _real_array,
+)
 
 __all__ = [
     "LEARNER_KINDS",
@@ -223,8 +226,8 @@ def make_learner(kind: str) -> Learner:
 
 
 def _running_total(values) -> float:
-    # Left to right, the same bits as a += loop: cumsum adds in order, where
-    # np.sum (pairwise) and builtin sum (compensated on 3.12) would not.
+    # Left to right, the same bits as a += loop, also in blocks carried from 0.0
+    # if no term is -0.0: np.sum (pairwise) and sum (compensated on 3.12) would not.
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
@@ -266,22 +269,20 @@ def _earlier_neighbours(order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pointer jumping. The trial indices in sorted-input order (an earlier equal
     input on the left) go into one array twice, as they are for the left side
     and reversed for the right, each copy between two sentinels that hold -1.
-    Lane j's candidate cand[j] starts at the lane before it. Every lane
-    strictly between cand[j] and j holds a later trial than j, and while
-    cand[j] holds a later trial too, cand[j] <- cand[cand[j]] keeps that so.
-    When no lane moves, cand[j] holds j's nearest earlier trial on its side.
-    A long chain moves one step a round, so after 2·log2(n) + 4 rounds the
-    lanes still moving walk their chains one at a time, in scan order, where
-    every earlier lane is already final.
+    Lane j's candidate cand[j] starts at the lane before it; a sentinel never
+    moves. Every lane strictly between cand[j] and j holds a later trial than
+    j, and while cand[j] holds a later trial too, cand[j] <- cand[cand[j]]
+    keeps that so. When no lane moves, cand[j] holds j's nearest earlier trial
+    on its side. A long chain moves one step a round, so after 2·log2(n) + 4
+    rounds the lanes still moving walk their chains one at a time, in scan
+    order, where every earlier lane is already final.
     """
     n = len(order)
     m = n + 2
-    trial_at = np.concatenate(([-1], order, [-1]))
-    when = np.concatenate((trial_at, trial_at[::-1]))
+    when = np.full(2 * m, -1, dtype=np.intp)
+    when[1 : m - 1], when[m + 1 : -1] = order, order[::-1]
     cand = np.arange(-1, 2 * m - 1)
-    ends = [0, m - 1, m, 2 * m - 1]
-    cand[ends] = ends
-    moving = np.flatnonzero(when[cand] > when)
+    moving = np.flatnonzero((when[:-1] > when[1:]) & (when[1:] >= 0)) + 1  # no sentinel
     for _ in range(2 * n.bit_length() + 4):
         if not moving.size:
             break
@@ -313,19 +314,14 @@ def _walk_chains(cand: np.ndarray, when: np.ndarray, moving: np.ndarray) -> None
     cand[moving] = [c[j] for j in moving.tolist()]
 
 
-def _linint_predictions(
-    xs: np.ndarray, ys: np.ndarray, left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """LinintLearner.predict at every trial from its nearest earlier inputs:
-    the chord between them, or the label of the one on the near side beyond
-    either end. The chord uses predict's operations in predict's order, so
-    every value has the same bits. Trial 0's entry is meaningless."""
-    # Lanes with a missing neighbour index -1; np.where discards them.
-    with np.errstate(all="ignore"):
-        u0, v0 = xs[left], ys[left]
-        u1, v1 = xs[right], ys[right]
-        chord = v0 + (xs - u0) * (v1 - v0) / (u1 - u0)
-    return np.where(left < 0, v1, np.where(right < 0, v0, chord))
+def _linint_predictions(x, u0, u1, v0, v1, no_left, no_right) -> np.ndarray:
+    """LinintLearner.predict at inputs x, whose nearest earlier inputs are (u0, v0)
+    on the left and (u1, v1) on the right: the chord between them, or beyond either
+    end (where no_left or no_right) the near one's label. The chord does predict's
+    operations in predict's order, so every value has the same bits."""
+    with np.errstate(all="ignore"):  # np.where discards the lanes with no neighbour
+        chord = v0 + (x - u0) * (v1 - v0) / (u1 - u0)
+    return np.where(no_left, v1, np.where(no_right, v0, chord))
 
 
 def _fresh(learner: Learner) -> bool:
@@ -396,54 +392,58 @@ def run_trials(
     repeats. A fresh LinintLearner on distinct inputs takes the offline path:
     its predictions come from the neighbours found for d, and its state is
     then filled in bulk, equal to what observing each pair would leave. Every
-    other case runs scalar_predictions.
+    other case runs scalar_predictions. The rest runs 4,096 trials at a time.
+    x and y are a float64 array's columns if they are contiguous, else copies.
     """
     p = _check_real("loss exponent", p, 1.0, math.inf, "(]")
-    try:
-        pairs = np.asarray(sequence, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"expected (x, y) pairs of real numbers: {exc}") from None
+    pairs = _real_array("expected (x, y) pairs of real numbers", sequence)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise DomainError(f"expected (x, y) pairs, got an array of shape {pairs.shape}")
-    xs = pairs[:, 0].copy()
-    ys = pairs[:, 1].copy()
+    xs, ys = np.ascontiguousarray(pairs.T)
     _check_pairs(xs, ys)
     n = len(xs)
     order = np.argsort(xs)
     distinct = not _repeats(xs[order])
     if not distinct:
         order = np.argsort(xs, kind="stable")  # an earlier equal input first
-    x_sorted = xs[order]
     left, right = _earlier_neighbours(order)
-    dl = np.where(left < 0, math.inf, xs - xs[left])
-    dr = np.where(right < 0, math.inf, xs[right] - xs)
-    d = np.where(dl <= dr, dl, dr)
+    offline = distinct and type(learner) is LinintLearner and _fresh(learner)
+    if offline:
+        y_hat = np.empty(n)
+        knots = (xs.copy(), ys.copy())  # the trace holds xs and ys
+        _fill(learner, lambda: (*knots, np.sort(knots[0])))  # distinct: xs[order]
+    else:
+        y_hat = np.array(scalar_predictions(learner, xs.tolist(), ys.tolist()), dtype=float)
+    e, d, loss_term = np.empty(n), np.empty(n), np.empty(n)
+    y_hat[:1] = e[:1] = d[:1] = loss_term[:1] = math.nan
+    total = 0.0
+    for start in range(1, n, _CSV_CHUNK):
+        block = slice(start, start + _CSV_CHUNK)
+        x, lb, rb = xs[block], left[block], right[block]
+        u0, u1, no_left, no_right = xs[lb], xs[rb], lb < 0, rb < 0
+        dl = np.where(no_left, math.inf, x - u0)
+        dr = np.where(no_right, math.inf, u1 - x)
+        d[block] = np.where(dl <= dr, dl, dr)
+        if offline:
+            y_hat[block] = _linint_predictions(x, u0, u1, ys[lb], ys[rb], no_left, no_right)
+        np.abs(y_hat[block] - ys[block], out=e[block])
+        try:
+            loss_term[block] = _pow_terms(e[block], p)
+        except OverflowError:
+            raise DomainError(
+                f"a loss term |y_hat - y|**{p!r} overflows; labels and predictions must be moderate"
+            ) from None
+        total = _running_total(np.append(total, loss_term[block]))
+    if not math.isfinite(total):
+        raise DomainError(f"total loss {total!r} is not finite; labels and predictions must be")
     if not distinct:
         # A repeat's d is what a bisect_left over the earlier inputs gives: the
         # first equal input minus x, which keeps the sign of a zero difference.
-        first = order[np.searchsorted(x_sorted, xs, side="left")]
+        first = order[np.searchsorted(xs[order], xs, side="left")]
         repeat = first < np.arange(n)
         d[repeat] = xs[first[repeat]] - xs[repeat]
-    if distinct and type(learner) is LinintLearner and _fresh(learner):
-        y_hat = _linint_predictions(xs, ys, left, right)
-        knots = (xs.copy(), ys.copy(), x_sorted)  # the trace holds xs and ys
-        _fill(learner, lambda: knots)
-    else:
-        y_hat = np.array(scalar_predictions(learner, xs.tolist(), ys.tolist()), dtype=float)
-    y_hat[:1] = d[:1] = math.nan
-    e = np.abs(y_hat - ys)
-    loss_term = np.full(n, math.nan)
-    try:
-        loss_term[1:] = _pow_terms(e[1:], p)
-    except OverflowError:
-        raise DomainError(
-            f"a loss term |y_hat - y|**{p!r} overflows; labels and predictions must be moderate"
-        ) from None
-    total = _running_total(loss_term[1:])
-    if not math.isfinite(total):
-        raise DomainError(f"total loss {total!r} is not finite; labels and predictions must be")
     trace = Trace(x=xs, y_hat=y_hat, y=ys, e=e, d=d, loss_term=loss_term)
     return trace, LossAccount(total=total, trials=max(n - 1, 0))
 
@@ -451,7 +451,7 @@ def run_trials(
 def kl_invariants(trace: Trace, r: float, *more_r: float) -> tuple[float, ...]:
     """Trace sums over charged trials: (sum of e^2/d, sum of d^r, then sum of
     d^r' for each further exponent r' in more_r). One call for several
-    exponents checks d and computes e^2/d once.
+    exponents checks d and computes e^2/d once. The sums run 4,096 trials at a time.
 
     Every exponent must exceed 1. Requires distinct input coordinates: a
     repeated input gives d = 0 and raises DegenerateInput instead of
@@ -459,7 +459,7 @@ def kl_invariants(trace: Trace, r: float, *more_r: float) -> tuple[float, ...]:
     and raises DomainError naming its trial.
     """
     exponents = [_check_real("exponent r", q, 1.0, math.inf, "(]") for q in (r, *more_r)]
-    e, d = trace.e[1:], trace.d[1:]
+    d = trace.d[1:]
     bad = np.flatnonzero(~((0.0 < d) & (d <= 1.0)))  # both comparisons fail on NaN
     if bad.size:
         repeats = bad[d[bad] == 0.0]
@@ -469,7 +469,14 @@ def kl_invariants(trace: Trace, r: float, *more_r: float) -> tuple[float, ...]:
                 f"repeated input coordinate at trial {t} (x={float(trace.x[t])!r})"
             )
         raise DomainError(f"trial {t}: d={float(trace.d[t])!r} is not a distance in (0, 1]")
-    return (_running_total(e * e / d), *(_running_total(_pow_terms(d, q)) for q in exponents))
+    sums = [0.0] * (1 + len(exponents))
+    for start in range(1, len(trace), _CSV_CHUNK):
+        e, d = trace.e[start : start + _CSV_CHUNK], trace.d[start : start + _CSV_CHUNK]
+        # d lies in (0, 1], so no power overflows and np.float_power is _pow_terms.
+        for k, terms in enumerate((e * e / d, *(np.float_power(d, q) for q in exponents))):
+            terms[0] += sums[k]  # carried as by _running_total(np.append(sums[k], terms))
+            sums[k] = float(np.add.accumulate(terms, out=terms)[-1])
+    return tuple(sums)
 
 
 TRACE_HEADER = ("t", "x", "y_hat", "y", "e", "d", "loss_term", "cum_loss")

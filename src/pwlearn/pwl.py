@@ -17,7 +17,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, DuplicateConflict, PreconditionError, _check_int, _check_real
+from .errors import (
+    DomainError, DuplicateConflict, PreconditionError, _check_int, _check_real, _real, _real_array,
+)
 
 __all__ = [
     "PiecewiseLinearFunction",
@@ -84,7 +86,9 @@ def from_points(points: Iterable[tuple[float, float]]) -> PiecewiseLinearFunctio
     [0, 1] or a value, rise or slope that is not finite raises DomainError.
     The empty input yields the zero function.
     """
-    pairs = sorted((float(u), float(v)) for u, v in points)
+    pairs = sorted(
+        (_real(f"point {k} u", u), _real(f"point {k} v", v)) for k, (u, v) in enumerate(points)
+    )
     kept = [pair for k, pair in enumerate(pairs) if not k or pair != pairs[k - 1]]
     us, vs = zip(*kept) if kept else ((), ())
     return PiecewiseLinearFunction(us, vs)
@@ -120,10 +124,7 @@ def evaluate_many(f: PiecewiseLinearFunction, xs) -> np.ndarray:
     value on a knot hit, otherwise the chord with evaluate's operations in
     evaluate's order. An x outside [0, 1] (NaN included) or not real raises DomainError.
     """
-    try:
-        xs = np.asarray(xs, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"evaluation points must be real numbers: {exc}") from None
+    xs = _real_array("evaluation points must be real numbers", xs)
     bad = np.flatnonzero(~((0.0 <= xs) & (xs <= 1.0)))
     if bad.size:
         raise DomainError(f"evaluation point {float(xs[bad[0]])!r} outside [0, 1]")

@@ -2,8 +2,8 @@
 whole stage played from its predictions, a stage's proposals so far, a
 match's audits after every trial and their rounding bound, the columnar
 match trace, the table and trace CSV oracles, the nearest-earlier-neighbour
-oracle, the functions a learner or the adversary has built so far, and a
-trace helper that dies."""
+oracle, the whole-array run_trials and kl_invariants oracles, the functions
+a learner or the adversary has built so far, and a trace helper that dies."""
 
 import csv
 import math
@@ -13,13 +13,17 @@ from dataclasses import replace
 import numpy as np
 
 from pwlearn import (
-    AdversaryState, MatchAudit, MatchResult, MatchTrace, StageSummary, Trace, audit_energy,
-    dyadic_x, evaluate, from_points, perturbation, stage_of,
+    AdversaryState, DegenerateInput, DomainError, LinintLearner, LossAccount, MatchAudit,
+    MatchResult, MatchTrace, StageSummary, Trace, audit_energy, dyadic_x, evaluate,
+    evaluate_many, from_points, perturbation, stage_of,
 )
 from pwlearn import learner as learner_module
 from pwlearn.adversary import _proposals, _trial_audits
+from pwlearn.errors import _check_real
+from pwlearn.harness import D_EXPONENTS, _sample_target_rng
 from pwlearn.learner import (
-    TRACE_HEADER, _fresh, _midpoint_predictions, _pow_terms, _running_total, open_out,
+    TRACE_HEADER, _check_pairs, _earlier_neighbours, _fill, _fresh, _linint_predictions,
+    _midpoint_predictions, _pow_terms, _repeats, _running_total, open_out, scalar_predictions,
 )
 from pwlearn.pwl import _energy_sum
 
@@ -328,3 +332,92 @@ def linked_list_neighbours(xs):
         rights.append(hi)
     trial_at = np.concatenate(([-1], order, [-1]))
     return trial_at[lefts[::-1]], trial_at[rights[::-1]], order
+
+
+def run_trials_oracle(learner, sequence, p):
+    """learner.run_trials as it was before it worked in blocks: every column
+    built whole and the loss summed by one cumsum. The oracle run_trials must
+    match column for column and bit for bit."""
+    p = _check_real("loss exponent", p, 1.0, math.inf, "(]")
+    try:
+        pairs = np.asarray(sequence, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"expected (x, y) pairs of real numbers: {exc}") from None
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise DomainError(f"expected (x, y) pairs, got an array of shape {pairs.shape}")
+    xs = pairs[:, 0].copy()
+    ys = pairs[:, 1].copy()
+    _check_pairs(xs, ys)
+    n = len(xs)
+    order = np.argsort(xs)
+    distinct = not _repeats(xs[order])
+    if not distinct:
+        order = np.argsort(xs, kind="stable")  # an earlier equal input first
+    x_sorted = xs[order]
+    left, right = _earlier_neighbours(order)
+    dl = np.where(left < 0, math.inf, xs - xs[left])
+    dr = np.where(right < 0, math.inf, xs[right] - xs)
+    d = np.where(dl <= dr, dl, dr)
+    if not distinct:
+        # A repeat's d is what a bisect_left over the earlier inputs gives: the
+        # first equal input minus x, which keeps the sign of a zero difference.
+        first = order[np.searchsorted(x_sorted, xs, side="left")]
+        repeat = first < np.arange(n)
+        d[repeat] = xs[first[repeat]] - xs[repeat]
+    if distinct and type(learner) is LinintLearner and _fresh(learner):
+        y_hat = _linint_predictions(
+            xs, xs[left], xs[right], ys[left], ys[right], left < 0, right < 0
+        )
+        knots = (xs.copy(), ys.copy(), x_sorted)  # the trace holds xs and ys
+        _fill(learner, lambda: knots)
+    else:
+        y_hat = np.array(scalar_predictions(learner, xs.tolist(), ys.tolist()), dtype=float)
+    y_hat[:1] = d[:1] = math.nan
+    e = np.abs(y_hat - ys)
+    loss_term = np.full(n, math.nan)
+    try:
+        loss_term[1:] = _pow_terms(e[1:], p)
+    except OverflowError:
+        raise DomainError(
+            f"a loss term |y_hat - y|**{p!r} overflows; labels and predictions must be moderate"
+        ) from None
+    total = _running_total(loss_term[1:])
+    if not math.isfinite(total):
+        raise DomainError(f"total loss {total!r} is not finite; labels and predictions must be")
+    trace = Trace(x=xs, y_hat=y_hat, y=ys, e=e, d=d, loss_term=loss_term)
+    return trace, LossAccount(total=total, trials=max(n - 1, 0))
+
+
+def kl_invariants_oracle(trace, r, *more_r):
+    """learner.kl_invariants as it was before it read the trace in blocks:
+    each sum one cumsum over the whole column."""
+    exponents = [_check_real("exponent r", q, 1.0, math.inf, "(]") for q in (r, *more_r)]
+    e, d = trace.e[1:], trace.d[1:]
+    bad = np.flatnonzero(~((0.0 < d) & (d <= 1.0)))  # both comparisons fail on NaN
+    if bad.size:
+        repeats = bad[d[bad] == 0.0]
+        t = int(repeats[0] if repeats.size else bad[0]) + 1
+        if repeats.size:
+            raise DegenerateInput(
+                f"repeated input coordinate at trial {t} (x={float(trace.x[t])!r})"
+            )
+        raise DomainError(f"trial {t}: d={float(trace.d[t])!r} is not a distance in (0, 1]")
+    return (_running_total(e * e / d), *(_running_total(_pow_terms(d, q)) for q in exponents))
+
+
+def audit_trace_run_oracle(rng, max_trials):
+    """harness.audit_trace_run on the whole-array oracles, its inputs and
+    labels stacked into a copy as it drew them before."""
+    target = _sample_target_rng(2.0, int(rng.integers(2, 33)), rng)
+    size = int(rng.integers(2, max_trials + 1))
+    while True:
+        xs = rng.random(size)
+        pairs = np.column_stack((xs, evaluate_many(target, xs)))
+        trace, account = run_trials_oracle(LinintLearner(), pairs, p=2.0)
+        try:
+            e2d, *d_sums = kl_invariants_oracle(trace, *D_EXPONENTS)
+        except DegenerateInput:
+            continue
+        return account, e2d, dict(zip(D_EXPONENTS, d_sums)), float(xs[0])

@@ -39,9 +39,13 @@ class StubRng:
     def integers(self, low, high):
         return self.integers_left.pop(0)
 
-    def random(self, size):
+    def random(self, size, out=None):
         self.sizes.append(size)
-        return np.array(self.draws.pop(0), dtype=float)
+        draw = np.array(self.draws.pop(0), dtype=float)
+        if out is None:
+            return draw
+        out[...] = draw
+        return out
 
     def normal(self, loc, scale, size):
         return np.zeros(size)

@@ -4,8 +4,9 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import islice, product
 from pathlib import Path
 
@@ -35,12 +36,14 @@ from pwlearn import (
     run_trials,
     write_trace_csv,
 )
+from pwlearn import harness
 from pwlearn import learner as learner_module
 from pwlearn.learner import TRACE_HEADER, scalar_predictions, write_csv
 
 from helpers import (
-    csv_writer_table, csv_writer_trace, kill_the_trace_helper, linint_history,
-    linked_list_neighbours, random_function,
+    audit_trace_run_oracle, csv_writer_table, csv_writer_trace, kill_the_trace_helper,
+    kl_invariants_oracle, linint_history, linked_list_neighbours, random_function,
+    run_trials_oracle,
 )
 
 
@@ -356,15 +359,16 @@ def _dyadic_fill(levels):
 
 @pytest.fixture
 def offline_calls(monkeypatch):
-    """Counts run_trials' trips through the offline LININT path."""
+    """Counts run_trials' trips through the offline LININT path: the number of
+    inputs each filled its learner with."""
     calls = []
-    real = learner_module._linint_predictions
+    real = learner_module._fill
 
-    def spy(*args):
-        calls.append(len(args[0]))
-        return real(*args)
+    def spy(learner, knots):
+        calls.append(len(knots()[0]))
+        return real(learner, knots)
 
-    monkeypatch.setattr(learner_module, "_linint_predictions", spy)
+    monkeypatch.setattr(learner_module, "_fill", spy)
     return calls
 
 
@@ -693,6 +697,152 @@ def test_linint_consistency_with_revealed_targets():
         run_trials(learner, seq + extra, p=2.0)
         for x, y in seq + extra:
             assert learner.predict(x) == y
+
+
+@pytest.fixture(params=[1, 7, 64, 4096], ids=lambda size: f"block={size}")
+def block(request, monkeypatch):
+    """run_trials and kl_invariants working in blocks of the given size (4,096,
+    the default, left as it is)."""
+    monkeypatch.setattr(learner_module, "_CSV_CHUNK", request.param)
+    return request.param
+
+
+def _outcome(call, *args):
+    """call(*args), or the type and message of the pwlearn error it raised."""
+    try:
+        return call(*args)
+    except (DomainError, DegenerateInput) as exc:
+        return type(exc), str(exc)
+
+
+class TestBlocks:
+    """run_trials and kl_invariants in blocks against the whole-array oracles:
+    every column by its bytes, every total by its bits, every refusal by its
+    message."""
+
+    def _check(self, make, sequence, exponents=(1.5, 2.0, 3.0)):
+        fast, slow = make(), make()
+        got = _outcome(run_trials, fast, sequence, 2.0)
+        want = _outcome(run_trials_oracle, slow, sequence, 2.0)
+        if isinstance(want[0], type):
+            assert got == want
+            return
+        for column in fields(Trace):
+            name = column.name
+            assert getattr(got[0], name).tobytes() == getattr(want[0], name).tobytes(), name
+        assert got[1].total.hex() == want[1].total.hex() and got[1] == want[1]
+        got_sums = _outcome(kl_invariants, got[0], *exponents)
+        want_sums = _outcome(kl_invariants_oracle, want[0], *exponents)
+        if isinstance(want_sums[0], type):
+            assert got_sums == want_sums
+        else:
+            assert [v.hex() for v in got_sums] == [v.hex() for v in want_sums]
+        if type(fast) is not ZeroLearner:
+            assert list(fast._xs) == list(slow._xs)
+            assert list(fast._vals.items()) == list(slow._vals.items())
+
+    def _sizes(self, block):
+        # Whole blocks, a block and a bit, and a trace shorter than one block.
+        return [0, 1, 2, 3, 2 * block + 1, 2 * block + 2] if block < 4096 else [5, 9000]
+
+    @pytest.mark.parametrize("layout", ["pairs", "columns"])
+    def test_fresh_linint(self, block, layout):
+        rng = np.random.default_rng(block)
+        for n in self._sizes(block):
+            xs = rng.random(n)
+            ys = np.sin(9.0 * xs)
+            if layout == "pairs":
+                self._check(LinintLearner, list(zip(xs.tolist(), ys.tolist())))
+            else:
+                self._check(LinintLearner, np.array([xs, ys]).T)
+
+    @pytest.mark.parametrize("kind", ["zero", "nearest"])
+    def test_loop_learner(self, block, kind):
+        rng = np.random.default_rng(block)
+        for n in self._sizes(block):
+            self._check(lambda: make_learner(kind), rng.random((n, 2)))
+
+    @pytest.mark.parametrize("kind", ["zero", "linint"])
+    def test_repeated_inputs(self, block, kind):
+        # Repeats, signed zeros among them, give d = 0 and DegenerateInput in
+        # kl_invariants; a linint that sees one repeat with its label plays
+        # the scalar loop.
+        rng = np.random.default_rng(block)
+        for n in self._sizes(block):
+            xs = np.where(rng.random(n) < 0.5, -0.0, rng.integers(0, 5, n) / 4.0)
+            self._check(lambda: make_learner(kind), np.array([xs, xs * xs]).T)
+
+    @pytest.mark.parametrize("kind", ["zero", "linint"])
+    def test_a_d_outside_the_unit_interval_names_its_trial(self, block, kind):
+        rng = np.random.default_rng(block)
+        n = self._sizes(block)[-1]
+        trace, _ = run_trials(make_learner(kind), rng.random((n, 2)), 2.0)
+        for t in (1, n // 2, n - 1):
+            d = trace.d.copy()
+            d[t] = 2.0
+            bad = replace(trace, d=d)
+            assert _outcome(kl_invariants, bad, 2.0) == _outcome(kl_invariants_oracle, bad, 2.0)
+            assert _outcome(kl_invariants, bad, 2.0)[1].startswith(f"trial {t}: d=2.0 ")
+
+    @pytest.mark.parametrize("kind", ["zero", "linint"])
+    @pytest.mark.parametrize("labels", ["one huge last", "all large"])
+    def test_an_overflowing_loss(self, block, kind, labels):
+        # A loss term that overflows in the last block, after finite ones, and
+        # terms each finite whose total overflows.
+        rng = np.random.default_rng(block)
+        n = self._sizes(block)[-1]
+        pairs = rng.random((n, 2))
+        if labels == "one huge last":
+            pairs[n - 1, 1] = 1e300
+        else:
+            pairs[:, 1] = 1e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the total's overflow
+            self._check(lambda: make_learner(kind), pairs)
+
+
+def test_an_audit_trace_run_equals_the_whole_array_path():
+    # Same draws, same sums: 50 seeded runs of up to 10,000 trials, of one
+    # block and of several.
+    sizes = []
+    for seed in range(50):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = harness.audit_trace_run(rng, 10_000)
+        want = audit_trace_run_oracle(oracle_rng, 10_000)
+        account, e2d, d_sums, first_x = got
+        assert account == want[0] and account.total.hex() == want[0].total.hex()
+        assert [e2d.hex(), *(v.hex() for v in d_sums.values())] == [
+            want[1].hex(), *(v.hex() for v in want[2].values())
+        ]
+        assert list(d_sums) == list(want[2]) and first_x == want[3]
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        sizes.append(account.trials + 1)
+    assert min(sizes) <= 4096 < max(sizes)
+
+
+@pytest.mark.parametrize("layout", ["columns", "pairs"])
+def test_a_trace_run_holds_at_most_96_bytes_a_trial(layout):
+    # The audit's layout, contiguous columns that run_trials takes as they
+    # are, and (n, 2) pairs, whose columns it copies: 73 and 89 B a trial on
+    # numpy 2.4, against 129 for both when the trace was built whole.
+    n = 1 << 18
+    xs = np.random.default_rng(3).random(n)
+    pairs = np.array([xs, np.sin(9.0 * xs)])
+    pairs = pairs.T if layout == "columns" else pairs.T.copy()
+    del xs
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        trace, _ = run_trials(LinintLearner(), pairs, 2.0)
+        kl_invariants(trace, *harness.D_EXPONENTS)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 96 * n
 
 
 class TestTraceCsv:

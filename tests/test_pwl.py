@@ -215,13 +215,14 @@ class TestEnergy:
             assert approx == pytest.approx(exact, rel=1e-4)
 
     def test_row_sums_have_the_bits_of_one_dimensional_sums(self):
-        # The adversary's stage audits sum two rows of segment terms at once;
-        # numpy's pairwise summation must run per row, across its 8-element
-        # unrolling and 128-element blocks, for them to equal _energy_sum.
+        # On the installed numpy, a row-wise sum has the bits of np.sum over
+        # that row alone: its pairwise summation runs per row, across its
+        # 8-element unrolling and 128-element blocks. Nothing in src/ relies
+        # on this now; the test pins the property.
         rng = np.random.default_rng(13)
         terms = rng.random((2, 8200)) * np.exp(rng.normal(0.0, 8.0, size=(2, 8200)))
-        # They sum right-aligned views of one wider buffer in place, whose rows
-        # lie W apart rather than n.
+        # The same for np.add.reduce in place over right-aligned views of one
+        # wider buffer, whose rows lie W apart rather than n.
         buf = np.ascontiguousarray(terms[:, ::-1])
         out = np.empty((2, 3))
         for n in range(1, 4101):
@@ -236,11 +237,11 @@ class TestEnergy:
 
     @pytest.mark.parametrize("rows", [2, 30])
     def test_stacked_row_sums_have_the_bits_of_each_row_alone(self, rows):
-        # The adversary audits a stage of many matches at once, two rows a
-        # match, with np.add.reduce along the rows into a column of its
-        # output. Each row must get the bits np.sum gives it alone: below
-        # numpy's 8-term unrolling, up to and past its 128-term blocks, at
-        # odd lengths, on contiguous rows and on views of wider ones.
+        # On the installed numpy, np.add.reduce along many stacked rows into
+        # a column of its output gives each row the bits np.sum gives it
+        # alone: below numpy's 8-term unrolling, up to and past its 128-term
+        # blocks, at odd lengths, on contiguous rows and on views of wider
+        # ones. Nothing in src/ relies on this now; the test pins the property.
         rng = np.random.default_rng(29)
         width = 1100
         terms = rng.random((rows, width)) * np.exp(rng.normal(0.0, 8.0, size=(rows, width)))

@@ -6,6 +6,10 @@ are refused with the interval in the message, and an int too large for a
 double is refused, all as DomainError; a numpy float in range is accepted as
 the float it holds. The adversary's epsilon keeps the message that names the
 bounds subcommand, whatever the reason it is refused.
+
+The entries that take arrays of reals refuse text, bytes, bools, complex
+numbers and other objects among them as DomainError naming the argument,
+without a warning, and widen float32 and integer arrays to float64.
 """
 
 import math
@@ -27,6 +31,7 @@ from pwlearn import (
     derivative_norm,
     energy,
     energy_increment,
+    evaluate_many,
     from_points,
     is_member,
     kl_d_bound,
@@ -176,3 +181,54 @@ def test_any_value_gives_a_finite_result_or_a_pwlearn_error(entry, value):
             return
     assert type(result) is type(call(inside))
     assert math.isfinite(result)
+
+
+# (entry, call taking the array, what it is given, the DomainError's message)
+ARRAY_REFUSALS = [
+    ("evaluate_many", lambda v: evaluate_many(TENT, v), ["0.5", b"0.25"],
+     "evaluation points must be real numbers: got <U4 values"),
+    ("evaluate_many", lambda v: evaluate_many(TENT, v), np.array([0.5 + 1j]),
+     "evaluation points must be real numbers: got complex128 values"),
+    ("evaluate_many", lambda v: evaluate_many(TENT, v), [0.5, None],
+     "evaluation points must be real numbers: got object values"),
+    ("evaluate_many", lambda v: evaluate_many(TENT, v), np.array([True, False]),
+     "evaluation points must be real numbers: got bool values"),
+    ("run_trials", lambda v: run_trials(ZeroLearner(), v, 2.0), [("0.5", "1"), ("0.25", True)],
+     "expected (x, y) pairs of real numbers: got <U5 values"),
+    ("run_trials", lambda v: run_trials(ZeroLearner(), v, 2.0), [(0.5, Decimal("1"))],
+     "expected (x, y) pairs of real numbers: got object values"),
+    ("run_trials", lambda v: run_trials(ZeroLearner(), v, 2.0), np.zeros((2, 2), complex),
+     "expected (x, y) pairs of real numbers: got complex128 values"),
+    ("run_trials", lambda v: run_trials(ZeroLearner(), v, 2.0), [(True, False)],
+     "expected (x, y) pairs of real numbers: got bool values"),
+    ("from_points", from_points, [("0.5", 1), (0, 0)],
+     "point 0 u must be a real number, got '0.5'"),
+    ("from_points", from_points, [(0.0, 0.0), (0.5, 1j)],
+     "point 1 v must be a real number, got 1j"),
+    ("from_points", from_points, [(0.5, np.True_)],
+     "point 0 v must be a real number, got np.True_"),
+    ("from_points", from_points, [(Decimal("0.5"), 0.0)],
+     "point 0 u must be a real number, got Decimal('0.5')"),
+    ("from_points", from_points, [(0.5, 10**400)],
+     "point 0 v must fit in a double, got a number past ±1.8e308"),
+]
+
+
+@pytest.mark.parametrize("entry, call, values, message", ARRAY_REFUSALS,
+                         ids=[f"{row[0]}-{k}" for k, row in enumerate(ARRAY_REFUSALS)])
+def test_an_array_entry_refuses_what_is_not_real(entry, call, values, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            call(values)
+    assert str(info.value) == message
+
+
+def test_array_entries_widen_float32_and_int_arrays():
+    xs = np.array([0.0, 0.25, 0.5, 1.0], dtype=np.float32)
+    assert evaluate_many(TENT, xs).tobytes() == evaluate_many(TENT, xs.astype(float)).tobytes()
+    ints = np.array([[0, 1], [1, 0], [0, 0]])
+    got, want = run_trials(ZeroLearner(), ints, 2.0), run_trials(ZeroLearner(), ints * 1.0, 2.0)
+    assert got[0].d.tobytes() == want[0].d.tobytes() and got[1] == want[1]
+    points = [(np.float32(0.5), np.int64(1)), (0, np.float32(0.25))]
+    assert from_points(points) == from_points([(0.5, 1.0), (0.0, 0.25)])
