@@ -38,6 +38,9 @@ The two ``match --stages 24`` rows are bytes-and-memory checks with no
 timing claim either: on code that did not change their path, one run read
 linint 1.40 → 1.84 s and zero 1.66 → 1.50 s, and two runs of ten in-process
 pairs disagreed in sign. Their bytes, peak RSS and traced peak stay checked.
+So are those of the two-CPU ``audit --runs 1000 --seed 7`` row, which claims
+no timing either: its wall time in this script disagreed in sign with
+alternating pairs run outside it (see NO_TIMING_CLAIM).
 One more untimed run per
 side, under tracemalloc, gives the command's traced peak (Python and numpy
 allocations from the CLI's start, imports excluded), which repeats to a few
@@ -153,11 +156,14 @@ CLI_COMMANDS = (
 # one CPU they pin to is shared, and on code that did not change the one-CPU
 # audit read 2.73–2.80 s on one side against 3.42–3.59 s on the other.
 ONE_CPU = {"audit --runs 1000 --seed 7, one CPU": "audit --runs 1000 --seed 7"}
-# Rows whose JSON says "timing_claim": false: the one-CPU rows, and the two
+# Rows whose JSON says "timing_claim": false: the one-CPU rows, the two
 # S = 24 match rows, whose wall time moved either way on code that did not
-# change their path.
+# change their path, and the two-CPU audit row: for one change, two runs of
+# this script read it 1.51 → 1.61 s and 1.53 → 1.62 s, while 8 alternating
+# pairs of the same two trees run outside the script read 1.558 → 1.523 s.
 NO_TIMING_CLAIM = {
     *ONE_CPU,
+    "audit --runs 1000 --seed 7",
     "match --learner linint --epsilon 0.1 --stages 24",
     "match --learner zero --epsilon 0.1 --stages 24",
 }

@@ -25,8 +25,8 @@ those knots. The state holds a match's predictions as MatchTrace does: a fresh
 built-in learner's kind, played a stage at a time, or y_hat in trial order
 from any other learner, played trial by trial through predict/respond/observe.
 Five functions read a stage off the grid, each for its own use: respond plays
-one trial; AdversaryState._fold reveals, charges and reads a whole stage, a
-block of trials at a time; audit_energy, the scalar oracle, audits the live
+one trial; AdversaryState._fold reveals, charges, reads and records a whole
+stage, a block of trials at a time; audit_energy, the scalar oracle, audits the live
 state; _trial_audits reads j_probe and the residual after every mid-stage
 trial off a finished match; MatchTrace._rows reads trace rows.
 """
@@ -34,15 +34,16 @@ trial off a finished match; MatchTrace._rows reads trace rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import pwl
-from .errors import DomainError, SequenceError, _check_int, _check_real
+from .bounds import _perturbation, lower_bound_partial, upper_bound_linint
+from .errors import DomainError, SequenceError, _check_int, _check_not_tiny, _check_real
 from .learner import (
-    TRACE_HEADER, Learner, ZeroLearner, _fill, _fresh, _midpoint_predictions, _pow_terms,
+    TRACE_HEADER, Learner, ZeroLearner, _charge, _fill, _fresh, _midpoint_predictions, _pow_terms,
     _running_total,
 )
 
@@ -87,12 +88,6 @@ def _check_epsilon(epsilon) -> float:
     return _check_not_tiny(eps)
 
 
-def _check_not_tiny(eps: float) -> float:
-    if 1.0 + eps == 1.0:
-        raise DomainError(f"epsilon {eps!r} is too small: 1 + epsilon rounds to 1")
-    return eps
-
-
 @dataclass(frozen=True)
 class AdversaryConfig:
     """Loss exponent offset and stage budget; a run covers 2^stages - 1 trials.
@@ -131,25 +126,39 @@ def perturbation(i: int, epsilon: float) -> float:
     return _perturbation(i, _check_epsilon(epsilon))
 
 
-def _perturbation(i: int, epsilon: float) -> float:
-    # perturbation unchecked, for callers that checked epsilon once for many i.
-    return math.sqrt(epsilon) * (1.0 - epsilon) ** (i / 2.0) / 2.0 ** (i + 1)
-
-
 class EnergyAudit(NamedTuple):
     j_probe: float
     j_committed: float
     recursion_residual: float
 
 
+@dataclass(frozen=True)
+class StageSummary:
+    i: int
+    trials: int
+    accepted: int
+    j_probe_end: float
+
+
+@dataclass(frozen=True)
+class MatchAudit:
+    """Worst values over the stages recorded so far, which AdversaryState._fold
+    folds in a stage at a time: the committed slope, the incremental probe
+    energy and, at stage ends, the scratch probe energy and the residual;
+    _trial_audits gives j_probe and the residual after the mid-stage trials."""
+
+    max_abs_slope: float
+    max_j_probe: float
+    max_recursion_residual: float
+
+
 class AdversaryState:
     """Mutable per-match state: the grid, the predictions in MatchTrace's form
-    and the loss charged so far. respond plays one trial, _play a whole stage.
-    _fold reads a finished stage and charges its loss, so total_loss,
-    accepted (that stage's), max_abs_slope, max_energy_probe and end_audit
-    (audit_energy at the stage end) change once a stage; stage_start_energy
-    holds through the last trial. A trial past the config's stage budget
-    raises SequenceError."""
+    and the record of the stages finished. respond plays one trial, _play a
+    whole stage. _fold alone records a finished stage: its loss in total_loss,
+    its StageSummary in per_stage, its worst values in audit (a MatchAudit),
+    max_energy_probe and end_audit (audit_energy at the stage end). A trial
+    past the config's stage budget raises SequenceError."""
 
     def __init__(self, config: AdversaryConfig) -> None:
         self.epsilon = config.epsilon
@@ -165,12 +174,13 @@ class AdversaryState:
         self.next_t = 1
         # Geometry of the current stage i, set once by _begin_stage: knot
         # spacing 2^-i, proposal offset, last trial 2^i - 1, trials so far.
-        self.stage = self.stage_end = self.within = self.accepted = 0
+        self.stage = self.stage_end = self.within = 0
         self.h, self.magnitude = 1.0, 0.0
         # end_audit's j_committed, from scratch, is the next stage's start probe
         # energy, which the incremental probe energy and the residual run from.
         self.end_audit = EnergyAudit(0.0, 0.0, 0.0)
-        self.stage_start_energy = self.max_energy_probe = self.max_abs_slope = 0.0
+        self.stage_start_energy = self.max_energy_probe = 0.0
+        self.per_stage, self.audit = [], MatchAudit(0.0, 0.0, 0.0)
 
     def _begin_stage(self) -> None:
         # Summed afresh at the last stage end: no drift crosses a stage boundary.
@@ -191,8 +201,8 @@ class AdversaryState:
         which sits at distance >= perturbation(i, epsilon) from y_hat by the
         furthest-sign choice; rejected trials reveal the midpoint of the
         committed neighbors, leaving the committed function unchanged.
-        y_hat joins predictions. The stage's last trial charges the stage's
-        loss to total_loss, raising DomainError if a loss term overflows.
+        y_hat joins predictions. The stage's last trial records the stage
+        (_fold), raising DomainError if _charge refuses its loss.
         """
         if t != self.next_t:
             raise SequenceError(f"expected trial {self.next_t}, got {t}")
@@ -234,23 +244,20 @@ class AdversaryState:
     def _fold(self) -> None:
         """Reveal, charge and read the stage just played, _BLOCK trials at a
         time, with respond's operations elementwise (a stage respond played
-        gets the same labels again). Trial w's input is the view's index
-        2w + 1, between stage-start knots 2w and 2w + 2; the loss terms are
-        added to total_loss in trial order."""
-        h, mag, p = self.h, self.magnitude, 1.0 + self.epsilon
-        n = first = 1 << (self.stage - 1)
+        gets the same labels again), and record it, for both ways of play.
+        Trial w's input is the view's index 2w + 1, between stage-start knots
+        2w and 2w + 2; _charge adds the loss terms in trial order, and a block
+        it refuses raises before the stage is recorded."""
+        i, h, mag, p = self.stage, self.h, self.magnitude, 1.0 + self.epsilon
+        n = first = 1 << (i - 1)
+        total = self.total_loss
         energy, accepted, steepest, sums = self.stage_start_energy, 0, 0.0, []
         for a in range(0, n, _BLOCK):
             block = self.committed[2 * a : 2 * min(a + _BLOCK, n) + 1]
             vl, y, vr = block[:-1:2], block[1::2], block[2::2]
             y_hat, base, v = _proposals(self.predictions, vl, vr, h, first + a, mag)
             y[:] = np.where((np.abs(v - vl) <= h) & (np.abs(v - vr) <= h), v, base)
-            try:
-                self.total_loss = _running_total(
-                    np.append(self.total_loss, _pow_terms(np.abs(y_hat - y), p)))
-            except OverflowError:
-                raise DomainError(f"a loss term in stage {self.stage} overflows; predictions "
-                                  "must be moderate") from None
+            total = _charge(total, np.abs(y_hat - y), p, f"in stage {i}", "predictions")[1]
             del y_hat  # a block's predictions are not held past its loss
             accepted += int(np.count_nonzero(y == v))
             # The probe is base at x until v is inserted, adding 2·(v − base)²/h to its
@@ -268,11 +275,14 @@ class AdversaryState:
         while len(sums) > 1:
             sums = sums[::2] + sums[1::2]
         jp, jc = sums[0].tolist()
-        self.within, self.next_t, self.accepted = n, self.stage_end + 1, accepted
+        resid = _recursion_residual(self.epsilon, i, self.stage_start_energy, n, jp)
+        self.total_loss, self.within, self.next_t = total, n, self.stage_end + 1
         self.max_energy_probe = max(self.max_energy_probe, energy)
-        self.max_abs_slope = max(self.max_abs_slope, steepest / h)
-        resid = _recursion_residual(self.epsilon, self.stage, self.stage_start_energy, n, jp)
         self.end_audit = EnergyAudit(jp, jc, resid)
+        self.per_stage.append(StageSummary(i, n, accepted, jp))
+        # max is exact: each worst value keeps the bits of the stage it comes from.
+        stage_worst = (steepest / h, max(energy, jp), resid)
+        self.audit = MatchAudit(*map(max, astuple(self.audit), stage_worst))
 
 
 def _proposals(predictions, vl, vr, h, t, mag) -> tuple[np.ndarray, ...]:
@@ -347,25 +357,6 @@ def _trial_audits(result: MatchResult) -> np.ndarray:
         np.add(probe[1:-2:2], start - np.cumsum(evens)[:-1], out=j_probe)
         resid[:] = _recursion_residual(eps, i, start, np.arange(1, n), j_probe)
     return audits
-
-
-@dataclass(frozen=True)
-class StageSummary:
-    i: int
-    trials: int
-    accepted: int
-    j_probe_end: float
-
-
-@dataclass(frozen=True)
-class MatchAudit:
-    """Worst values over a whole match: the committed slope, the incremental
-    probe energy and, at stage ends, the scratch probe energy and the residual;
-    _trial_audits gives j_probe and the residual after the mid-stage trials."""
-
-    max_abs_slope: float
-    max_j_probe: float
-    max_recursion_residual: float
 
 
 def _time_order(stages: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
@@ -451,12 +442,12 @@ def run_match(learner: Learner, config: AdversaryConfig) -> MatchResult:
     """Play the adversary against a learner for the full stage budget.
 
     Trial 0 presents (1, 0) with no loss charged; trials 1 .. 2^stages - 1
-    alternate predict/respond at loss exponent p = 1 + epsilon. Energy is
-    audited at every stage end; _trial_audits audits mid-stage trials off
-    the finished match. ``records`` is the match's MatchTrace: the final
-    grid and the state's predictions. The state charges each stage's loss
-    at its end; a loss term that overflows raises DomainError there, and a
-    non-finite total loss (a NaN or infinite prediction) after the match.
+    alternate predict/respond at loss exponent p = 1 + epsilon. The state
+    records each stage, its energy audit included, at its end; _trial_audits
+    audits mid-stage trials off the finished match. A loss term that
+    overflows, or a total loss that is not finite (a NaN or infinite
+    prediction), raises DomainError at the end of its stage. ``records`` is
+    the match's MatchTrace: the final grid and the state's predictions.
 
     A fresh learner of exact built-in type (zero, nearest, or linint with
     nothing observed) is played a stage at a time on its kind, and its state
@@ -470,8 +461,6 @@ def run_match(learner: Learner, config: AdversaryConfig) -> MatchResult:
     if not by_stage:
         learner.predict(X0)  # uncharged; the opening prediction is discarded
         learner.observe(X0, Y0)
-    per_stage: list[StageSummary] = []
-    worst = np.zeros(2)  # the largest stage-end j_probe and residual
     for i in range(1, config.stages + 1):
         if by_stage:
             state._play(learner.kind)
@@ -479,30 +468,17 @@ def run_match(learner: Learner, config: AdversaryConfig) -> MatchResult:
             xs = (2.0 * np.arange(1 << (i - 1)) + 1.0) * 0.5**i
             for t, x in enumerate(xs.tolist(), start=state.next_t):
                 learner.observe(x, state.respond(t, learner.predict(x))[0])
-        end = state.end_audit
-        worst = np.maximum(worst, (end.j_probe, end.recursion_residual))
-        per_stage.append(StageSummary(i, state.within, state.accepted, end.j_probe))
-    # One check per match: NaN and inf both survive the running sum.
-    if not math.isfinite(state.total_loss):
-        raise DomainError(f"total loss {state.total_loss!r} is not finite; predictions must be")
-    max_jp, max_resid = worst.tolist()
     grid = state.grid
     grid.setflags(write=False)
     if by_stage and type(learner) is not ZeroLearner:
         _fill(learner, lambda: _knots(grid))
-    from .bounds import lower_bound_partial, upper_bound_linint
-
     return MatchResult(
         epsilon=eps,
         stages=config.stages,
         total_loss=state.total_loss,
         records=MatchTrace(grid, 1.0 + eps, state.predictions),
-        per_stage=per_stage,
-        audit=MatchAudit(
-            max_abs_slope=state.max_abs_slope,
-            max_j_probe=max(state.max_energy_probe, max_jp),
-            max_recursion_residual=max_resid,
-        ),
+        per_stage=state.per_stage,
+        audit=state.audit,
         lower_partial=lower_bound_partial(eps, config.stages),
         upper_linint=upper_bound_linint(eps),
     )

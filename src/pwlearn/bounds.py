@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .adversary import _check_not_tiny, _perturbation
-from .errors import DivergenceError, DomainError, InequalityViolation, _check_int, _check_real
+from .errors import (DivergenceError, DomainError, InequalityViolation, _check_int,
+                     _check_not_tiny, _check_real)
 
 __all__ = [
     "upper_bound_linint",
@@ -31,6 +31,11 @@ _LOG2 = math.log(2.0)
 # The partial sum is a Python loop of one term per stage; 2^20 terms take
 # about half a second.
 MAX_PARTIAL_STAGES = 1 << 20
+
+
+def _perturbation(i: int, epsilon: float) -> float:
+    """adversary.perturbation unchecked, for callers that check epsilon once for many i."""
+    return math.sqrt(epsilon) * (1.0 - epsilon) ** (i / 2.0) / 2.0 ** (i + 1)
 
 
 def upper_bound_linint(epsilon: float) -> float:

@@ -47,14 +47,23 @@ def _check_real(name: str, value, lo=-math.inf, hi=math.inf, ends: str = "()") -
     return x
 
 
+def _check_not_tiny(eps: float) -> float:
+    if 1.0 + eps == 1.0:
+        raise DomainError(f"epsilon {eps!r} is too small: 1 + epsilon rounds to 1")
+    return eps
+
+
 def _real_array(what: str, values) -> np.ndarray:
-    """values as a float64 array if numpy reads them as ints or floats, else DomainError."""
+    """values as float64 if numpy reads ints or floats, none of them a bool, else DomainError."""
     try:
         array = np.asarray(values)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{what}: {exc}") from None
     if array.dtype.kind not in "iuf":
         raise DomainError(f"{what}: got {array.dtype} values")
+    if isinstance(values, (list, tuple)) and array.size:  # an array's dtype says it all
+        if not {bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat)):
+            raise DomainError(f"{what}: got bool values")
     return array.astype(float, copy=False)
 
 

@@ -244,6 +244,21 @@ def _pow_terms(values: np.ndarray, p: float) -> np.ndarray:
     return terms
 
 
+def _charge(total: float, e, p: float, where: str, who: str) -> tuple[np.ndarray, float]:
+    """A block's loss terms e**p (_pow_terms) and total carried through them left
+    to right: both play loops' loss rule. A term that overflows, then a total that
+    is not finite, raises DomainError naming where and who, with no numpy warning."""
+    try:
+        terms = _pow_terms(e, p)
+    except OverflowError:
+        raise DomainError(f"a loss term {where} overflows; {who} must be moderate") from None
+    with np.errstate(over="ignore"):
+        total = _running_total(np.append(total, terms))
+    if not math.isfinite(total):
+        raise DomainError(f"total loss {total!r} is not finite; {who} must be")
+    return terms, total
+
+
 def _repeats(sorted_values: np.ndarray) -> bool:
     """Whether sorted values hold two equal ones (0.0 == -0.0 counts)."""
     return bool((sorted_values[1:] == sorted_values[:-1]).any())
@@ -386,7 +401,8 @@ def run_trials(
     non-finite value or an x outside [0, 1] raises DomainError naming the trial. Repeated input
     coordinates are allowed (the learner should answer the known value);
     they show up as d = 0 in the trace, which kl_invariants will reject. A
-    loss term that overflows or a non-finite total loss raises DomainError.
+    loss term that overflows or a non-finite total loss raises DomainError
+    (_charge) at the first block where it appears.
 
     d comes from a sorting order of the inputs, stable whenever an input
     repeats. A fresh LinintLearner on distinct inputs takes the offline path:
@@ -418,7 +434,7 @@ def run_trials(
         y_hat = np.array(scalar_predictions(learner, xs.tolist(), ys.tolist()), dtype=float)
     e, d, loss_term = np.empty(n), np.empty(n), np.empty(n)
     y_hat[:1] = e[:1] = d[:1] = loss_term[:1] = math.nan
-    total = 0.0
+    total, where = 0.0, f"|y_hat - y|**{p!r}"
     for start in range(1, n, _CSV_CHUNK):
         block = slice(start, start + _CSV_CHUNK)
         x, lb, rb = xs[block], left[block], right[block]
@@ -429,15 +445,7 @@ def run_trials(
         if offline:
             y_hat[block] = _linint_predictions(x, u0, u1, ys[lb], ys[rb], no_left, no_right)
         np.abs(y_hat[block] - ys[block], out=e[block])
-        try:
-            loss_term[block] = _pow_terms(e[block], p)
-        except OverflowError:
-            raise DomainError(
-                f"a loss term |y_hat - y|**{p!r} overflows; labels and predictions must be moderate"
-            ) from None
-        total = _running_total(np.append(total, loss_term[block]))
-    if not math.isfinite(total):
-        raise DomainError(f"total loss {total!r} is not finite; labels and predictions must be")
+        loss_term[block], total = _charge(total, e[block], p, where, "labels and predictions")
     if not distinct:
         # A repeat's d is what a bisect_left over the earlier inputs gives: the
         # first equal input minus x, which keeps the sign of a zero difference.
@@ -470,12 +478,13 @@ def kl_invariants(trace: Trace, r: float, *more_r: float) -> tuple[float, ...]:
             )
         raise DomainError(f"trial {t}: d={float(trace.d[t])!r} is not a distance in (0, 1]")
     sums = [0.0] * (1 + len(exponents))
-    for start in range(1, len(trace), _CSV_CHUNK):
-        e, d = trace.e[start : start + _CSV_CHUNK], trace.d[start : start + _CSV_CHUNK]
-        # d lies in (0, 1], so no power overflows and np.float_power is _pow_terms.
-        for k, terms in enumerate((e * e / d, *(np.float_power(d, q) for q in exponents))):
-            terms[0] += sums[k]  # carried as by _running_total(np.append(sums[k], terms))
-            sums[k] = float(np.add.accumulate(terms, out=terms)[-1])
+    with np.errstate(over="ignore"):  # a huge e gives an infinite sum, not a warning
+        for start in range(1, len(trace), _CSV_CHUNK):
+            e, d = trace.e[start : start + _CSV_CHUNK], trace.d[start : start + _CSV_CHUNK]
+            # d lies in (0, 1], so no power overflows and np.float_power is _pow_terms.
+            for k, terms in enumerate((e * e / d, *(np.float_power(d, q) for q in exponents))):
+                terms[0] += sums[k]  # carried as by _running_total(np.append(sums[k], terms))
+                sums[k] = float(np.add.accumulate(terms, out=terms)[-1])
     return tuple(sums)
 
 

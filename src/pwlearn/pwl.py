@@ -127,7 +127,7 @@ def evaluate_many(f: PiecewiseLinearFunction, xs) -> np.ndarray:
     xs = _real_array("evaluation points must be real numbers", xs)
     bad = np.flatnonzero(~((0.0 <= xs) & (xs <= 1.0)))
     if bad.size:
-        raise DomainError(f"evaluation point {float(xs[bad[0]])!r} outside [0, 1]")
+        raise DomainError(f"evaluation point {float(xs.flat[bad[0]])!r} outside [0, 1]")
     us = np.asarray(f.us, dtype=float)
     vs = np.asarray(f.vs, dtype=float)
     if len(us) < 2:

@@ -243,8 +243,8 @@ def columnar_match(learner, config):
         audit = audit_energy(state)
         max_jp = max(max_jp, audit.j_probe)
         max_resid = max(max_resid, audit.recursion_residual)
-        per_stage.append(StageSummary(i, state.within, state.accepted, audit.j_probe))
-    audit = MatchAudit(state.max_abs_slope, max(state.max_energy_probe, max_jp), max_resid)
+        per_stage.append(StageSummary(i, state.within, state.per_stage[-1].accepted, audit.j_probe))
+    audit = MatchAudit(state.audit.max_abs_slope, max(state.max_energy_probe, max_jp), max_resid)
     trace = Trace(k * 0.5**stages, y_hats, state.grid[k], es, ds, terms_col)
     return total, per_stage, audit, trace
 
@@ -383,7 +383,8 @@ def run_trials_oracle(learner, sequence, p):
         raise DomainError(
             f"a loss term |y_hat - y|**{p!r} overflows; labels and predictions must be moderate"
         ) from None
-    total = _running_total(loss_term[1:])
+    with np.errstate(over="ignore"):  # refused below, with no numpy warning
+        total = _running_total(loss_term[1:])
     if not math.isfinite(total):
         raise DomainError(f"total loss {total!r} is not finite; labels and predictions must be")
     trace = Trace(x=xs, y_hat=y_hat, y=ys, e=e, d=d, loss_term=loss_term)

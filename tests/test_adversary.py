@@ -275,6 +275,18 @@ class TestRespond:
         with pytest.raises(DomainError, match="a loss term in stage 3 overflows"):
             state.respond(7, 0.0)
 
+    def test_a_nan_prediction_raises_at_the_stages_last_respond(self):
+        state = AdversaryState(AdversaryConfig(0.25, 3))
+        for t in range(1, 4):
+            state.respond(t, 0.0)
+        charged = state.total_loss
+        for t in range(4, 7):
+            state.respond(t, math.nan if t == 4 else 0.0)
+        assert state.total_loss == charged and len(state.per_stage) == 2
+        with pytest.raises(DomainError, match="total loss nan is not finite; predictions must be"):
+            state.respond(7, 0.0)
+        assert state.total_loss == charged and len(state.per_stage) == 2
+
 
 class TestDictOracle:
     """The grid state against the dict-based adversary it replaced."""
@@ -373,9 +385,9 @@ class TestDictOracle:
                 rejected += not accepted
                 t += 1
             for state in (batch, single):
-                assert state.accepted == oracle.accepted
+                assert state.per_stage[-1].accepted == oracle.accepted
                 assert state.max_energy_probe.hex() == oracle.max_energy_probe.hex()
-                assert state.max_abs_slope.hex() == oracle.max_abs_slope.hex()
+                assert state.audit.max_abs_slope.hex() == oracle.max_abs_slope.hex()
         if eps in (0.25, 0.1):
             assert rejected
 
@@ -514,7 +526,7 @@ class TestStageAtATime:
         stage_ends = [audits[2**i - 2] for i in range(1, stages + 1)]
         # The worst j_probe is a stage end's or the incremental one, with their
         # bits; the worst stage-end residual has the bits of the scalar audit's.
-        want = (state.max_abs_slope,
+        want = (state.audit.max_abs_slope,
                 max(state.max_energy_probe, *(a.j_probe for a in audits)),
                 max(a.recursion_residual for a in stage_ends))
         j_probe_end = [a.j_probe.hex() for a in stage_ends]
@@ -670,9 +682,9 @@ class TestSmallBlocks:
             respond_stage(state, stage)
             for t, yh in enumerate(stage.tolist(), start=1 << (i - 1)):
                 oracle.respond(t, yh)
-            assert state.accepted == oracle.accepted
+            assert state.per_stage[-1].accepted == oracle.accepted
             assert state.max_energy_probe.hex() == oracle.max_energy_probe.hex()
-            assert state.max_abs_slope.hex() == oracle.max_abs_slope.hex()
+            assert state.audit.max_abs_slope.hex() == oracle.max_abs_slope.hex()
         assert state.grid.tobytes() == result.records.grid.tobytes()
 
 
@@ -817,9 +829,12 @@ class TestRunMatch:
             run_match(HugeLearner(), AdversaryConfig(0.25, 4))
 
     @pytest.mark.parametrize(
-        "y_hat, message", [(1e300, "overflows"), (math.inf, "total loss inf is not finite")]
+        "y_hat, eps, message",
+        [(1e300, 0.25, "overflows"), (math.inf, 0.25, "total loss inf is not finite"),
+         # Finite terms of 1.7e307 whose total overflows in stage 4.
+         (2e279, 0.1, "total loss inf is not finite; predictions must be")],
     )
-    def test_huge_prediction_is_a_domain_error_without_warnings(self, y_hat, message):
+    def test_huge_prediction_is_a_domain_error_without_warnings(self, y_hat, eps, message):
         class FixedLearner(Learner):
             kind = "fixed"
 
@@ -832,7 +847,22 @@ class TestRunMatch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=message):
-                run_match(FixedLearner(), AdversaryConfig(0.25, 4))
+                run_match(FixedLearner(), AdversaryConfig(eps, 4))
+
+    def test_a_nan_prediction_stops_the_match_at_its_stage_end(self):
+        # The third prediction is trial 2's, in stage 2, which ends at trial 3:
+        # the match stops there, not after all 2^18 trials.
+        class NanThird(ZeroLearner):
+            calls = 0
+
+            def predict(self, x):
+                self.calls += 1
+                return math.nan if self.calls == 3 else 0.0
+
+        learner = NanThird()
+        with pytest.raises(DomainError, match=r"^total loss nan is not finite; predictions must be$"):
+            run_match(learner, AdversaryConfig(0.1, 18))
+        assert learner.calls <= 4
 
     def test_json_schema(self):
         result = run_match(make_learner("zero"), AdversaryConfig(0.25, 3))

@@ -270,17 +270,21 @@ class TestRunTrials:
             run_trials(make_learner(kind), [(0.5, 0.0), (0.25, 1e300)], p=2.0)
 
     @pytest.mark.parametrize(
-        "y_hat, message", [(1e300, "overflows"), (math.inf, "total loss inf is not finite")]
+        "y_hat, labels, message",
+        [(1e300, [1.0], "overflows"), (math.inf, [1.0], "total loss inf is not finite"),
+         # Two finite terms of 1e308 whose total overflows.
+         (0.0, [1e154, 1e154], "total loss inf is not finite; labels and predictions must be")],
     )
-    def test_huge_prediction_is_a_domain_error_without_warnings(self, y_hat, message):
+    def test_huge_prediction_is_a_domain_error_without_warnings(self, y_hat, labels, message):
         class FixedLearner(ZeroLearner):
             def predict(self, x):
                 return y_hat
 
+        pairs = [(0.5, 0.0), *zip((0.25, 0.75), labels)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=message):
-                run_trials(FixedLearner(), [(0.5, 0.0), (0.25, 1.0)], p=2.0)
+                run_trials(FixedLearner(), pairs, p=2.0)
 
 
 class CountingLearner(ZeroLearner):
@@ -599,6 +603,12 @@ class TestKlInvariants:
     def test_a_d_of_one_is_a_distance(self):
         assert kl_invariants(self._with_d(1.0, 0.5), 2.0) == (0.0625 / 1.0 + 0.0625 / 0.5, 1.25)
 
+    def test_a_huge_error_gives_an_infinite_sum_without_warnings(self):
+        trace = replace(self._with_d(0.5, 0.25), e=np.array([math.nan, 1e200, 0.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kl_invariants(trace, 2.0) == (math.inf, 0.3125)
+
     def test_several_exponents_in_one_call_equal_separate_calls(self):
         rng = np.random.default_rng(19)
         exponents = (1.5, 2.0, 3.0, 1.1, 7.0)
@@ -797,8 +807,25 @@ class TestBlocks:
         else:
             pairs[:, 1] = 1e154
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the total's overflow
+            warnings.simplefilter("error")
             self._check(lambda: make_learner(kind), pairs)
+
+    @pytest.mark.parametrize("first", ["nan", "overflow"])
+    def test_the_first_refused_block_names_the_problem(self, block, first):
+        # A NaN prediction and a loss term that overflows, in different
+        # blocks: the earlier one in trial order is the one refused.
+        n = self._sizes(block)[-1]
+        nan_at, huge_at = (1, n - 1) if first == "nan" else (n - 1, 1)
+
+        class NanOnce(ZeroLearner):
+            def predict(self, x):
+                return math.nan if x == pairs[nan_at, 0] else 0.0
+
+        pairs = np.random.default_rng(block).random((n, 2))
+        pairs[huge_at, 1] = 1e300
+        message = "total loss nan is not finite" if first == "nan" else "a loss term .* overflows"
+        with pytest.raises(DomainError, match=message):
+            run_trials(NanOnce(), pairs, 2.0)
 
 
 def test_an_audit_trace_run_equals_the_whole_array_path():

@@ -18,7 +18,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pwlearn import (
     AdversaryConfig,
@@ -201,6 +201,15 @@ ARRAY_REFUSALS = [
      "expected (x, y) pairs of real numbers: got complex128 values"),
     ("run_trials", lambda v: run_trials(ZeroLearner(), v, 2.0), [(True, False)],
      "expected (x, y) pairs of real numbers: got bool values"),
+    # numpy reads a bool among floats as a float.
+    ("evaluate_many", lambda v: evaluate_many(TENT, v), [0.5, True],
+     "evaluation points must be real numbers: got bool values"),
+    ("evaluate_many", lambda v: evaluate_many(TENT, v), (0.5, np.False_),
+     "evaluation points must be real numbers: got bool values"),
+    ("run_trials", lambda v: run_trials(ZeroLearner(), v, 2.0), [(0.5, True), (0.25, 1.0)],
+     "expected (x, y) pairs of real numbers: got bool values"),
+    ("run_trials", lambda v: run_trials(ZeroLearner(), v, 2.0), [[0.5, 0.0], (np.True_, 1)],
+     "expected (x, y) pairs of real numbers: got bool values"),
     ("from_points", from_points, [("0.5", 1), (0, 0)],
      "point 0 u must be a real number, got '0.5'"),
     ("from_points", from_points, [(0.0, 0.0), (0.5, 1j)],
@@ -232,3 +241,47 @@ def test_array_entries_widen_float32_and_int_arrays():
     assert got[0].d.tobytes() == want[0].d.tobytes() and got[1] == want[1]
     points = [(np.float32(0.5), np.int64(1)), (0, np.float32(0.25))]
     assert from_points(points) == from_points([(0.5, 1.0), (0.0, 0.25)])
+
+
+# Floats mixed with what is not a real number, in nested lists or object arrays.
+LEAF = st.one_of(
+    st.floats(),
+    st.sampled_from([True, False, np.True_, None, "0.5", b"0.5", 0.5j, Decimal("0.5"), 10**400]),
+)
+NESTED = st.recursive(LEAF, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+
+
+def _object_array(items):
+    array = np.empty(len(items), dtype=object)
+    for k, item in enumerate(items):
+        array[k] = item
+    return array
+
+
+def _leaves(values):
+    if isinstance(values, (list, np.ndarray)):
+        return [leaf for item in values for leaf in _leaves(item)]
+    return [values]
+
+
+ARRAY_ENTRIES = {
+    "evaluate_many": lambda v: evaluate_many(TENT, v),
+    "run_trials": lambda v: run_trials(ZeroLearner(), v, 2.0),
+}
+
+
+@pytest.mark.parametrize("call", ARRAY_ENTRIES.values(), ids=ARRAY_ENTRIES.keys())
+@settings(max_examples=100)
+@example(values=[[2.0]])  # a 2-D input's first bad point, read as a scalar
+@example(values=[[0.5, True], [0.25, 1.0]])  # numpy reads the bool as 1.0
+@given(values=st.lists(NESTED, max_size=4).flatmap(
+    lambda items: st.sampled_from([items, _object_array(items)])))
+def test_an_array_entry_returns_or_refuses_as_a_domain_error(call, values):
+    # A value only when every entry is a float, and never a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(values)
+        except DomainError:
+            return
+    assert all(type(leaf) is float for leaf in _leaves(values))
