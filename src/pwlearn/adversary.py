@@ -43,8 +43,8 @@ from . import pwl
 from .bounds import _perturbation, lower_bound_partial, upper_bound_linint
 from .errors import DomainError, SequenceError, _check_int, _check_not_tiny, _check_real
 from .learner import (
-    TRACE_HEADER, Learner, ZeroLearner, _charge, _fill, _fresh, _midpoint_predictions, _pow_terms,
-    _running_total,
+    _BLOCK, TRACE_HEADER, Learner, ZeroLearner, _charge, _fill, _fresh, _midpoint_predictions,
+    _pow_terms, _running_total,
 )
 
 __all__ = [
@@ -71,10 +71,6 @@ Y0 = 0.0
 # stop being desk-scale.
 MAX_STAGES = 24
 _DESK_SCALE = f" (2^{MAX_STAGES} trials is the desk-scale ceiling)"
-
-# Trials AdversaryState._fold takes at once, to stay in cache. Not below 2^6: np.sum
-# adds fewer than 128 terms (a block has 2·_BLOCK) unrolled, not pairwise.
-_BLOCK = 1 << 14
 
 
 def _check_epsilon(epsilon) -> float:
@@ -390,11 +386,11 @@ class MatchTrace:
         return self._rows(0, len(self))[columns.index(name)]
 
     def _rows(self, start: int, stop: int) -> tuple[np.ndarray, ...]:
-        """Trace's columns for trials start .. stop - 1: x = k·2^-S, y = grid[k]
-        and d = 2^-i, k's lowest set bit s times 2^-S (NaN for trial 0, k = 2^S).
-        A stage-i trial was predicted off the knots at k ∓ s, the first at x = d."""
+        """Trace's columns for trials start .. min(stop, len) - 1: x = k·2^-S, y =
+        grid[k] and d = 2^-i, k's lowest set bit s times 2^-S (NaN for trial 0, k =
+        2^S). A stage-i trial was predicted off the knots at k ∓ s, the first at x = d."""
         n = len(self)
-        k = _time_order(n.bit_length() - 1, start, stop)
+        k = _time_order(n.bit_length() - 1, start, min(stop, n))
         s, y = k & -k, self.grid[k]
         if isinstance(self.predictions, str):
             vr = self.grid[np.minimum(k + s, n)]  # trial 0's is out of play

@@ -182,7 +182,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 "lower bound is undefined there and its columns are nan",
                 file=sys.stderr,
             )
-    write_csv(args.out or sys.stdout, BOUNDS_CSV_HEADER, [zip(*rows)] if rows else [], "\n")
+    write_csv(args.out or sys.stdout, BOUNDS_CSV_HEADER, [rows], "\n")
     return EXIT_OK
 
 

@@ -62,8 +62,8 @@ def _real_array(what: str, values) -> np.ndarray:
     if array.dtype.kind not in "iuf":
         raise DomainError(f"{what}: got {array.dtype} values")
     if isinstance(values, (list, tuple)) and array.size:  # an array's dtype says it all
-        if not {bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat)):
-            raise DomainError(f"{what}: got bool values")
+        if any(getattr(c, "dtype", type(c)) == bool for c in np.asarray(values, dtype=object).flat):
+            raise DomainError(f"{what}: got bool values")  # numpy's and 0-d arrays' by dtype
     return array.astype(float, copy=False)
 
 

@@ -144,7 +144,7 @@ SWEEP_CSV_HEADER = tuple(f.name for f in fields(SweepRow))
 def write_sweep_csv(rows: Iterable[SweepRow], out: str | os.PathLike | IO[str]) -> None:
     """Write the sweep CSV, one flushed line per row; ``rows`` may be a
     generator that computes each row on demand."""
-    write_csv(out, SWEEP_CSV_HEADER, ([(v,) for v in astuple(row)] for row in rows))
+    write_csv(out, SWEEP_CSV_HEADER, ([astuple(row)] for row in rows))
 
 
 def run_sweep(config: ExperimentConfig) -> Iterator[SweepRow]:

@@ -23,7 +23,7 @@ result back as one pickle, and the caller gets every result in item order, as
 one process would give them. write_trace_csv deals it the trace's 4,096-row
 chunks and harness.run_invariant_audit its trace runs. A chunk's text comes
 from _chunk_text, a numpy kernel that gives every byte of "%.17g"; every
-other CSV block takes the % row template (_template_text), its oracle.
+other CSV row takes _row_text, its oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 import os
 import pickle
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain, islice
 from typing import IO, Callable, Iterator, Sequence
 
@@ -60,6 +60,10 @@ __all__ = [
     "TRACE_HEADER",
 ]
 
+# Trials every blocked pass takes at once, to stay in cache. Not below 2^6: np.sum adds fewer
+# than 128 terms (a block of AdversaryState._fold has 2·_BLOCK) unrolled, not pairwise.
+_BLOCK = 4096
+
 def _check_coord(x: float) -> None:
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"input coordinate {x!r} outside [0, 1]")
@@ -86,7 +90,8 @@ class Trace:
         return len(self.x)
 
     def _rows(self, start: int, stop: int) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, f.name)[start:stop] for f in fields(self))
+        # tuple() of a list: of a generator (as fields() makes) it fills CPython's free list.
+        return tuple([getattr(self, name)[start:stop] for name in TRACE_HEADER[1:7]])
 
 
 @dataclass(frozen=True)
@@ -435,8 +440,8 @@ def run_trials(
     e, d, loss_term = np.empty(n), np.empty(n), np.empty(n)
     y_hat[:1] = e[:1] = d[:1] = loss_term[:1] = math.nan
     total, where = 0.0, f"|y_hat - y|**{p!r}"
-    for start in range(1, n, _CSV_CHUNK):
-        block = slice(start, start + _CSV_CHUNK)
+    for start in range(1, n, _BLOCK):
+        block = slice(start, start + _BLOCK)
         x, lb, rb = xs[block], left[block], right[block]
         u0, u1, no_left, no_right = xs[lb], xs[rb], lb < 0, rb < 0
         dl = np.where(no_left, math.inf, x - u0)
@@ -479,8 +484,8 @@ def kl_invariants(trace: Trace, r: float, *more_r: float) -> tuple[float, ...]:
         raise DomainError(f"trial {t}: d={float(trace.d[t])!r} is not a distance in (0, 1]")
     sums = [0.0] * (1 + len(exponents))
     with np.errstate(over="ignore"):  # a huge e gives an infinite sum, not a warning
-        for start in range(1, len(trace), _CSV_CHUNK):
-            e, d = trace.e[start : start + _CSV_CHUNK], trace.d[start : start + _CSV_CHUNK]
+        for start in range(1, len(trace), _BLOCK):
+            e, d = trace._rows(start, start + _BLOCK)[3:5]  # a MatchTrace computes the block alone
             # d lies in (0, 1], so no power overflows and np.float_power is _pow_terms.
             for k, terms in enumerate((e * e / d, *(np.float_power(d, q) for q in exponents))):
                 terms[0] += sums[k]  # carried as by _running_total(np.append(sums[k], terms))
@@ -489,8 +494,7 @@ def kl_invariants(trace: Trace, r: float, *more_r: float) -> tuple[float, ...]:
 
 
 TRACE_HEADER = ("t", "x", "y_hat", "y", "e", "d", "loss_term", "cum_loss")
-_CSV_CHUNK = 4096
-_EXACT = "%.17g"  # fmt_exact's spec, shared with write_csv
+_EXACT = "%.17g"  # fmt_exact's spec, shared with _row_text
 
 
 def fmt_exact(value: float) -> str:
@@ -510,12 +514,9 @@ def open_out(out: str | os.PathLike | IO[str]) -> Iterator[IO[str]]:
 
 
 def write_csv(out: str | os.PathLike | IO[str], header, blocks, end: str = "\r\n") -> None:
-    """Write a CSV table: the header, then each block of equal-length columns
-    as rows, flushing after the header and after each block. Floats are
-    written %.17g, ints and text as str gives them (a numpy column as its
-    .tolist()), and no field is quoted, which no number needs. A block with
-    no columns, or columns of unequal length, raises DomainError at its turn."""
-    _write_texts(out, header, (_template_text(c, end, b) for b, c in enumerate(blocks)), end)
+    """Write a CSV table: the header, then each block of rows (_row_text),
+    flushing after the header and after each block."""
+    _write_texts(out, header, ("".join(_row_text(r, end) for r in rows) for rows in blocks), end)
 
 
 def _write_texts(out, header, texts: Iterator[str], end: str = "\r\n") -> None:
@@ -527,14 +528,11 @@ def _write_texts(out, header, texts: Iterator[str], end: str = "\r\n") -> None:
             del text  # before the next is asked for: never two chunk texts at once
 
 
-def _template_text(columns, end: str = "\r\n", block: int = 0) -> str:
-    """The rows of a table's block (its index) through one % row template (see _exact_cells)."""
-    cells = list(map(_exact_cells, columns))
-    if len({len(column) for _, column in cells}) != 1:
-        raise DomainError(f"CSV block {block} has no columns or columns of unequal length")
-    slots, cells = zip(*cells)
-    row = ",".join(slots) + end
-    return "".join(map(row.__mod__, zip(*cells)))
+def _row_text(row, end: str = "\r\n") -> str:
+    """One CSV row: a float (numpy's too) as %.17g of its double, any other
+    value as str gives it, and no field quoted, which no number needs."""
+    cells = (_EXACT % v if isinstance(v, (float, np.floating)) else str(v) for v in row)
+    return ",".join(cells) + end
 
 
 _WORDS: dict[str, np.ndarray] = {}  # _chunk_text's tables, built on first use
@@ -614,8 +612,8 @@ def _digits(v: np.ndarray, ten: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _chunk_text(block: tuple, end: str = "\r\n") -> str:
-    """_template_text's bytes for a trace chunk, a range t in [0, 10^16) and
-    float64 columns of its length, at a fraction of its cost: rows
+    """_row_text's bytes for each row of a trace chunk, a range t in [0, 10^16)
+    and float64 columns of its length, at a fraction of its cost: rows
     of NUL-padded byte slots, filled a field at a time with whole words from
     _words' tables, then one translate drops the NULs. t's slot is its digits;
     a float's is ",", the sign, the integer part, the mid word, the first
@@ -678,26 +676,21 @@ def _chunk_text(block: tuple, end: str = "\r\n") -> str:
 
 def write_trace_csv(trace: Trace, out: str | os.PathLike | IO[str]) -> None:
     """Write the trial trace, a Trace or a match's records (MatchTrace), as
-    CSV, one block per 4,096-row chunk, its text from _chunk_text; trial 0
-    leaves uncharged fields empty. With fork and two CPUs, two chunks or more
-    are formatted by two processes."""
-    blocks = _trace_blocks(trace)
-    first = [_template_text(columns) for columns in islice(blocks, 1)]  # trial 0's row
-    chunks = _dealt(blocks, len(range(1, len(trace), _CSV_CHUNK)), _chunk_text)
+    CSV, one block per 4,096-row chunk, its text from _chunk_text; trial 0's
+    row (_row_text) leaves uncharged fields empty. With fork and two CPUs, two
+    chunks or more are formatted by two processes."""
+    first = [_row_text((0, x, "", y, "", "", "", "")) for x, _, y, *_ in zip(*trace._rows(0, 1))]
+    chunks = _dealt(_trace_blocks(trace), len(range(1, len(trace), _BLOCK)), _chunk_text)
     with closing(chunks):
         _write_texts(out, TRACE_HEADER, chain(first, chunks))
 
 
 def _trace_blocks(trace: Trace) -> Iterator[tuple]:
-    n = len(trace)
-    if n:
-        x, _, y, *_ = trace._rows(0, 1)
-        yield ((0,), x, ("",), y, *[("",)] * 4)
-    cum = 0.0
+    n, cum = len(trace), 0.0
     # One chunk of columns at a time: a long trace never exists as Python
     # floats or text all at once, nor a match's records as columns.
-    for start in range(1, n, _CSV_CHUNK):
-        stop = min(start + _CSV_CHUNK, n)
+    for start in range(1, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
         columns = trace._rows(start, stop)
         # The bits of cum += term: cumsum adds left to right, from cum.
         cums = np.cumsum(np.append(cum, columns[-1]))
@@ -755,13 +748,3 @@ def _read(pipe: IO[bytes], size: int) -> bytes:
         raise OSError("the helper process ended early")
     return data
 
-
-def _exact_cells(values) -> tuple[str, Sequence]:
-    """One column of a block as a row-template slot and its cells: a range
-    takes a %d slot, any other column a %s slot, its floats (a numpy column's
-    .tolist() values) as %.17g text and its ints and text as they are."""
-    if isinstance(values, range):
-        return "%d", values
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    return "%s", [_EXACT % v if isinstance(v, float) else v for v in values]

@@ -79,16 +79,25 @@ class PiecewiseLinearFunction:
 def from_points(points: Iterable[tuple[float, float]]) -> PiecewiseLinearFunction:
     """Build a function from unordered (u, v) pairs.
 
-    Pairs are sorted by u; exact duplicate pairs collapse to one knot, and the
-    constructor checks the rest: pairs that share u but disagree on v raise
-    DuplicateConflict rather than silently keeping one of them, since a
-    function cannot take two values at one point, and a coordinate outside
-    [0, 1] or a value, rise or slope that is not finite raises DomainError.
-    The empty input yields the zero function.
+    A point that is not a pair of reals raises DomainError. Pairs are sorted
+    by u, exact duplicates collapse to one knot, and the constructor checks
+    the rest: pairs that share u but disagree on v raise DuplicateConflict
+    (a function takes one value at a point), and a coordinate outside [0, 1]
+    or a value, rise or slope that is not finite raises DomainError. The
+    empty input yields the zero function.
     """
-    pairs = sorted(
-        (_real(f"point {k} u", u), _real(f"point {k} v", v)) for k, (u, v) in enumerate(points)
-    )
+    try:
+        numbered = enumerate(points)
+    except TypeError:
+        raise DomainError(f"expected (u, v) pairs, got {points!r}") from None
+    pairs = []
+    for k, point in numbered:
+        try:
+            u, v = point
+        except (TypeError, ValueError):
+            raise DomainError(f"point {k} must be a (u, v) pair, got {point!r}") from None
+        pairs.append((_real(f"point {k} u", u), _real(f"point {k} v", v)))
+    pairs.sort()
     kept = [pair for k, pair in enumerate(pairs) if not k or pair != pairs[k - 1]]
     us, vs = zip(*kept) if kept else ((), ())
     return PiecewiseLinearFunction(us, vs)

@@ -28,6 +28,7 @@ from pwlearn import (
     dyadic_x,
     evaluate,
     from_points,
+    kl_invariants,
     lower_bound_partial,
     make_learner,
     perturbation,
@@ -633,6 +634,32 @@ class TestRecordsAgainstColumns:
                     for column, got in zip(fields(Trace), records._rows(start, stop)):
                         want = getattr(trace, column.name)[start:stop]
                         assert got.tobytes() == want.tobytes(), (column.name, start, stop)
+
+    def test_rows_past_the_end_are_clipped_as_a_trace_slices_them(self):
+        records = run_match(make_learner("linint"), AdversaryConfig(0.1, 4)).records
+        trace = Trace(*(getattr(records, column.name) for column in fields(Trace)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for start, stop in ((14, 20), (0, 17), (15, 4096), (16, 20), (20, 30)):
+                got, want = records._rows(start, stop), trace._rows(start, stop)
+                assert [c.tobytes() for c in got] == [c.tobytes() for c in want], (start, stop)
+
+    def test_kl_invariants_computes_each_row_of_the_records_at_most_twice(self, monkeypatch):
+        # Reading a column of the records computes all of them, so a block
+        # read column by column cost whole columns: 9 × the trace at S = 14.
+        records = run_match(make_learner("linint"), AdversaryConfig(0.1, 14)).records
+        trace = Trace(*(getattr(records, column.name) for column in fields(Trace)))
+        rows, computed = adversary_module.MatchTrace._rows, []
+
+        def counted(self, start, stop):
+            columns = rows(self, start, stop)
+            computed.append(len(columns[0]))
+            return columns
+
+        monkeypatch.setattr(adversary_module.MatchTrace, "_rows", counted)
+        got = kl_invariants(records, 1.5, 2.0, 3.0)
+        assert sum(computed) <= 2 * len(records)
+        assert [v.hex() for v in got] == [v.hex() for v in kl_invariants(trace, 1.5, 2.0, 3.0)]
 
     def test_records_are_read_only_and_columns_are_fresh(self):
         for learner in (make_learner("linint"), LoopLinint()):

@@ -7,7 +7,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
-from itertools import islice, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -713,7 +713,7 @@ def test_linint_consistency_with_revealed_targets():
 def block(request, monkeypatch):
     """run_trials and kl_invariants working in blocks of the given size (4,096,
     the default, left as it is)."""
-    monkeypatch.setattr(learner_module, "_CSV_CHUNK", request.param)
+    monkeypatch.setattr(learner_module, "_BLOCK", request.param)
     return request.param
 
 
@@ -936,7 +936,7 @@ class TestTraceCsv:
         column[1000:2000] = -0.0
         column[2000:2020:2] = -0.0
         column[3000:] = -0.0
-        _assert_kernel_gives_the_template_bytes(column[1:])
+        _assert_kernel_gives_the_row_bytes(column[1:])
         columns = np.tile(column, (6, 1))
         columns[:, 0] = math.nan
         columns[1, 1:] = -column[1:]
@@ -950,7 +950,7 @@ class TestTraceCsv:
         column[2500:2600] = other_nan
         column[2600:3500] = math.inf
         column[3500:3600] = -math.inf
-        _assert_kernel_gives_the_template_bytes(column[1:])
+        _assert_kernel_gives_the_row_bytes(column[1:])
         _assert_same_csv(Trace(*np.tile(column, (6, 1))), tmp_path)
 
     def test_run_across_the_chunk_boundary(self, tmp_path):
@@ -967,7 +967,7 @@ class TestTraceCsv:
         lengths = np.ones(runs, dtype=int)
         lengths[0] = 4096 - (runs - 1)
         column = np.concatenate(([math.nan], np.repeat(values, lengths)))
-        _assert_kernel_gives_the_template_bytes(column[1:])
+        _assert_kernel_gives_the_row_bytes(column[1:])
         _assert_same_csv(Trace(*np.tile(column, (6, 1))), tmp_path)
 
     def test_final_chunk_of_one_row(self, tmp_path):
@@ -1099,12 +1099,12 @@ def _assert_same_stream(trace):
     assert got.getvalue().splitlines(True) == want.getvalue().splitlines(True)
 
 
-def _assert_kernel_gives_the_template_bytes(values):
-    """A float64 column as a trace chunk, through the kernel and through the %
-    row template, its oracle: the same bytes, compared line by line."""
+def _assert_kernel_gives_the_row_bytes(values):
+    """A float64 column as a trace chunk, through the kernel and through
+    _row_text, its oracle: the same bytes, compared line by line."""
     t = range(1, 1 + len(values))
     got = learner_module._chunk_text((t, values), "\r\n")
-    want = learner_module._template_text((t, values))
+    want = "".join(learner_module._row_text(row) for row in zip(t, values.tolist()))
     assert got.splitlines(True) == want.splitlines(True)
 
 
@@ -1219,7 +1219,7 @@ def test_no_value_of_a_match_trace_is_left_to_percent(kind, stages):
     # match's trace has none, so the kernel formats every value of it.
     result = run_match(make_learner(kind), AdversaryConfig(0.1, stages))
     ten = learner_module._words()["ten"]
-    for t, *columns in islice(learner_module._trace_blocks(result.records), 1, None):
+    for t, *columns in learner_module._trace_blocks(result.records):
         assert all(learner_module._digits(v, ten)[2].all() for v in columns), t
 
 
@@ -1302,8 +1302,8 @@ def _tables(draw):
 @example(table=(["c0"], [[[-1, 2**63]]]), end="\n")
 # A trace chunk's columns, which write_trace_csv would give to the kernel.
 @example(table=(["c0", "c1"], [[range(3), np.array([0.5, -0.0, 1e-7])]]), end="\n")
-# Arrays other than float64 go through their .tolist() values: reading their
-# bits as int64 merged rows or raised, and int64 lost digits to %.17g.
+# Numpy scalars other than float64: a float32 is written as its double, an
+# int or a bool as str gives it, not through %.17g, which loses an int's digits.
 @example(table=(["c0"], [[np.array([1, 1, 1, 1, 1, 1, 2, 2], dtype=np.float32)]]), end="\n")
 @example(
     table=(["c0", "c1", "c2"], [[
@@ -1317,25 +1317,13 @@ def _tables(draw):
 def test_write_csv_matches_the_csv_writer_oracle_and_flushes_per_block(table, end):
     header, blocks = table
     got = _FlushLog()
-    write_csv(got, header, blocks, end)
-    # The oracle takes each numpy column as the same column given as a list.
+    # write_csv takes each block's rows, a numpy column's values as numpy
+    # scalars; the oracle takes each numpy column as the same column as a list.
+    write_csv(got, header, [list(zip(*b)) for b in blocks], end)
     listed = [[c.tolist() if isinstance(c, np.ndarray) else c for c in b] for b in blocks]
     want = csv_writer_table(io.StringIO(), header, listed, end)
     assert got.getvalue() == want[-1]
     assert got.flushed == want
-
-
-@pytest.mark.parametrize(
-    "bad", [[[1.5, 2.5, 3.5], [4]], [], [[], [4]]], ids=["unequal", "empty", "one-empty"]
-)
-def test_write_csv_refuses_a_block_of_unequal_or_no_columns(bad):
-    # The row template zipped the columns, so a short one dropped rows
-    # without a word, and no column at all raised a bare ValueError.
-    out = io.StringIO()
-    message = "CSV block 1 has no columns or columns of unequal length"
-    with pytest.raises(DomainError, match=message):
-        write_csv(out, ["a", "b"], [[[0.5], [1]], bad, [[2.5], [3]]], "\n")
-    assert out.getvalue() == "a,b\n0.5,1\n"
 
 
 @given(st.floats())
@@ -1345,7 +1333,7 @@ def test_write_csv_refuses_a_block_of_unequal_or_no_columns(bad):
 @example(-0.0)
 @example(5e-324)
 def test_percent_format_is_format_for_every_float(v):
-    # The CSV writer's row templates rest on this identity.
+    # _row_text's % and the oracles' format give the same text.
     assert "%.17g" % v == format(v, ".17g")
 
 

@@ -220,6 +220,17 @@ ARRAY_REFUSALS = [
      "point 0 u must be a real number, got Decimal('0.5')"),
     ("from_points", from_points, [(0.5, 10**400)],
      "point 0 v must fit in a double, got a number past ±1.8e308"),
+    # A 0-d array keeps its own dtype among the values.
+    ("evaluate_many", lambda v: evaluate_many(TENT, v), [[0.5], [np.array(True)]],
+     "evaluation points must be real numbers: got bool values"),
+    ("run_trials", lambda v: run_trials(ZeroLearner(), v, 2.0),
+     [(0.5, np.array(True)), (0.25, 1.0)],
+     "expected (x, y) pairs of real numbers: got bool values"),
+    ("from_points", from_points, [0.5], "point 0 must be a (u, v) pair, got 0.5"),
+    ("from_points", from_points, 5, "expected (u, v) pairs, got 5"),
+    ("from_points", from_points, [(0.0, 0.0), (1, 2, 3)],
+     "point 1 must be a (u, v) pair, got (1, 2, 3)"),
+    ("from_points", from_points, [(0.5,)], "point 0 must be a (u, v) pair, got (0.5,)"),
 ]
 
 
@@ -267,6 +278,7 @@ def _leaves(values):
 ARRAY_ENTRIES = {
     "evaluate_many": lambda v: evaluate_many(TENT, v),
     "run_trials": lambda v: run_trials(ZeroLearner(), v, 2.0),
+    "from_points": from_points,
 }
 
 
