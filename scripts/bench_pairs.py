@@ -87,6 +87,8 @@ KERNELS = {
     "_trial_audits": "_trial_audits",
     "_earlier_neighbours": "_earlier_neighbours",
     "_pow_terms": "_pow_terms",
+    # The loss rule of both play loops: a block's terms, their carry and checks.
+    "_charge": "_charge",
     "evaluate_many": "evaluate_many",
     "run_trials": "run_trials",
     "ndarray.argsort": "<method 'argsort' of 'numpy.ndarray' objects>",

@@ -34,7 +34,7 @@ trial off a finished match; MatchTrace._rows reads trace rows.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -43,8 +43,8 @@ from . import pwl
 from .bounds import _perturbation, lower_bound_partial, upper_bound_linint
 from .errors import DomainError, SequenceError, _check_int, _check_not_tiny, _check_real
 from .learner import (
-    _BLOCK, TRACE_HEADER, Learner, ZeroLearner, _charge, _fill, _fresh, _midpoint_predictions,
-    _pow_terms, _running_total,
+    _BLOCK, TRACE_HEADER, Learner, ZeroLearner, _carry, _charge, _fill, _fresh,
+    _midpoint_predictions, _pow_terms,
 )
 
 __all__ = [
@@ -252,25 +252,28 @@ class AdversaryState:
             block = self.committed[2 * a : 2 * min(a + _BLOCK, n) + 1]
             vl, y, vr = block[:-1:2], block[1::2], block[2::2]
             y_hat, base, v = _proposals(self.predictions, vl, vr, h, first + a, mag)
-            y[:] = np.where((np.abs(v - vl) <= h) & (np.abs(v - vr) <= h), v, base)
+            # The probe's terms rise²/h; |rise| <= h iff term <= h, as h is a power of two.
+            probe = _probe_terms(vl, v, vr, h, np.empty(len(block) - 1))
+            ok = np.maximum(probe[::2], probe[1::2]) <= h
+            y[:] = np.where(ok, v, base)
+            # As many as y == v: a rejected y is base, never v = base ± mag, since
+            # |base| < 1 (half an ulp at most 2^-54) and mag > 2^-52 for every config.
+            accepted += int(np.count_nonzero(ok))
             total = _charge(total, np.abs(y_hat - y), p, f"in stage {i}", "predictions")[1]
             del y_hat  # a block's predictions are not held past its loss
-            accepted += int(np.count_nonzero(y == v))
             # The probe is base at x until v is inserted, adding 2·(v − base)²/h to its
             # energy: a running sum in trial order from the stage start, largest last.
             d = v - base
-            energy = _running_total(np.append(energy, d * 2.0 * d / h))
-            # Every segment of the block has one of the stage's inputs at an end.
-            rises = block[1:] - block[:-1]
+            energy = _carry(energy, d * 2.0 * d / h)
+            jp = np.add.reduce(probe)  # np.sum's own reduction
+            rises = np.subtract(block[1:], block[:-1], out=probe)  # each segment has an input
             steepest = max(steepest, float(np.abs(rises, out=rises).max()))
-            jc = np.sum(pwl._energy_terms(h, rises))
-            sums.append((np.sum(_probe_terms(vl, v, vr, h, rises)), jc))
+            sums.append((float(jp), float(np.add.reduce(pwl._energy_terms(h, rises)))))
         # np.sum splits the stage's 2n terms (n a power of two) into halves
         # down to the blocks: adding their sums pairwise gives _energy_sum's bits.
-        sums = np.array(sums)
         while len(sums) > 1:
-            sums = sums[::2] + sums[1::2]
-        jp, jc = sums[0].tolist()
+            sums = [(p0 + p1, c0 + c1) for (p0, c0), (p1, c1) in zip(sums[::2], sums[1::2])]
+        jp, jc = sums[0]
         resid = _recursion_residual(self.epsilon, i, self.stage_start_energy, n, jp)
         self.total_loss, self.within, self.next_t = total, n, self.stage_end + 1
         self.max_energy_probe = max(self.max_energy_probe, energy)
@@ -278,7 +281,7 @@ class AdversaryState:
         self.per_stage.append(StageSummary(i, n, accepted, jp))
         # max is exact: each worst value keeps the bits of the stage it comes from.
         stage_worst = (steepest / h, max(energy, jp), resid)
-        self.audit = MatchAudit(*map(max, astuple(self.audit), stage_worst))
+        self.audit = MatchAudit(*map(max, vars(self.audit).values(), stage_worst))
 
 
 def _proposals(predictions, vl, vr, h, t, mag) -> tuple[np.ndarray, ...]:

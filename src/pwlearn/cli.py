@@ -43,15 +43,15 @@ class _ArgumentParser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _add_config_flag(parser: argparse.ArgumentParser) -> None:
-    # Call after every other flag: the config loader looks keys up here.
+def _finish(parser: argparse.ArgumentParser, func) -> None:
+    # A subcommand's last flag, --config, whose keys are looked up in flags, and func.
     parser.add_argument(
         "--config",
         metavar="PATH",
         help="JSON file whose keys override the corresponding flags",
     )
     parser.set_defaults(
-        flags={a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+        func=func, flags={a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     )
 
 
@@ -64,8 +64,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--stages", type=int, default=14)
     p.add_argument("--out", metavar="PATH", help="write the trial trace CSV here")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_match)
+    _finish(p, _cmd_match)
 
     p = sub.add_parser("sweep", help="adversary matches over an epsilon grid")
     p.add_argument("--learner", choices=LEARNER_KINDS, default="linint")
@@ -73,8 +72,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--epsilon-grid", metavar="SPEC", help="log:a:b:n grid")
     p.add_argument("--stages", type=int, default=14)
     p.add_argument("--out", metavar="PATH", help="write the sweep CSV here")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_sweep)
+    _finish(p, _cmd_sweep)
 
     p = sub.add_parser("bounds", help="closed-form bound table")
     p.add_argument("--epsilon", type=float)
@@ -82,8 +80,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--epsilon-grid", metavar="SPEC", help="log:a:b:n grid")
     p.add_argument("--partial-stages", type=int, default=60)
     p.add_argument("--out", metavar="PATH")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_bounds)
+    _finish(p, _cmd_bounds)
 
     p = sub.add_parser("audit", help="large-scale invariant audit")
     p.add_argument("--runs", type=int, default=1000)
@@ -91,14 +88,12 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--stages", type=int, default=12)
     p.add_argument("--max-trials", type=int, default=10_000)
     p.add_argument("--out", metavar="PATH", help="write the report JSON here")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_audit)
+    _finish(p, _cmd_audit)
 
     p = sub.add_parser("eval", help="evaluate a function file")
     p.add_argument("--function", metavar="PATH", required=True)
     p.add_argument("--x", type=float, required=True)
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_eval)
+    _finish(p, _cmd_eval)
 
     return parser
 

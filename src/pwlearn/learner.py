@@ -5,17 +5,17 @@ label via observe(x, y). The prediction on trial 0 is uncharged; loss is the
 sum of |prediction - label|^p over trials t >= 1.
 
 run_trials knows the whole (x, y) sequence in advance, so it finds every
-trial's nearest earlier inputs offline, in a few vector rounds of pointer
-jumping over the trial indices in input order (_earlier_neighbours, whose
-oracle is the linked-list pass in tests/helpers.py). For a fresh LinintLearner
-on distinct inputs it computes every prediction from them without calling
-predict/observe; the online loop (scalar_predictions) serves every other
-learner and is the reference the offline path must match bit for bit. It
-builds the trace, which kl_invariants reads, 4,096 trials at a time, so a run
-holds one block of temporaries. The adversary's stage-at-a-time play,
-and the trace of a match so played, take their predictions from
-_midpoint_predictions; _fresh is the one rule for which learners either
-offline path may stand in for.
+trial's nearest earlier inputs offline by vector rounds of pointer jumping
+(_earlier_neighbours; its oracle is the linked-list pass in tests/helpers.py).
+A fresh LinintLearner on distinct inputs gets every prediction from them, with
+no predict/observe call; every other learner runs the online loop,
+scalar_predictions, the offline path's bit-for-bit reference. The trace, which
+kl_invariants reads, is built 4,096 trials at a time, each block charged by
+_charge, the loss rule of the adversary's blocks too (whose acceptance test reads
+the probe's energy terms, taken first). One in-place carry, _carry, sums
+the loss, the probe energy, the KL sums and cum_loss left to right. The adversary's
+stage-at-a-time play and its trace predict through _midpoint_predictions; _fresh
+is the one rule for which learners either offline path may stand in for.
 
 _dealt works an iterator's items on two CPUs: with fork, a forked helper works
 every other item (walking all, so both carry the same state) and pipes each
@@ -230,10 +230,10 @@ def make_learner(kind: str) -> Learner:
     return _LEARNERS[kind]()
 
 
-def _running_total(values) -> float:
-    # Left to right, the same bits as a += loop, also in blocks carried from 0.0
-    # if no term is -0.0: np.sum (pairwise) and sum (compensated on 3.12) would not.
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+def _carry(total: float, terms: np.ndarray) -> float:
+    # total + terms[0] + terms[1] + ..., a += loop's bits (not np.sum's), in place.
+    terms[0] += total
+    return float(np.add.accumulate(terms, out=terms)[-1])
 
 
 def _pow_terms(values: np.ndarray, p: float) -> np.ndarray:
@@ -258,7 +258,7 @@ def _charge(total: float, e, p: float, where: str, who: str) -> tuple[np.ndarray
     except OverflowError:
         raise DomainError(f"a loss term {where} overflows; {who} must be moderate") from None
     with np.errstate(over="ignore"):
-        total = _running_total(np.append(total, terms))
+        total = _carry(total, terms.copy())  # the terms are returned uncarried
     if not math.isfinite(total):
         raise DomainError(f"total loss {total!r} is not finite; {who} must be")
     return terms, total
@@ -488,8 +488,7 @@ def kl_invariants(trace: Trace, r: float, *more_r: float) -> tuple[float, ...]:
             e, d = trace._rows(start, start + _BLOCK)[3:5]  # a MatchTrace computes the block alone
             # d lies in (0, 1], so no power overflows and np.float_power is _pow_terms.
             for k, terms in enumerate((e * e / d, *(np.float_power(d, q) for q in exponents))):
-                terms[0] += sums[k]  # carried as by _running_total(np.append(sums[k], terms))
-                sums[k] = float(np.add.accumulate(terms, out=terms)[-1])
+                sums[k] = _carry(sums[k], terms)
     return tuple(sums)
 
 
@@ -692,10 +691,9 @@ def _trace_blocks(trace: Trace) -> Iterator[tuple]:
     for start in range(1, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         columns = trace._rows(start, stop)
-        # The bits of cum += term: cumsum adds left to right, from cum.
-        cums = np.cumsum(np.append(cum, columns[-1]))
-        cum = cums[-1]
-        yield (range(start, stop), *columns, cums[1:])
+        cums = columns[-1].copy()  # a Trace's columns are views of it
+        cum = _carry(cum, cums)
+        yield (range(start, stop), *columns, cums)
 
 
 def _dealt(items: Iterator, count: int, work: Callable) -> Iterator:

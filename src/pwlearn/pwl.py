@@ -79,12 +79,12 @@ class PiecewiseLinearFunction:
 def from_points(points: Iterable[tuple[float, float]]) -> PiecewiseLinearFunction:
     """Build a function from unordered (u, v) pairs.
 
-    A point that is not a pair of reals raises DomainError. Pairs are sorted
-    by u, exact duplicates collapse to one knot, and the constructor checks
-    the rest: pairs that share u but disagree on v raise DuplicateConflict
-    (a function takes one value at a point), and a coordinate outside [0, 1]
-    or a value, rise or slope that is not finite raises DomainError. The
-    empty input yields the zero function.
+    A point that is not a pair of reals, text, bytes, a dict or a set among
+    them, raises DomainError. Pairs are sorted by u, exact duplicates collapse
+    to one knot, and the constructor checks the rest: pairs that share u but
+    disagree on v raise DuplicateConflict (a function takes one value at a
+    point), and a coordinate outside [0, 1] or a value, rise or slope that is
+    not finite raises DomainError. The empty input yields the zero function.
     """
     try:
         numbered = enumerate(points)
@@ -93,6 +93,8 @@ def from_points(points: Iterable[tuple[float, float]]) -> PiecewiseLinearFunctio
     pairs = []
     for k, point in numbered:
         try:
+            if isinstance(point, (str, bytes, bytearray, memoryview, dict, set, frozenset)):
+                raise TypeError  # two items unpack, but make no (u, v) pair
             u, v = point
         except (TypeError, ValueError):
             raise DomainError(f"point {k} must be a (u, v) pair, got {point!r}") from None

@@ -23,9 +23,15 @@ from pwlearn.errors import _check_real
 from pwlearn.harness import D_EXPONENTS, _sample_target_rng
 from pwlearn.learner import (
     TRACE_HEADER, _check_pairs, _earlier_neighbours, _fill, _fresh, _linint_predictions,
-    _midpoint_predictions, _pow_terms, _repeats, _running_total, open_out, scalar_predictions,
+    _midpoint_predictions, _pow_terms, _repeats, open_out, scalar_predictions,
 )
 from pwlearn.pwl import _energy_sum
+
+
+def cumulative_sum(values):
+    """0.0 + values[0] + values[1] + ..., left to right as one np.cumsum: the
+    loss and trace sums' oracle, sharing no code with the package's carry."""
+    return float(np.cumsum(np.append(0.0, values))[-1])
 
 
 def random_function(rng, max_knots=20, min_gap=0.0):
@@ -219,7 +225,7 @@ def columnar_match(learner, config):
     n = 1 << stages
     y_hats, es, ds, terms_col = (np.full(n, math.nan) for _ in range(4))
     k = np.full(n, n)  # grid index of each trial's input at spacing 2^-stages
-    total = max_jp = max_resid = 0.0
+    max_jp = max_resid = 0.0
     per_stage = []
     for i in range(1, stages + 1):
         first, h = 1 << (i - 1), 0.5**i
@@ -236,7 +242,6 @@ def columnar_match(learner, config):
         y = state.committed[1::2]
         e = np.abs(y_hat - y)
         terms = _pow_terms(e, p)
-        total = _running_total(np.append(total, terms))
         trials = slice(first, 2 * first)
         y_hats[trials], es[trials], ds[trials], terms_col[trials] = y_hat, e, h, terms
         k[trials] = (2 * np.arange(first) + 1) << (stages - i)
@@ -246,7 +251,7 @@ def columnar_match(learner, config):
         per_stage.append(StageSummary(i, state.within, state.per_stage[-1].accepted, audit.j_probe))
     audit = MatchAudit(state.audit.max_abs_slope, max(state.max_energy_probe, max_jp), max_resid)
     trace = Trace(k * 0.5**stages, y_hats, state.grid[k], es, ds, terms_col)
-    return total, per_stage, audit, trace
+    return cumulative_sum(terms_col[1:]), per_stage, audit, trace
 
 
 def csv_writer_trace(trace, out):
@@ -384,7 +389,7 @@ def run_trials_oracle(learner, sequence, p):
             f"a loss term |y_hat - y|**{p!r} overflows; labels and predictions must be moderate"
         ) from None
     with np.errstate(over="ignore"):  # refused below, with no numpy warning
-        total = _running_total(loss_term[1:])
+        total = cumulative_sum(loss_term[1:])
     if not math.isfinite(total):
         raise DomainError(f"total loss {total!r} is not finite; labels and predictions must be")
     trace = Trace(x=xs, y_hat=y_hat, y=ys, e=e, d=d, loss_term=loss_term)
@@ -405,7 +410,7 @@ def kl_invariants_oracle(trace, r, *more_r):
                 f"repeated input coordinate at trial {t} (x={float(trace.x[t])!r})"
             )
         raise DomainError(f"trial {t}: d={float(trace.d[t])!r} is not a distance in (0, 1]")
-    return (_running_total(e * e / d), *(_running_total(_pow_terms(d, q)) for q in exponents))
+    return (cumulative_sum(e * e / d), *(cumulative_sum(_pow_terms(d, q)) for q in exponents))
 
 
 def audit_trace_run_oracle(rng, max_trials):

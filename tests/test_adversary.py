@@ -364,7 +364,7 @@ class TestDictOracle:
         if stages > 1:
             assert (proposals(batch) != batch.committed[1::2]).any()
 
-    @pytest.mark.parametrize("eps", [0.45, 0.25, 0.1, 0.001])
+    @pytest.mark.parametrize("eps", [0.4999, 0.45, 0.25, 0.1, 0.001, 1e-12])
     def test_stage_bookkeeping_matches_the_dict_oracle(self, eps):
         # Acceptances, the incremental probe energy's maximum and the steepest
         # slope, read off the grid at the stage end, against the oracle's
@@ -391,6 +391,22 @@ class TestDictOracle:
                 assert state.audit.max_abs_slope.hex() == oracle.max_abs_slope.hex()
         if eps in (0.25, 0.1):
             assert rejected
+
+    @pytest.mark.parametrize("kind", ["zero", "nearest", "linint", "below"])
+    @pytest.mark.parametrize("eps", [0.4999, 0.1, 1e-12])
+    def test_each_stages_acceptances_and_labels_match_the_dict_oracle(self, kind, eps):
+        # The fold counts acceptances off its mask: against the oracle replaying
+        # the match's predictions, at the ends of epsilon's range and at 0.1, where
+        # predicting far below rejects some trials. "below" plays trial by trial.
+        learner = PredictsBelow() if kind == "below" else make_learner(kind)
+        result, oracle = run_match(learner, AdversaryConfig(eps, 10)), DictAdversary(eps)
+        y_hat, y = result.records.y_hat.tolist(), result.records.y.tolist()
+        for stage in result.per_stage:
+            for t in range(stage.trials, 2 * stage.trials):
+                assert oracle.respond(t, y_hat[t])[0].hex() == y[t].hex()
+            assert stage.accepted == oracle.accepted
+        if (kind, eps) == ("below", 0.1):
+            assert sum(s.accepted for s in result.per_stage) < 2**10 - 1
 
     @pytest.mark.parametrize(
         "eps, stages", [(0.45, 12), (0.25, 10), (0.1, 11), (0.02, 12), (0.001, 10)]
@@ -459,6 +475,14 @@ class LoopLinint(LinintLearner):
 
 
 LOOP_TWINS = {"zero": LoopZero, "nearest": LoopNearest, "linint": LoopLinint}
+
+
+class PredictsBelow(Learner):
+    def predict(self, x):
+        return -1.0
+
+    def observe(self, x, y):
+        pass
 
 
 class TestStageAtATime:

@@ -1412,3 +1412,30 @@ def test_pow_terms_has_the_bits_of_math_pow_on_every_range():
                     learner_module._pow_terms(values, p)
             got = learner_module._pow_terms(values[fits], p)
             assert np.array_equal(got.view(np.int64), want[fits].view(np.int64))
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, 4096])
+@pytest.mark.parametrize("start", [0.0, 0.1, 3.7e250])
+def test_the_carry_has_the_bits_of_a_python_loop(size, start):
+    # Terms from 1e-300 to 1e300, carried block by block from start (0.0 or a
+    # carried total), against += one float at a time.
+    rng = np.random.default_rng(size)
+    terms = 10.0 ** rng.uniform(-300.0, 300.0, 5 * size + 3)
+    want = start
+    for term in terms.tolist():
+        want += term
+    got = start
+    for a in range(0, len(terms), size):
+        got = learner_module._carry(got, terms[a : a + size].copy())
+    assert type(got) is float and got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("other", [math.inf, math.nan])
+def test_pow_terms_overflows_beside_inf_and_nan(other):
+    # One finite lane overflows; the others hold inf or NaN, which pass through.
+    values = np.array([0.5, other, 1e300, other, 0.25])
+    with pytest.raises(OverflowError):
+        learner_module._pow_terms(values, 2.0)
+    rest = values[[0, 1, 4]]  # no finite lane overflows
+    got = learner_module._pow_terms(rest, 2.0).tolist()
+    assert [t.hex() for t in got] == [math.pow(v, 2.0).hex() for v in rest.tolist()]

@@ -231,6 +231,14 @@ ARRAY_REFUSALS = [
     ("from_points", from_points, [(0.0, 0.0), (1, 2, 3)],
      "point 1 must be a (u, v) pair, got (1, 2, 3)"),
     ("from_points", from_points, [(0.5,)], "point 0 must be a (u, v) pair, got (0.5,)"),
+    # Two items unpack from each of these, but none is a (u, v) pair.
+    ("from_points", from_points, [b"\x00\x01"], "point 0 must be a (u, v) pair, got b'\\x00\\x01'"),
+    ("from_points", from_points, [(0.0, 0.0), bytearray(b"\x00\x01")],
+     "point 1 must be a (u, v) pair, got bytearray(b'\\x00\\x01')"),
+    ("from_points", from_points, ["01"], "point 0 must be a (u, v) pair, got '01'"),
+    ("from_points", from_points, [{0.5: "a", 0.25: "b"}],
+     "point 0 must be a (u, v) pair, got {0.5: 'a', 0.25: 'b'}"),
+    ("from_points", from_points, [{0.5, 0.25}], "point 0 must be a (u, v) pair, got {0.5, 0.25}"),
 ]
 
 
