@@ -246,7 +246,7 @@ class AdversaryState:
         it refuses raises before the stage is recorded."""
         i, h, mag, p = self.stage, self.h, self.magnitude, 1.0 + self.epsilon
         n = first = 1 << (i - 1)
-        total = self.total_loss
+        total, where = self.total_loss, f"in stage {i}"
         energy, accepted, steepest, sums = self.stage_start_energy, 0, 0.0, []
         for a in range(0, n, _BLOCK):
             block = self.committed[2 * a : 2 * min(a + _BLOCK, n) + 1]
@@ -259,16 +259,17 @@ class AdversaryState:
             # As many as y == v: a rejected y is base, never v = base ± mag, since
             # |base| < 1 (half an ulp at most 2^-54) and mag > 2^-52 for every config.
             accepted += int(np.count_nonzero(ok))
-            total = _charge(total, np.abs(y_hat - y), p, f"in stage {i}", "predictions")[1]
+            e = np.subtract(y_hat, y)  # not in y_hat, a view of a loop's predictions
+            total = _charge(total, np.abs(e, out=e), p, where, "predictions")
             del y_hat  # a block's predictions are not held past its loss
             # The probe is base at x until v is inserted, adding 2·(v − base)²/h to its
             # energy: a running sum in trial order from the stage start, largest last.
-            d = v - base
-            energy = _carry(energy, d * 2.0 * d / h)
+            d = np.subtract(v, base, out=base)  # then (d·2)·d·(1/h) in place
+            energy = _carry(energy, np.multiply(np.multiply(d * 2.0, d, out=d), 1.0 / h, out=d))
             jp = np.add.reduce(probe)  # np.sum's own reduction
             rises = np.subtract(block[1:], block[:-1], out=probe)  # each segment has an input
             steepest = max(steepest, float(np.abs(rises, out=rises).max()))
-            sums.append((float(jp), float(np.add.reduce(pwl._energy_terms(h, rises)))))
+            sums.append((float(jp), float(np.add.reduce(_energy_terms(h, rises)))))
         # np.sum splits the stage's 2n terms (n a power of two) into halves
         # down to the blocks: adding their sums pairwise gives _energy_sum's bits.
         while len(sums) > 1:
@@ -293,9 +294,11 @@ def _proposals(predictions, vl, vr, h, t, mag) -> tuple[np.ndarray, ...]:
         y_hat = _midpoint_predictions(predictions, vl, vr, h, slice(t & (t - 1) == 0))
     else:
         y_hat = predictions[t : t + len(vl)]
-    base = 0.5 * (vl + vr)
-    # Furthest of base +/- mag from the prediction; ties take +.
-    return y_hat, base, np.where(y_hat > base, base - mag, base + mag)
+    base = np.add(vl, vr)
+    base *= 0.5
+    # Furthest of base +/- mag from the prediction; ties take +. x − m is x + (−m).
+    v = np.where(y_hat > base, -mag, mag)
+    return y_hat, base, np.add(v, base, out=v)
 
 
 def _probe_terms(vl, v, vr, h, out) -> np.ndarray:
@@ -303,7 +306,12 @@ def _probe_terms(vl, v, vr, h, out) -> np.ndarray:
     # v − vl and vr − v around each proposal v, in coordinate order.
     np.subtract(v, vl, out=out[::2])
     np.subtract(vr, v, out=out[1::2])
-    return pwl._energy_terms(h, out)
+    return _energy_terms(h, out)
+
+
+def _energy_terms(h, rises) -> np.ndarray:
+    # pwl._energy_terms in place at h = 2^-i, times the exact 1/h: x·(1/h) rounds as x/h.
+    return np.multiply(np.multiply(rises, rises, out=rises), 1.0 / h, out=rises)
 
 
 def _recursion_residual(epsilon: float, i: int, start, within, j_probe):

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import astuple
 from typing import Optional
 
 from . import pwl
@@ -170,7 +169,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     stages = _check_int("--partial-stages", args.partial_stages, 1, MAX_PARTIAL_STAGES)
     rows = []
     for eps in epsilons:
-        rows.append(astuple(bound_report(eps, stages)))
+        rows.append(tuple(vars(bound_report(eps, stages)).values()))
         if not eps < 0.5:
             print(
                 f"warning: epsilon {eps!r} is outside (0, 0.5); the adversary "

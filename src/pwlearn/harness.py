@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import closing
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -144,7 +144,7 @@ SWEEP_CSV_HEADER = tuple(f.name for f in fields(SweepRow))
 def write_sweep_csv(rows: Iterable[SweepRow], out: str | os.PathLike | IO[str]) -> None:
     """Write the sweep CSV, one flushed line per row; ``rows`` may be a
     generator that computes each row on demand."""
-    write_csv(out, SWEEP_CSV_HEADER, ([astuple(row)] for row in rows))
+    write_csv(out, SWEEP_CSV_HEADER, ([vars(row).values()] for row in rows))
 
 
 def run_sweep(config: ExperimentConfig) -> Iterator[SweepRow]:

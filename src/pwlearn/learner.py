@@ -12,7 +12,8 @@ no predict/observe call; every other learner runs the online loop,
 scalar_predictions, the offline path's bit-for-bit reference. The trace, which
 kl_invariants reads, is built 4,096 trials at a time, each block charged by
 _charge, the loss rule of the adversary's blocks too (whose acceptance test reads
-the probe's energy terms, taken first). One in-place carry, _carry, sums
+the probe's energy terms, taken first). _charge carries the terms in place and scans
+them for an overflow only if the total is not finite. One in-place carry, _carry, sums
 the loss, the probe energy, the KL sums and cum_loss left to right. The adversary's
 stage-at-a-time play and its trace predict through _midpoint_predictions; _fresh
 is the one rule for which learners either offline path may stand in for.
@@ -249,19 +250,21 @@ def _pow_terms(values: np.ndarray, p: float) -> np.ndarray:
     return terms
 
 
-def _charge(total: float, e, p: float, where: str, who: str) -> tuple[np.ndarray, float]:
-    """A block's loss terms e**p (_pow_terms) and total carried through them left
-    to right: both play loops' loss rule. A term that overflows, then a total that
-    is not finite, raises DomainError naming where and who, with no numpy warning."""
-    try:
-        terms = _pow_terms(e, p)
-    except OverflowError:
-        raise DomainError(f"a loss term {where} overflows; {who} must be moderate") from None
+def _charge(total: float, e, p: float, where: str, who: str, terms=None) -> float:
+    """total carried left to right, in place, through a block's loss terms e**p with
+    _pow_terms' bits, copied uncarried into terms if given: both play loops' loss rule. A
+    term is >= 0 or NaN, so only a total that is not finite is scanned: a term that overflows,
+    then the total, raises DomainError naming where and who, with no numpy warning."""
     with np.errstate(over="ignore"):
-        total = _carry(total, terms.copy())  # the terms are returned uncarried
+        carried = np.float_power(e, p, out=terms)
+        total = _carry(total, carried if terms is None else carried.copy())
     if not math.isfinite(total):
+        try:
+            _pow_terms(e, p)
+        except OverflowError:
+            raise DomainError(f"a loss term {where} overflows; {who} must be moderate") from None
         raise DomainError(f"total loss {total!r} is not finite; {who} must be")
-    return terms, total
+    return total
 
 
 def _repeats(sorted_values: np.ndarray) -> bool:
@@ -366,8 +369,8 @@ def _midpoint_predictions(kind: str, vl: np.ndarray, vr: np.ndarray, h, first) -
     if kind == "nearest":
         y_hat = vl.copy()
     else:
-        # x - u0 = h and u1 - u0 = 2h exactly.
-        y_hat = vl + h * (vr - vl) / (2.0 * h)
+        y_hat = np.subtract(vr, vl)  # vl + h·(vr − vl)/(2h); x − u0 = h, u1 − u0 = 2h exactly
+        np.add(np.divide(np.multiply(y_hat, h, out=y_hat), 2.0 * h, out=y_hat), vl, out=y_hat)
     y_hat[first] = vr[first]
     return y_hat
 
@@ -450,7 +453,7 @@ def run_trials(
         if offline:
             y_hat[block] = _linint_predictions(x, u0, u1, ys[lb], ys[rb], no_left, no_right)
         np.abs(y_hat[block] - ys[block], out=e[block])
-        loss_term[block], total = _charge(total, e[block], p, where, "labels and predictions")
+        total = _charge(total, e[block], p, where, "labels and predictions", loss_term[block])
     if not distinct:
         # A repeat's d is what a bisect_left over the earlier inputs gives: the
         # first equal input minus x, which keeps the sign of a zero difference.

@@ -564,6 +564,20 @@ class TestStageAtATime:
         if eps in (0.25, 0.1):
             assert rejected
 
+    @pytest.mark.parametrize("eps", [0.45, 0.1])
+    def test_the_predictions_stay_as_predicted(self, eps):
+        # The fold reads a trial-by-trial learner's predictions through a view
+        # of the state's: whatever it computes from them must not land there.
+        class Recording(LinintLearner):
+            def predict(self, x):
+                y_hat = super().predict(x)
+                made.append(y_hat)
+                return y_hat
+
+        made = []
+        result = run_match(Recording(), AdversaryConfig(eps, 10))
+        assert result.records.predictions[1:].tobytes() == np.array(made[1:]).tobytes()
+
     def test_learner_with_history_plays_trial_by_trial(self):
         learner = make_learner("linint")
         learner.observe(0.5, 0.0)
@@ -699,7 +713,8 @@ class TestRecordsAgainstColumns:
 class TestSmallBlocks:
     """run_match with the fold's blocks cut to 2^6 and 2^7 trials, so that
     every stage from the 8th or 9th on spans several blocks, against oracles
-    taken at the default block, which holds any stage up to S = 15 whole.
+    taken at the default block of 4,096 trials, which holds any stage up to
+    the 13th whole.
     Smaller blocks are not allowed: below 2^6 trials a block has fewer than
     128 energy terms, where np.sum adds in an unrolled loop instead of
     splitting pairwise, and the block sums miss the stage's bits."""
@@ -737,6 +752,22 @@ class TestSmallBlocks:
             assert state.max_energy_probe.hex() == oracle.max_energy_probe.hex()
             assert state.audit.max_abs_slope.hex() == oracle.max_abs_slope.hex()
         assert state.grid.tobytes() == result.records.grid.tobytes()
+
+
+RISES = [0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1e154, -1e154, 0.5, -0.3, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("i", range(1, MAX_STAGES + 1))
+def test_the_fold_multiplies_by_the_exact_inverse_spacing(i):
+    # At h = 2^-i, 1/h is exact, so multiplying by it rounds as dividing by h
+    # does: 1e-160's square is subnormal and 1e154's overflows.
+    h = 0.5**i
+    rises = np.append(RISES, np.random.default_rng(i).uniform(-2.0 * h, 2.0 * h, 64))
+    with np.errstate(over="ignore"):
+        want = pwl._energy_terms(h, rises.copy()).tobytes()
+        assert (rises * rises * (1.0 / h)).tobytes() == want
+        assert adversary_module._energy_terms(h, rises.copy()).tobytes() == want
+        assert (rises * 2.0 * rises * (1.0 / h)).tobytes() == (rises * 2.0 * rises / h).tobytes()
 
 
 class TestAuditEnergy:

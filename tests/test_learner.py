@@ -1430,6 +1430,50 @@ def test_the_carry_has_the_bits_of_a_python_loop(size, start):
     assert type(got) is float and got.hex() == want.hex()
 
 
+def _charge_oracle(total, es, p):
+    # The loss rule one float at a time, math.pow then +=: the total, or the
+    # message of the DomainError _charge must raise.
+    try:
+        terms = [math.pow(v, p) for v in es]
+    except OverflowError:
+        return "a loss term in a block overflows; e must be moderate"
+    for term in terms:
+        total += term
+    return total if math.isfinite(total) else f"total loss {total!r} is not finite; e must be"
+
+
+@given(
+    st.lists(
+        st.one_of(st.floats(min_value=0.0, max_value=10.0),
+                  st.sampled_from([1e300, 1e154, math.inf, math.nan])),
+        min_size=1, max_size=20,
+    ),
+    POW_EXPONENTS,
+    st.sampled_from([0.0, 0.1, 3.7e250]),
+    st.booleans(),
+)
+@example([1e154, 1e154], 2.0, 0.0, False)  # each term is finite, their sum is not
+@example([0.5, math.nan, 1e300], 2.0, 0.0, True)  # an overflow outranks the NaN
+@example([math.inf, 0.25], 1.1, 0.1, True)
+@example([0.25, 1e300], 1.02, 3.7e250, False)
+def test_charge_has_the_bits_of_a_scalar_loop(es, p, start, keep):
+    want = _charge_oracle(start, es, p)
+    e = np.array(es)
+    terms = np.empty(len(es)) if keep else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(want, str):
+            with pytest.raises(DomainError) as info:
+                learner_module._charge(start, e, p, "in a block", "e", terms)
+            assert str(info.value) == want
+        else:
+            got = learner_module._charge(start, e, p, "in a block", "e", terms)
+            assert type(got) is float and got.hex() == want.hex()
+            if keep:  # uncarried
+                assert [t.hex() for t in terms.tolist()] == [math.pow(v, p).hex() for v in es]
+    assert e.tobytes() == np.array(es).tobytes()  # a refusal reruns the terms from e
+
+
 @pytest.mark.parametrize("other", [math.inf, math.nan])
 def test_pow_terms_overflows_beside_inf_and_nan(other):
     # One finite lane overflows; the others hold inf or NaN, which pass through.
