@@ -74,7 +74,6 @@ from .bounds import (
 from .harness import (
     MAX_STAGES,
     AuditReport,
-    ExperimentConfig,
     SweepRow,
     parse_epsilon_grid,
     run_invariant_audit,

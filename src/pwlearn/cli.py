@@ -20,7 +20,7 @@ from .adversary import AdversaryConfig, run_match
 from .bounds import BOUNDS_CSV_HEADER, MAX_PARTIAL_STAGES, bound_report
 from .errors import AuditFailure, DomainError, Error, InequalityViolation, _check_int, _check_real
 from .harness import (
-    ExperimentConfig,
+    _check_audit,
     parse_epsilon_grid,
     run_invariant_audit,
     run_sweep,
@@ -114,14 +114,21 @@ def _config_value(action: argparse.Action, key: str, value):
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
+    # Every object's pairs as written: json makes the document's own last.
+    objects = []
     with open(args.config, "rb") as fh:
-        doc = pwl._parse_json("config", fh.read())
+        doc = pwl._parse_json("config", fh.read(), lambda kv: objects.append(kv) or dict(kv))
     if not isinstance(doc, dict):
         raise DomainError("config JSON must be an object")
-    for key, value in doc.items():
+    set_by = {}
+    for key, value in objects[-1]:
         dest = key.replace("-", "_")
         if dest not in args.flags:
             raise DomainError(f"unknown config key {key!r}")
+        if dest in set_by:
+            flag = args.flags[dest].option_strings[0]
+            raise DomainError(f"config keys {set_by[dest]!r} and {key!r} both set {flag}")
+        set_by[dest] = key
         setattr(args, dest, _config_value(args.flags[dest], key, value))
 
 
@@ -155,12 +162,8 @@ def _grid_from_args(args: argparse.Namespace) -> list[float]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        learner=args.learner,
-        epsilons=_grid_from_args(args),
-        stages=args.stages,
-    )
-    write_sweep_csv(run_sweep(config), args.out or sys.stdout)
+    rows = run_sweep(_grid_from_args(args), learner=args.learner, stages=args.stages)
+    write_sweep_csv(rows, args.out or sys.stdout)
     return EXIT_OK
 
 
@@ -181,19 +184,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        runs=args.runs,
-        seed=args.seed,
-        stages=args.stages,
-        max_trials=args.max_trials,
-    )
+    counts = dict(runs=args.runs, seed=args.seed, stages=args.stages, max_trials=args.max_trials)
     if args.out:
         # As match does: bad flags leave no file, an unwritable path runs no
         # audit, and an old report stays whole until it is rewritten.
-        config.validate()
+        _check_audit(**counts)
         open(args.out, "a").close()
     try:
-        report = run_invariant_audit(config)
+        report = run_invariant_audit(**counts)
     except AuditFailure as exc:
         print(str(exc), file=sys.stderr)
         if args.out and exc.report is not None:

@@ -2,7 +2,7 @@
 
 All randomness flows through numpy's default generator (PCG64) seeded from an
 explicit 64-bit seed; per-run generators are derived with SeedSequence.spawn.
-Identical config and seed therefore reproduce every output byte for byte.
+Identical arguments and seed therefore reproduce every output byte for byte.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .learner import (
 
 __all__ = [
     "MAX_STAGES",
-    "ExperimentConfig",
     "SweepRow",
     "SWEEP_CSV_HEADER",
     "AuditReport",
@@ -42,33 +41,9 @@ __all__ = [
 DEFAULT_AUDIT_EPSILONS = (0.4, 0.25, 0.1, 0.05, 0.02)
 # Largest log:a:b:n grid; each point is a whole match or bound row.
 MAX_GRID_SIZE = 1 << 20
-# Most audit runs: 1,000 take about 1.7 s on two CPUs, 2^20 about half an hour.
+# Most audit runs: 2^20 take about 18 minutes on two CPUs, scaled from
+# `audit --runs 16000 --seed 7` at 16.5 s on a 2-vCPU Xeon VM (about 1 ms a run).
 MAX_RUNS = 1 << 20
-
-
-@dataclass
-class ExperimentConfig:
-    """What run_sweep and run_invariant_audit read; nothing else is configurable."""
-
-    learner: str = "linint"
-    epsilons: list[float] = field(default_factory=list)
-    stages: int = 14
-    seed: int = 0
-    runs: int = 1000
-    max_trials: int = 10_000
-
-    def validate(self) -> None:
-        """Check every field: an unknown learner raises UnknownKind; the seed
-        and budgets must be integers and each epsilon a real in (0, 0.5) (a
-        numpy number is stored as a Python one, a bool is refused). runs is
-        capped at MAX_RUNS, max_trials at 2^MAX_STAGES, the desk-scale ceiling."""
-        make_learner(self.learner)
-        # Checking every epsilon up front stops a sweep before its first match.
-        self.stages = _check_int("stages", self.stages, 1, MAX_STAGES, _DESK_SCALE)
-        self.epsilons = [_check_epsilon(eps) for eps in self.epsilons]
-        self.seed = _check_int("seed", self.seed)
-        self.runs = _check_int("runs", self.runs, 0, MAX_RUNS)
-        self.max_trials = _check_max_trials(self.max_trials)
 
 
 def _check_max_trials(max_trials: int) -> int:
@@ -147,21 +122,24 @@ def write_sweep_csv(rows: Iterable[SweepRow], out: str | os.PathLike | IO[str]) 
     write_csv(out, SWEEP_CSV_HEADER, ([vars(row).values()] for row in rows))
 
 
-def run_sweep(config: ExperimentConfig) -> Iterator[SweepRow]:
-    """One adversary match per epsilon, with bound values attached.
+def run_sweep(epsilons: Iterable[float], *, learner="linint", stages=14) -> Iterator[SweepRow]:
+    """One adversary match of the learner kind per epsilon, with bound values attached.
 
-    The config is validated at once; the rows then come out sorted by epsilon,
-    each computed when it is asked for, so a writer can stream them.
+    The learner, stages (1..MAX_STAGES) and every epsilon (in (0, 0.5)) are
+    checked at once, before the first match; the rows then come out sorted by
+    epsilon, each computed when it is asked for, so a writer can stream them.
     """
-    config.validate()
-    return (_sweep_row(config, eps) for eps in sorted(config.epsilons))
+    make_learner(learner)
+    stages = _check_int("stages", stages, 1, MAX_STAGES, _DESK_SCALE)
+    grid = sorted(map(_check_epsilon, epsilons))
+    return (_sweep_row(learner, eps, stages) for eps in grid)
 
 
-def _sweep_row(config: ExperimentConfig, eps: float) -> SweepRow:
-    result = run_match(make_learner(config.learner), AdversaryConfig(eps, config.stages))
+def _sweep_row(learner: str, eps: float, stages: int) -> SweepRow:
+    result = run_match(make_learner(learner), AdversaryConfig(eps, stages))
     return SweepRow(
         epsilon=eps,
-        stages=config.stages,
+        stages=stages,
         total_loss=result.total_loss,
         lower_partial=result.lower_partial,
         upper_linint=result.upper_linint,
@@ -226,34 +204,44 @@ def audit_trace_run(
         return account, e2d, dict(zip(D_EXPONENTS, d_sums)), float(pairs[0, 0])
 
 
-def run_invariant_audit(config: ExperimentConfig) -> AuditReport:
+def _check_audit(runs, seed, stages, max_trials) -> tuple[int, int, int, int]:
+    """run_invariant_audit's counts, each an int in its range, else DomainError."""
+    # The stage cap is a standing decision on cost: in process on a 2-vCPU VM, the
+    # 15 matches and their per-trial audits take 0.04, 0.19 and 2.2 s at S = 12, 16, 20.
+    return (_check_int("runs", runs, 0, MAX_RUNS), _check_int("seed", seed),
+            _check_int("stages", stages, 1, 12, " (the audit's cap on its adversary matches)"),
+            _check_max_trials(max_trials))
+
+
+def run_invariant_audit(*, runs=1000, seed=0, stages=12, max_trials=10_000) -> AuditReport:
     """Replay the trace and energy invariants at scale.
 
-    Runs config.runs seeded matches of the interpolation learner against
-    sampled targets (derivative 2-norm at most 1) on random distinct inputs,
-    plus one adversary match per epsilon for each baseline learner. Raises
-    AuditFailure listing every violated invariant; the report rides along on
-    the exception.
+    Runs `runs` (0..MAX_RUNS) seeded matches of the interpolation learner,
+    each on 2..max_trials random distinct inputs, against sampled targets
+    (derivative 2-norm at most 1), plus one adversary match of `stages`
+    (1..12) stages per epsilon for each baseline learner. Every count is
+    checked before the first run. Raises AuditFailure listing every violated
+    invariant; the report rides along on the exception.
     """
-    config.validate()
+    runs, seed, stages, max_trials = _check_audit(runs, seed, stages, max_trials)
     report = AuditReport(
-        runs=config.runs,
+        runs=runs,
         d_sums={r: 0.0 for r in D_EXPONENTS},
         d_bounds={r: kl_d_bound(r) for r in D_EXPONENTS},
     )
-    if config.runs == 0:
+    if runs == 0:
         return report
     violations: list[str] = []
-    # Spawning one child a run gives the children spawn(config.runs) would,
-    # without holding them all; with two CPUs a helper plays every other run.
-    seeds = np.random.SeedSequence(config.seed)
-    runs = _dealt(
-        (seeds.spawn(1)[0] for _ in range(config.runs)),
-        config.runs,
-        lambda seed: audit_trace_run(np.random.default_rng(seed), config.max_trials),
+    # Spawning one child a run gives the children spawn(runs) would, without
+    # holding them all; with two CPUs a helper plays every other run.
+    seeds = np.random.SeedSequence(seed)
+    played = _dealt(
+        (seeds.spawn(1)[0] for _ in range(runs)),
+        runs,
+        lambda child: audit_trace_run(np.random.default_rng(child), max_trials),
     )
-    with closing(runs):
-        for k, (account, e2d, d_sums, first_x) in enumerate(runs):
+    with closing(played):
+        for k, (account, e2d, d_sums, first_x) in enumerate(played):
             report.trials_total += account.trials
             report.worst_p2_loss = max(report.worst_p2_loss, account.total)
             if account.total > 1.0 + E2D_TOL:
@@ -272,9 +260,6 @@ def run_invariant_audit(config: ExperimentConfig) -> AuditReport:
                 violations.append(f"run {k}: sum e^2/d = {e2d!r} exceeds 1")
 
     report.adversary_epsilons = list(DEFAULT_AUDIT_EPSILONS)
-    # The cap is a standing decision on cost: in process on a 2-vCPU VM, the 15
-    # matches and their per-trial audits take 0.04, 0.19 and 2.2 s at S = 12, 16, 20.
-    stages = min(config.stages, 12)
     report.adversary_stages = stages
     plays = [(eps, kind) for eps in report.adversary_epsilons
              for kind in ("zero", "nearest", "linint")]

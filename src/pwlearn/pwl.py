@@ -279,12 +279,14 @@ def function_to_json(f: PiecewiseLinearFunction) -> str:
     return json.dumps({"knots": [[u, v] for u, v in zip(f.us, f.vs)]})
 
 
-def _parse_json(what: str, data: bytes | str):
-    """A file's bytes, which must be UTF-8, or text, as JSON. Bytes that are not
-    UTF-8, text that is not JSON, nesting too deep to parse and an integer of
-    too many digits to convert all raise DomainError "invalid {what} JSON: ..."."""
+def _parse_json(what: str, data: bytes | str, object_pairs_hook=None):
+    """A file's bytes, which must be UTF-8, or text, as JSON (object_pairs_hook
+    as json.loads takes it). Bytes that are not UTF-8, text that is not JSON,
+    nesting too deep to parse and an integer of too many digits to convert all
+    raise DomainError "invalid {what} JSON: ..."."""
     try:
-        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
     except (ValueError, RecursionError) as exc:  # a UnicodeDecodeError is a ValueError
         raise DomainError(f"invalid {what} JSON: {exc}") from exc
 

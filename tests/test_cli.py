@@ -203,6 +203,31 @@ class TestConfigFile:
         assert code == 0
         assert out == expected
 
+    @pytest.mark.parametrize(
+        "text, first, second, flag",
+        [('{"runs": 1, "runs": 2}', "runs", "runs", "--runs"),
+         ('{"max-trials": 50, "max_trials": 60}', "max-trials", "max_trials", "--max-trials"),
+         ('{"max_trials": 50, "seed": 1, "max-trials": 50}', "max_trials", "max-trials",
+          "--max-trials")],
+        ids=["repeated-key", "two-spellings", "same-value-apart"],
+    )
+    def test_a_flag_set_twice_exits_one_naming_both_keys(
+        self, text, first, second, flag, tmp_path, monkeypatch, capsys
+    ):
+        def no_audit(*args, **kwargs):
+            raise AssertionError("run_invariant_audit was called")
+
+        monkeypatch.setattr(cli, "run_invariant_audit", no_audit)
+        code, out, err = config_run(tmp_path, capsys, text, ["audit"])
+        assert (code, out) == (1, "")
+        assert err == f"error: config keys {first!r} and {second!r} both set {flag}\n"
+
+    def test_a_repeated_key_inside_a_value_is_refused_as_the_value(self, tmp_path, capsys):
+        text = '{"stages": {"a": 1, "a": 2}}'
+        code, out, err = config_run(tmp_path, capsys, text, ["match", "--epsilon", "0.1"])
+        assert (code, out) == (1, "")
+        assert err == "error: config key 'stages' must be an integer, got {'a': 2}\n"
+
     def test_float_flag_takes_an_int(self, tmp_path, capsys):
         path = tmp_path / "f.json"
         path.write_text(function_to_json(from_points([(0.0, 0.0), (1.0, 2.0)])))
@@ -627,6 +652,24 @@ class TestAudit:
         out = tmp_path / "report.json"
         assert run_cli(["audit", "--runs", "-1", "--out", str(out)]) == 1
         capsys.readouterr()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stages", ["13", "24"])
+    def test_stages_past_the_audit_cap_exit_one_and_leave_no_file(
+        self, stages, tmp_path, monkeypatch, capsys
+    ):
+        def no_audit(*args, **kwargs):
+            raise AssertionError("run_invariant_audit was called")
+
+        monkeypatch.setattr(cli, "run_invariant_audit", no_audit)
+        out = tmp_path / "report.json"
+        assert run_cli(["audit", "--stages", stages, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: stages must lie in 1..12 (the audit's cap on its adversary matches), "
+            f"got {stages}"
+        ]
         assert not out.exists()
 
     @pytest.mark.parametrize("max_trials", ["9223372036854775807", "10000000000000"])

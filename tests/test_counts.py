@@ -13,7 +13,6 @@ import pytest
 from pwlearn import (
     AdversaryConfig,
     DomainError,
-    ExperimentConfig,
     bound_report,
     cli,
     dyadic_x,
@@ -22,6 +21,8 @@ from pwlearn import (
     lower_bound_partial,
     parse_epsilon_grid,
     perturbation,
+    run_invariant_audit,
+    run_sweep,
     sample_target,
     stage_of,
 )
@@ -32,10 +33,9 @@ POW2 = " (2^1023 is the largest power of 2 a double holds)"
 TENT = from_points([(0.0, 0.0), (0.5, 0.5), (1.0, 0.0)])
 
 
-def _validated(**fields):
-    config = ExperimentConfig(**fields)
-    config.validate()
-    return config
+def _audited(**counts):
+    # The least audit that plays: one trace run of two trials, 15 one-stage matches.
+    return run_invariant_audit(**{"runs": 1, "stages": 1, "max_trials": 2, **counts})
 
 
 def _bounds_command(n):
@@ -52,17 +52,23 @@ ENTRY_POINTS = {
     "AdversaryConfig-stages": (
         lambda n: AdversaryConfig(0.1, n).stages, "stages", f"lie in 1..24{DESK}", 1, 24, 3, 3.0,
     ),
-    "ExperimentConfig-stages": (
-        lambda n: _validated(stages=n).stages, "stages", f"lie in 1..24{DESK}", 1, 24, 3, 3.5,
+    "run_sweep-stages": (
+        lambda n: next(run_sweep([0.1], stages=n)).stages, "stages", f"lie in 1..24{DESK}",
+        1, 24, 3, 3.5,
     ),
-    "ExperimentConfig-seed": (
-        lambda n: _validated(seed=n).seed, "seed", "be nonnegative", 0, None, 7, 1.5,
+    "run_invariant_audit-stages": (
+        lambda n: _audited(stages=n).adversary_stages, "stages",
+        "lie in 1..12 (the audit's cap on its adversary matches)", 1, 12, 3, 3.5,
     ),
-    "ExperimentConfig-runs": (
-        lambda n: _validated(runs=n).runs, "runs", "lie in 0..1048576", 0, 1 << 20, 2, 2.0,
+    # The report has no seed: a numpy seed must give the int seed's report.
+    "run_invariant_audit-seed": (
+        lambda n: _audited(seed=n), "seed", "be nonnegative", 0, None, 7, 1.5,
     ),
-    "ExperimentConfig-max_trials": (
-        lambda n: _validated(max_trials=n).max_trials, "max_trials",
+    "run_invariant_audit-runs": (
+        lambda n: _audited(runs=n).runs, "runs", "lie in 0..1048576", 0, 1 << 20, 2, 2.0,
+    ),
+    "run_invariant_audit-max_trials": (
+        lambda n: _audited(max_trials=n).trials_total, "max_trials",
         f"lie in 2..16777216{DESK}", 2, 1 << 24, 9, 2.5,
     ),
     "lower_bound_partial": (

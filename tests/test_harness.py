@@ -12,7 +12,6 @@ from pwlearn import (
     AdversaryConfig,
     AuditFailure,
     DomainError,
-    ExperimentConfig,
     UnknownKind,
     derivative_norm,
     is_member,
@@ -132,22 +131,45 @@ class TestParseEpsilonGrid:
         assert sizes == [1 << 20]
 
 
-class TestExperimentConfig:
+class TestEntryPointArguments:
     def test_stage_ceiling(self):
-        config = ExperimentConfig(stages=25)
         with pytest.raises(DomainError, match="24"):
-            config.validate()
+            run_sweep([0.1], stages=25)
+
+    @pytest.mark.parametrize("stages", [13, 24])
+    def test_audit_stages_past_its_cap_are_refused_before_any_run(self, stages, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run or match was played")
+
+        monkeypatch.setattr(harness, "audit_trace_run", no_run)
+        monkeypatch.setattr(harness, "run_match", no_run)
+        with pytest.raises(DomainError) as info:
+            run_invariant_audit(runs=1, stages=stages)
+        assert str(info.value) == (
+            f"stages must lie in 1..12 (the audit's cap on its adversary matches), got {stages}"
+        )
+
+    def test_audit_plays_its_matches_at_the_stages_asked_for_up_to_the_cap(self):
+        report = run_invariant_audit(runs=1, stages=12, max_trials=2)
+        assert report.violations == [] and report.adversary_stages == 12
 
     def test_max_trials_ceiling_is_the_adversary_trial_ceiling(self):
-        ExperimentConfig(max_trials=1 << 24).validate()
+        harness._check_audit(0, 0, 12, 1 << 24)
         for bad in (1, (1 << 24) + 1):
             with pytest.raises(DomainError, match="16777216"):
-                ExperimentConfig(max_trials=bad).validate()
+                run_invariant_audit(max_trials=bad)
 
     def test_sweep_epsilons_use_the_adversary_check(self):
-        config = ExperimentConfig(epsilons=[0.2, 0.5], stages=4)
         with pytest.raises(DomainError, match="bounds subcommand"):
-            config.validate()
+            run_sweep([0.2, 0.5], stages=4)
+
+    def test_the_entry_points_take_only_what_they_read(self):
+        for extra in ({"runs": 1}, {"seed": 0}, {"max_trials": 2}):
+            with pytest.raises(TypeError):
+                run_sweep([0.1], **extra)
+        for extra in ({"learner": "linint"}, {"epsilons": [0.1]}):
+            with pytest.raises(TypeError):
+                run_invariant_audit(runs=0, **extra)
 
     @pytest.mark.parametrize(
         "make",
@@ -155,13 +177,13 @@ class TestExperimentConfig:
             lambda: AdversaryConfig(0.1, 3.5),
             lambda: AdversaryConfig(0.1, "3"),
             lambda: AdversaryConfig(0.1, True),
-            lambda: ExperimentConfig(stages=True).validate(),
-            lambda: ExperimentConfig(stages=np.float64(3.0)).validate(),
-            lambda: ExperimentConfig(runs=1.5).validate(),
-            lambda: ExperimentConfig(runs=False).validate(),
-            lambda: ExperimentConfig(max_trials=2.5).validate(),
-            lambda: ExperimentConfig(seed=1.5).validate(),
-            lambda: ExperimentConfig(seed=-1).validate(),
+            lambda: run_sweep([0.1], stages=True),
+            lambda: run_sweep([0.1], stages=np.float64(3.0)),
+            lambda: run_invariant_audit(runs=1.5),
+            lambda: run_invariant_audit(runs=False),
+            lambda: run_invariant_audit(max_trials=2.5),
+            lambda: run_invariant_audit(seed=1.5),
+            lambda: run_invariant_audit(seed=-1),
         ],
         ids=[
             "adversary-float", "adversary-str", "adversary-bool", "stages-bool",
@@ -174,9 +196,12 @@ class TestExperimentConfig:
             make()
 
     def test_numpy_integer_budget_is_stored_as_int(self):
-        config = ExperimentConfig(stages=np.int64(3), runs=np.int32(2), max_trials=np.int64(9))
-        config.validate()
-        assert [type(v) for v in (config.stages, config.runs, config.max_trials)] == [int] * 3
+        counts = harness._check_audit(np.int32(2), np.uint64(5), np.int64(3), np.int64(9))
+        assert counts == (2, 5, 3, 9) and [type(v) for v in counts] == [int] * 4
+        report = run_invariant_audit(runs=np.int32(0))
+        assert type(report.runs) is int
+        row = next(run_sweep([0.1], stages=np.int64(3)))
+        assert type(row.stages) is int
         result = run_match(make_learner("zero"), AdversaryConfig(0.1, np.int64(3)))
         assert type(result.stages) is int
         assert json.loads(json.dumps(result.to_json_dict()))["stages"] == 3
@@ -184,8 +209,7 @@ class TestExperimentConfig:
 
 class TestRunSweep:
     def test_rows_sorted_and_sandwiched(self):
-        config = ExperimentConfig(epsilons=[0.25, 0.4, 0.1], stages=8, learner="linint")
-        rows = list(run_sweep(config))
+        rows = list(run_sweep([0.25, 0.4, 0.1], stages=8, learner="linint"))
         assert [row.epsilon for row in rows] == [0.1, 0.25, 0.4]
         for row in rows:
             assert row.lower_partial == lower_bound_partial(row.epsilon, 8)
@@ -194,20 +218,40 @@ class TestRunSweep:
             assert row.loss_times_sqrt_eps == row.total_loss * math.sqrt(row.epsilon)
 
     def test_empty_grid(self):
-        config = ExperimentConfig(epsilons=[], stages=8)
-        assert list(run_sweep(config)) == []
+        assert list(run_sweep([], stages=8)) == []
 
     def test_unknown_learner_is_refused_before_anything_is_written(self):
         buf = io.StringIO()
-        config = ExperimentConfig(learner="bogus", epsilons=[0.1])
         with pytest.raises(UnknownKind, match="unknown learner kind 'bogus'"):
-            write_sweep_csv(run_sweep(config), buf)
+            write_sweep_csv(run_sweep([0.1], learner="bogus"), buf)
         assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "grid, stages",
+        [("0.1,0.2", "25"), ("0.1,0.2", "0"), ("0.1,0.7", "4"), ("0.2,nan", "4")],
+        ids=["stages-past-24", "stages-0", "epsilon-0.7", "epsilon-nan"],
+    )
+    def test_a_bad_stage_count_or_epsilon_is_refused_before_any_match_or_byte(
+        self, grid, stages, tmp_path, monkeypatch, capsys
+    ):
+        def no_match(*args, **kwargs):
+            raise AssertionError("a match was played")
+
+        monkeypatch.setattr(harness, "run_match", no_match)
+        buf = io.StringIO()
+        epsilons = [float(eps) for eps in grid.split(",")]
+        with pytest.raises(DomainError):
+            write_sweep_csv(run_sweep(epsilons, stages=int(stages)), buf)
+        assert buf.getvalue() == ""
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--epsilons", grid, "--stages", stages, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_writes_csv_file_row_by_row(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        config = ExperimentConfig(epsilons=[0.3, 0.2], stages=6)
-        rows = list(run_sweep(config))
+        rows = list(run_sweep([0.3, 0.2], stages=6))
         write_sweep_csv(rows, out)
         lines = out.read_text().splitlines()
         assert lines[0] == ",".join(SWEEP_CSV_HEADER)
@@ -218,9 +262,8 @@ class TestRunSweep:
             assert tuple(float(cell) for cell in line.split(",")) == astuple(row)
 
     def test_deterministic(self):
-        config = ExperimentConfig(epsilons=[0.2], stages=7)
-        a = list(run_sweep(config))
-        b = list(run_sweep(config))
+        a = list(run_sweep([0.2], stages=7))
+        b = list(run_sweep([0.2], stages=7))
         assert a == b
         buf_a, buf_b = io.StringIO(), io.StringIO()
         write_sweep_csv(a, buf_a)
@@ -238,15 +281,14 @@ class TestInvariantAudit:
             )
 
     def test_zero_runs_is_a_trivially_empty_report(self):
-        report = run_invariant_audit(ExperimentConfig(runs=0))
+        report = run_invariant_audit(runs=0)
         assert report.runs == 0
         assert report.trials_total == 0
         assert report.violations == []
         assert report.worst_e2_over_d == 0.0
 
     def test_small_audit_passes(self):
-        config = ExperimentConfig(runs=25, seed=11, stages=8, max_trials=300)
-        report = run_invariant_audit(config)
+        report = run_invariant_audit(runs=25, seed=11, stages=8, max_trials=300)
         assert report.violations == []
         assert report.runs == 25
         assert report.trials_total > 0
@@ -260,7 +302,7 @@ class TestInvariantAudit:
         assert report.adversary_stages == 8
 
     def test_report_serializes(self):
-        report = run_invariant_audit(ExperimentConfig(runs=0))
+        report = run_invariant_audit(runs=0)
         doc = report.to_json_dict()
         assert doc["runs"] == 0
         assert doc["violations"] == []
@@ -298,7 +340,7 @@ def _need(i):
 
 def _failed_audit():
     with pytest.raises(AuditFailure) as info:
-        run_invariant_audit(ExperimentConfig(**AUDIT))
+        run_invariant_audit(**AUDIT)
     failure = info.value
     assert failure.report is not None
     assert failure.report.violations == failure.violations
@@ -446,7 +488,7 @@ class TestAuditDealer:
             forks = []
             with monkeypatch.context() as m:
                 _take_path(m, path, forks)
-                report = run_invariant_audit(ExperimentConfig(runs=runs, **SMALL_CONFIG))
+                report = run_invariant_audit(runs=runs, **SMALL_CONFIG)
                 assert cli.main([*SMALL_AUDIT, "--runs", str(runs)]) == 0
             assert len(forks) == (2 if path == "two CPUs" and runs >= 2 else 0)
             seen[path] = report, capsys.readouterr()
@@ -485,7 +527,7 @@ class TestAuditDealer:
         _patch_runs(monkeypatch, dies)
         _take_path(monkeypatch, "two CPUs", [])
         with pytest.raises(OSError, match="helper process ended early"):
-            run_invariant_audit(ExperimentConfig(runs=7, **SMALL_CONFIG))
+            run_invariant_audit(runs=7, **SMALL_CONFIG)
         _no_child_left()
         assert cli.main([*SMALL_AUDIT, "--runs", "7"]) == 3
         captured = capsys.readouterr()
@@ -505,7 +547,7 @@ class TestAuditDealer:
         forks = []
         _take_path(monkeypatch, "two CPUs", forks)
         with pytest.raises(DomainError) as info:
-            run_invariant_audit(ExperimentConfig(runs=7, **SMALL_CONFIG))
+            run_invariant_audit(runs=7, **SMALL_CONFIG)
         assert type(info.value) is DomainError and len(forks) == 1
         raised_in = int(str(info.value).rsplit(" ", 1)[1])
         assert str(info.value) == f"run {bad_run} refused in process {raised_in}"
@@ -516,7 +558,7 @@ class TestAuditDealer:
         monkeypatch.setattr(harness, "E2D_TOL", None)  # 1.0 + None raises in the fold
         _take_path(monkeypatch, "two CPUs", [])
         with pytest.raises(TypeError) as info:
-            run_invariant_audit(ExperimentConfig(runs=7, **SMALL_CONFIG))
+            run_invariant_audit(runs=7, **SMALL_CONFIG)
         # Reaped while the error still holds the audit's frame and its iterator.
         assert info.tb is not None
         _no_child_left()

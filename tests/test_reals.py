@@ -24,7 +24,6 @@ from pwlearn import (
     AdversaryConfig,
     DomainError,
     Error,
-    ExperimentConfig,
     ZeroLearner,
     bound_report,
     check_proof_inequalities,
@@ -39,6 +38,7 @@ from pwlearn import (
     lower_bound_closed_form,
     lower_bound_partial,
     perturbation,
+    run_sweep,
     run_trials,
     sample_target,
     upper_bound_linint,
@@ -55,18 +55,12 @@ TRACE = run_trials(ZeroLearner(), PAIRS, 2.0)[0]
 INF = math.inf
 
 
-def _validated_epsilon(eps):
-    config = ExperimentConfig(epsilons=[eps])
-    config.validate()
-    return config.epsilons[0]
-
-
 # id: (call taking the real, name in the message (None: the adversary's
 # message), the interval's ends lo and hi, its brackets, a value inside)
 ENTRY_POINTS = {
     "AdversaryConfig": (lambda v: AdversaryConfig(v, 3).epsilon, None, 0.0, 0.5, "()", 0.1),
     "perturbation": (lambda v: perturbation(2, v), None, 0.0, 0.5, "()", 0.1),
-    "ExperimentConfig": (_validated_epsilon, None, 0.0, 0.5, "()", 0.1),
+    "run_sweep": (lambda v: next(run_sweep([v], stages=1)).epsilon, None, 0.0, 0.5, "()", 0.1),
     "upper_bound_linint": (upper_bound_linint, "epsilon", 0.0, 1.0, "()", 0.7),
     "lower_bound_partial": (
         lambda v: lower_bound_partial(v, 10), "epsilon", 0.0, 0.5, "()", 0.1,
